@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from . import catalog
 from .coupling import CouplingMatrix, analyze
 from .diagnostics import build_report, evaluate_on_set
 from .ergodic import DiscountSchedule, estimate_ergodic_constant, long_time_constant
-from .errors import ConfigError, ConvergenceError, DivergenceError
+from .errors import ConfigError, ConvergenceError, DivergenceError, StructureError
 from .evolution import EvolutionConfig, HJSystem, Trajectory, solve
 from .grid import Grid, GridFunction, sample
 from .suites import run_suite
@@ -52,6 +53,15 @@ def _get(cfg: dict, path: str, default=_MISSING, where: str = ""):
             raise ConfigError(f"config is missing required field {full!r}")
         node = node[part]
     return node
+
+
+@contextmanager
+def _reading(what: str):
+    """Errors raised while turning config values into objects are config errors."""
+    try:
+        yield
+    except (ValueError, TypeError, KeyError, StructureError, OSError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def _build_coupling(block) -> CouplingMatrix:
@@ -133,9 +143,10 @@ def _write_json(obj, out_dir: str, fname: str) -> str:
 
 
 def cmd_evolve(cfg, out_dir: str, threads: int) -> int:
-    system = _build_system(_get(cfg, "system"))
-    config = _evolution_config(_get(cfg, "solver"))
-    u0 = _build_u0(_get(cfg, "u0", {}), system.grid, system.m)
+    with _reading("system, solver or u0"):
+        system = _build_system(_get(cfg, "system"))
+        config = _evolution_config(_get(cfg, "solver"))
+        u0 = _build_u0(_get(cfg, "u0", {}), system.grid, system.m)
     traj = solve(system, u0, config)
     traj.save(os.path.join(out_dir, "trajectory"))
     print(f"wrote {os.path.join(out_dir, 'trajectory')}")
@@ -143,8 +154,9 @@ def cmd_evolve(cfg, out_dir: str, threads: int) -> int:
 
 
 def cmd_ergodic(cfg, out_dir: str, threads: int) -> int:
-    system = _build_system(_get(cfg, "system"))
-    schedule = _discount_schedule(_get(cfg, "schedule", {}))
+    with _reading("system or schedule"):
+        system = _build_system(_get(cfg, "system"))
+        schedule = _discount_schedule(_get(cfg, "schedule", {}))
     result = estimate_ergodic_constant(system, schedule)
     result.save(out_dir)
     print(f"c = {result.c.tolist()} (residual {result.residual!r})")
@@ -166,12 +178,14 @@ def _source_functions(system: HJSystem) -> list:
 
 def cmd_diagnose(cfg, out_dir: str, threads: int) -> int:
     if "trajectory_dir" in cfg:
-        traj = Trajectory.load(cfg["trajectory_dir"])
+        with _reading("trajectory_dir"):
+            traj = Trajectory.load(cfg["trajectory_dir"])
         system = None
     else:
-        system = _build_system(_get(cfg, "system"))
-        config = _evolution_config(_get(cfg, "solver"))
-        u0 = _build_u0(_get(cfg, "u0", {}), system.grid, system.m)
+        with _reading("system, solver or u0"):
+            system = _build_system(_get(cfg, "system"))
+            config = _evolution_config(_get(cfg, "solver"))
+            u0 = _build_u0(_get(cfg, "u0", {}), system.grid, system.m)
         traj = solve(system, u0, config)
     c_spec = _get(cfg, "c", "measured")
     if c_spec == "measured":
@@ -255,9 +269,10 @@ def _build_process(block) -> SwitchingProcessSpec:
 
 
 def cmd_simulate(cfg, out_dir: str, threads: int) -> int:
-    spec = _build_process(_get(cfg, "process"))
-    pol_block = _get(cfg, "policy", {"kind": "constant", "index": 0})
-    horizon = float(_get(cfg, "horizon"))
+    with _reading("process, policy or horizon"):
+        spec = _build_process(_get(cfg, "process"))
+        pol_block = _get(cfg, "policy", {"kind": "constant", "index": 0})
+        horizon = float(_get(cfg, "horizon"))
     if _get(pol_block, "kind") == "constant":
         policy = ConstantPolicy(int(_get(pol_block, "index", 0)))
     elif _get(pol_block, "kind") == "greedy":
@@ -316,7 +331,8 @@ def cmd_simulate(cfg, out_dir: str, threads: int) -> int:
 
 
 def cmd_validate_coupling(cfg, out_dir: str, threads: int) -> int:
-    coupling = _build_coupling(_get(cfg, "coupling"))
+    with _reading("coupling"):
+        coupling = _build_coupling(_get(cfg, "coupling"))
     report = analyze(coupling.entries)
     payload = report.to_dict()
     print(json.dumps(payload, indent=2, sort_keys=True))

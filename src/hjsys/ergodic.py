@@ -38,7 +38,7 @@ import numpy as np
 
 from .coupling import is_irreducible, validate_monotone
 from .errors import ConfigError, ConvergenceError, DivergenceError, StructureError
-from .evolution import HJSystem, _flux_stack, _check_cfl_budget
+from .evolution import HJSystem
 from .grid import Grid, GridFunction, diff_arrays, interp_periodic, save_binary
 
 __all__ = [
@@ -96,20 +96,11 @@ class DiscountInfo:
     scaled_sup: float  # lambda * sup v
 
 
-def _coupling_apply(system: HJSystem, nodes_D: np.ndarray | None, values: np.ndarray):
-    if nodes_D is None:
-        return np.tensordot(system.coupling.entries, values, axes=(1, 0))
-    m = values.shape[0]
-    flat = values.reshape(m, -1)
-    out = np.einsum("kij,jk->ik", nodes_D, flat)
-    return out.reshape(values.shape)
-
-
-def _prepare_field_coupling(system: HJSystem) -> np.ndarray | None:
-    if system.coupling.variant == "constant":
-        return None
+def _check_field_coupling(system: HJSystem, D: np.ndarray | None) -> None:
+    """Monotone and irreducible at every 64th node; D is sampled at the nodes."""
+    if D is None:
+        return
     nodes = system.grid.nodes()
-    D = system.coupling.sample_at(nodes)
     step_ = max(1, len(nodes) // 64)
     for k in range(0, len(nodes), step_):
         ok, violations = validate_monotone(D[k])
@@ -121,7 +112,6 @@ def _prepare_field_coupling(system: HJSystem) -> np.ndarray | None:
             raise StructureError(
                 f"field coupling reducible at x = {nodes[k].tolist()}"
             )
-    return D
 
 
 def _coarse_start(
@@ -164,15 +154,10 @@ def solve_discounted(
     grid = system.grid
     if v0 is None and grid.n >= schedule.coarse_init_below:
         v0 = _coarse_start(system, lam, schedule)
-    X = grid.mesh()
-    nodes_D = _prepare_field_coupling(system)
-    h = grid.h
+    kernel = system.flux_kernel(schedule.flux_mode)
+    _check_field_coupling(system, kernel.D_nodes)
     amax = max(hm.lf_alpha for hm in system.hams)
-    if nodes_D is None:
-        dmax = float(np.max(np.diag(system.coupling.entries)))
-    else:
-        dmax = float(np.max(np.diagonal(nodes_D, axis1=-2, axis2=-1)))
-    dt = schedule.cfl / (grid.dim * amax / h + dmax + lam)
+    dt = schedule.cfl / (grid.dim * amax / grid.h + kernel.dmax + lam)
 
     v = np.zeros((system.m,) + grid.shape) if v0 is None else np.array(v0, dtype=float)
     tol = schedule.steady_state_tol
@@ -181,11 +166,11 @@ def solve_discounted(
     history: list[float] = []
     checked_cfl = False
     for n in range(schedule.max_steps_per_lambda):
-        flux, alpha_sums = _flux_stack(system, v, X, schedule.flux_mode)
+        flux, alpha_sums = kernel(v)
         if not checked_cfl:
-            _check_cfl_budget(system, alpha_sums, dt, lam=lam)
+            kernel.check_cfl(alpha_sums, dt, lam=lam)
             checked_cfl = True
-        r = -(lam * v + flux + _coupling_apply(system, nodes_D, v))
+        r = -(lam * v + flux + kernel.coupling_term(v))
         rmax = float(np.max(np.abs(r)))
         if not np.isfinite(rmax):
             raise DivergenceError(
@@ -276,8 +261,6 @@ def estimate_ergodic_constant(
     v = None
     prev_lam = None
     ests = {}
-    X = grid.mesh()
-    nodes_D = _prepare_field_coupling(system)
     for lam in schedule.lambdas:
         if v is None:
             v0 = None
@@ -288,9 +271,7 @@ def estimate_ergodic_constant(
             v0 = v + const * (1.0 / lam - 1.0 / prev_lam)
         v, info = solve_discounted(system, lam, schedule, v0=v0)
         est = np.array([-lam * v[i][idx] for i in range(system.m)])
-        lip = max(
-            float(np.max(np.abs(diff_arrays(v[i], grid)[0]))) for i in range(system.m)
-        )
+        lip = float(np.max(np.abs(diff_arrays(v, grid)[0])))
         per_lambda.append(
             {
                 "lambda": lam,
@@ -321,8 +302,9 @@ def estimate_ergodic_constant(
 
     anchor_val = v[0][idx]
     w = v - anchor_val  # same scalar off every component
-    flux, _ = _flux_stack(system, w, X, schedule.flux_mode)
-    stat = flux + _coupling_apply(system, nodes_D, w)
+    kernel = system.flux_kernel(schedule.flux_mode)
+    flux, _ = kernel(w)
+    stat = flux + kernel.coupling_term(w)
     shape = (system.m,) + (1,) * grid.dim
     residual = float(np.max(np.abs(stat - c.reshape(shape))))
     correctors = [GridFunction(grid, w[i]) for i in range(system.m)]

@@ -11,12 +11,20 @@ with cfl <= 1/2 the fully discrete scheme is monotone, so ordered initial
 data stay ordered up to roundoff; the comparison check quantifies this.
 Snapshot times are hit exactly: each inter-snapshot segment is divided into
 equal steps no longer than the CFL step.
+
+Every solver computes the flux through a ``FluxKernel``, built once per
+system and flux mode (``HJSystem.flux_kernel``).  It holds the node mesh,
+reusable difference buffers, each Hamiltonian bound to the mesh, and the
+sampled coupling, so a step only does the work that depends on the values.
+Its flux equals ``numerical_flux`` applied per component to ``diff_arrays``
+bit for bit.
 """
 from __future__ import annotations
 
 import json
 import os
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -24,10 +32,11 @@ import numpy as np
 from .coupling import CouplingMatrix, validate_monotone
 from .errors import ConfigError, DivergenceError, StructureError
 from .grid import Grid, GridFunction, diff_arrays, load_binary, save_binary
-from .hamiltonians import Hamiltonian, lax_friedrichs_flux
+from .hamiltonians import flux_from_midpoint
 
 __all__ = [
     "HJSystem",
+    "FluxKernel",
     "SystemState",
     "EvolutionConfig",
     "Trajectory",
@@ -53,6 +62,7 @@ class HJSystem:
     hams: tuple
     coupling: CouplingMatrix
     grid: Grid
+    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         hams = tuple(self.hams)
@@ -72,6 +82,13 @@ class HJSystem:
     @property
     def m(self) -> int:
         return self.coupling.m
+
+    def flux_kernel(self, mode: str = "local") -> "FluxKernel":
+        """The flux kernel for ``mode``, built on first use and then reused."""
+        kernel = self._kernels.get(mode)
+        if kernel is None:
+            kernel = self._kernels[mode] = FluxKernel(self, mode)
+        return kernel
 
     @property
     def identical_hamiltonians(self) -> bool:
@@ -140,66 +157,105 @@ class EvolutionConfig:
             raise ConfigError(f"unknown flux mode {self.flux_mode!r}")
 
 
+class FluxKernel:
+    """Numerical flux of every component of one system, bound to its grid.
+
+    Built by ``HJSystem.flux_kernel``.  Computed once here, on the node mesh
+    X: per Hamiltonian a p-only evaluator and axis-alpha bound (from its
+    ``bind(X)``, or ``eval_fn(X, .)`` / ``axis_alpha(X, .)`` without one);
+    the coupling sampled at the nodes (``D_nodes``, None for the constant
+    variant) and its largest diagonal entry ``dmax``.  The difference
+    buffers are reused by every call, so one kernel must not be shared by
+    concurrent solves.
+    """
+
+    def __init__(self, system: HJSystem, mode: str):
+        if mode not in ("local", "global"):
+            raise ConfigError(f"unknown flux mode {mode!r}")
+        grid = system.grid
+        self.grid = grid
+        X = grid.mesh()
+        shape = (system.m,) + grid.shape + (grid.dim,)
+        self._buffers = (np.empty(shape), np.empty(shape))
+        self.terms = []  # (H(p), axis alpha(pabs) or None for the global flux, lf_alpha)
+        for ham in system.hams:
+            if ham.bind is not None:
+                H, alpha = ham.bind(X)
+            else:
+                H = partial(ham.eval_fn, X)
+                alpha = None if ham.axis_alpha is None else partial(ham.axis_alpha, X)
+            if mode == "global" or ham.axis_alpha is None:
+                alpha = None
+            self.terms.append((H, alpha, ham.lf_alpha))
+        self.local = any(alpha is not None for _, alpha, _ in self.terms)
+        coupling = system.coupling
+        self.entries = coupling.entries
+        if coupling.entries is not None:
+            self.D_nodes = None
+            self.dmax = float(np.max(np.diag(coupling.entries)))
+        else:
+            self.D_nodes = coupling.sample_at(grid.nodes())
+            self.dmax = float(np.max(np.diagonal(self.D_nodes, axis1=-2, axis2=-1)))
+
+    def diffs(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``diff_arrays`` of the component stack, written into the buffers."""
+        return diff_arrays(values, self.grid, out=self._buffers)
+
+    def __call__(self, values: np.ndarray) -> tuple[np.ndarray, list]:
+        """Flux of every component, and per component max_x sum_k alpha_k."""
+        dminus, dplus = self.diffs(values)
+        pmid = 0.5 * (dminus + dplus)
+        pabs = np.maximum(np.abs(dminus), np.abs(dplus)) if self.local else None
+        out = np.empty_like(values)
+        alpha_sums = []
+        for i, (H, alpha_fn, lf_alpha) in enumerate(self.terms):
+            if alpha_fn is None:
+                out[i] = flux_from_midpoint(H(pmid[i]), dminus[i], dplus[i], lf_alpha)
+                alpha_sums.append(lf_alpha * self.grid.dim)
+            else:
+                alpha = np.asarray(alpha_fn(pabs[i]))
+                out[i] = flux_from_midpoint(H(pmid[i]), dminus[i], dplus[i], alpha)
+                alpha_sums.append(float(np.add.reduce(alpha, axis=-1).max()))
+        return out, alpha_sums
+
+    def coupling_term(self, values: np.ndarray) -> np.ndarray:
+        """sum_j d_ij(x) u_j for every component."""
+        if self.D_nodes is None:
+            return np.tensordot(self.entries, values, axes=(1, 0))
+        m = values.shape[0]
+        out = np.einsum("kij,jk->ik", self.D_nodes, values.reshape(m, -1))
+        return out.reshape(values.shape)
+
+    def check_cfl(self, alpha_sums, dt: float, lam: float = 0.0) -> None:
+        """Raise unless dt keeps both the flux and the damping monotone.
+
+        ``alpha_sums`` holds, per component, the largest sum_k alpha_k met at
+        any node; the damping is the largest diagonal coupling entry (sampled
+        at the nodes for a field coupling) plus the discount ``lam``.
+        """
+        worst = dt * (max(alpha_sums) / self.grid.h)
+        if worst > 1.0 + 1e-9:
+            raise DivergenceError(
+                f"CFL budget exceeded: dt*sum(alpha)/h = {worst!r}; enlarge "
+                "lf_alpha/p_box or shrink dt"
+            )
+        damping = dt * (self.dmax + lam)
+        if damping > 1.0 + 1e-9:
+            raise DivergenceError(
+                f"CFL budget exceeded: dt*(max d_ii + lambda) = {damping!r}; shrink dt"
+            )
+
+
 def cfl_dt(system: HJSystem, config: EvolutionConfig, extra_damping: float = 0.0) -> float:
     """Stable explicit step: min(cfl*h/(N*max alpha), cfl/(max d_ii + damping))."""
     if config.dt_override is not None:
         return float(config.dt_override)
     amax = max(h.lf_alpha for h in system.hams)
     dt = config.cfl * system.grid.h / (system.grid.dim * amax)
-    if system.coupling.entries is not None:
-        dmax = float(np.max(np.diag(system.coupling.entries)))
-    else:
-        dmax = float(
-            np.max(
-                np.diagonal(system.coupling.sample_at(system.grid.nodes()), axis1=-2, axis2=-1)
-            )
-        )
+    dmax = system.flux_kernel(config.flux_mode).dmax
     if dmax + extra_damping > 0:
         dt = min(dt, config.cfl / (dmax + extra_damping))
     return float(dt)
-
-
-def _check_cfl_budget(system, alphas_used, dt, lam: float = 0.0) -> None:
-    # alphas_used: per-component max of sum_k alpha_k at any node
-    h = system.grid.h
-    if system.coupling.entries is not None:
-        dmax = float(np.max(np.diag(system.coupling.entries)))
-    else:
-        dmax = 0.0
-    worst = dt * (max(alphas_used) / h)
-    if worst > 1.0 + 1e-9 or dt * (dmax + lam) > 1.0 + 1e-9:
-        raise DivergenceError(
-            f"CFL budget exceeded: dt*sum(alpha)/h = {worst!r}; enlarge lf_alpha/p_box "
-            "or shrink dt"
-        )
-
-
-def _flux_stack(system: HJSystem, values: np.ndarray, X: np.ndarray, mode: str):
-    """Numerical flux of every component; returns (stack, per-comp alpha sums)."""
-    out = np.empty_like(values)
-    alpha_sums = []
-    for i, ham in enumerate(system.hams):
-        dminus, dplus = diff_arrays(values[i], system.grid)
-        if mode == "local" and ham.axis_alpha is not None:
-            pabs = np.maximum(np.abs(dminus), np.abs(dplus))
-            alpha = np.asarray(ham.axis_alpha(X, pabs))
-            mid = ham(X, 0.5 * (dminus + dplus))
-            out[i] = mid - 0.5 * np.sum(alpha * (dplus - dminus), axis=-1)
-            alpha_sums.append(float(np.max(np.sum(alpha, axis=-1))))
-        else:
-            out[i] = lax_friedrichs_flux(ham, X, dminus, dplus)
-            alpha_sums.append(ham.lf_alpha * system.grid.dim)
-    return out, alpha_sums
-
-
-def _coupling_term(system: HJSystem, values: np.ndarray) -> np.ndarray:
-    D = system.coupling.entries
-    if D is None:
-        raise StructureError(
-            "evolution stepping requires the constant coupling variant; "
-            "field couplings are only accepted by the discounted solver"
-        )
-    return np.tensordot(D, values, axes=(1, 0))
 
 
 def _first_bad_node(values: np.ndarray, grid: Grid) -> str:
@@ -210,19 +266,19 @@ def _first_bad_node(values: np.ndarray, grid: Grid) -> str:
 
 
 def step(
-    state: SystemState,
-    system: HJSystem,
-    dt: float,
-    flux_mode: str = "local",
-    X: np.ndarray | None = None,
+    state: SystemState, system: HJSystem, dt: float, flux_mode: str = "local"
 ) -> SystemState:
     """One forward-Euler update of the full system."""
-    if X is None:
-        X = system.grid.mesh()
-    flux, alpha_sums = _flux_stack(system, state.values, X, flux_mode)
-    _check_cfl_budget(system, alpha_sums, dt)
-    new = state.values - dt * (flux + _coupling_term(system, state.values))
-    if not np.all(np.isfinite(new)):
+    kernel = system.flux_kernel(flux_mode)
+    flux, alpha_sums = kernel(state.values)
+    kernel.check_cfl(alpha_sums, dt)
+    if kernel.D_nodes is not None:
+        raise StructureError(
+            "evolution stepping requires the constant coupling variant; "
+            "field couplings are only accepted by the discounted solver"
+        )
+    new = state.values - dt * (flux + kernel.coupling_term(state.values))
+    if not np.isfinite(new).all():
         raise DivergenceError(
             f"non-finite value after step to t = {state.t + dt!r}: "
             + _first_bad_node(new, system.grid)
@@ -302,7 +358,6 @@ def solve(system: HJSystem, u0: Sequence[GridFunction] | SystemState,
     state = u0 if isinstance(u0, SystemState) else SystemState.from_functions(u0)
     if state.values.shape[0] != system.m:
         raise StructureError("initial data component count mismatch")
-    X = system.grid.mesh()
     dt = cfl_dt(system, config)
     times = _snapshot_times(config)
     values = [state.values.copy()]
@@ -313,7 +368,7 @@ def solve(system: HJSystem, u0: Sequence[GridFunction] | SystemState,
         nsteps = max(1, int(np.ceil(span / dt - 1e-12)))
         sub = span / nsteps
         for _ in range(nsteps):
-            state = step(state, system, sub, flux_mode=config.flux_mode, X=X)
+            state = step(state, system, sub, flux_mode=config.flux_mode)
             total += 1
         state = SystemState(t=float(times[k]), values=state.values, grid=state.grid)
         values.append(state.values.copy())

@@ -2,10 +2,10 @@
 
 Axis coordinates are j*h for j = 0..n-1 with spacing h = 1/n, and every
 index operation wraps around, so difference quotients never meet a
-boundary.  Discrete fields are immutable once built; all operators return
-fresh arrays.  One-sided differences satisfy the exact shift identity
-``roll(D+u, 1, axis) == D-u`` bit for bit, which downstream monotonicity
-tests rely on.
+boundary.  Discrete fields are immutable once built; operators return
+fresh arrays unless given buffers to fill.  One-sided differences satisfy
+the exact shift identity ``roll(D+u, 1, axis) == D-u`` bit for bit, which
+downstream monotonicity tests rely on.
 """
 from __future__ import annotations
 
@@ -116,19 +116,36 @@ def sample(fn: Callable, grid: Grid) -> GridFunction:
     return GridFunction(grid, vals)
 
 
-def diff_arrays(values: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+def diff_arrays(
+    values: np.ndarray, grid: Grid, out: tuple | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Backward/forward difference quotients of a raw value array.
 
-    Returns ``(dminus, dplus)``, each shaped ``grid.shape + (dim,)`` with the
-    axis index in the trailing slot, matching the (x, p) convention of the
-    Hamiltonian evaluators.
+    ``values`` has shape ``lead + grid.shape`` (``lead`` may be empty, e.g.
+    a stack of components).  Returns ``(dminus, dplus)``, each shaped
+    ``values.shape + (dim,)`` with the axis index in the trailing slot,
+    matching the (x, p) convention of the Hamiltonian evaluators; ``out``
+    supplies two such arrays to fill instead of fresh ones.  Periodic
+    wrap-around is done by slicing, and the forward quotients are copies of
+    the backward ones shifted by one node, so ``roll(dplus, 1) == dminus``
+    holds exactly.
     """
     h = grid.h
-    dminus = np.empty(values.shape + (grid.dim,))
-    dplus = np.empty_like(dminus)
+    if out is None:
+        dminus = np.empty(values.shape + (grid.dim,))
+        dplus = np.empty_like(dminus)
+    else:
+        dminus, dplus = out
     for k in range(grid.dim):
-        dminus[..., k] = (values - np.roll(values, 1, axis=k)) / h
-        dplus[..., k] = (np.roll(values, -1, axis=k) - values) / h
+        tail = (slice(None),) * (grid.dim - 1 - k)
+        first, last = (Ellipsis, slice(0, 1)) + tail, (Ellipsis, slice(-1, None)) + tail
+        head, rest = (Ellipsis, slice(None, -1)) + tail, (Ellipsis, slice(1, None)) + tail
+        dm, dp = dminus[..., k], dplus[..., k]
+        np.subtract(values[rest], values[head], out=dm[rest])
+        np.subtract(values[first], values[last], out=dm[first])
+        np.divide(dm, h, out=dm)
+        dp[head] = dm[rest]
+        dp[last] = dm[first]
     return dminus, dplus
 
 
@@ -221,7 +238,14 @@ def save_binary(u: GridFunction, path) -> None:
 def load_binary(path) -> GridFunction:
     with open(path, "rb") as fh:
         raw = fh.read()
+    if len(raw) < 8:
+        raise ValueError(f"{path}: {len(raw)} bytes is shorter than the 8-byte header")
     dim, n = (int(v) for v in np.frombuffer(raw[:8], dtype="<i4"))
     grid = Grid(dim, n)
+    want = 8 + 8 * grid.num_nodes
+    if len(raw) != want:
+        raise ValueError(
+            f"{path}: expected {want} bytes for a {dim}D grid with n = {n}, got {len(raw)}"
+        )
     vals = np.frombuffer(raw[8:], dtype="<f8").reshape(grid.shape)
     return GridFunction(grid, vals)

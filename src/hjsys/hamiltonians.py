@@ -18,10 +18,20 @@ single global ``lf_alpha`` (sampled over a configured p-box at build time)
 gives the textbook scheme; builders additionally provide per-axis local
 bounds ``axis_alpha`` so the stepping code can use stencil-local dissipation,
 which is what keeps the numerical large-time constants sharp on coarse grids.
+``flux_from_midpoint`` is the one implementation of this formula; the public
+``numerical_flux`` and the solvers' grid-bound kernel both call it.
+
+Solvers evaluate H on one fixed node array X at every step, so builders also
+supply ``bind(X)``: it precomputes everything that depends only on x and
+returns p-only evaluators that give the same values, bit for bit, as
+``eval_fn(X, p)`` and ``axis_alpha(X, pabs)``.  Code that runs once per step
+calls ``np.add.reduce`` directly: it is what ``np.sum`` computes, without
+the Python wrapper that dominates on small grids.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -37,6 +47,7 @@ __all__ = [
     "make_nonconvex_example",
     "lax_friedrichs_flux",
     "numerical_flux",
+    "flux_from_midpoint",
     "grad_p",
     "sampled_grad_sup",
     "check_assumption",
@@ -56,7 +67,9 @@ class Hamiltonian:
     all gradients with |p_k| <= pabs_k (arrays shaped (..., dim)).
     ``eikonal_parts``: optional pair (gradient_part(x, p), source(x)) with
     H = gradient_part - source.  ``compact_set_K``: optional predicate for
-    the zero set that pins the large-time constant at zero.
+    the zero set that pins the large-time constant at zero.  ``bind(X)``:
+    optional; returns the pair ``(H(p), axis_alpha(pabs))`` of evaluators on
+    the fixed node array X (see the module docstring).
     """
 
     dim: int
@@ -68,6 +81,7 @@ class Hamiltonian:
     axis_alpha: Callable | None = None
     name: str = "custom"
     params: dict = dc_field(default_factory=dict)
+    bind: Callable | None = None
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
@@ -124,12 +138,18 @@ def make_quadratic_eikonal(
 ) -> Hamiltonian:
     """H(x, p) = |p|^2 - f(x); strictly convex and coercive."""
 
+    def h_of(p, fx):
+        return np.add.reduce(p * p, axis=-1) - fx
+
     def ev(x, p):
-        return np.sum(p * p, axis=-1) - f(x)
+        return h_of(p, f(x))
 
     def axis_alpha(x, pabs):
         # |dH/dp_k| = 2 |p_k|, exact on the one-sided hull
         return 2.0 * pabs
+
+    def bind(X):
+        return partial(h_of, fx=f(X)), partial(axis_alpha, X)
 
     alpha = 1.1 * sampled_grad_sup(ev, dim, p_box)
     return Hamiltonian(
@@ -142,6 +162,7 @@ def make_quadratic_eikonal(
         axis_alpha=axis_alpha,
         name=name,
         params=dict(params or {}),
+        bind=bind,
     )
 
 
@@ -151,11 +172,17 @@ def make_linear_eikonal(
 ) -> Hamiltonian:
     """H(x, p) = |p| - f(x); convex and coercive, kink at p = 0."""
 
+    def h_of(p, fx):
+        return np.sqrt(np.add.reduce(p * p, axis=-1)) - fx
+
     def ev(x, p):
-        return np.sqrt(np.sum(p * p, axis=-1)) - f(x)
+        return h_of(p, f(x))
 
     def axis_alpha(x, pabs):
         return np.ones_like(pabs)
+
+    def bind(X):
+        return partial(h_of, fx=f(X)), partial(axis_alpha, X)
 
     _ = p_box  # |dH/dp_k| <= 1 everywhere; nothing to sample
     return Hamiltonian(
@@ -168,6 +195,7 @@ def make_linear_eikonal(
         axis_alpha=axis_alpha,
         name=name,
         params=dict(params or {}),
+        bind=bind,
     )
 
 
@@ -191,16 +219,22 @@ def make_nonconvex_example(
     the local dissipation estimate; when omitted they are sampled.
     """
 
+    def x_data(x):
+        # q(x), |q(x)|^2 and f(x): everything H needs that is free of p
+        qv = np.asarray(q(x), dtype=float)
+        return qv, np.sum(qv * qv, axis=-1), np.asarray(f(x))
+
+    def h_of(p, x, qv, qq, fv):
+        pn = np.sqrt(np.add.reduce(p * p, axis=-1))
+        psi = np.add.reduce((p + qv) ** 2, axis=-1) - qq
+        moving = pn > 0
+        safe = np.where(moving, pn, 1.0)
+        d = p / safe[..., None]
+        return np.where(moving, psi * np.asarray(F(x, d)) - fv, -fv)
+
     def ev(x, p):
         x = np.asarray(x, dtype=float)
-        p = np.asarray(p, dtype=float)
-        qv = np.asarray(q(x), dtype=float)
-        pn = np.sqrt(np.sum(p * p, axis=-1))
-        psi = np.sum((p + qv) ** 2, axis=-1) - np.sum(qv * qv, axis=-1)
-        safe = np.where(pn > 0, pn, 1.0)
-        d = p / safe[..., None]
-        fv = np.asarray(f(x))
-        return np.where(pn > 0, psi * np.asarray(F(x, d)) - fv, -fv)
+        return h_of(np.asarray(p, dtype=float), x, *x_data(x))
 
     # sampled positivity envelope for F and sup |q| to bound |H_p|
     probe = np.linspace(0.0, 1.0, 64, endpoint=False)
@@ -225,9 +259,13 @@ def make_nonconvex_example(
 
     def axis_alpha(x, pabs):
         # |H_p| <= 2(|p| + |q|) F_max + (|p| + 2|q|) sup|dF/dtheta|
-        pn = np.sqrt(np.sum(pabs * pabs, axis=-1, keepdims=True))
+        pn = np.sqrt(np.add.reduce(pabs * pabs, axis=-1, keepdims=True))
         bound = 2.0 * (pn + qmax) * fmax + (pn + 2.0 * qmax) * fangle
-        return np.broadcast_to(bound, pabs.shape)
+        return bound if bound.shape == pabs.shape else np.broadcast_to(bound, pabs.shape)
+
+    def bind(X):
+        qv, qq, fv = x_data(X)
+        return partial(h_of, x=X, qv=qv, qq=qq, fv=fv), partial(axis_alpha, X)
 
     def compact_set(x):
         qv = np.asarray(q(x), dtype=float)
@@ -253,10 +291,23 @@ def make_nonconvex_example(
         axis_alpha=axis_alpha,
         name=name,
         params=dict(params or {}),
+        bind=bind,
     )
 
 
 # -- numerical flux ----------------------------------------------------------
+
+
+def flux_from_midpoint(mid, p_minus, p_plus, alpha) -> np.ndarray:
+    """Lax-Friedrichs flux from ``mid = H(x, (p- + p+)/2)``.
+
+    ``alpha`` is either the global scalar coefficient or per-axis local
+    bounds shaped like the gradients; the two dissipation terms are summed
+    in different orders, so each keeps its own expression.
+    """
+    if np.ndim(alpha) == 0:
+        return mid - 0.5 * alpha * np.add.reduce(p_plus - p_minus, axis=-1)
+    return mid - 0.5 * np.add.reduce(alpha * (p_plus - p_minus), axis=-1)
 
 
 def lax_friedrichs_flux(H: Hamiltonian, x, p_minus, p_plus) -> np.ndarray:
@@ -265,8 +316,7 @@ def lax_friedrichs_flux(H: Hamiltonian, x, p_minus, p_plus) -> np.ndarray:
         raise ConfigError("lf_alpha must be positive")
     pm = np.asarray(p_minus, dtype=float)
     pp = np.asarray(p_plus, dtype=float)
-    mid = H(x, 0.5 * (pm + pp))
-    return mid - 0.5 * H.lf_alpha * np.sum(pp - pm, axis=-1)
+    return flux_from_midpoint(H(x, 0.5 * (pm + pp)), pm, pp, H.lf_alpha)
 
 
 def numerical_flux(
@@ -278,7 +328,8 @@ def numerical_flux(
     hull of the one-sided gradients; it coincides with the global flux when
     no bound is available.  Local dissipation vanishes with the gradients,
     which removes most of the O(alpha h) smearing at the minima that set the
-    large-time constants.
+    large-time constants.  This is the reference the solvers' bound kernel
+    reproduces bit for bit.
     """
     if mode not in ("local", "global"):
         raise ConfigError(f"unknown flux mode {mode!r}")
@@ -288,8 +339,7 @@ def numerical_flux(
     pp = np.asarray(p_plus, dtype=float)
     pabs = np.maximum(np.abs(pm), np.abs(pp))
     alpha = np.asarray(H.axis_alpha(np.asarray(x, dtype=float), pabs))
-    mid = H(x, 0.5 * (pm + pp))
-    return mid - 0.5 * np.sum(alpha * (pp - pm), axis=-1)
+    return flux_from_midpoint(H(x, 0.5 * (pm + pp)), pm, pp, alpha)
 
 
 # -- assumption checking -----------------------------------------------------

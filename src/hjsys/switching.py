@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -390,15 +391,26 @@ def hamiltonian_from_spec(
     b_i, ell_i = spec.dynamics[mode], spec.costs[mode]
     actions = spec.control_set
 
+    def tables(x, shape):
+        # velocity B[a, ..., k] and running cost L[a, ...] of every action,
+        # for gradients of the given shape
+        B = np.stack(
+            [np.broadcast_to(np.asarray(b_i(x, a), dtype=float), shape) for a in actions]
+        )
+        L = np.stack(
+            [np.broadcast_to(np.asarray(ell_i(x, a), dtype=float), shape[:-1])
+             for a in actions]
+        )
+        return B, L
+
+    def sup(p, B, L):
+        # one max over the action axis (leading, so ties resolve as in a
+        # running maximum over the actions in order)
+        return np.maximum.reduce(-np.add.reduce(B * p, axis=-1) - L, axis=0)
+
     def eval_fn(x, p):
-        x = np.asarray(x, dtype=float)
         p = np.asarray(p, dtype=float)
-        best = None
-        for a in actions:
-            b = np.broadcast_to(np.asarray(b_i(x, a), dtype=float), p.shape)
-            val = -np.sum(b * p, axis=-1) - np.asarray(ell_i(x, a), dtype=float)
-            best = val if best is None else np.maximum(best, val)
-        return best
+        return sup(p, *tables(np.asarray(x, dtype=float), p.shape))
 
     probes = np.linspace(0.0, 1.0, 17)[:-1]
     xs = (
@@ -413,6 +425,10 @@ def hamiltonian_from_spec(
 
     def axis_alpha(x, pabs):
         return np.broadcast_to(bmax_axis, pabs.shape)
+
+    def bind(X):
+        B, L = tables(X, X.shape)
+        return partial(sup, B=B, L=L), partial(axis_alpha, X)
 
     # crude coercivity probe along the axes; gates the discounted solver
     tags = {"convex"}
@@ -435,6 +451,7 @@ def hamiltonian_from_spec(
         axis_alpha=axis_alpha,
         name="switching_sup",
         params={"mode": mode, "actions": int(len(actions))},
+        bind=bind,
     )
 
 

@@ -92,10 +92,43 @@ class TestExitCodes:
 
     def test_nonmonotone_coupling_exits_1(self, tmp_path, capsys):
         cfg = {"coupling": {"entries": [[1.0, -2.0], [-1.0, 1.0]]}}
-        rc = main(["validate-coupling", "--config", _write(tmp_path, "c.json", cfg)])
+        rc = main(
+            [
+                "validate-coupling",
+                "--config",
+                _write(tmp_path, "c.json", cfg),
+                "--out",
+                str(tmp_path / "out"),
+            ]
+        )
         assert rc == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["monotone"] is False
+
+    def test_non_numeric_t_final_is_a_config_error(self, tmp_path, capsys):
+        cfg = _evolve_cfg()
+        cfg["solver"]["t_final"] = "abc"
+        out = tmp_path / "out"
+        rc = main(["evolve", "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nonmonotone_system_coupling_is_a_config_error(self, tmp_path, capsys):
+        cfg = _evolve_cfg()
+        cfg["system"]["coupling"] = {"entries": [[1.0, -2.0], [-1.0, 1.0]]}
+        out = tmp_path / "out"
+        rc = main(["evolve", "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)])
+        assert rc == 2
+        assert "not monotone" in capsys.readouterr().err
+
+    def test_missing_trajectory_dir_is_a_config_error(self, tmp_path, capsys):
+        cfg = {"trajectory_dir": str(tmp_path / "nowhere"), "c": "measured"}
+        out = tmp_path / "out"
+        rc = main(["diagnose", "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error: trajectory_dir" in err and "nowhere" in err
 
     def test_bad_threads_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("HJSYS_THREADS", "many")
@@ -285,7 +318,15 @@ class TestTheoremSuite:
     def test_short_horizon_fails(self, tmp_path, capsys):
         # half a time unit leaves too few snapshots to certify the decay rate
         cfg = {"name": "identical-gap", "overrides": {"n": 64, "t_final": 0.5}}
-        rc = main(["theorem-suite", "--config", _write(tmp_path, "c.json", cfg)])
+        rc = main(
+            [
+                "theorem-suite",
+                "--config",
+                _write(tmp_path, "c.json", cfg),
+                "--out",
+                str(tmp_path / "out"),
+            ]
+        )
         assert rc == 1
         assert "[FAIL]" in capsys.readouterr().out
 

@@ -1,0 +1,205 @@
+"""The grid-bound flux kernel reproduces the reference flux bit for bit.
+
+The reference is the public per-component path: ``diff_arrays`` of one
+component, ``numerical_flux`` of its Hamiltonian, and ``np.tensordot`` for
+the coupling.  Equality is asserted on the raw bytes, which is stricter than
+``np.array_equal`` (it also tells -0.0 from 0.0).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from hjsys.catalog import build_hamiltonian, fourier_function
+from hjsys.coupling import CouplingMatrix
+from hjsys.errors import DivergenceError
+from hjsys.evolution import EvolutionConfig, HJSystem, SystemState, cfl_dt, solve, step
+from hjsys.grid import Grid, GridFunction, diff_arrays, sample
+from hjsys.hamiltonians import Hamiltonian, numerical_flux
+from hjsys.switching import SwitchingProcessSpec, hamiltonian_from_spec
+
+D = np.array([[1.0, -1.0], [-2.0, 2.0]])
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+def _source(dim, const, amp=-1.0):
+    return {"const": const, "terms": [{"k": [1] * dim, "cos": amp}]}
+
+
+def _switching_hams(dim):
+    if dim == 1:
+        acts = np.linspace(-1.0, 1.0, 9)[:, None]
+    else:
+        th = np.linspace(0, 2 * np.pi, 8, endpoint=False)
+        acts = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    fs = [fourier_function(_source(dim, c), dim) for c in (1.0, 1.5)]
+    spec = SwitchingProcessSpec(
+        m=2,
+        dynamics=tuple(
+            (lambda x, a: np.broadcast_to(np.asarray(a, dtype=float), np.shape(x)))
+            for _ in range(2)
+        ),
+        costs=tuple((lambda x, a, f=f: f(np.atleast_2d(x))) for f in fs),
+        rates=[[-1.0, 1.0], [2.0, -1.0]],
+        control_set=acts,
+        terminal=tuple((lambda x: np.zeros(np.shape(x)[:-1])) for _ in range(2)),
+        dim=dim,
+    )
+    return tuple(hamiltonian_from_spec(spec, i) for i in range(2))
+
+
+def _custom_hams(dim):
+    # no bind: the kernel falls back to eval_fn / axis_alpha at the mesh
+    def ev(x, p):
+        return np.sum(p * p, axis=-1) * (1.2 + 0.5 * np.sin(2 * np.pi * x[..., 0])) - 0.5
+
+    with_alpha = Hamiltonian(
+        dim=dim, eval_fn=ev, lf_alpha=9.0, axis_alpha=lambda x, pabs: 3.4 * pabs
+    )
+    without_alpha = Hamiltonian(
+        dim=dim, eval_fn=lambda x, p: np.sqrt(np.sum(p * p, axis=-1)) - 0.2, lf_alpha=1.1
+    )
+    return (with_alpha, without_alpha)
+
+
+def _hams(family, dim):
+    if family == "switching":
+        return _switching_hams(dim)
+    if family == "custom":
+        return _custom_hams(dim)
+    ham_id = {
+        "quadratic": "quadratic_eikonal",
+        "linear": "linear_eikonal",
+        "nonconvex": "nonconvex_bs00",
+    }[family]
+    out = []
+    for i in range(2):
+        params = {"f": _source(dim, 1.0 + 0.5 * i)}
+        if family == "nonconvex":
+            params["q"] = [{"terms": [{"k": [1] * dim, "sin": 0.3 - 0.1 * i}]}] * dim
+        out.append(build_hamiltonian(ham_id, params, dim))
+    return tuple(out)
+
+
+def _system(family, dim):
+    grid = Grid(dim, 24 if dim == 1 else 12)
+    return HJSystem(hams=_hams(family, dim), coupling=CouplingMatrix(2, entries=D), grid=grid)
+
+
+def _values(grid, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(2):
+        a, b = 0.1 * rng.normal(size=2)
+        spec = {
+            "const": float(rng.normal()),
+            "terms": [{"k": [1] * grid.dim, "cos": float(a), "sin": float(b)}],
+        }
+        out.append(sample(fourier_function(spec, grid.dim), grid).values.copy())
+    # a flat plateau of exact zeros exercises the kinks at p = 0 and the sign
+    # of zero without steepening the data
+    mid = np.median(out[1])
+    out[1] = np.maximum(out[1], mid) - mid
+    return np.stack(out)
+
+
+FAMILIES = ("quadratic", "linear", "nonconvex", "switching", "custom")
+CASES = [(f, d, mode) for f in FAMILIES for d in (1, 2) for mode in ("local", "global")]
+
+
+@pytest.mark.parametrize("family,dim,mode", CASES)
+def test_flux_stack_matches_numerical_flux(family, dim, mode):
+    system = _system(family, dim)
+    X = system.grid.mesh()
+    kernel = system.flux_kernel(mode)
+    for seed in range(3):
+        values = _values(system.grid, seed)
+        flux, alpha_sums = kernel(values)
+        for i, ham in enumerate(system.hams):
+            ref = numerical_flux(ham, X, *diff_arrays(values[i], system.grid), mode=mode)
+            assert _same_bits(flux[i], ref)
+        assert len(alpha_sums) == system.m
+
+
+@pytest.mark.parametrize("family,dim,mode", CASES)
+def test_solve_matches_reference_loop(family, dim, mode):
+    system = _system(family, dim)
+    grid = system.grid
+    X = grid.mesh()
+    u0 = _values(grid, 7)
+    dt = cfl_dt(system, EvolutionConfig(t_final=1.0, flux_mode=mode))
+    config = EvolutionConfig(t_final=200 * dt, dt_override=dt, flux_mode=mode)
+    traj = solve(system, [GridFunction(grid, v) for v in u0], config)
+    assert traj.meta["steps_total"] == 200
+    sub = (traj.times[1] - traj.times[0]) / 200
+    v = u0.copy()
+    for _ in range(200):
+        flux = np.stack(
+            [
+                numerical_flux(ham, X, *diff_arrays(v[i], grid), mode=mode)
+                for i, ham in enumerate(system.hams)
+            ]
+        )
+        v = v - sub * (flux + np.tensordot(D, v, axes=(1, 0)))
+    assert _same_bits(traj.values[-1], v)
+
+
+@pytest.mark.parametrize("dim", (1, 2))
+def test_difference_buffers_keep_the_shift_identity(dim):
+    system = _system("quadratic", dim)
+    kernel = system.flux_kernel("local")
+    values = _values(system.grid, 3)
+    dminus, dplus = kernel.diffs(values)
+    for k in range(dim):
+        assert _same_bits(np.roll(dplus[..., k], 1, axis=1 + k), dminus[..., k])
+    ref = [diff_arrays(values[i], system.grid) for i in range(system.m)]
+    assert _same_bits(dminus, np.stack([r[0] for r in ref]))
+    assert _same_bits(dplus, np.stack([r[1] for r in ref]))
+    again = kernel.diffs(values)
+    assert again[0] is dminus and again[1] is dplus  # preallocated, reused
+
+
+def test_kernel_is_built_once_per_mode():
+    system = _system("nonconvex", 1)
+    local = system.flux_kernel("local")
+    assert system.flux_kernel("local") is local
+    assert system.flux_kernel("global") is not local
+    assert system.flux_kernel("global") is system.flux_kernel("global")
+
+
+def _field_system(scale):
+    def sampler(points):
+        s = scale * (1.0 + 0.5 * np.sin(2 * np.pi * points[..., 0]) ** 2)
+        out = np.zeros(points.shape[:-1] + (2, 2))
+        out[..., 0, 0], out[..., 0, 1] = s, -s
+        out[..., 1, 0], out[..., 1, 1] = -1.0, 1.0
+        return out
+
+    grid = Grid(1, 32)
+    return HJSystem(
+        hams=_hams("quadratic", 1), coupling=CouplingMatrix(2, sampler=sampler), grid=grid
+    )
+
+
+def test_field_coupling_damping_uses_the_sampled_diagonal():
+    system = _field_system(4.0)
+    kernel = system.flux_kernel("local")
+    diag = np.diagonal(system.coupling.sample_at(system.grid.nodes()), axis1=-2, axis2=-1)
+    assert kernel.dmax == float(np.max(diag))
+    assert kernel.dmax > 5.9
+
+
+def test_field_coupling_with_too_large_dt_diverges():
+    # zero data: the flux needs no dissipation, so only the damping
+    # dt * max d_ii = 0.5 * 6 > 1 can break the budget
+    system = _field_system(4.0)
+    state = SystemState.from_functions(
+        [GridFunction(system.grid, np.zeros(system.grid.shape)) for _ in range(2)]
+    )
+    with pytest.raises(DivergenceError, match="max d_ii"):
+        step(state, system, 0.5)

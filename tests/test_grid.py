@@ -230,6 +230,14 @@ class TestFileRoundTrips:
         assert list(head) == [1, 8]
         assert np.array_equal(np.frombuffer(raw[8:], dtype="<f8"), np.arange(8.0))
 
+    def test_truncated_binary_names_file_and_sizes(self, tmp_path):
+        f = GridFunction(Grid(dim=1, n=8), np.arange(8, dtype=float))
+        path = tmp_path / "f.bin"
+        save_binary(f, path)
+        path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(ValueError, match=r"f\.bin: expected 72 bytes .* got 67"):
+            load_binary(path)
+
 
 @given(st.integers(min_value=8, max_value=128), st.integers(min_value=0, max_value=2**31))
 def test_diff_arrays_sum_telescopes(n, seed):
