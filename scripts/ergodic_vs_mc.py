@@ -7,7 +7,8 @@ The same two sources drive
   4. Monte Carlo values of the switching process against the PDE state
      generated from the very same control problem.
 
-Routes 1-3 use the quadratic Hamiltonians; route 4 uses the unit-ball
+Routes 1-3 use the quadratic Hamiltonians of ``catalog.quadratic_eikonal_pair``;
+route 4 is the probe table of the appendix-mc suite, which uses the unit-ball
 control form at a finite horizon, so only its per-probe agreement is
 checked, not the constant.  Writes constants.csv, probes.csv, and
 summary.json under --out and prints both tables.
@@ -22,72 +23,21 @@ import time
 
 import numpy as np
 
-from hjsys.catalog import fourier_function
-from hjsys.coupling import CouplingMatrix, ergodic_constant_formula
+from hjsys import catalog
+from hjsys.coupling import ergodic_constant_formula
 from hjsys.ergodic import (
     DiscountSchedule,
     estimate_ergodic_constant,
     long_time_constant,
 )
-from hjsys.evolution import EvolutionConfig, HJSystem, solve
-from hjsys.grid import Grid, GridFunction, interp_periodic, sample
-from hjsys.hamiltonians import make_quadratic_eikonal
-from hjsys.switching import (
-    GreedyGradientPolicy,
-    SwitchingProcessSpec,
-    coupling_from_spec,
-    estimate_value,
-    hamiltonian_from_spec,
-)
-
-F1 = {"const": 1.5, "terms": [{"k": [1], "cos": -1.0}]}
-F2 = {"const": 2.0, "terms": [{"k": [1], "cos": -2.0}]}
-SYM = np.array([[1.0, -1.0], [-1.0, 1.0]])
-PROBES = [(0.1, 0), (0.3, 1), (0.5, 0), (0.7, 1), (0.9, 0)]
-
-
-def quadratic_pair(n: int) -> HJSystem:
-    grid = Grid(dim=1, n=n)
-    hams = tuple(
-        make_quadratic_eikonal(fourier_function(f, 1), dim=1, params={"f": f})
-        for f in (F1, F2)
-    )
-    return HJSystem(
-        hams=hams, coupling=CouplingMatrix(2, entries=SYM), grid=grid
-    )
-
-
-def switching_spec(n_actions: int = 64) -> SwitchingProcessSpec:
-    f1 = fourier_function(F1, 1)
-    f2 = fourier_function(F2, 1)
-
-    def b(x, a):
-        return np.broadcast_to(np.asarray(a, dtype=float), np.shape(x))
-
-    def ell1(x, a):
-        return f1(np.atleast_2d(x))
-
-    def ell2(x, a):
-        return f2(np.atleast_2d(x))
-
-    def zero(x):
-        return np.zeros(np.shape(x)[:-1])
-
-    return SwitchingProcessSpec(
-        m=2,
-        dynamics=(b, b),
-        costs=(ell1, ell2),
-        rates=[[-1.0, 1.0], [1.0, -1.0]],
-        control_set=np.linspace(-1.0, 1.0, n_actions)[:, None],
-        terminal=(zero, zero),
-        dim=1,
-    )
+from hjsys.evolution import EvolutionConfig, solve
+from hjsys.grid import GridFunction
+from hjsys.suites import run_suite
 
 
 def constants_study(n: int, t_final: float) -> list:
-    system = quadratic_pair(n)
+    system, fs = catalog.quadratic_eikonal_pair(n)
     grid = system.grid
-    fs = [sample(fourier_function(f, 1), grid) for f in (F1, F2)]
     formula = ergodic_constant_formula(system.coupling, fs)
 
     t0 = time.perf_counter()
@@ -113,30 +63,11 @@ def constants_study(n: int, t_final: float) -> list:
 
 
 def probes_study(horizon: float, n: int, n_samples: int, seed: int) -> list:
-    spec = switching_spec()
-    grid = Grid(1, n)
-    hams = tuple(hamiltonian_from_spec(spec, i) for i in range(spec.m))
-    system = HJSystem(hams=hams, coupling=coupling_from_spec(spec), grid=grid)
-    u0 = [GridFunction(grid, np.zeros(grid.shape)) for _ in range(spec.m)]
-    traj = solve(system, u0, EvolutionConfig(t_final=horizon, snapshot_every=0.125))
-    policy = GreedyGradientPolicy(spec, traj)
-
-    rows = []
-    for k, (x, mode) in enumerate(PROBES):
-        est = estimate_value(
-            spec,
-            policy,
-            np.array([x]),
-            mode,
-            horizon,
-            n_samples,
-            seed + k,
-            dt_sim=1.0 / 1024.0,
-        )
-        pde = float(interp_periodic(traj.values[-1][mode], grid, np.array([[x]]))[0])
-        rel = abs(est.mean - pde) / max(abs(pde), 1e-12)
-        rows.append((x, mode, est.mean, est.std_error, pde, rel))
-    return rows
+    suite = run_suite("appendix-mc", n=n, horizon=horizon, n_samples=n_samples, seed=seed)
+    return [
+        (r["x"], r["mode"], r["mc"], r["std_error"], r["pde"], r["relative_gap"])
+        for r in suite.artifacts["probes"]
+    ]
 
 
 def main(argv=None) -> int:

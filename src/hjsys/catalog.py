@@ -1,4 +1,4 @@
-"""Built-in Hamiltonians, couplings, and experiment suite names.
+"""Built-in Hamiltonians, couplings, systems, switching processes and suite names.
 
 Sources and vector fields are described by truncated Fourier data so that
 configuration documents stay plain JSON:
@@ -16,13 +16,17 @@ from typing import Callable
 
 import numpy as np
 
+from .coupling import CouplingMatrix
 from .errors import ConfigError
+from .evolution import HJSystem
+from .grid import Grid, sample
 from .hamiltonians import (
     Hamiltonian,
     make_linear_eikonal,
     make_nonconvex_example,
     make_quadratic_eikonal,
 )
+from .switching import SwitchingProcessSpec
 
 __all__ = [
     "fourier_function",
@@ -30,7 +34,12 @@ __all__ = [
     "vector_field",
     "build_hamiltonian",
     "builtin_coupling",
+    "quadratic_eikonal_pair",
+    "unit_ball_eikonal_process",
+    "idle_process",
     "list_builtin",
+    "F1",
+    "F2",
     "BUILTIN_HAMILTONIAN_IDS",
     "BUILTIN_COUPLINGS",
     "SUITE_NAMES",
@@ -61,8 +70,8 @@ def fourier_function(params: dict, dim: int) -> Callable:
     terms = []
     for t, term in enumerate(params.get("terms", [])):
         k = np.asarray(term.get("k", [1] * dim), dtype=float).reshape(-1)
-        if k.size != dim:
-            raise ConfigError(f"terms[{t}].k must have {dim} entries, got {k.size}")
+        if k.size != dim or not np.all(np.isfinite(k)):
+            raise ConfigError(f"terms[{t}].k must have {dim} finite entries, got {k.tolist()}")
         terms.append((k, float(term.get("cos", 0.0)), float(term.get("sin", 0.0))))
 
     def fn(x):
@@ -154,6 +163,85 @@ def builtin_coupling(name: str) -> np.ndarray:
             f"unknown coupling {name!r}; valid: {sorted(BUILTIN_COUPLINGS)}"
         )
     return np.asarray(BUILTIN_COUPLINGS[name], dtype=float)
+
+
+# The eikonal pair's sources share their minimizer x = 0.
+F1 = {"const": 1.5, "terms": [{"k": [1], "cos": -1.0}]}  # 0.5 + 1 - cos(2 pi x)
+F2 = {"const": 2.0, "terms": [{"k": [1], "cos": -2.0}]}  # 2 (1 - cos(2 pi x))
+
+
+def quadratic_eikonal_pair(n: int) -> tuple[HJSystem, list]:
+    """|p|^2 - F1 and |p|^2 - F2 on a 1D grid of n nodes, symmetric coupling.
+
+    Returns the system and the two sources sampled on its grid.
+    """
+    grid = Grid(1, n)
+    hams = tuple(build_hamiltonian("quadratic_eikonal", {"f": f}) for f in (F1, F2))
+    D = CouplingMatrix.constant(builtin_coupling("symmetric_pair"))
+    fs = [sample(fourier_function(f, 1), grid) for f in (F1, F2)]
+    return HJSystem(hams=hams, coupling=D, grid=grid), fs
+
+
+def _zero_terminal(x):
+    return np.zeros(np.shape(x)[:-1])
+
+
+def _process(rates, dynamics, costs, control_set) -> SwitchingProcessSpec:
+    """1D process with one dynamics/cost pair per mode and zero terminal cost."""
+    m = len(costs)
+    return SwitchingProcessSpec(
+        m=m,
+        dynamics=(dynamics,) * m,
+        costs=tuple(costs),
+        rates=rates,
+        control_set=control_set,
+        terminal=(_zero_terminal,) * m,
+        dim=1,
+    )
+
+
+def _unit_ball_velocity(x, a):
+    return np.broadcast_to(np.asarray(a, dtype=float), np.shape(x))
+
+
+def unit_ball_eikonal_process(fs, rates, n_actions: int = 64) -> SwitchingProcessSpec:
+    """dx/dt = a with a in [-1, 1] (n_actions points), running cost f_i(x).
+
+    ``fs`` lists one Fourier source description per mode.  The matching
+    Hamiltonian of mode i is max_a [-a p] - f_i(x) = |p| - f_i(x), up to the
+    action grid.
+    """
+    m = len(rates)
+    if len(fs) != m:
+        raise ConfigError(f"process.fs must list {m} source functions")
+
+    def running_cost(fn):
+        return lambda x, a: fn(x)
+
+    return _process(
+        rates,
+        _unit_ball_velocity,
+        [running_cost(fourier_function(f, 1)) for f in fs],
+        np.linspace(-1.0, 1.0, n_actions)[:, None],
+    )
+
+
+def _idle_velocity(x, a):
+    return np.zeros(np.shape(x))
+
+
+def idle_process(cost_rates, rates) -> SwitchingProcessSpec:
+    """No motion, one action, a constant running cost per mode."""
+    m = len(rates)
+    if len(cost_rates) != m:
+        raise ConfigError(f"process.cost_rates must list {m} rates")
+
+    def running_cost(v):
+        return lambda x, a: np.full(np.shape(x)[:-1], v)
+
+    return _process(
+        rates, _idle_velocity, [running_cost(float(v)) for v in cost_rates], np.zeros((1, 1))
+    )
 
 
 def list_builtin(kind: str) -> list[str]:

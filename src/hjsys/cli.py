@@ -1,8 +1,8 @@
 """Batch command line runner.
 
-One experiment per invocation: ``hjsys <kind> --config <path> [--out <dir>]
-[--threads k]``.  Kinds: evolve, ergodic, diagnose, simulate,
-validate-coupling, theorem-suite, and list (which needs no config).  The
+One experiment per invocation: ``hjsys <kind> --config <path> [--out <dir>]``.
+Kinds: evolve, ergodic, diagnose, simulate, validate-coupling,
+theorem-suite, and list (which needs no config).  The
 config is a single JSON document; every tolerance and seed lives in it, and
 artifacts are written deterministically (sorted keys, no timestamps), so
 re-running a config byte-reproduces its outputs.
@@ -142,7 +142,7 @@ def _write_json(obj, out_dir: str, fname: str) -> str:
     return path
 
 
-def cmd_evolve(cfg, out_dir: str, threads: int) -> int:
+def cmd_evolve(cfg, out_dir: str) -> int:
     with _reading("system, solver or u0"):
         system = _build_system(_get(cfg, "system"))
         config = _evolution_config(_get(cfg, "solver"))
@@ -153,7 +153,7 @@ def cmd_evolve(cfg, out_dir: str, threads: int) -> int:
     return 0
 
 
-def cmd_ergodic(cfg, out_dir: str, threads: int) -> int:
+def cmd_ergodic(cfg, out_dir: str) -> int:
     with _reading("system or schedule"):
         system = _build_system(_get(cfg, "system"))
         schedule = _discount_schedule(_get(cfg, "schedule", {}))
@@ -176,7 +176,7 @@ def _source_functions(system: HJSystem) -> list:
     return fs
 
 
-def cmd_diagnose(cfg, out_dir: str, threads: int) -> int:
+def cmd_diagnose(cfg, out_dir: str) -> int:
     if "trajectory_dir" in cfg:
         with _reading("trajectory_dir"):
             traj = Trajectory.load(cfg["trajectory_dir"])
@@ -222,83 +222,53 @@ def cmd_diagnose(cfg, out_dir: str, threads: int) -> int:
 def _build_process(block) -> SwitchingProcessSpec:
     kind = _get(block, "kind", where="process")
     rates = np.asarray(_get(block, "rates", where="process"), dtype=float)
-    m = rates.shape[0]
     if kind == "unit_ball_eikonal":
-        f_blocks = _get(block, "fs", where="process")
-        if len(f_blocks) != m:
-            raise ConfigError(f"process.fs must list {m} source functions")
-        fns = [catalog.fourier_function(fb, 1) for fb in f_blocks]
-
-        def b(x, a):
-            return np.broadcast_to(np.asarray(a, dtype=float), np.shape(x))
-
-        def make_cost(fn):
-            return lambda x, a: fn(np.atleast_2d(x))
-
-        zero = lambda x: np.zeros(np.shape(x)[:-1])
-        n_actions = int(_get(block, "n_actions", 64))
-        return SwitchingProcessSpec(
-            m=m,
-            dynamics=tuple(b for _ in range(m)),
-            costs=tuple(make_cost(fn) for fn in fns),
-            rates=rates,
-            control_set=np.linspace(-1.0, 1.0, n_actions)[:, None],
-            terminal=tuple(zero for _ in range(m)),
-            dim=1,
+        return catalog.unit_ball_eikonal_process(
+            _get(block, "fs", where="process"), rates, int(_get(block, "n_actions", 64))
         )
     if kind == "idle":
-        cost_rates = [float(v) for v in _get(block, "cost_rates", where="process")]
-        if len(cost_rates) != m:
-            raise ConfigError(f"process.cost_rates must list {m} rates")
-
-        def make_cost(v):
-            return lambda x, a: np.full(np.shape(x)[:-1], v)
-
-        zerov = lambda x, a: np.zeros(np.shape(x))
-        zero = lambda x: np.zeros(np.shape(x)[:-1])
-        return SwitchingProcessSpec(
-            m=m,
-            dynamics=tuple(zerov for _ in range(m)),
-            costs=tuple(make_cost(v) for v in cost_rates),
-            rates=rates,
-            control_set=np.zeros((1, 1)),
-            terminal=tuple(zero for _ in range(m)),
-            dim=1,
-        )
+        return catalog.idle_process(_get(block, "cost_rates", where="process"), rates)
     raise ConfigError(f"unknown process kind {kind!r}")
 
 
-def cmd_simulate(cfg, out_dir: str, threads: int) -> int:
-    with _reading("process, policy or horizon"):
+def cmd_simulate(cfg, out_dir: str) -> int:
+    with _reading("process, policy, horizon, x0, mode0, n_samples, seed or dt_sim"):
         spec = _build_process(_get(cfg, "process"))
-        pol_block = _get(cfg, "policy", {"kind": "constant", "index": 0})
         horizon = float(_get(cfg, "horizon"))
-    if _get(pol_block, "kind") == "constant":
-        policy = ConstantPolicy(int(_get(pol_block, "index", 0)))
-    elif _get(pol_block, "kind") == "greedy":
-        n = int(_get(pol_block, "grid_n", 256))
-        grid = Grid(1, n)
+        pol_block = _get(cfg, "policy", {"kind": "constant", "index": 0})
+        pol_kind = _get(pol_block, "kind")
+        if pol_kind == "constant":
+            index = int(_get(pol_block, "index", 0))
+            if not 0 <= index < len(spec.control_set):
+                raise ConfigError(
+                    f"policy.index must be in [0, {len(spec.control_set)}), got {index}"
+                )
+        elif pol_kind == "greedy":
+            grid = Grid(1, int(_get(pol_block, "grid_n", 256)))
+            pde_cfg = EvolutionConfig(
+                t_final=horizon,
+                snapshot_every=float(_get(pol_block, "snapshot_every", 0.125)),
+            )
+        else:
+            raise ConfigError(f"unknown policy kind {pol_kind!r}")
+        x0 = np.atleast_1d(np.asarray(_get(cfg, "x0"), dtype=float))
+        if x0.shape != (spec.dim,) or not np.all(np.isfinite(x0)):
+            raise ConfigError(f"x0 must list {spec.dim} finite coordinates, got {x0.tolist()}")
+        mode0 = int(_get(cfg, "mode0"))
+        n_samples = int(_get(cfg, "n_samples"))
+        seed = int(_get(cfg, "seed"))
+        if seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {seed}")
+        dt_sim = _get(cfg, "dt_sim", None)
+        dt_sim = None if dt_sim is None else float(dt_sim)
+    if pol_kind == "constant":
+        policy = ConstantPolicy(index)
+    else:
         hams = tuple(hamiltonian_from_spec(spec, i) for i in range(spec.m))
         system = HJSystem(hams=hams, coupling=coupling_from_spec(spec), grid=grid)
         u0 = [GridFunction(grid, np.zeros(grid.shape)) for _ in range(spec.m)]
-        pde_cfg = EvolutionConfig(
-            t_final=horizon,
-            snapshot_every=float(_get(pol_block, "snapshot_every", 0.125)),
-        )
         policy = GreedyGradientPolicy(spec, solve(system, u0, pde_cfg))
-    else:
-        raise ConfigError(f"unknown policy kind {_get(pol_block, 'kind')!r}")
-    est = estimate_value(
-        spec,
-        policy,
-        np.asarray(_get(cfg, "x0"), dtype=float),
-        int(_get(cfg, "mode0")),
-        horizon,
-        int(_get(cfg, "n_samples")),
-        int(_get(cfg, "seed")),
-        dt_sim=_get(cfg, "dt_sim", None),
-        n_workers=threads,
-    )
+    est = estimate_value(spec, policy, x0, mode0, horizon, n_samples, seed, dt_sim=dt_sim)
     payload = {
         "mean": est.mean,
         "std_error": est.std_error,
@@ -307,14 +277,7 @@ def cmd_simulate(cfg, out_dir: str, threads: int) -> int:
     }
     _write_json(payload, out_dir, "value.json")
     if _get(cfg, "dump_path", False):
-        path = simulate_trajectory(
-            spec,
-            policy,
-            np.asarray(_get(cfg, "x0"), dtype=float),
-            int(_get(cfg, "mode0")),
-            horizon,
-            int(_get(cfg, "seed")),
-        )
+        path = simulate_trajectory(spec, policy, x0, mode0, horizon, seed, dt_sim=dt_sim)
         rows = ["t,mode,action," + ",".join(f"x{k}" for k in range(spec.dim))]
         for k in range(len(path.times)):
             coords = ",".join(repr(float(v)) for v in path.positions[k])
@@ -330,7 +293,7 @@ def cmd_simulate(cfg, out_dir: str, threads: int) -> int:
     return 0
 
 
-def cmd_validate_coupling(cfg, out_dir: str, threads: int) -> int:
+def cmd_validate_coupling(cfg, out_dir: str) -> int:
     with _reading("coupling"):
         coupling = _build_coupling(_get(cfg, "coupling"))
     report = analyze(coupling.entries)
@@ -341,9 +304,11 @@ def cmd_validate_coupling(cfg, out_dir: str, threads: int) -> int:
     return 0 if report.monotone else 1
 
 
-def cmd_theorem_suite(cfg, out_dir: str, threads: int) -> int:
+def cmd_theorem_suite(cfg, out_dir: str) -> int:
     name = _get(cfg, "name")
     overrides = _get(cfg, "overrides", {})
+    if not isinstance(overrides, dict):
+        raise ConfigError("overrides must be a mapping of suite parameters")
     result = run_suite(name, **overrides)
     for line in result.summary_lines():
         print(line)
@@ -363,19 +328,6 @@ _COMMANDS = {
 }
 
 
-def _default_threads() -> int:
-    env = os.environ.get("HJSYS_THREADS")
-    if env is None:
-        return 1
-    try:
-        k = int(env)
-    except ValueError as exc:
-        raise ConfigError(f"HJSYS_THREADS must be an integer, got {env!r}") from exc
-    if k < 1:
-        raise ConfigError(f"HJSYS_THREADS must be >= 1, got {k}")
-    return k
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="hjsys",
@@ -386,7 +338,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(kind)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default="", help="artifact directory")
-        p.add_argument("--threads", type=int, default=None)
     p_list = sub.add_parser("list")
     p_list.add_argument("what", choices=["hamiltonians", "couplings", "suites"])
     args = parser.parse_args(argv)
@@ -395,9 +346,6 @@ def main(argv=None) -> int:
             for name in catalog.list_builtin(args.what):
                 print(name)
             return 0
-        threads = args.threads if args.threads is not None else _default_threads()
-        if threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {threads}")
         try:
             with open(args.config) as fh:
                 cfg = json.load(fh)
@@ -406,7 +354,7 @@ def main(argv=None) -> int:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         out_dir = args.out or os.path.join(os.getcwd(), "hjsys-out")
-        return _COMMANDS[args.kind](cfg, out_dir, threads)
+        return _COMMANDS[args.kind](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -14,6 +14,7 @@ constant matches the continuum one beyond the stated tolerance.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import time
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import catalog
-from .coupling import CouplingMatrix, analyze, delta_rate, ergodic_constant_formula
+from .coupling import CouplingMatrix, delta_rate, ergodic_constant_formula
 from .diagnostics import (
     component_gap_decay,
     evaluate_on_set,
@@ -39,7 +40,6 @@ from .hamiltonians import check_assumption
 from .switching import (
     ConstantPolicy,
     GreedyGradientPolicy,
-    SwitchingProcessSpec,
     coupling_from_spec,
     estimate_value,
     hamiltonian_from_spec,
@@ -127,24 +127,6 @@ def _geq(name: str, value: float, bound: float, **detail) -> CheckResult:
     )
 
 
-_F1 = {"const": 1.5, "terms": [{"k": [1], "cos": -1.0}]}  # 0.5 + 1 - cos(2 pi x)
-_F2 = {"const": 2.0, "terms": [{"k": [1], "cos": -2.0}]}  # 2 (1 - cos(2 pi x))
-
-
-def _eikonal_pair_system(n: int) -> tuple[HJSystem, list]:
-    grid = Grid(1, n)
-    hams = [
-        catalog.build_hamiltonian("quadratic_eikonal", {"f": _F1}),
-        catalog.build_hamiltonian("quadratic_eikonal", {"f": _F2}),
-    ]
-    D = CouplingMatrix.constant(catalog.builtin_coupling("symmetric_pair"))
-    fs = [
-        sample(catalog.fourier_function(_F1, 1), grid),
-        sample(catalog.fourier_function(_F2, 1), grid),
-    ]
-    return HJSystem(hams=tuple(hams), coupling=D, grid=grid), fs
-
-
 def _initial_data(system: HJSystem, which: str) -> list:
     """Initial data families for the convergence experiments.
 
@@ -176,7 +158,7 @@ def _tail_distance(dists, t_from: float) -> float:
 def suite_largenew_eikonal(n: int = 256, t_final: float = 40.0) -> SuiteResult:
     """Eikonal pair with a shared minimizer: constants, bounds, convergence."""
     t0 = time.perf_counter()
-    system, fs = _eikonal_pair_system(n)
+    system, fs = catalog.quadratic_eikonal_pair(n)
     grid = system.grid
     checks = []
     artifacts = {}
@@ -509,37 +491,13 @@ def suite_identical_gap(n: int = 256, t_final: float = 8.0) -> SuiteResult:
     )
 
 
-def _unit_ball_eikonal_spec(n_actions: int = 64) -> SwitchingProcessSpec:
-    f1 = catalog.fourier_function(_F1, 1)
-    f2 = catalog.fourier_function(_F2, 1)
-
-    def b(x, a):
-        return np.broadcast_to(np.asarray(a, dtype=float), np.shape(x))
-
-    def ell1(x, a):
-        return f1(np.atleast_2d(x))
-
-    def ell2(x, a):
-        return f2(np.atleast_2d(x))
-
-    zero = lambda x: np.zeros(np.shape(x)[:-1])
-    return SwitchingProcessSpec(
-        m=2,
-        dynamics=(b, b),
-        costs=(ell1, ell2),
-        rates=[[-1.0, 1.0], [1.0, -1.0]],
-        control_set=np.linspace(-1.0, 1.0, n_actions)[:, None],
-        terminal=(zero, zero),
-        dim=1,
-    )
-
-
 def suite_appendix_mc(
     n: int = 256, horizon: float = 2.0, n_samples: int = 10_000, seed: int = 2026
 ) -> SuiteResult:
     """Monte Carlo value estimates against the PDE and a closed form."""
     t0 = time.perf_counter()
-    spec = _unit_ball_eikonal_spec()
+    rates = [[-1.0, 1.0], [1.0, -1.0]]
+    spec = catalog.unit_ball_eikonal_process([catalog.F1, catalog.F2], rates)
     grid = Grid(1, n)
     hams = tuple(hamiltonian_from_spec(spec, i) for i in range(spec.m))
     system = HJSystem(hams=hams, coupling=coupling_from_spec(spec), grid=grid)
@@ -582,19 +540,7 @@ def suite_appendix_mc(
     )
 
     # closed-form occupation time: idle dynamics, unit cost in mode 2 only
-    zerov = lambda x, a: np.zeros(np.shape(x))
-    czero = lambda x, a: np.zeros(np.shape(x)[:-1])
-    cone = lambda x, a: np.ones(np.shape(x)[:-1])
-    tzero = lambda x: np.zeros(np.shape(x)[:-1])
-    idle = SwitchingProcessSpec(
-        m=2,
-        dynamics=(zerov, zerov),
-        costs=(czero, cone),
-        rates=[[-1.0, 1.0], [1.0, -1.0]],
-        control_set=np.zeros((1, 1)),
-        terminal=(tzero, tzero),
-        dim=1,
-    )
+    idle = catalog.idle_process([0.0, 1.0], rates)
     exact = horizon / 2 - (1 - np.exp(-2 * horizon)) / 4
     est = estimate_value(
         idle,
@@ -633,9 +579,32 @@ SUITE_RUNNERS = {
 }
 
 
+def _overrides(name: str, runner, kwargs: dict) -> dict:
+    """Check override keys against the runner and convert each value to the
+    type of that parameter's default."""
+    params = inspect.signature(runner).parameters
+    out = {}
+    for key, value in kwargs.items():
+        if key not in params:
+            raise ConfigError(
+                f"suite {name!r} has no parameter {key!r}; accepted: {', '.join(params)}"
+            )
+        kind = type(params[key].default)
+        try:
+            out[key] = kind(value)
+            if kind is int and isinstance(value, float) and out[key] != value:
+                raise ValueError("not an integer")
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(
+                f"suite {name!r} parameter {key!r} must be {kind.__name__}, got {value!r}"
+            ) from exc
+    return out
+
+
 def run_suite(name: str, **kwargs) -> SuiteResult:
-    if name not in SUITE_RUNNERS:
+    if not isinstance(name, str) or name not in SUITE_RUNNERS:
         raise ConfigError(
             f"unknown suite {name!r}; known: {', '.join(sorted(SUITE_RUNNERS))}"
         )
-    return SUITE_RUNNERS[name](**kwargs)
+    runner = SUITE_RUNNERS[name]
+    return runner(**_overrides(name, runner, kwargs))

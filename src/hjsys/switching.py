@@ -17,14 +17,12 @@ matching the value functions solved by the PDE side with
 path record.  ``estimate_value`` runs batched paths vectorized over the
 sample axis; every batch draws from an independent child stream of the
 master seed and batches are aggregated in fixed order, so results are
-reproducible regardless of worker count.
+reproducible for a given seed.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -76,6 +74,8 @@ class SwitchingProcessSpec:
         if g.shape != (self.m, self.m):
             raise ConfigError(f"rates must be {self.m}x{self.m}, got {g.shape}")
         off = g[~np.eye(self.m, dtype=bool)]
+        if not np.all(np.isfinite(off)):
+            raise ConfigError("switching rates must be finite")
         if np.any(off < 0):
             raise StructureError("off-diagonal switching rates must be nonnegative")
         np.fill_diagonal(g, -1.0)
@@ -165,11 +165,12 @@ class GreedyGradientPolicy:
         self.grid = traj.grid
         self.snapshot_ttg = np.asarray(traj.times, dtype=float)
         self.policy_id = "greedy-gradient"
-        n, dim = self.grid.n, self.grid.dim
+        dim = self.grid.dim
         nodes = self.grid.nodes()
         tables = np.empty((len(traj.times), spec.m, len(nodes)), dtype=np.int64)
-        for k in range(len(traj.times)):
-            for i in range(spec.m):
+        for i in range(spec.m):
+            B, L = _action_tables(spec, i, nodes, nodes.shape)
+            for k in range(len(traj.times)):
                 u = traj.values[k][i]
                 grad = np.stack(
                     [
@@ -179,18 +180,7 @@ class GreedyGradientPolicy:
                     ],
                     axis=-1,
                 ).reshape(len(nodes), dim)
-                scores = np.empty((len(nodes), len(spec.control_set)))
-                for ai, a in enumerate(spec.control_set):
-                    b = np.broadcast_to(
-                        np.asarray(spec.dynamics[i](nodes, a), dtype=float),
-                        nodes.shape,
-                    )
-                    ell = np.broadcast_to(
-                        np.asarray(spec.costs[i](nodes, a), dtype=float),
-                        (len(nodes),),
-                    )
-                    scores[:, ai] = -np.sum(b * grad, axis=1) - ell
-                tables[k, i] = np.argmax(scores, axis=1)
+                tables[k, i] = np.argmax(-np.add.reduce(B * grad, axis=-1) - L, axis=0)
         self._tables = tables
 
     def _node_index(self, x: np.ndarray) -> np.ndarray:
@@ -352,34 +342,48 @@ def estimate_value(
     seed: int,
     dt_sim: float | None = None,
     batch_size: int = 2048,
-    n_workers: int = 1,
 ) -> ValueEstimate:
     """Monte Carlo path-cost mean with independent per-batch streams."""
+    if not (0 <= mode < spec.m):
+        raise ConfigError(f"mode must be in [0, {spec.m}), got {mode}")
+    if not horizon > 0:
+        raise ConfigError("horizon must be positive")
     if n_samples < 100:
         raise ConfigError("need at least 100 samples")
     dt = spec.dt_sim if dt_sim is None else float(dt_sim)
+    if not dt > 0:
+        raise ConfigError("dt_sim must be positive")
     sizes = []
     left = n_samples
     while left > 0:
         sizes.append(min(batch_size, left))
         left -= sizes[-1]
     streams = np.random.SeedSequence(seed).spawn(len(sizes))
-    def one(args):
-        ss, size = args
-        return _run_batch(
-            spec, policy, x, mode, horizon, dt, np.random.default_rng(ss), size
-        )
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(one, zip(streams, sizes)))
-    else:
-        parts = [one(a) for a in zip(streams, sizes)]
-    costs = np.concatenate(parts)
+    costs = np.concatenate(
+        [
+            _run_batch(spec, policy, x, mode, horizon, dt, np.random.default_rng(ss), size)
+            for ss, size in zip(streams, sizes)
+        ]
+    )
     mean = float(np.mean(costs))
     std_error = float(np.std(costs, ddof=1) / np.sqrt(len(costs)))
     return ValueEstimate(
         mean=mean, std_error=std_error, samples=len(costs), policy_id=policy.policy_id
     )
+
+
+def _action_tables(spec: SwitchingProcessSpec, mode: int, x, shape):
+    """Velocity B[a, ..., k] and running cost L[a, ...] of every action in one
+    mode at the points x, broadcast for gradients of the given shape."""
+    b_i, ell_i = spec.dynamics[mode], spec.costs[mode]
+    B = np.stack(
+        [np.broadcast_to(np.asarray(b_i(x, a), dtype=float), shape) for a in spec.control_set]
+    )
+    L = np.stack(
+        [np.broadcast_to(np.asarray(ell_i(x, a), dtype=float), shape[:-1])
+         for a in spec.control_set]
+    )
+    return B, L
 
 
 def hamiltonian_from_spec(
@@ -388,20 +392,8 @@ def hamiltonian_from_spec(
     """Max-over-actions Hamiltonian of one mode."""
     if not (0 <= mode < spec.m):
         raise ConfigError(f"mode must be in [0, {spec.m}), got {mode}")
-    b_i, ell_i = spec.dynamics[mode], spec.costs[mode]
+    b_i = spec.dynamics[mode]
     actions = spec.control_set
-
-    def tables(x, shape):
-        # velocity B[a, ..., k] and running cost L[a, ...] of every action,
-        # for gradients of the given shape
-        B = np.stack(
-            [np.broadcast_to(np.asarray(b_i(x, a), dtype=float), shape) for a in actions]
-        )
-        L = np.stack(
-            [np.broadcast_to(np.asarray(ell_i(x, a), dtype=float), shape[:-1])
-             for a in actions]
-        )
-        return B, L
 
     def sup(p, B, L):
         # one max over the action axis (leading, so ties resolve as in a
@@ -410,7 +402,7 @@ def hamiltonian_from_spec(
 
     def eval_fn(x, p):
         p = np.asarray(p, dtype=float)
-        return sup(p, *tables(np.asarray(x, dtype=float), p.shape))
+        return sup(p, *_action_tables(spec, mode, np.asarray(x, dtype=float), p.shape))
 
     probes = np.linspace(0.0, 1.0, 17)[:-1]
     xs = (
@@ -427,7 +419,7 @@ def hamiltonian_from_spec(
         return np.broadcast_to(bmax_axis, pabs.shape)
 
     def bind(X):
-        B, L = tables(X, X.shape)
+        B, L = _action_tables(spec, mode, X, X.shape)
         return partial(sup, B=B, L=L), partial(axis_alpha, X)
 
     # crude coercivity probe along the axes; gates the discounted solver

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from conftest import random_monotone_matrix
-from hjsys.catalog import fourier_function
+from hjsys.catalog import quadratic_eikonal_pair
 from hjsys.coupling import (
     CouplingMatrix,
     constant_solution,
@@ -27,9 +27,6 @@ from hjsys.grid import Grid, GridFunction
 from hjsys.hamiltonians import make_quadratic_eikonal
 
 SYM = np.array([[1.0, -1.0], [-1.0, 1.0]])
-
-F1 = {"const": 1.5, "terms": [{"k": [1], "cos": -1.0}]}
-F2 = {"const": 2.0, "terms": [{"k": [1], "cos": -2.0}]}
 
 
 def _stamp(capfd, num: int, label: str, ok: bool, detail: str) -> None:
@@ -50,15 +47,6 @@ def _fmt(checks) -> str:
     return "; ".join(
         f"{c.name} {c.value:.3g} {c.relation} {c.bound:.3g}" for c in checks
     )
-
-
-def _eikonal_pair(n: int) -> HJSystem:
-    grid = Grid(dim=1, n=n)
-    hams = tuple(
-        make_quadratic_eikonal(fourier_function(f, 1), dim=1, params={"f": f})
-        for f in (F1, F2)
-    )
-    return HJSystem(hams=hams, coupling=CouplingMatrix(2, entries=SYM), grid=grid)
 
 
 def test_criterion_01_ergodic_constant_formula(suite_largenew, capfd):
@@ -137,7 +125,7 @@ def test_criterion_07_discrete_comparison_principle(capfd):
     # 50 ordered random pairs; the scheme may lose at most 1e-10 of ordering
     # per time step.  Mode amplitudes are capped so the discrete gradients
     # stay inside the dissipation box sampled at build time.
-    system = _eikonal_pair(n=64)
+    system, _ = quadratic_eikonal_pair(64)
     grid = system.grid
     xs = grid.axis_coords()
     rng = np.random.default_rng(20260822)

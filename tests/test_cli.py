@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
-import filecmp
+import contextlib
+import copy
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hjsys.catalog import F1, F2
 from hjsys.cli import main
-
-F1 = {"const": 1.5, "terms": [{"k": [1], "cos": -1.0}]}
-F2 = {"const": 2.0, "terms": [{"k": [1], "cos": -2.0}]}
 
 
 def _write(tmp_path, name, payload):
@@ -130,11 +131,11 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error: trajectory_dir" in err and "nowhere" in err
 
-    def test_bad_threads_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("HJSYS_THREADS", "many")
-        cfg = _evolve_cfg()
-        rc = main(["evolve", "--config", _write(tmp_path, "c.json", cfg)])
-        assert rc == 2
+    def test_threads_option_is_gone(self, tmp_path):
+        cfg_path = _write(tmp_path, "c.json", _evolve_cfg())
+        with pytest.raises(SystemExit) as exc:
+            main(["evolve", "--config", cfg_path, "--threads", "2"])
+        assert exc.value.code == 2
 
 
 class TestValidateCoupling:
@@ -246,7 +247,113 @@ class TestDiagnose:
         assert (out / "convergence.json").exists()
 
 
+def _simulate_cfg():
+    return {
+        "process": {
+            "kind": "unit_ball_eikonal",
+            "rates": [[0.0, 1.0], [1.0, 0.0]],
+            "fs": [F1, F2],
+            "n_actions": 4,
+        },
+        "policy": {"kind": "greedy", "grid_n": 16, "snapshot_every": 0.125},
+        "horizon": 0.25,
+        "x0": [0.25],
+        "mode0": 1,
+        "n_samples": 100,
+        "seed": 3,
+        "dt_sim": 0.125,
+        "dump_path": True,
+    }
+
+
+def _idle_cfg():
+    return {
+        "process": {
+            "kind": "idle",
+            "rates": [[0.0, 1.0], [1.0, 0.0]],
+            "cost_rates": [0.0, 1.0],
+        },
+        "policy": {"kind": "constant", "index": 0},
+        "horizon": 0.5,
+        "x0": [0.0],
+        "mode0": 0,
+        "n_samples": 100,
+        "seed": 12,
+        "dt_sim": 0.25,
+    }
+
+
+def _leaf_paths(node, prefix=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [prefix]
+    return [p for key, child in items for p in _leaf_paths(child, prefix + (key,))]
+
+
+_DELETE = object()
+
+
+def _mutated(cfg, path, value):
+    cfg = copy.deepcopy(cfg)
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return cfg
+
+
 class TestSimulate:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_samples", "abc"), ("dt_sim", "x"), ("mode0", 5)],
+    )
+    def test_bad_run_field_is_a_config_error(self, tmp_path, capsys, field, value):
+        cfg = _idle_cfg()
+        cfg[field] = value
+        rc = main(["simulate", "--config", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_unit_ball_path_dump(self, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", _write(tmp_path, "c.json", _simulate_cfg()), "--out", str(out)])
+        assert rc == 0
+        rows = (out / "path.csv").read_text().splitlines()
+        assert rows[0] == "t,mode,action,x0"
+        # the path is integrated with the configured dt_sim = 0.125 up to 0.25
+        times = [float(r.split(",")[0]) for r in rows[1:]]
+        assert times[-1] == 0.25 and 3 <= len(times) < 20
+
+    def test_constant_index_outside_control_set(self, tmp_path, capsys):
+        cfg = _idle_cfg()
+        cfg["policy"]["index"] = 7
+        rc = main(["simulate", "--config", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "policy.index must be in [0, 1)" in capsys.readouterr().err
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_mutated_config_keeps_exit_contract(self, tmp_path_factory, data):
+        # one leaf deleted or replaced by a string, null or -1; sizes are
+        # never raised, so every run stays short.  main runs in-process, so
+        # an uncaught exception fails this test with its traceback.
+        base = data.draw(st.sampled_from([_simulate_cfg(), _idle_cfg()]))
+        path = data.draw(st.sampled_from(_leaf_paths(base)))
+        value = data.draw(st.sampled_from([_DELETE, "abc", None, -1]))
+        cfg = _mutated(base, path, value)
+        tmp = tmp_path_factory.mktemp("mutant")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["simulate", "--config", _write(tmp, "c.json", cfg), "--out", str(tmp)])
+        assert rc in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+
     def test_idle_process_value(self, tmp_path, capsys):
         cfg = {
             "process": {
@@ -330,7 +437,25 @@ class TestTheoremSuite:
         assert rc == 1
         assert "[FAIL]" in capsys.readouterr().out
 
+    def test_unknown_override_key(self, tmp_path, capsys):
+        cfg = {"name": "identical-gap", "overrides": {"bogus": 1}}
+        rc = main(["theorem-suite", "--config", _write(tmp_path, "c.json", cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'bogus'" in err and "accepted: n, t_final" in err
+
+    def test_override_of_wrong_type(self, tmp_path, capsys):
+        cfg = {"name": "identical-gap", "overrides": {"n": "abc"}}
+        rc = main(["theorem-suite", "--config", _write(tmp_path, "c.json", cfg)])
+        assert rc == 2
+        assert "parameter 'n' must be int" in capsys.readouterr().err
+
     def test_unknown_suite(self, tmp_path, capsys):
         cfg = {"name": "no-such-suite"}
+        rc = main(["theorem-suite", "--config", _write(tmp_path, "c.json", cfg)])
+        assert rc == 2
+
+    def test_non_string_suite_name(self, tmp_path, capsys):
+        cfg = {"name": ["identical-gap"]}
         rc = main(["theorem-suite", "--config", _write(tmp_path, "c.json", cfg)])
         assert rc == 2

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hjsys import catalog
 from hjsys.coupling import validate_monotone
 from hjsys.errors import ConfigError, StructureError
 from hjsys.evolution import EvolutionConfig, HJSystem, solve
@@ -61,6 +62,10 @@ class TestSpecValidation:
     def test_negative_offdiagonal_rate(self):
         with pytest.raises(StructureError):
             _still_spec(rates=np.array([[0.0, -1.0], [1.0, 0.0]]))
+
+    def test_nonfinite_rate(self):
+        with pytest.raises(ConfigError):
+            _still_spec(rates=np.array([[0.0, np.nan], [1.0, 0.0]]))
 
     def test_empty_control_set(self):
         with pytest.raises(ConfigError):
@@ -153,6 +158,14 @@ class TestValueEstimation:
         with pytest.raises(ConfigError):
             estimate_value(_still_spec(), ConstantPolicy(0), [0.0], 0, 1.0, 99, seed=0)
 
+    @pytest.mark.parametrize(
+        "bad", [dict(mode=2), dict(mode=-1), dict(horizon=0.0), dict(dt_sim=0.0)]
+    )
+    def test_rejects_out_of_range_arguments(self, bad):
+        kw = dict(x=[0.0], mode=0, horizon=1.0, n_samples=200, seed=1, dt_sim=0.5)
+        with pytest.raises(ConfigError):
+            estimate_value(_still_spec(), ConstantPolicy(0), **{**kw, **bad})
+
     def test_constant_cost_is_exact(self):
         # l = kappa in both modes and b = 0: every path costs exactly
         # kappa T + u0(x0), so the spread collapses to zero
@@ -200,14 +213,6 @@ class TestValueEstimation:
         hi = estimate_value(spec_hi, ConstantPolicy(0), [0.0], 0, 1.0, 500, seed=5, dt_sim=0.25)
         # same seed, pathwise identical: the lift passes straight through
         assert hi.mean - lo.mean == pytest.approx(0.5, abs=1e-12)
-
-    def test_worker_count_does_not_change_result(self):
-        spec = _drift_spec()
-        kw = dict(x=[0.2], mode=0, horizon=1.5, n_samples=3000, seed=9, dt_sim=1 / 32)
-        serial = estimate_value(spec, ConstantPolicy(0), **kw, n_workers=1)
-        threaded = estimate_value(spec, ConstantPolicy(0), **kw, n_workers=2)
-        assert serial.mean == threaded.mean
-        assert serial.std_error == threaded.std_error
 
     def test_policy_id_recorded(self):
         est = estimate_value(
@@ -288,6 +293,38 @@ class TestPdeBridge:
         assert np.array_equal(D.entries, np.array([[1.0, -1.0], [-1.0, 1.0]]))
         ok, _ = validate_monotone(D)
         assert ok
+
+    def test_greedy_tables_match_per_action_loop(self):
+        # the policy scores all actions at once from the Hamiltonian's action
+        # tables; the reference scores one action at a time.  The running
+        # cost depends on the action, so both terms of the score matter.
+        base = catalog.unit_ball_eikonal_process([catalog.F1, catalog.F2], SYM_RATES, 16)
+        spec = SwitchingProcessSpec(
+            m=2,
+            dynamics=base.dynamics,
+            costs=tuple(
+                (lambda x, a, c=c: c(x, a) + 0.5 * a[0] ** 2) for c in base.costs
+            ),
+            rates=SYM_RATES,
+            control_set=base.control_set,
+            terminal=base.terminal,
+        )
+        grid = Grid(dim=1, n=64)
+        hams = tuple(hamiltonian_from_spec(spec, i) for i in range(2))
+        system = HJSystem(hams=hams, coupling=coupling_from_spec(spec), grid=grid)
+        u0 = [GridFunction(grid, np.zeros(64)) for _ in range(2)]
+        traj = solve(system, u0, EvolutionConfig(t_final=0.5, snapshot_every=0.125))
+        policy = GreedyGradientPolicy(spec, traj)
+        nodes = grid.nodes()
+        for k in range(len(traj.times)):
+            for i in range(2):
+                u = traj.values[k][i]
+                grad = ((np.roll(u, -1) - np.roll(u, 1)) / (2 * grid.h))[:, None]
+                scores = np.empty((len(nodes), len(spec.control_set)))
+                for ai, a in enumerate(spec.control_set):
+                    b = np.broadcast_to(spec.dynamics[i](nodes, a), nodes.shape)
+                    scores[:, ai] = -np.sum(b * grad, axis=1) - spec.costs[i](nodes, a)
+                assert np.array_equal(policy._tables[k, i], np.argmax(scores, axis=1))
 
     def test_greedy_policy_runs_against_pde_solution(self):
         spec = self._unit_ball_spec()
