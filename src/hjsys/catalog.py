@@ -1,4 +1,4 @@
-"""Built-in Hamiltonians, couplings, systems, switching processes and suite names.
+"""Built-in Hamiltonians, couplings, systems and switching processes.
 
 Sources and vector fields are described by truncated Fourier data so that
 configuration documents stay plain JSON:
@@ -42,7 +42,6 @@ __all__ = [
     "F2",
     "BUILTIN_HAMILTONIAN_IDS",
     "BUILTIN_COUPLINGS",
-    "SUITE_NAMES",
 ]
 
 BUILTIN_HAMILTONIAN_IDS = ("quadratic_eikonal", "linear_eikonal", "nonconvex_bs00")
@@ -52,14 +51,6 @@ BUILTIN_COUPLINGS = {
     "asymmetric_pair": [[1.0, -1.0], [-2.0, 2.0]],
     "cyclic3": [[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]],
 }
-
-SUITE_NAMES = (
-    "mainresult-nonconvex",
-    "exist-smoo-strictconvex",
-    "largenew-eikonal",
-    "identical-gap",
-    "appendix-mc",
-)
 
 
 def fourier_function(params: dict, dim: int) -> Callable:
@@ -251,5 +242,7 @@ def list_builtin(kind: str) -> list[str]:
     if kind == "couplings":
         return sorted(BUILTIN_COUPLINGS)
     if kind == "suites":
-        return list(SUITE_NAMES)
+        from .suites import SUITE_RUNNERS  # suites builds on this module
+
+        return list(SUITE_RUNNERS)
     raise ConfigError(f"unknown catalog kind {kind!r}; valid: hamiltonians, couplings, suites")

@@ -73,6 +73,8 @@ class CouplingMatrix:
                 raise StructureError(
                     f"entries must be {self.m}x{self.m}, got {e.shape}"
                 )
+            if not np.all(np.isfinite(e)):
+                raise StructureError(f"coupling entries must be finite, got {e.tolist()}")
             e.setflags(write=False)
             object.__setattr__(self, "entries", e)
 

@@ -51,7 +51,8 @@ class SwitchingProcessSpec:
     diagonal is bookkeeping only and is stored as -1.  ``control_set`` rows
     are the admissible actions (the continuum action set discretized to a
     finite list).  Dynamics and costs take (x, action_row) with x shaped
-    (..., dim) and broadcast over the leading axes.
+    (..., dim) and broadcast over the leading axes.  They must be pointwise
+    in x, since the Monte Carlo calls them on varying subsets of its paths.
     """
 
     m: int
@@ -191,9 +192,10 @@ class GreedyGradientPolicy:
         return idx[:, 0] * n + idx[:, 1]
 
     def action_indices(self, x, modes, time_to_go) -> np.ndarray:
-        snap = np.searchsorted(self.snapshot_ttg, np.asarray(time_to_go))
-        snap = np.clip(snap, 0, len(self.snapshot_ttg) - 1)
-        lower = np.clip(snap - 1, 0, None)
+        snap = np.minimum(
+            np.searchsorted(self.snapshot_ttg, time_to_go), len(self.snapshot_ttg) - 1
+        )
+        lower = np.maximum(snap - 1, 0)
         pick_lower = np.abs(self.snapshot_ttg[lower] - time_to_go) <= np.abs(
             self.snapshot_ttg[snap] - time_to_go
         )
@@ -202,35 +204,52 @@ class GreedyGradientPolicy:
         return self._tables[snap, np.asarray(modes, dtype=int), nodes]
 
 
-def _grouped_velocity_cost(spec, x, modes, a_idx):
-    """Evaluate b and l by (mode, action) groups; x has shape (B, dim)."""
-    v = np.empty_like(x)
-    c = np.empty(len(x))
-    codes = np.asarray(modes) * len(spec.control_set) + np.asarray(a_idx)
-    for code in np.unique(codes):
-        sel = codes == code
-        i, ai = divmod(int(code), len(spec.control_set))
-        a = spec.control_set[ai]
-        v[sel] = np.broadcast_to(
-            np.asarray(spec.dynamics[i](x[sel], a), dtype=float), x[sel].shape
-        )
-        c[sel] = np.broadcast_to(
-            np.asarray(spec.costs[i](x[sel], a), dtype=float), (int(np.sum(sel)),)
-        )
+def _velocity_cost(spec, mode, action, x):
+    """b and l of one (mode, action) pair at the points x, shaped like x and x[..., 0]."""
+    v = np.asarray(spec.dynamics[mode](x, action), dtype=float)
+    c = np.asarray(spec.costs[mode](x, action), dtype=float)
+    if v.shape != x.shape:
+        v = np.broadcast_to(v, x.shape)
+    if c.shape != x.shape[:-1]:
+        c = np.broadcast_to(c, x.shape[:-1])
     return v, c
 
 
-def _draw_destinations(spec, modes, u):
+def _grouped_velocity_cost(spec, x, modes, a_idx):
+    """Evaluate b and l by (mode, action) groups; x has shape (B, dim).
+
+    Each group present is one call of the spec's callables on its rows of x,
+    gathered once by index, in ascending (mode, action) order.  The groups
+    come from a bincount: an argsort is no faster here and maps numpy's sort
+    kernels, about 0.3 MB of peak memory.
+    """
+    n_act = len(spec.control_set)
+    codes = np.asarray(modes) * n_act + np.asarray(a_idx)
+    if np.all(codes == codes[0]):
+        i, ai = divmod(int(codes[0]), n_act)
+        return _velocity_cost(spec, i, spec.control_set[ai], x)
+    v = np.empty_like(x)
+    c = np.empty(len(x))
+    for code in np.flatnonzero(np.bincount(codes)).tolist():
+        sel = np.flatnonzero(codes == code)
+        i, ai = divmod(code, n_act)
+        v[sel], c[sel] = _velocity_cost(spec, i, spec.control_set[ai], x[sel])
+    return v, c
+
+
+def _destination_cdf(spec, R):
+    """Row i: cumulative probabilities of the modes a switch out of mode i
+    lands on.  Rows of modes that never switch (R_i = 0) are unused."""
+    g = spec.rates.copy()
+    np.fill_diagonal(g, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.cumsum(g / R[:, None], axis=1)
+
+
+def _draw_destinations(cdf, modes, u):
     """Destination modes for switching paths; u uniform in [0,1)."""
-    out = np.empty(len(modes), dtype=int)
-    R = spec.total_rates()
-    for i in np.unique(modes):
-        sel = modes == i
-        row = spec.rates[i].copy()
-        row[i] = 0.0
-        cum = np.cumsum(row / R[i])
-        out[sel] = np.searchsorted(cum, u[sel], side="right")
-    return np.minimum(out, spec.m - 1)
+    out = np.sum(cdf[modes] <= u[:, None], axis=1)
+    return np.minimum(out, len(cdf) - 1)
 
 
 def simulate_trajectory(
@@ -250,6 +269,7 @@ def simulate_trajectory(
     dt = spec.dt_sim if dt_sim is None else float(dt_sim)
     rng = np.random.default_rng(seed)
     R = spec.total_rates()
+    cdf = _destination_cdf(spec, R)
     x = np.atleast_1d(np.asarray(x0, dtype=float)) % 1.0
     mode = int(mode0)
     t = 0.0
@@ -269,7 +289,7 @@ def simulate_trajectory(
         x = (x + seg * b) % 1.0
         t = seg_end
         if t >= next_switch - 1e-15 and t < horizon - 1e-15:
-            mode = _draw_destinations(spec, np.array([mode]), rng.random(1))[0]
+            mode = _draw_destinations(cdf, np.array([mode]), rng.random(1))[0]
             next_switch = t + (
                 rng.exponential(1.0 / R[mode]) if R[mode] > 0 else np.inf
             )
@@ -288,42 +308,64 @@ def simulate_trajectory(
     )
 
 
+def _advance(spec, policy, x, modes, cost, seg, time_to_go):
+    """Move the paths with seg > 0 along their actions for seg and charge
+    their running cost, in place.  Only those paths are looked up and
+    evaluated; ``time_to_go`` is one number or one entry per path."""
+    live = seg > 0
+    if np.all(live):
+        idx = slice(None)
+    else:
+        idx = np.flatnonzero(live)
+        if not len(idx):
+            return
+        if np.ndim(time_to_go):
+            time_to_go = time_to_go[idx]
+    xs, ms, s = x[idx], modes[idx], seg[idx]
+    v, c = _grouped_velocity_cost(spec, xs, ms, policy.action_indices(xs, ms, time_to_go))
+    cost[idx] += c * s
+    x[idx] = (xs + s[:, None] * v) % 1.0
+
+
 def _run_batch(spec, policy, x0, mode0, horizon, dt, rng, size) -> np.ndarray:
     R = spec.total_rates()
+    cdf = _destination_cdf(spec, R)
     x = np.broadcast_to(
         np.atleast_1d(np.asarray(x0, dtype=float)) % 1.0, (size, spec.dim)
     ).copy()
     modes = np.full(size, int(mode0))
     cost = np.zeros(size)
-    cur = np.zeros(size)
     draw = rng.exponential(size=size)
     with np.errstate(divide="ignore"):
         next_switch = np.where(R[modes] > 0, draw / R[modes], np.inf)
     n_steps = int(np.ceil(horizon / dt - 1e-12))
+    t0 = 0.0
     for k in range(n_steps):
         t1 = min((k + 1) * dt, horizon)
+        # every path starts the step at t0, so the time to go is one number
+        seg = np.maximum(np.minimum(next_switch, t1) - t0, 0.0)
+        _advance(spec, policy, x, modes, cost, seg, horizon - t0)
+        cur = t0 + seg
         while True:
-            seg = np.minimum(next_switch, t1) - cur
-            seg = np.maximum(seg, 0.0)
-            live = seg > 0
-            if np.any(live):
-                a_idx = policy.action_indices(x, modes, horizon - cur)
-                v, c = _grouped_velocity_cost(spec, x, modes, a_idx)
-                cost[live] += c[live] * seg[live]
-                x[live] = (x[live] + seg[live, None] * v[live]) % 1.0
-                cur += seg
-            switching = (next_switch <= t1 - 1e-15) & (cur >= next_switch - 1e-15)
-            if not np.any(switching):
+            # the few paths whose clock rang inside the step switch mode and
+            # finish the step from their own switch time
+            switching = np.flatnonzero(
+                (next_switch <= t1 - 1e-15) & (cur >= next_switch - 1e-15)
+            )
+            if not len(switching):
                 break
-            u = rng.random(int(np.sum(switching)))
-            modes[switching] = _draw_destinations(spec, modes[switching], u)
-            draw = rng.exponential(size=int(np.sum(switching)))
+            u = rng.random(len(switching))
+            modes[switching] = _draw_destinations(cdf, modes[switching], u)
+            draw = rng.exponential(size=len(switching))
             Rsel = R[modes[switching]]
             with np.errstate(divide="ignore"):
                 next_switch[switching] = cur[switching] + np.where(
                     Rsel > 0, draw / Rsel, np.inf
                 )
-        cur[:] = t1
+            seg = np.maximum(np.minimum(next_switch, t1) - cur, 0.0)
+            _advance(spec, policy, x, modes, cost, seg, horizon - cur)
+            cur += seg
+        t0 = t1
     for i in np.unique(modes):
         sel = modes == i
         cost[sel] += np.broadcast_to(

@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from hjsys.catalog import F1, F2
 from hjsys.cli import main
+from hjsys.errors import ConfigError
+from hjsys.suites import run_suite
 
 
 def _write(tmp_path, name, payload):
@@ -53,6 +55,16 @@ class TestListing:
         assert len(lines) == 5
         assert "largenew-eikonal" in lines
         assert "appendix-mc" in lines
+
+    def test_listed_suites_are_the_runnable_ones(self, capsys):
+        assert main(["list", "suites"]) == 0
+        listed = capsys.readouterr().out.split()
+        for name in listed:
+            # a known name gets past the name check to the override check
+            with pytest.raises(ConfigError, match="has no parameter 'bogus'"):
+                run_suite(name, bogus=1)
+        with pytest.raises(ConfigError, match="known: " + ", ".join(sorted(listed))):
+            run_suite("no-such-suite")
 
     def test_list_hamiltonians(self, capsys):
         assert main(["list", "hamiltonians"]) == 0
@@ -131,11 +143,104 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error: trajectory_dir" in err and "nowhere" in err
 
+    def test_nonfinite_coupling_entry_is_a_config_error(self, tmp_path, capsys):
+        cfg = _evolve_cfg()
+        cfg["system"]["coupling"] = {"entries": [[None, -1.0], [-1.0, 1.0]]}
+        rc = main(["evolve", "--config", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "coupling entries must be finite" in capsys.readouterr().err
+
+    def test_gradient_outside_p_box_exits_3(self, tmp_path, capsys):
+        # local-flux dt comes from lf_alpha, sampled over the p_box; data with
+        # slopes up to pi overrun a box of 0.5 but not the default 2.5
+        cfg = _evolve_cfg()
+        steep = {"terms": [{"k": [1], "sin": 0.5}]}
+        cfg["u0"] = {"kind": "fourier", "components": [steep, steep]}
+        out = str(tmp_path / "out")
+        assert main(["evolve", "--config", _write(tmp_path, "a.json", cfg), "--out", out]) == 0
+        for hb in cfg["system"]["hamiltonians"]:
+            hb["params"]["p_box"] = 0.5
+        capsys.readouterr()
+        rc = main(["evolve", "--config", _write(tmp_path, "b.json", cfg), "--out", out])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: CFL budget exceeded" in err
+        assert "Traceback" not in err
+
     def test_threads_option_is_gone(self, tmp_path):
         cfg_path = _write(tmp_path, "c.json", _evolve_cfg())
         with pytest.raises(SystemExit) as exc:
             main(["evolve", "--config", cfg_path, "--threads", "2"])
         assert exc.value.code == 2
+
+
+def _leaf_paths(node, prefix=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [prefix]
+    return [p for key, child in items for p in _leaf_paths(child, prefix + (key,))]
+
+
+_DELETE = object()
+
+
+def _mutated(cfg, path, value):
+    cfg = copy.deepcopy(cfg)
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return cfg
+
+
+def _check_mutant(kind, bases, data, tmp_path_factory):
+    """Run one base config with one leaf deleted or replaced by a string,
+    null or -1, and check the exit-code contract.  Sizes are never raised,
+    so every run stays short.  main runs in-process, so an uncaught
+    exception fails the calling test with its traceback."""
+    base = data.draw(st.sampled_from(bases))
+    path = data.draw(st.sampled_from(_leaf_paths(base)))
+    value = data.draw(st.sampled_from([_DELETE, "abc", None, -1]))
+    cfg = _mutated(base, path, value)
+    tmp = tmp_path_factory.mktemp("mutant")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main([kind, "--config", _write(tmp, "c.json", cfg), "--out", str(tmp)])
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+def _evolve_mixed_cfg():
+    return {
+        "system": {
+            "grid": {"dim": 1, "n": 12},
+            "coupling": {"entries": [[1.0, -1.0], [-0.5, 0.5]]},
+            "hamiltonians": [
+                {"id": "nonconvex_bs00", "params": {"p_box": 3.0}},
+                {"id": "linear_eikonal", "params": {"f": F2}},
+            ],
+        },
+        "solver": {
+            "t_final": 0.1,
+            "snapshot_every": 0.05,
+            "cfl": 0.4,
+            "flux_mode": "global",
+            "dt_override": 0.002,
+        },
+        "u0": {
+            "kind": "fourier",
+            "components": [
+                {"const": 0.1, "terms": [{"k": [1], "cos": 0.2, "sin": 0.1}]},
+                {"terms": [{"k": [2], "sin": 0.3}]},
+            ],
+        },
+    }
 
 
 class TestValidateCoupling:
@@ -190,6 +295,12 @@ class TestEvolve:
         cfg["u0"] = {"kind": "constants", "values": [0.0]}
         rc = main(["evolve", "--config", _write(tmp_path, "c.json", cfg)])
         assert rc == 2
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_mutated_config_keeps_exit_contract(self, tmp_path_factory, data):
+        bases = [_evolve_cfg(n=16, t_final=0.2), _evolve_mixed_cfg()]
+        _check_mutant("evolve", bases, data, tmp_path_factory)
 
 
 class TestErgodic:
@@ -283,31 +394,6 @@ def _idle_cfg():
     }
 
 
-def _leaf_paths(node, prefix=()):
-    if isinstance(node, dict):
-        items = node.items()
-    elif isinstance(node, list):
-        items = enumerate(node)
-    else:
-        return [prefix]
-    return [p for key, child in items for p in _leaf_paths(child, prefix + (key,))]
-
-
-_DELETE = object()
-
-
-def _mutated(cfg, path, value):
-    cfg = copy.deepcopy(cfg)
-    parent = cfg
-    for key in path[:-1]:
-        parent = parent[key]
-    if value is _DELETE:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = value
-    return cfg
-
-
 class TestSimulate:
     @pytest.mark.parametrize(
         "field, value",
@@ -340,19 +426,7 @@ class TestSimulate:
     @settings(max_examples=60)
     @given(data=st.data())
     def test_mutated_config_keeps_exit_contract(self, tmp_path_factory, data):
-        # one leaf deleted or replaced by a string, null or -1; sizes are
-        # never raised, so every run stays short.  main runs in-process, so
-        # an uncaught exception fails this test with its traceback.
-        base = data.draw(st.sampled_from([_simulate_cfg(), _idle_cfg()]))
-        path = data.draw(st.sampled_from(_leaf_paths(base)))
-        value = data.draw(st.sampled_from([_DELETE, "abc", None, -1]))
-        cfg = _mutated(base, path, value)
-        tmp = tmp_path_factory.mktemp("mutant")
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = main(["simulate", "--config", _write(tmp, "c.json", cfg), "--out", str(tmp)])
-        assert rc in (0, 1, 2, 3)
-        assert "Traceback" not in err.getvalue()
+        _check_mutant("simulate", [_simulate_cfg(), _idle_cfg()], data, tmp_path_factory)
 
     def test_idle_process_value(self, tmp_path, capsys):
         cfg = {

@@ -131,6 +131,19 @@ class TestTimeStep:
         with pytest.raises(DivergenceError, match="CFL"):
             solve(system, u0, cfg)
 
+    def test_gradient_outside_p_box_exceeds_local_budget(self):
+        # the local flux steps with dt from lf_alpha, which is sampled over
+        # |p| <= p_box; slopes up to pi leave a box of 0.5 on the first step
+        grid = Grid(dim=1, n=16)
+        hams = tuple(
+            make_quadratic_eikonal(fourier_function(f, 1), dim=1, p_box=0.5) for f in (F1, F2)
+        )
+        system = HJSystem(hams=hams, coupling=CouplingMatrix(2, entries=SYM), grid=grid)
+        steep = sample(fourier_function({"terms": [{"k": [1], "sin": 0.5}]}, 1), grid)
+        cfg = EvolutionConfig(t_final=0.2, flux_mode="local")
+        with pytest.raises(DivergenceError, match="CFL budget exceeded: dt\\*sum\\(alpha\\)/h"):
+            solve(system, [steep, steep], cfg)
+
 
 class TestExactSolutions:
     def test_constant_data_uncoupled_is_stationary(self):

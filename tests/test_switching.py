@@ -14,6 +14,7 @@ from hjsys.switching import (
     ConstantPolicy,
     GreedyGradientPolicy,
     SwitchingProcessSpec,
+    _run_batch,
     coupling_from_spec,
     estimate_value,
     hamiltonian_from_spec,
@@ -219,6 +220,163 @@ class TestValueEstimation:
             _still_spec(), ConstantPolicy(0), [0.0], 0, 1.0, 200, seed=1, dt_sim=0.5
         )
         assert est.policy_id == "constant[0]"
+
+
+def _reference_velocity_cost(spec, x, modes, a_idx):
+    v = np.empty_like(x)
+    c = np.empty(len(x))
+    codes = np.asarray(modes) * len(spec.control_set) + np.asarray(a_idx)
+    for code in np.unique(codes):
+        sel = codes == code
+        i, ai = divmod(int(code), len(spec.control_set))
+        a = spec.control_set[ai]
+        v[sel] = np.broadcast_to(
+            np.asarray(spec.dynamics[i](x[sel], a), dtype=float), x[sel].shape
+        )
+        c[sel] = np.broadcast_to(
+            np.asarray(spec.costs[i](x[sel], a), dtype=float), (int(np.sum(sel)),)
+        )
+    return v, c
+
+
+def _reference_destinations(spec, modes, u):
+    out = np.empty(len(modes), dtype=int)
+    R = spec.total_rates()
+    for i in np.unique(modes):
+        sel = modes == i
+        row = spec.rates[i].copy()
+        row[i] = 0.0
+        out[sel] = np.searchsorted(np.cumsum(row / R[i]), u[sel], side="right")
+    return np.minimum(out, spec.m - 1)
+
+
+def _reference_batch(spec, policy, x0, mode0, horizon, dt, rng, size):
+    """The masked sub-step loop: every pass looks up and evaluates all paths,
+    then keeps the results of the paths that move."""
+    R = spec.total_rates()
+    x = np.broadcast_to(
+        np.atleast_1d(np.asarray(x0, dtype=float)) % 1.0, (size, spec.dim)
+    ).copy()
+    modes = np.full(size, int(mode0))
+    cost = np.zeros(size)
+    cur = np.zeros(size)
+    draw = rng.exponential(size=size)
+    with np.errstate(divide="ignore"):
+        next_switch = np.where(R[modes] > 0, draw / R[modes], np.inf)
+    for k in range(int(np.ceil(horizon / dt - 1e-12))):
+        t1 = min((k + 1) * dt, horizon)
+        while True:
+            seg = np.maximum(np.minimum(next_switch, t1) - cur, 0.0)
+            live = seg > 0
+            if np.any(live):
+                a_idx = policy.action_indices(x, modes, horizon - cur)
+                v, c = _reference_velocity_cost(spec, x, modes, a_idx)
+                cost[live] += c[live] * seg[live]
+                x[live] = (x[live] + seg[live, None] * v[live]) % 1.0
+                cur += seg
+            switching = (next_switch <= t1 - 1e-15) & (cur >= next_switch - 1e-15)
+            if not np.any(switching):
+                break
+            u = rng.random(int(np.sum(switching)))
+            modes[switching] = _reference_destinations(spec, modes[switching], u)
+            draw = rng.exponential(size=int(np.sum(switching)))
+            Rsel = R[modes[switching]]
+            with np.errstate(divide="ignore"):
+                next_switch[switching] = cur[switching] + np.where(
+                    Rsel > 0, draw / Rsel, np.inf
+                )
+        cur[:] = t1
+    for i in np.unique(modes):
+        sel = modes == i
+        cost[sel] += np.broadcast_to(
+            np.asarray(spec.terminal[i](x[sel]), dtype=float), (int(np.sum(sel)),)
+        )
+    return cost
+
+
+FAST_RATES = np.array([[0.0, 40.0], [40.0, 0.0]])
+
+
+def _fast_spec(rates=FAST_RATES):
+    """Unit-ball motion whose running cost depends on the action and on x."""
+    base = catalog.unit_ball_eikonal_process([catalog.F1, catalog.F2], rates, 16)
+    return SwitchingProcessSpec(
+        m=2,
+        dynamics=base.dynamics,
+        costs=tuple(
+            (lambda x, a, c=c: c(x, a) + 0.5 * a[0] ** 2 + a[0] * x[..., 0])
+            for c in base.costs
+        ),
+        rates=rates,
+        control_set=base.control_set,
+        terminal=(lambda x: np.sin(2 * np.pi * x[..., 0]), lambda x: x[..., 0]),
+    )
+
+
+def _greedy(spec, horizon):
+    grid = Grid(dim=1, n=32)
+    hams = tuple(hamiltonian_from_spec(spec, i) for i in range(2))
+    system = HJSystem(hams=hams, coupling=coupling_from_spec(spec), grid=grid)
+    u0 = [GridFunction(grid, np.zeros(32)) for _ in range(2)]
+    traj = solve(system, u0, EvolutionConfig(t_final=horizon, snapshot_every=horizon / 4))
+    return GreedyGradientPolicy(spec, traj)
+
+
+class TestBatchLoop:
+    """The batch loop evaluates only the paths that move in each pass; it
+    must reproduce the masked loop that evaluates every path, bit for bit."""
+
+    def _assert_matches_reference(self, spec, policy, mode0, dt, horizon=0.25):
+        x0, seed, sizes = [0.3], 9, (128, 128, 44)
+        est = estimate_value(
+            spec, policy, x0, mode0, horizon, sum(sizes), seed, dt_sim=dt, batch_size=128
+        )
+        ref = []
+        for ss, size in zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes):
+            args = (spec, policy, x0, mode0, horizon, dt)
+            got = _run_batch(*args, np.random.default_rng(ss), size)
+            ref.append(_reference_batch(*args, np.random.default_rng(ss), size))
+            assert got.tobytes() == ref[-1].tobytes()
+        ref = np.concatenate(ref)
+        assert est.mean == float(np.mean(ref))
+        assert est.std_error == float(np.std(ref, ddof=1) / np.sqrt(len(ref)))
+
+    @pytest.mark.parametrize("dt", [1 / 1024, 0.003])
+    def test_greedy_policy(self, dt):
+        # at rate 40 about 12 of 300 paths switch in a 1/1024 step, so most
+        # steps end with a sub-step on a few live paths
+        spec = _fast_spec()
+        self._assert_matches_reference(spec, _greedy(spec, 0.25), 0, dt)
+
+    @pytest.mark.parametrize("dt", [1 / 1024, 0.003])
+    def test_constant_policy(self, dt):
+        self._assert_matches_reference(_fast_spec(), ConstantPolicy(5), 1, dt)
+
+    def test_single_group_batch(self):
+        # mode 1 falls into mode 0 at rate 40 and mode 0 never leaves: after
+        # the first steps every path plays one action in mode 0, so the full
+        # passes are a single (mode, action) group
+        spec = _fast_spec(np.array([[0.0, 0.0], [40.0, 0.0]]))
+        self._assert_matches_reference(spec, ConstantPolicy(11), 1, 1 / 512)
+        self._assert_matches_reference(spec, _greedy(spec, 0.25), 1, 1 / 512)
+
+    def test_three_modes_with_an_absorbing_mode(self):
+        # destinations are drawn from a per-mode table; mode 2 never leaves
+        rates = np.array([[0.0, 30.0, 10.0], [5.0, 0.0, 35.0], [0.0, 0.0, 0.0]])
+        base = catalog.unit_ball_eikonal_process([catalog.F1, catalog.F2, catalog.F1], rates, 8)
+        spec = SwitchingProcessSpec(
+            m=3,
+            dynamics=base.dynamics,
+            costs=(
+                lambda x, a: x[..., 0] * a[0],
+                lambda x, a: np.cos(2 * np.pi * x[..., 0]) + a[0],
+                lambda x, a: a[0] ** 2 + 0.0 * x[..., 0],
+            ),
+            rates=rates,
+            control_set=base.control_set,
+            terminal=base.terminal,
+        )
+        self._assert_matches_reference(spec, ConstantPolicy(2), 0, 1 / 256)
 
 
 class TestPdeBridge:
