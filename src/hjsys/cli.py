@@ -176,7 +176,25 @@ def _source_functions(system: HJSystem) -> list:
     return fs
 
 
+def _finite_array(value, what: str) -> np.ndarray:
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{what} must be finite, got {arr.tolist()}")
+    return arr
+
+
 def cmd_diagnose(cfg, out_dir: str) -> int:
+    with _reading("c, etas, use_log_transform, gap or sets"):
+        c_spec = _get(cfg, "c", "measured")
+        c = None if c_spec == "measured" else _finite_array(c_spec, "c")
+        etas = _finite_array(_get(cfg, "etas", (0.05, 0.1, 0.2)), "etas").reshape(-1).tolist()
+        use_log_transform = bool(_get(cfg, "use_log_transform", True))
+        gap = bool(_get(cfg, "gap", False))
+        sets = []
+        for block in _get(cfg, "sets", []):
+            kind = _get(block, "kind", where="sets")
+            points = _get(block, "points", where="sets") if kind == "custom" else None
+            sets.append((kind, None if points is None else _finite_array(points, "sets.points")))
     if "trajectory_dir" in cfg:
         with _reading("trajectory_dir"):
             traj = Trajectory.load(cfg["trajectory_dir"])
@@ -187,19 +205,14 @@ def cmd_diagnose(cfg, out_dir: str) -> int:
             config = _evolution_config(_get(cfg, "solver"))
             u0 = _build_u0(_get(cfg, "u0", {}), system.grid, system.m)
         traj = solve(system, u0, config)
-    c_spec = _get(cfg, "c", "measured")
-    if c_spec == "measured":
+    if c is None:
         c = long_time_constant(traj)
-    else:
-        c = np.asarray(c_spec, dtype=float)
     set_evals = []
-    for sblock in _get(cfg, "sets", []):
-        kind = _get(sblock, "kind")
+    for kind, points in sets:
         vs = [traj.component(i, len(traj.times) - 1) for i in range(traj.m)]
         if kind == "custom":
-            set_evals.append(
-                evaluate_on_set(vs, "custom", points=_get(sblock, "points"))
-            )
+            with _reading("sets.points"):
+                set_evals.append(evaluate_on_set(vs, "custom", points=points))
         else:
             if system is None:
                 raise ConfigError(
@@ -209,9 +222,9 @@ def cmd_diagnose(cfg, out_dir: str) -> int:
     report = build_report(
         traj,
         c,
-        etas=tuple(_get(cfg, "etas", (0.05, 0.1, 0.2))),
-        use_log_transform=bool(_get(cfg, "use_log_transform", True)),
-        gap=bool(_get(cfg, "gap", False)),
+        etas=etas,
+        use_log_transform=use_log_transform,
+        gap=gap,
         set_evaluations=set_evals,
     )
     report.save(out_dir)
@@ -355,7 +368,9 @@ def main(argv=None) -> int:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         out_dir = args.out or os.path.join(os.getcwd(), "hjsys-out")
         return _COMMANDS[args.kind](cfg, out_dir)
-    except ConfigError as exc:
+    except (ConfigError, StructureError) as exc:
+        # a StructureError past the config boundary is still about the input,
+        # e.g. gap decay requested for distinct Hamiltonians
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DivergenceError, ConvergenceError) as exc:

@@ -161,7 +161,8 @@ def validate_monotone(D, tol: float = ROW_SUM_TOL) -> tuple[bool, list]:
     """Check the monotone sign pattern and zero row sums.
 
     Returns ``(ok, violations)`` where each violation is a tuple
-    ``(i, j, reason)``; row-sum violations carry ``j = None``.
+    ``(i, j, reason)``; row-sum violations carry ``j = None``.  Every
+    non-finite entry is a violation; its row sum is then not checked.
     """
     e = _entries(D)
     m = e.shape[0]
@@ -170,9 +171,11 @@ def validate_monotone(D, tol: float = ROW_SUM_TOL) -> tuple[bool, list]:
         if e[i, i] < 0:
             violations.append((i, i, f"negative diagonal entry {e[i, i]!r}"))
         for j in range(m):
-            if j != i and e[i, j] > 0:
+            if not np.isfinite(e[i, j]):
+                violations.append((i, j, f"non-finite entry {e[i, j]!r}"))
+            elif j != i and e[i, j] > 0:
                 violations.append((i, j, f"positive off-diagonal entry {e[i, j]!r}"))
-        s = float(np.sum(e[i]))
+        s = float(np.sum(e[i])) if np.all(np.isfinite(e[i])) else 0.0
         if abs(s) > tol:
             violations.append((i, None, f"row sum {s!r} exceeds tolerance {tol!r}"))
     return (not violations), violations
@@ -352,8 +355,14 @@ def delta_rate(D) -> float:
 
 
 def analyze(D) -> CouplingReport:
-    """Full structural report for a constant coupling matrix."""
+    """Full structural report for a constant coupling matrix.
+
+    Raises ``StructureError`` for non-finite entries, which leave nothing
+    to analyze; any other violation is reported with ``monotone`` False.
+    """
     e = _entries(D)
+    if not np.all(np.isfinite(e)):
+        raise StructureError(f"coupling entries must be finite, got {e.tolist()}")
     m = e.shape[0]
     ok, violations = validate_monotone(e)
     report = CouplingReport(m=m, monotone=ok, violations=violations)

@@ -4,25 +4,34 @@ For each discount lambda the stationary system
 
     lambda v_i + H_i(x, Dv_i) + sum_j d_ij(x) v_j = 0
 
-is solved by marching its evolution counterpart to steady state with the
-same monotone flux used everywhere else.  Plain marching relaxes the
-quasi-constant mode only at rate lambda, which is hopeless for the smallest
-discounts, so the march is accelerated with an exact extrapolation of that
-mode: adding a constant beta to every component changes the residual
-r = -(lambda v + H + Dv) by exactly -lambda beta (constants are in the
-coupling kernel and drop out of the differences), so once the residual is
-nearly flat the jump beta = mean(r)/lambda lands the constant mode on the
-fixed point.  Convergence is still declared only by the unaccelerated
-criterion: sup-norm residual (time increment per unit time) below tolerance.
+is discretized with the monotone flux used everywhere else and solved until
+the sup norm of its residual F(v) = lambda v + flux(v) + D v is below the
+steady-state tolerance.
+
+On 1D grids whose Hamiltonians supply derivatives, as every built-in
+family does (``FluxKernel.differentiable``), the solver is damped
+semismooth Newton: each iteration solves (lambda I + J + D) dv = F densely,
+J being the a.e. derivative of the flux including that of the local alpha.
+For the switching Hamiltonian, a maximum of affine maps, this is Howard's
+policy iteration (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47,
+2009); lambda > 0 and the monotone scheme keep each system well posed.
+When no damped step reduces the residual, the system is singular, or the
+iterations run out, the march takes over from the best iterate.
+
+The march also serves 2D grids and Hamiltonians without derivatives.  It
+steps the evolution counterpart to steady state; since plain marching
+relaxes the quasi-constant mode only at rate lambda, it jumps that mode:
+adding a constant beta to every component changes r = -F by exactly
+-lambda beta (constants are in the coupling kernel), so once r is nearly
+flat, beta = mean(r)/lambda lands the constant mode on the fixed point.
 
 The schedule halves lambda from 0.1 down to ~1.6e-3.  Each solve warm
 starts from the previous one with only its quasi-constant mode rescaled
-(v^lambda ~ const/lambda + profile + O(lambda), so the profile part carries
-over unchanged), and the first solve on a fine grid bootstraps from a 4x
-coarser one.  Estimates c_i = -lambda v_i(anchor) are refined by two-point
-linear extrapolation in lambda (error O(lambda) -> O(lambda^2); flagged in
-the result).  The normalized correctors subtract the single scalar
-v_1(anchor) from every component, so inter-component gaps are preserved.
+(v^lambda ~ const/lambda + profile + O(lambda)).  Estimates
+c_i = -lambda v_i(anchor) are refined by two-point linear extrapolation in
+lambda (error O(lambda) -> O(lambda^2); flagged in the result).  The
+normalized correctors subtract the single scalar v_1(anchor) from every
+component, so inter-component gaps are preserved.
 
 ``long_time_constant`` is the independent cross-check: the least-squares
 drift of -u_i(anchor, t) over the trailing window of an undiscounted solve.
@@ -39,7 +48,7 @@ import numpy as np
 from .coupling import is_irreducible, validate_monotone
 from .errors import ConfigError, ConvergenceError, DivergenceError, StructureError
 from .evolution import HJSystem
-from .grid import Grid, GridFunction, diff_arrays, interp_periodic, save_binary
+from .grid import GridFunction, diff_arrays, save_binary
 
 __all__ = [
     "DiscountSchedule",
@@ -58,7 +67,7 @@ class DiscountSchedule:
     ``cfl`` here is the fraction of the combined explicit budget: the march
     step is dt = cfl / (N max_alpha / h + max d_ii + lambda), which keeps
     the full update (flux dissipation plus diagonal damping) monotone for
-    cfl <= 1.
+    cfl <= 1.  Newton uses neither ``cfl`` nor ``max_steps_per_lambda``.
     """
 
     lambdas: tuple = tuple(0.1 * 2.0**-k for k in range(7))
@@ -66,8 +75,7 @@ class DiscountSchedule:
     anchor: tuple = (0.0,)
     cfl: float = 0.9
     flux_mode: str = "local"
-    max_steps_per_lambda: int = 2_000_000
-    coarse_init_below: int = 96  # grids at least this fine start from a coarse solve
+    max_steps_per_lambda: int = 2_000_000  # march steps, when the march runs
 
     def __post_init__(self) -> None:
         lams = tuple(float(l) for l in self.lambdas)
@@ -87,9 +95,14 @@ class DiscountSchedule:
 
 @dataclass
 class DiscountInfo:
+    """One discounted solve.  ``steps`` and ``jumps`` count the march (0 when
+    Newton converged); ``fallback`` says Newton ran and handed over to it."""
+
     lam: float
     steps: int
     jumps: int
+    newton_iterations: int
+    fallback: bool
     final_residual: float
     residual_history: list
     min_value: float
@@ -114,63 +127,74 @@ def _check_field_coupling(system: HJSystem, D: np.ndarray | None) -> None:
             )
 
 
-def _coarse_start(
-    system: HJSystem, lam: float, schedule: DiscountSchedule
-) -> np.ndarray:
-    """Initial guess from a solve on a 4x coarser grid, interpolated up."""
-    grid = system.grid
-    coarse = HJSystem(
-        hams=system.hams,
-        coupling=system.coupling,
-        grid=Grid(grid.dim, max(32, grid.n // 4)),
-    )
-    vc, _ = solve_discounted(coarse, lam, schedule)
-    fine_nodes = grid.nodes()
-    out = np.empty((system.m,) + grid.shape)
-    for i in range(system.m):
-        out[i] = interp_periodic(vc[i], coarse.grid, fine_nodes).reshape(grid.shape)
-    return out
+_NEWTON_MAX_ITER = 50
 
 
-def solve_discounted(
-    system: HJSystem,
-    lam: float,
-    schedule: DiscountSchedule = DiscountSchedule(),
-    v0: np.ndarray | None = None,
-) -> tuple[np.ndarray, DiscountInfo]:
-    """March the discounted system to steady state; see module docstring.
+def _residual(kernel, lam: float, v: np.ndarray) -> tuple[np.ndarray, list]:
+    """F(v) = lam v + flux(v) + D v, and the kernel's alpha sums."""
+    flux, alpha_sums = kernel(v)
+    return lam * v + flux + kernel.coupling_term(v), alpha_sums
 
-    Returns the stationary values (m,) + grid.shape and solve metadata.
-    The nonnegativity expected of the discounted solutions (for sources
-    with H(x, 0) <= 0) is reported, not enforced: ``info.min_value``.
-    Fine grids bootstrap from a 4x coarser solve unless a start value is
-    supplied.
+
+def _newton(kernel, lam: float, v: np.ndarray, tol: float, history: list):
+    """Damped semismooth Newton on F; returns (best iterate, iterations, its
+    residual).
+
+    Each iteration takes the longest of the steps 1, 1/2, ..., 2^-20 times
+    the Newton step that reduces the sup-norm residual.  It stops below
+    ``tol``, when no such step exists or the system is singular, or after
+    _NEWTON_MAX_ITER iterations.
     """
-    if not (0 < lam < 1):
-        raise ConfigError(f"discount must lie in (0, 1), got {lam}")
-    for i, h in enumerate(system.hams):
-        if "coercive" not in h.class_tags:
-            raise StructureError(f"Hamiltonian {i} is not tagged coercive")
-    grid = system.grid
-    if v0 is None and grid.n >= schedule.coarse_init_below:
-        v0 = _coarse_start(system, lam, schedule)
-    kernel = system.flux_kernel(schedule.flux_mode)
-    _check_field_coupling(system, kernel.D_nodes)
-    amax = max(hm.lf_alpha for hm in system.hams)
-    dt = schedule.cfl / (grid.dim * amax / grid.h + kernel.dmax + lam)
+    m, n = v.shape
+    k = np.arange(n)
+    coupling = kernel.entries if kernel.D_nodes is None else kernel.D_nodes
+    F, _ = _residual(kernel, lam, v)
+    rmax = float(np.max(np.abs(F)))
+    history.append(rmax)
+    for it in range(_NEWTON_MAX_ITER):
+        if rmax < tol:
+            return v, it, rmax
+        # (m, n, m, n): component, node, component, node
+        J = np.zeros((m, n, m, n))
+        J[:, k, :, k] = coupling + lam * np.eye(m)
+        for i, stencil in enumerate(kernel.jacobian(v)):
+            for s, coef in enumerate(stencil):
+                J[i, k, i, (k + s - 1) % n] += coef
+        try:
+            dv = np.linalg.solve(J.reshape(m * n, m * n), F.reshape(-1))
+        except np.linalg.LinAlgError:
+            return v, it + 1, rmax
+        dv = dv.reshape(v.shape)
+        for halvings in range(21):
+            # from zero data the full step overshoots: the local alpha
+            # vanishes with the gradients, so J lacks dissipation there
+            trial = v - 0.5**halvings * dv
+            F_trial, _ = _residual(kernel, lam, trial)
+            r_trial = float(np.max(np.abs(F_trial)))
+            if r_trial < rmax:  # never when r_trial is nan
+                break
+        else:
+            return v, it + 1, rmax
+        history.append(r_trial)
+        v, F, rmax = trial, F_trial, r_trial
+    return v, _NEWTON_MAX_ITER, rmax
 
-    v = np.zeros((system.m,) + grid.shape) if v0 is None else np.array(v0, dtype=float)
+
+def _march(kernel, lam: float, v: np.ndarray, schedule: DiscountSchedule, history: list):
+    """Explicit march with constant-mode jumps; returns (v, steps, jumps, residual)."""
+    grid = kernel.grid
+    amax = max(lf_alpha for _, _, lf_alpha in kernel.terms)
+    dt = schedule.cfl / (grid.dim * amax / grid.h + kernel.dmax + lam)
     tol = schedule.steady_state_tol
     jumps = 0
     since_jump = 10**9
-    history: list[float] = []
     checked_cfl = False
     for n in range(schedule.max_steps_per_lambda):
-        flux, alpha_sums = kernel(v)
+        F, alpha_sums = _residual(kernel, lam, v)
         if not checked_cfl:
             kernel.check_cfl(alpha_sums, dt, lam=lam)
             checked_cfl = True
-        r = -(lam * v + flux + kernel.coupling_term(v))
+        r = -F
         rmax = float(np.max(np.abs(r)))
         if not np.isfinite(rmax):
             raise DivergenceError(
@@ -179,16 +203,7 @@ def solve_discounted(
         if n % 200 == 0:
             history.append(rmax)
         if rmax < tol and since_jump >= 5:
-            info = DiscountInfo(
-                lam=lam,
-                steps=n,
-                jumps=jumps,
-                final_residual=rmax,
-                residual_history=history[-50:],
-                min_value=float(np.min(v)),
-                scaled_sup=lam * float(np.max(v)),
-            )
-            return v, info
+            return v, n, jumps, rmax
         rbar = float(np.mean(r))
         rosc = float(np.max(r) - np.min(r))
         if since_jump >= 10 and abs(rbar) > 0.25 * tol and rosc < 0.3 * abs(rbar):
@@ -205,6 +220,52 @@ def solve_discounted(
         f"no steady state for lambda = {lam} within {schedule.max_steps_per_lambda} "
         f"steps; residual history tail: {history[-10:]}"
     )
+
+
+def solve_discounted(
+    system: HJSystem,
+    lam: float,
+    schedule: DiscountSchedule = DiscountSchedule(),
+    v0: np.ndarray | None = None,
+) -> tuple[np.ndarray, DiscountInfo]:
+    """Solve the discounted system from ``v0`` (zeros by default).
+
+    Newton runs when the flux kernel is differentiable, the march otherwise
+    or from Newton's best iterate when it falls back (see module docstring).
+    Returns the stationary values (m,) + grid.shape and solve metadata.
+    The nonnegativity expected of the discounted solutions (for sources
+    with H(x, 0) <= 0) is reported, not enforced: ``info.min_value``.
+    """
+    if not (0 < lam < 1):
+        raise ConfigError(f"discount must lie in (0, 1), got {lam}")
+    for i, h in enumerate(system.hams):
+        if "coercive" not in h.class_tags:
+            raise StructureError(f"Hamiltonian {i} is not tagged coercive")
+    kernel = system.flux_kernel(schedule.flux_mode)
+    _check_field_coupling(system, kernel.D_nodes)
+
+    v = np.zeros((system.m,) + system.grid.shape) if v0 is None else np.array(v0, dtype=float)
+    tol = schedule.steady_state_tol
+    history: list[float] = []
+    iterations, rmax = 0, np.inf
+    if kernel.differentiable:
+        v, iterations, rmax = _newton(kernel, lam, v, tol, history)
+    fallback = kernel.differentiable and not rmax < tol
+    steps = jumps = 0
+    if not rmax < tol:
+        v, steps, jumps, rmax = _march(kernel, lam, v, schedule, history)
+    info = DiscountInfo(
+        lam=lam,
+        steps=steps,
+        jumps=jumps,
+        newton_iterations=iterations,
+        fallback=fallback,
+        final_residual=rmax,
+        residual_history=history[-50:],
+        min_value=float(np.min(v)),
+        scaled_sup=lam * float(np.max(v)),
+    )
+    return v, info
 
 
 @dataclass
@@ -281,6 +342,8 @@ def estimate_ergodic_constant(
                 "lip": lip,
                 "steps": info.steps,
                 "jumps": info.jumps,
+                "newton_iterations": info.newton_iterations,
+                "fallback": info.fallback,
                 "residual": info.final_residual,
             }
         )

@@ -164,9 +164,10 @@ class FluxKernel:
     X: per Hamiltonian a p-only evaluator and axis-alpha bound (from its
     ``bind(X)``, or ``eval_fn(X, .)`` / ``axis_alpha(X, .)`` without one);
     the coupling sampled at the nodes (``D_nodes``, None for the constant
-    variant) and its largest diagonal entry ``dmax``.  The difference
-    buffers are reused by every call, so one kernel must not be shared by
-    concurrent solves.
+    variant) and its largest diagonal entry ``dmax``.  ``differentiable``
+    says that the grid is 1D and every ``bind`` supplied derivatives, so
+    ``jacobian`` is available.  The difference buffers are reused by every
+    call, so one kernel must not be shared by concurrent solves.
     """
 
     def __init__(self, system: HJSystem, mode: str):
@@ -178,16 +179,19 @@ class FluxKernel:
         shape = (system.m,) + grid.shape + (grid.dim,)
         self._buffers = (np.empty(shape), np.empty(shape))
         self.terms = []  # (H(p), axis alpha(pabs) or None for the global flux, lf_alpha)
+        self.derivatives = []  # (dH/dp(p), d alpha/d|p|), or () without them
         for ham in system.hams:
             if ham.bind is not None:
-                H, alpha = ham.bind(X)
+                H, alpha, *derivs = ham.bind(X)
             else:
-                H = partial(ham.eval_fn, X)
+                H, derivs = partial(ham.eval_fn, X), ()
                 alpha = None if ham.axis_alpha is None else partial(ham.axis_alpha, X)
             if mode == "global" or ham.axis_alpha is None:
                 alpha = None
             self.terms.append((H, alpha, ham.lf_alpha))
+            self.derivatives.append(tuple(derivs))
         self.local = any(alpha is not None for _, alpha, _ in self.terms)
+        self.differentiable = grid.dim == 1 and all(self.derivatives)
         coupling = system.coupling
         self.entries = coupling.entries
         if coupling.entries is not None:
@@ -217,6 +221,39 @@ class FluxKernel:
                 out[i] = flux_from_midpoint(H(pmid[i]), dminus[i], dplus[i], alpha)
                 alpha_sums.append(float(np.add.reduce(alpha, axis=-1).max()))
         return out, alpha_sums
+
+    def jacobian(self, values: np.ndarray) -> np.ndarray:
+        """a.e. derivative of the 1D flux, as 3-point stencils.
+
+        Returns ``J`` shaped (m, 3, n): ``J[i, s, k]`` is the derivative of
+        flux_i at node k with respect to v_i at node k - 1 + s.  The chain
+        rule runs through ``flux_from_midpoint`` and includes the local
+        alpha, which depends on the values through
+        pabs = max(|D-v|, |D+v|); the global alpha is constant.
+        """
+        dminus, dplus = self.diffs(values)
+        dm, dp = dminus[..., 0], dplus[..., 0]
+        pmid = 0.5 * (dminus + dplus)
+        h = self.grid.h
+        out = np.empty((values.shape[0], 3) + dm.shape[1:])
+        for i, ((_, alpha_fn, lf_alpha), (dH, dalpha)) in enumerate(
+            zip(self.terms, self.derivatives)
+        ):
+            g = dH(pmid[i])[..., 0] / (2.0 * h)
+            if alpha_fn is None:
+                alpha, slope, sm, sp = lf_alpha, 0.0, 0.0, 0.0
+            else:
+                pabs = np.maximum(np.abs(dminus[i]), np.abs(dplus[i]))
+                alpha = np.asarray(alpha_fn(pabs))[..., 0]
+                # pabs follows whichever one-sided slope is larger
+                back = np.abs(dm[i]) >= np.abs(dp[i])
+                sm = np.where(back, np.sign(dm[i]), 0.0)
+                sp = np.where(back, 0.0, np.sign(dp[i]))
+                slope = -0.5 * (dp[i] - dm[i]) * dalpha / h
+            out[i, 0] = -g - 0.5 * alpha / h - slope * sm
+            out[i, 1] = alpha / h + slope * (sm - sp)
+            out[i, 2] = g - 0.5 * alpha / h + slope * sp
+        return out
 
     def coupling_term(self, values: np.ndarray) -> np.ndarray:
         """sum_j d_ij(x) u_j for every component."""

@@ -24,7 +24,10 @@ which is what keeps the numerical large-time constants sharp on coarse grids.
 Solvers evaluate H on one fixed node array X at every step, so builders also
 supply ``bind(X)``: it precomputes everything that depends only on x and
 returns p-only evaluators that give the same values, bit for bit, as
-``eval_fn(X, p)`` and ``axis_alpha(X, pabs)``.  Code that runs once per step
+``eval_fn(X, p)`` and ``axis_alpha(X, pabs)``.  The built-in families also
+return two a.e. derivatives, valid in 1D, for the discounted solver's Newton
+iteration: ``dH/dp`` as a p-only evaluator and the slope of the local bound
+in |p| (each family's bound is affine in |p|).  Code that runs once per step
 calls ``np.add.reduce`` directly: it is what ``np.sum`` computes, without
 the Python wrapper that dominates on small grids.
 """
@@ -69,7 +72,8 @@ class Hamiltonian:
     H = gradient_part - source.  ``compact_set_K``: optional predicate for
     the zero set that pins the large-time constant at zero.  ``bind(X)``:
     optional; returns the pair ``(H(p), axis_alpha(pabs))`` of evaluators on
-    the fixed node array X (see the module docstring).
+    the fixed node array X, optionally followed by ``dH/dp(p)`` and the
+    slope ``d alpha/d|p|`` (see the module docstring).
     """
 
     dim: int
@@ -149,7 +153,7 @@ def make_quadratic_eikonal(
         return 2.0 * pabs
 
     def bind(X):
-        return partial(h_of, fx=f(X)), partial(axis_alpha, X)
+        return partial(h_of, fx=f(X)), partial(axis_alpha, X), partial(np.multiply, 2.0), 2.0
 
     alpha = 1.1 * sampled_grad_sup(ev, dim, p_box)
     return Hamiltonian(
@@ -181,8 +185,12 @@ def make_linear_eikonal(
     def axis_alpha(x, pabs):
         return np.ones_like(pabs)
 
+    def dh_dp(p):
+        pn = np.sqrt(np.add.reduce(p * p, axis=-1, keepdims=True))
+        return np.divide(p, pn, out=np.zeros_like(p), where=pn > 0)
+
     def bind(X):
-        return partial(h_of, fx=f(X)), partial(axis_alpha, X)
+        return partial(h_of, fx=f(X)), partial(axis_alpha, X), dh_dp, 0.0
 
     _ = p_box  # |dH/dp_k| <= 1 everywhere; nothing to sample
     return Hamiltonian(
@@ -263,9 +271,14 @@ def make_nonconvex_example(
         bound = 2.0 * (pn + qmax) * fmax + (pn + 2.0 * qmax) * fangle
         return bound if bound.shape == pabs.shape else np.broadcast_to(bound, pabs.shape)
 
+    def dh_dp(p, x, qv):
+        # 1D: p/|p| = sign p, so F does not vary with p away from p = 0
+        return 2.0 * (p + qv) * np.asarray(F(x, np.sign(p)))[..., None]
+
     def bind(X):
         qv, qq, fv = x_data(X)
-        return partial(h_of, x=X, qv=qv, qq=qq, fv=fv), partial(axis_alpha, X)
+        return (partial(h_of, x=X, qv=qv, qq=qq, fv=fv), partial(axis_alpha, X),
+                partial(dh_dp, x=X, qv=qv), 2.0 * fmax + fangle)
 
     def compact_set(x):
         qv = np.asarray(q(x), dtype=float)

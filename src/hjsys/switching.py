@@ -460,9 +460,15 @@ def hamiltonian_from_spec(
     def axis_alpha(x, pabs):
         return np.broadcast_to(bmax_axis, pabs.shape)
 
+    def dsup_dp(p, B, L):
+        # -B at the maximizing action: the policy of Howard's iteration
+        best = np.argmax(-np.add.reduce(B * p, axis=-1) - L, axis=0)
+        return -np.take_along_axis(B, best[None, ..., None], axis=0)[0]
+
     def bind(X):
         B, L = _action_tables(spec, mode, X, X.shape)
-        return partial(sup, B=B, L=L), partial(axis_alpha, X)
+        return (partial(sup, B=B, L=L), partial(axis_alpha, X),
+                partial(dsup_dp, B=B, L=L), 0.0)
 
     # crude coercivity probe along the axes; gates the discounted solver
     tags = {"convex"}

@@ -322,7 +322,80 @@ class TestErgodic:
         assert (out / "corrector0.bin").exists()
 
 
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_mutated_config_keeps_exit_contract(self, tmp_path_factory, data):
+        _check_mutant("ergodic", [_ergodic_cfg(), _ergodic_mixed_cfg()], data, tmp_path_factory)
+
+
+def _ergodic_cfg():
+    return {
+        "system": _evolve_cfg(n=16)["system"],
+        "schedule": {
+            "lambdas": [0.1, 0.05],
+            "steady_state_tol": 1e-8,
+            "anchor": [0.25],
+            "cfl": 0.9,
+            "flux_mode": "local",
+            "max_steps_per_lambda": 20000,
+        },
+    }
+
+
+def _ergodic_mixed_cfg():
+    # nonconvex and linear Hamiltonians, global flux; the march fallback
+    # gets few steps, so a failed Newton solve ends in exit 3
+    return {
+        "system": _evolve_mixed_cfg()["system"],
+        "schedule": {"lambdas": [0.2, 0.1], "flux_mode": "global", "max_steps_per_lambda": 500},
+    }
+
+
+def _diagnose_cfg():
+    system = _evolve_cfg(n=12)["system"]
+    system["hamiltonians"][1] = copy.deepcopy(system["hamiltonians"][0])  # gap needs one H
+    return {
+        "system": system,
+        "solver": {"t_final": 0.5, "snapshot_every": 0.25, "cfl": 0.5},
+        "u0": {"kind": "constants", "values": [0.1, -0.1]},
+        "c": [0.25, 0.25],
+        "etas": [0.05, 0.1],
+        "use_log_transform": True,
+        "gap": True,
+        "sets": [{"kind": "common_min"}, {"kind": "custom", "points": [[0.5], [0.25]]}],
+    }
+
+
 class TestDiagnose:
+    @pytest.fixture(scope="class")
+    def saved_run(self, tmp_path_factory):
+        run = tmp_path_factory.mktemp("run")
+        cfg = _evolve_cfg(n=12, t_final=20.0)  # "measured" c needs a 10-unit window
+        cfg["solver"]["snapshot_every"] = 1.0
+        cfg_path = _write(run, "e.json", cfg)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["evolve", "--config", cfg_path, "--out", str(run)]) == 0
+        return str(run / "trajectory")
+
+    def test_base_configs_pass(self, tmp_path, saved_run):
+        for cfg in (_diagnose_cfg(), {"trajectory_dir": saved_run, "c": "measured"}):
+            rc = main(["diagnose", "--config", _write(tmp_path, "c.json", cfg),
+                       "--out", str(tmp_path / "out")])
+            assert rc == 0
+
+    def test_gap_for_distinct_hamiltonians_is_a_config_error(self, tmp_path, capsys):
+        cfg = _diagnose_cfg()
+        cfg["system"] = _evolve_cfg(n=12)["system"]
+        rc = main(["diagnose", "--config", _write(tmp_path, "c.json", cfg)])
+        assert rc == 2
+        assert "gap decay requires" in capsys.readouterr().err
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_mutated_config_keeps_exit_contract(self, tmp_path_factory, data, saved_run):
+        saved = {"trajectory_dir": saved_run, "c": "measured", "etas": [0.1]}
+        _check_mutant("diagnose", [_diagnose_cfg(), saved], data, tmp_path_factory)
+
     def test_inline_system_with_sets(self, tmp_path):
         cfg = {
             "system": _evolve_cfg(n=32)["system"],

@@ -49,6 +49,18 @@ class TestValidation:
         kinds = {(i, j) for (i, j, _) in violations if j is not None}
         assert (0, 1) in kinds
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_flagged(self, bad):
+        e = np.array([[bad, -1.0], [-1.0, 1.0]])
+        ok, violations = validate_monotone(e)
+        assert not ok
+        assert any((i, j) == (0, 0) and "non-finite" in why for (i, j, why) in violations)
+        e = np.array([[1.0, -1.0], [bad, bad]])
+        ok, violations = validate_monotone(e)
+        assert not ok
+        flagged = {(i, j) for (i, j, why) in violations if "non-finite" in why}
+        assert flagged == {(1, 0), (1, 1)}
+
     def test_zero_matrix_monotone_but_reducible(self):
         z = CouplingMatrix(2, entries=np.zeros((2, 2)))
         ok, _ = validate_monotone(z)
@@ -293,6 +305,10 @@ class TestAnalyze:
         rep = analyze(CouplingMatrix(2, entries=np.array([[1.0, -2.0], [-1.0, 1.0]])))
         assert not rep.monotone
         assert rep.perron is None
+
+    def test_non_finite_entries_raise_structure_error(self):
+        with pytest.raises(StructureError, match="finite"):
+            analyze(np.array([[np.nan, -1.0], [-1.0, 1.0]]))
 
     def test_builtin_names_round_trip(self):
         assert np.array_equal(builtin_coupling("symmetric_pair"), SYM)

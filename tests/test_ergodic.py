@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from hjsys import catalog, ergodic
 from hjsys.catalog import fourier_function
 from hjsys.coupling import CouplingMatrix, ergodic_constant_formula
 from hjsys.errors import ConfigError, StructureError
@@ -18,6 +21,7 @@ from hjsys.ergodic import (
 from hjsys.evolution import EvolutionConfig, HJSystem, Trajectory, solve
 from hjsys.grid import Grid, GridFunction, sample
 from hjsys.hamiltonians import Hamiltonian, make_quadratic_eikonal
+from hjsys.switching import hamiltonian_from_spec
 
 SYM = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -47,6 +51,56 @@ def _system(n=32, consts=(None, None)):
 
 
 QUICK = DiscountSchedule(lambdas=(0.1, 0.05), steady_state_tol=1e-8)
+
+
+def _without_derivatives(h: Hamiltonian) -> Hamiltonian:
+    """The same Hamiltonian with bind cut to (H, alpha): it takes the march."""
+    bind = h.bind
+    return dataclasses.replace(h, bind=lambda X: bind(X)[:2])
+
+
+def _march_twin(system: HJSystem) -> HJSystem:
+    return HJSystem(
+        hams=tuple(_without_derivatives(h) for h in system.hams),
+        coupling=system.coupling,
+        grid=system.grid,
+    )
+
+
+def _field_sampler(points):
+    s = 1.0 + 0.5 * np.sin(2 * np.pi * points[:, 0]) ** 2
+    out = np.zeros((points.shape[0], 2, 2))
+    out[:, 0, 0] = s
+    out[:, 0, 1] = -s
+    out[:, 1, 0] = -1.0
+    out[:, 1, 1] = 1.0
+    return out
+
+
+def _field_system(n=32):
+    grid = Grid(dim=1, n=n)
+    H1 = make_quadratic_eikonal(fourier_function(F1, 1), dim=1, params={"f": F1})
+    H2 = make_quadratic_eikonal(fourier_function(F2, 1), dim=1, params={"f": F2})
+    return HJSystem(
+        hams=(H1, H2), coupling=CouplingMatrix(2, sampler=_field_sampler), grid=grid
+    )
+
+
+def _pair(hams, n=64):
+    return HJSystem(
+        hams=tuple(hams), coupling=CouplingMatrix(2, entries=SYM), grid=Grid(dim=1, n=n)
+    )
+
+
+def _newton_case(name):
+    if name == "largenew":
+        return catalog.quadratic_eikonal_pair(64)[0]
+    if name in ("linear_eikonal", "nonconvex_bs00"):
+        return _pair(catalog.build_hamiltonian(name, {"f": f}) for f in (F1, F2))
+    if name == "field":
+        return _field_system(n=64)
+    spec = catalog.unit_ball_eikonal_process([F1, F2], [[0.0, 1.0], [1.0, 0.0]], n_actions=17)
+    return _pair(hamiltonian_from_spec(spec, i) for i in range(2))
 
 
 class TestScheduleValidation:
@@ -86,7 +140,11 @@ class TestDiscountedFixedPoints:
         system = _system(consts=(kappa, kappa))
         v, info = solve_discounted(system, lam)
         assert np.allclose(v, kappa / lam, atol=1e-6)
-        assert info.jumps >= 1  # the constant-mode jump does the work
+        assert info.newton_iterations <= 2 and info.steps == 0
+        v, info = solve_discounted(_march_twin(system), lam)
+        assert np.allclose(v, kappa / lam, atol=1e-6)
+        assert info.newton_iterations == 0
+        assert info.jumps >= 1  # the march's constant-mode jump does the work
 
     def test_nonnegative_sources_keep_v_nonnegative(self):
         v, info = solve_discounted(_system(), 0.1)
@@ -168,32 +226,70 @@ class TestConstantEstimation:
             )
 
 
-class TestFieldCoupling:
-    def _field_system(self, n=32):
-        def sampler(points):
-            s = 1.0 + 0.5 * np.sin(2 * np.pi * points[:, 0]) ** 2
-            out = np.zeros((points.shape[0], 2, 2))
-            out[:, 0, 0] = s
-            out[:, 0, 1] = -s
-            out[:, 1, 0] = -1.0
-            out[:, 1, 1] = 1.0
-            return out
+class TestNewtonAgainstMarch:
+    """The march is the oracle: it converges to the same tolerance from the
+    same start, through a copy of each Hamiltonian without derivatives."""
 
-        grid = Grid(dim=1, n=n)
-        H1 = make_quadratic_eikonal(fourier_function(F1, 1), dim=1, params={"f": F1})
-        H2 = make_quadratic_eikonal(fourier_function(F2, 1), dim=1, params={"f": F2})
-        return HJSystem(
-            hams=(H1, H2), coupling=CouplingMatrix(2, sampler=sampler), grid=grid
+    @pytest.mark.parametrize(
+        "case", ["largenew", "linear_eikonal", "nonconvex_bs00", "switching", "field"]
+    )
+    @pytest.mark.parametrize("mode", ["local", "global"])
+    def test_agrees_within_tolerance(self, case, mode):
+        system = _newton_case(case)
+        lam = 0.05
+        schedule = DiscountSchedule(flux_mode=mode)
+        v, info = solve_discounted(system, lam, schedule)
+        assert system.flux_kernel(mode).differentiable
+        assert info.newton_iterations >= 1 and not info.fallback
+        assert info.steps == 0 and info.jumps == 0
+        assert info.final_residual < schedule.steady_state_tol
+        v_march, march = solve_discounted(_march_twin(system), lam, schedule)
+        assert march.newton_iterations == 0 and march.steps > 0 and not march.fallback
+        assert lam * np.max(np.abs(v - v_march)) <= 2 * schedule.steady_state_tol
+
+    def test_two_dimensional_grid_marches(self):
+        f = fourier_function({"const": 1.0, "terms": [{"k": [1, 1], "cos": -1.0}]}, 2)
+        hams = [make_quadratic_eikonal(f, dim=2) for _ in range(2)]
+        system = HJSystem(
+            hams=tuple(hams), coupling=CouplingMatrix(2, entries=SYM), grid=Grid(dim=2, n=8)
         )
+        assert not system.flux_kernel().differentiable
+        v, info = solve_discounted(system, 0.1)
+        assert info.newton_iterations == 0 and info.steps > 0
+        assert info.final_residual < 1e-8
 
+    def test_falls_back_to_march_from_best_iterate(self, monkeypatch):
+        system = _newton_case("largenew")
+        lam = 0.1
+        v, _ = solve_discounted(system, lam)
+        monkeypatch.setattr(ergodic, "_NEWTON_MAX_ITER", 3)
+        v_fb, info = solve_discounted(system, lam)
+        assert info.fallback and info.newton_iterations == 3
+        assert info.steps > 0 and info.final_residual < 1e-8
+        assert lam * np.max(np.abs(v - v_fb)) <= 2e-8
+        # the march from Newton's iterate is shorter than the march from zero
+        _, march = solve_discounted(_march_twin(system), lam)
+        assert info.steps < march.steps
+
+    def test_schedule_rows_report_the_solver(self):
+        result = estimate_ergodic_constant(_system(n=64), QUICK)
+        for row in result.per_lambda:
+            assert row["newton_iterations"] >= 1
+            assert row["fallback"] is False
+            assert row["steps"] == 0 and row["jumps"] == 0
+        # warm starts need no more than a couple of iterations
+        assert result.per_lambda[-1]["newton_iterations"] <= 3
+
+
+class TestFieldCoupling:
     def test_discounted_accepts_field_variant(self):
-        system = self._field_system()
+        system = _field_system()
         v, info = solve_discounted(system, 0.1)
         assert np.all(np.isfinite(v))
         assert info.final_residual <= 1e-8
 
     def test_evolution_rejects_field_variant(self):
-        system = self._field_system()
+        system = _field_system()
         u0 = [GridFunction(system.grid, np.zeros(32)) for _ in range(2)]
         with pytest.raises(StructureError):
             solve(system, u0, EvolutionConfig(t_final=0.1))

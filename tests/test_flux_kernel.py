@@ -203,3 +203,50 @@ def test_field_coupling_with_too_large_dt_diverges():
     )
     with pytest.raises(DivergenceError, match="max d_ii"):
         step(state, system, 0.5)
+
+
+DIFFERENTIABLE = ("quadratic", "linear", "nonconvex", "switching")
+
+
+@pytest.mark.parametrize("family", DIFFERENTIABLE)
+def test_bound_derivatives_match_finite_differences(family):
+    # away from the kinks at p = 0 (and |p-| = |p+| for the bound)
+    grid = Grid(1, 24)
+    X = grid.mesh()
+    rng = np.random.default_rng(3)
+    p = rng.uniform(0.2, 2.0, size=X.shape) * rng.choice([-1.0, 1.0], size=X.shape)
+    eps = 1e-6
+    for ham in _hams(family, 1):
+        H, alpha, dH, dalpha = ham.bind(X)
+        fd = (H(p + eps) - H(p - eps)) / (2 * eps)
+        assert np.allclose(dH(p)[..., 0], fd, rtol=1e-6, atol=1e-6)
+        pabs = np.abs(p)
+        fd = (alpha(pabs + eps) - alpha(pabs - eps)) / (2 * eps)
+        assert np.allclose(dalpha, fd, rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("family", DIFFERENTIABLE)
+@pytest.mark.parametrize("mode", ["local", "global"])
+def test_jacobian_matches_finite_differences(family, mode):
+    system = _system(family, 1)
+    kernel = system.flux_kernel(mode)
+    assert kernel.differentiable
+    n = system.grid.n
+    values = 0.3 * np.random.default_rng(5).normal(size=(system.m, n))
+    J = kernel.jacobian(values)
+    eps = 1e-7
+    fd = np.empty_like(J)
+    for i in range(system.m):
+        for s in range(3):
+            for k in range(n):
+                bumped = values.copy()
+                bumped[i, (k + s - 1) % n] += eps
+                up = kernel(bumped)[0][i, k]
+                bumped[i, (k + s - 1) % n] -= 2 * eps
+                fd[i, s, k] = (up - kernel(bumped)[0][i, k]) / (2 * eps)
+    assert np.allclose(J, fd, rtol=0, atol=1e-6 * np.max(np.abs(J)))
+
+
+def test_only_1d_kernels_with_derivatives_are_differentiable():
+    assert not _system("custom", 1).flux_kernel().differentiable
+    assert not _system("quadratic", 2).flux_kernel().differentiable
