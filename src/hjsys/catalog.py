@@ -64,6 +64,8 @@ def fourier_function(params: dict, dim: int) -> Callable:
         if k.size != dim or not np.all(np.isfinite(k)):
             raise ConfigError(f"terms[{t}].k must have {dim} finite entries, got {k.tolist()}")
         terms.append((k, float(term.get("cos", 0.0)), float(term.get("sin", 0.0))))
+    if not np.all(np.isfinite([const] + [c for _, a, b in terms for c in (a, b)])):
+        raise ConfigError("fourier const, cos and sin must be finite")
 
     def fn(x):
         x = np.asarray(x, dtype=float)
@@ -128,6 +130,8 @@ def build_hamiltonian(ham_id: str, params: dict | None, dim: int = 1) -> Hamilto
             f"unknown hamiltonian id {ham_id!r}; valid: {BUILTIN_HAMILTONIAN_IDS}"
         )
     p_box = float(params.get("p_box", 2.5))
+    if not (np.isfinite(p_box) and p_box > 0):
+        raise ConfigError(f"p_box must be positive and finite, got {p_box!r}")
     if ham_id == "quadratic_eikonal":
         f = fourier_function(params.get("f", _DEFAULT_F), dim)
         return make_quadratic_eikonal(f, dim=dim, p_box=p_box,
@@ -192,7 +196,7 @@ def _process(rates, dynamics, costs, control_set) -> SwitchingProcessSpec:
 
 
 def _unit_ball_velocity(x, a):
-    return np.broadcast_to(np.asarray(a, dtype=float), np.shape(x))
+    return np.broadcast_to(a, np.broadcast_shapes(np.shape(x), np.shape(a)))
 
 
 def unit_ball_eikonal_process(fs, rates, n_actions: int = 64) -> SwitchingProcessSpec:
@@ -218,21 +222,20 @@ def unit_ball_eikonal_process(fs, rates, n_actions: int = 64) -> SwitchingProces
 
 
 def _idle_velocity(x, a):
-    return np.zeros(np.shape(x))
+    return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a)))
 
 
 def idle_process(cost_rates, rates) -> SwitchingProcessSpec:
     """No motion, one action, a constant running cost per mode."""
     m = len(rates)
-    if len(cost_rates) != m:
-        raise ConfigError(f"process.cost_rates must list {m} rates")
+    cost_rates = [float(v) for v in cost_rates]
+    if len(cost_rates) != m or not np.all(np.isfinite(cost_rates)):
+        raise ConfigError(f"process.cost_rates must list {m} finite rates")
 
     def running_cost(v):
-        return lambda x, a: np.full(np.shape(x)[:-1], v)
+        return lambda x, a: np.full(np.broadcast_shapes(np.shape(x), np.shape(a))[:-1], v)
 
-    return _process(
-        rates, _idle_velocity, [running_cost(float(v)) for v in cost_rates], np.zeros((1, 1))
-    )
+    return _process(rates, _idle_velocity, [running_cost(v) for v in cost_rates], np.zeros((1, 1)))
 
 
 def list_builtin(kind: str) -> list[str]:

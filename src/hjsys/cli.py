@@ -60,7 +60,7 @@ def _reading(what: str):
     """Errors raised while turning config values into objects are config errors."""
     try:
         yield
-    except (ValueError, TypeError, KeyError, StructureError, OSError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError, StructureError, OSError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
 

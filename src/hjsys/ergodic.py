@@ -85,12 +85,17 @@ class DiscountSchedule:
             raise ConfigError(f"discounts must lie in (0, 1): {lams}")
         if any(b >= a for a, b in zip(lams, lams[1:])):
             raise ConfigError("discounts must be strictly decreasing")
-        if self.steady_state_tol <= 0:
-            raise ConfigError("steady_state_tol must be positive")
+        if not 0 < self.steady_state_tol < np.inf:
+            raise ConfigError(
+                f"steady_state_tol must be positive and finite, got {self.steady_state_tol}"
+            )
         if not (0 < self.cfl <= 1):
             raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
+        anchor = tuple(float(a) for a in self.anchor)
+        if not np.all(np.isfinite(anchor)):
+            raise ConfigError(f"anchor must be finite, got {anchor}")
         object.__setattr__(self, "lambdas", lams)
-        object.__setattr__(self, "anchor", tuple(float(a) for a in self.anchor))
+        object.__setattr__(self, "anchor", anchor)
 
 
 @dataclass

@@ -147,12 +147,13 @@ class EvolutionConfig:
     def __post_init__(self) -> None:
         if not (0 < self.cfl <= 1):
             raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.t_final < 0:
-            raise ConfigError("t_final must be nonnegative")
-        if self.snapshot_every is not None and self.snapshot_every <= 0:
-            raise ConfigError("snapshot_every must be positive")
-        if self.dt_override is not None and self.dt_override <= 0:
-            raise ConfigError("dt_override must be positive")
+        # each test is written so that NaN fails it
+        if not 0 <= self.t_final < np.inf:
+            raise ConfigError(f"t_final must be nonnegative and finite, got {self.t_final}")
+        for name in ("snapshot_every", "dt_override"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < np.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         if self.flux_mode not in ("local", "global"):
             raise ConfigError(f"unknown flux mode {self.flux_mode!r}")
 

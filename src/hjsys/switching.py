@@ -1,9 +1,10 @@
 """Controlled piecewise-deterministic dynamics with random mode switching.
 
 A path holds a position on the torus and a discrete mode.  The position
-follows dx/dt = b_mode(x, a) under a chosen action a; the mode jumps with
-exact exponential clocks: in mode i the next switch arrives at rate
-R_i = sum_{j != i} gamma_ij and lands on j with probability gamma_ij / R_i.
+follows dx/dt = b_mode(x, a) under the path's own action row a (the spec's
+callables take one row per path); the mode jumps with exact exponential
+clocks: in mode i the next switch arrives at rate R_i = sum_{j != i}
+gamma_ij and lands on j with probability gamma_ij / R_i.
 Clocks are sampled exactly (no per-step Bernoulli), so the switching law
 carries no time-step bias; only the position integration is explicit Euler.
 
@@ -50,9 +51,13 @@ class SwitchingProcessSpec:
     ``rates[i, j]`` is the i -> j switching intensity for j != i; the
     diagonal is bookkeeping only and is stored as -1.  ``control_set`` rows
     are the admissible actions (the continuum action set discretized to a
-    finite list).  Dynamics and costs take (x, action_row) with x shaped
-    (..., dim) and broadcast over the leading axes.  They must be pointwise
-    in x, since the Monte Carlo calls them on varying subsets of its paths.
+    finite list).  ``dynamics[i](x, a)`` and ``costs[i](x, a)`` take points
+    x (..., dim) and action rows a (..., adim) whose leading axes broadcast
+    against each other, as in the 1D drift ``lambda x, a: a * np.sin(2 * np.pi
+    * x)``: the Monte Carlo passes one row per path, the PDE side the control
+    set shaped (A, 1, ..., 1, adim).  They must be pointwise (row k of the
+    result depends on row k of x and of a only), since the Monte Carlo calls
+    them on varying subsets of its paths.
     """
 
     m: int
@@ -83,12 +88,24 @@ class SwitchingProcessSpec:
         g.setflags(write=False)
         object.__setattr__(self, "rates", g)
         A = np.atleast_2d(np.array(self.control_set, dtype=float))
-        if A.shape[0] == 0:
-            raise ConfigError("control set must not be empty")
+        if A.shape[0] == 0 or not np.all(np.isfinite(A)):
+            raise ConfigError("control set must be a nonempty list of finite action rows")
         A.setflags(write=False)
         object.__setattr__(self, "control_set", A)
-        if self.dt_sim <= 0:
-            raise ConfigError("dt_sim must be positive")
+        if not 0 < self.dt_sim < np.inf:
+            raise ConfigError(f"dt_sim must be positive and finite, got {self.dt_sim!r}")
+        # callables must read one action row per point: at three probe points
+        # under the first, middle and last rows (the middle one tells apart a
+        # symmetric set's ends), a batched call agrees with one call per row
+        x, a = np.array([[0.3], [0.55], [0.8]]) * np.ones(self.dim), A[[0, len(A) // 2, -1]]
+        for i in range(self.m):
+            for what, fn in (("dynamics", self.dynamics[i]), ("cost", self.costs[i])):
+                rows = [np.asarray(fn(x[k], a[k]), dtype=float) for k in range(3)]
+                if not np.allclose(fn(x, a), rows, rtol=1e-12, atol=1e-12, equal_nan=True):
+                    raise ConfigError(
+                        f"mode {i} {what} must take one action row per point: "
+                        "a (..., adim) broadcast against x (..., dim)"
+                    )
 
     def total_rates(self) -> np.ndarray:
         out = self.rates.copy()
@@ -105,17 +122,12 @@ class SwitchingProcessSpec:
         d = np.minimum(d, 1 - d)
         dist = np.sqrt(np.sum(d * d, axis=1))
         keep = dist > 1e-12
+        a = self.control_set[:: max(1, len(self.control_set) // 8), None]
         worst = 0.0
-        for i in range(self.m):
-            for a in self.control_set[:: max(1, len(self.control_set) // 8)]:
-                bx = np.broadcast_to(
-                    np.asarray(self.dynamics[i](xs, a), dtype=float), xs.shape
-                )
-                by = np.broadcast_to(
-                    np.asarray(self.dynamics[i](ys, a), dtype=float), ys.shape
-                )
-                num = np.sqrt(np.sum((bx - by) ** 2, axis=1))
-                worst = max(worst, float(np.max(num[keep] / dist[keep])))
+        for b in self.dynamics:
+            diff = np.asarray(b(xs, a), dtype=float) - np.asarray(b(ys, a), dtype=float)
+            num = np.sqrt(np.sum(np.broadcast_to(diff, (len(a),) + xs.shape) ** 2, axis=-1))
+            worst = max(worst, float(np.max(num[:, keep] / dist[keep])))
         return worst
 
 
@@ -204,37 +216,18 @@ class GreedyGradientPolicy:
         return self._tables[snap, np.asarray(modes, dtype=int), nodes]
 
 
-def _velocity_cost(spec, mode, action, x):
-    """b and l of one (mode, action) pair at the points x, shaped like x and x[..., 0]."""
-    v = np.asarray(spec.dynamics[mode](x, action), dtype=float)
-    c = np.asarray(spec.costs[mode](x, action), dtype=float)
-    if v.shape != x.shape:
-        v = np.broadcast_to(v, x.shape)
-    if c.shape != x.shape[:-1]:
-        c = np.broadcast_to(c, x.shape[:-1])
-    return v, c
-
-
-def _grouped_velocity_cost(spec, x, modes, a_idx):
-    """Evaluate b and l by (mode, action) groups; x has shape (B, dim).
-
-    Each group present is one call of the spec's callables on its rows of x,
-    gathered once by index, in ascending (mode, action) order.  The groups
-    come from a bincount: an argsort is no faster here and maps numpy's sort
-    kernels, about 0.3 MB of peak memory.
-    """
-    n_act = len(spec.control_set)
-    codes = np.asarray(modes) * n_act + np.asarray(a_idx)
-    if np.all(codes == codes[0]):
-        i, ai = divmod(int(codes[0]), n_act)
-        return _velocity_cost(spec, i, spec.control_set[ai], x)
-    v = np.empty_like(x)
-    c = np.empty(len(x))
-    for code in np.flatnonzero(np.bincount(codes)).tolist():
-        sel = np.flatnonzero(codes == code)
-        i, ai = divmod(code, n_act)
-        v[sel], c[sel] = _velocity_cost(spec, i, spec.control_set[ai], x[sel])
-    return v, c
+def _run_step(spec, x0, mode, horizon, dt_sim) -> float:
+    """Check the arguments of a run from (x0, mode) to the horizon; returns
+    its time step."""
+    if not (0 <= mode < spec.m):
+        raise ConfigError(f"mode must be in [0, {spec.m}), got {mode}")
+    if not np.all(np.isfinite(np.asarray(x0, dtype=float))):
+        raise ConfigError(f"start point must be finite, got {x0!r}")
+    dt = float(spec.dt_sim if dt_sim is None else dt_sim)
+    for what, value in (("horizon", horizon), ("dt_sim", dt)):
+        if not 0 < value < np.inf:
+            raise ConfigError(f"{what} must be positive and finite, got {value!r}")
+    return dt
 
 
 def _destination_cdf(spec, R):
@@ -262,11 +255,7 @@ def simulate_trajectory(
     dt_sim: float | None = None,
 ) -> Path:
     """One path with a full record; deterministic given the seed."""
-    if not (0 <= mode0 < spec.m):
-        raise ConfigError(f"mode0 must be in [0, {spec.m}), got {mode0}")
-    if horizon <= 0:
-        raise ConfigError("horizon must be positive")
-    dt = spec.dt_sim if dt_sim is None else float(dt_sim)
+    dt = _run_step(spec, x0, mode0, horizon, dt_sim)
     rng = np.random.default_rng(seed)
     R = spec.total_rates()
     cdf = _destination_cdf(spec, R)
@@ -322,7 +311,18 @@ def _advance(spec, policy, x, modes, cost, seg, time_to_go):
         if np.ndim(time_to_go):
             time_to_go = time_to_go[idx]
     xs, ms, s = x[idx], modes[idx], seg[idx]
-    v, c = _grouped_velocity_cost(spec, xs, ms, policy.action_indices(xs, ms, time_to_go))
+    a_idx = policy.action_indices(xs, ms, time_to_go)
+    if np.all(ms == ms[0]):
+        i = int(ms[0])
+        a = spec.control_set.take(a_idx, axis=0)
+        v, c = spec.dynamics[i](xs, a), spec.costs[i](xs, a)
+    else:
+        # one call per mode present on its rows, gathered once by np.take
+        v, c = np.empty_like(xs), np.empty(len(xs))
+        for i in np.flatnonzero(np.bincount(ms)).tolist():
+            sel = np.flatnonzero(ms == i)
+            xi, ai = xs.take(sel, axis=0), spec.control_set.take(a_idx[sel], axis=0)
+            v[sel], c[sel] = spec.dynamics[i](xi, ai), spec.costs[i](xi, ai)
     cost[idx] += c * s
     x[idx] = (xs + s[:, None] * v) % 1.0
 
@@ -368,9 +368,7 @@ def _run_batch(spec, policy, x0, mode0, horizon, dt, rng, size) -> np.ndarray:
         t0 = t1
     for i in np.unique(modes):
         sel = modes == i
-        cost[sel] += np.broadcast_to(
-            np.asarray(spec.terminal[i](x[sel]), dtype=float), (int(np.sum(sel)),)
-        )
+        cost[sel] += spec.terminal[i](x[sel])
     return cost
 
 
@@ -386,15 +384,9 @@ def estimate_value(
     batch_size: int = 2048,
 ) -> ValueEstimate:
     """Monte Carlo path-cost mean with independent per-batch streams."""
-    if not (0 <= mode < spec.m):
-        raise ConfigError(f"mode must be in [0, {spec.m}), got {mode}")
-    if not horizon > 0:
-        raise ConfigError("horizon must be positive")
+    dt = _run_step(spec, x, mode, horizon, dt_sim)
     if n_samples < 100:
         raise ConfigError("need at least 100 samples")
-    dt = spec.dt_sim if dt_sim is None else float(dt_sim)
-    if not dt > 0:
-        raise ConfigError("dt_sim must be positive")
     sizes = []
     left = n_samples
     while left > 0:
@@ -417,14 +409,10 @@ def estimate_value(
 def _action_tables(spec: SwitchingProcessSpec, mode: int, x, shape):
     """Velocity B[a, ..., k] and running cost L[a, ...] of every action in one
     mode at the points x, broadcast for gradients of the given shape."""
-    b_i, ell_i = spec.dynamics[mode], spec.costs[mode]
-    B = np.stack(
-        [np.broadcast_to(np.asarray(b_i(x, a), dtype=float), shape) for a in spec.control_set]
-    )
-    L = np.stack(
-        [np.broadcast_to(np.asarray(ell_i(x, a), dtype=float), shape[:-1])
-         for a in spec.control_set]
-    )
+    A = spec.control_set
+    a = A.reshape((len(A),) + (1,) * (len(shape) - 1) + A.shape[1:])
+    B = np.broadcast_to(np.asarray(spec.dynamics[mode](x, a), dtype=float), (len(A),) + shape)
+    L = np.broadcast_to(np.asarray(spec.costs[mode](x, a), dtype=float), (len(A),) + shape[:-1])
     return B, L
 
 
@@ -434,8 +422,6 @@ def hamiltonian_from_spec(
     """Max-over-actions Hamiltonian of one mode."""
     if not (0 <= mode < spec.m):
         raise ConfigError(f"mode must be in [0, {spec.m}), got {mode}")
-    b_i = spec.dynamics[mode]
-    actions = spec.control_set
 
     def sup(p, B, L):
         # one max over the action axis (leading, so ties resolve as in a
@@ -447,15 +433,8 @@ def hamiltonian_from_spec(
         return sup(p, *_action_tables(spec, mode, np.asarray(x, dtype=float), p.shape))
 
     probes = np.linspace(0.0, 1.0, 17)[:-1]
-    xs = (
-        probes[:, None]
-        if spec.dim == 1
-        else np.stack(np.meshgrid(probes, probes, indexing="ij"), -1).reshape(-1, 2)
-    )
-    bmax_axis = np.zeros(spec.dim)
-    for a in actions:
-        b = np.broadcast_to(np.asarray(b_i(xs, a), dtype=float), xs.shape)
-        bmax_axis = np.maximum(bmax_axis, np.max(np.abs(b), axis=0))
+    xs = np.stack(np.meshgrid(*[probes] * spec.dim, indexing="ij"), -1).reshape(-1, spec.dim)
+    bmax_axis = np.max(np.abs(_action_tables(spec, mode, xs, xs.shape)[0]), axis=(0, 1))
 
     def axis_alpha(x, pabs):
         return np.broadcast_to(bmax_axis, pabs.shape)
@@ -472,9 +451,7 @@ def hamiltonian_from_spec(
 
     # crude coercivity probe along the axes; gates the discounted solver
     tags = {"convex"}
-    e = np.zeros((2 * spec.dim, spec.dim))
-    for k in range(spec.dim):
-        e[2 * k, k], e[2 * k + 1, k] = 1.0, -1.0
+    e = np.concatenate([np.eye(spec.dim), -np.eye(spec.dim)])
     x_mid = np.full((1, spec.dim), 0.5)
     grew = all(
         float(eval_fn(x_mid, p_box * d[None, :])[0])
@@ -490,7 +467,7 @@ def hamiltonian_from_spec(
         class_tags=frozenset(tags),
         axis_alpha=axis_alpha,
         name="switching_sup",
-        params={"mode": mode, "actions": int(len(actions))},
+        params={"mode": mode, "actions": len(spec.control_set)},
         bind=bind,
     )
 

@@ -201,12 +201,13 @@ def _mutated(cfg, path, value):
 
 def _check_mutant(kind, bases, data, tmp_path_factory):
     """Run one base config with one leaf deleted or replaced by a string,
-    null or -1, and check the exit-code contract.  Sizes are never raised,
-    so every run stays short.  main runs in-process, so an uncaught
+    null, -1, inf or nan, and check the exit-code contract.  No size is
+    raised to a finite value and the config boundary rejects non-finite
+    ones, so every run stays short.  main runs in-process, so an uncaught
     exception fails the calling test with its traceback."""
     base = data.draw(st.sampled_from(bases))
     path = data.draw(st.sampled_from(_leaf_paths(base)))
-    value = data.draw(st.sampled_from([_DELETE, "abc", None, -1]))
+    value = data.draw(st.sampled_from([_DELETE, "abc", None, -1, float("inf"), float("nan")]))
     cfg = _mutated(base, path, value)
     tmp = tmp_path_factory.mktemp("mutant")
     err = io.StringIO()
@@ -470,7 +471,9 @@ def _idle_cfg():
 class TestSimulate:
     @pytest.mark.parametrize(
         "field, value",
-        [("n_samples", "abc"), ("dt_sim", "x"), ("mode0", 5)],
+        [("n_samples", "abc"), ("dt_sim", "x"), ("mode0", 5),
+         # an infinite step takes no step; an infinite horizon overflows the step count
+         ("dt_sim", float("inf")), ("horizon", float("inf")), ("horizon", float("nan"))],
     )
     def test_bad_run_field_is_a_config_error(self, tmp_path, capsys, field, value):
         cfg = _idle_cfg()

@@ -40,11 +40,8 @@ def _switching_hams(dim):
     fs = [fourier_function(_source(dim, c), dim) for c in (1.0, 1.5)]
     spec = SwitchingProcessSpec(
         m=2,
-        dynamics=tuple(
-            (lambda x, a: np.broadcast_to(np.asarray(a, dtype=float), np.shape(x)))
-            for _ in range(2)
-        ),
-        costs=tuple((lambda x, a, f=f: f(np.atleast_2d(x))) for f in fs),
+        dynamics=((lambda x, a: a * np.ones_like(x)),) * 2,
+        costs=tuple((lambda x, a, f=f: f(x)) for f in fs),
         rates=[[-1.0, 1.0], [2.0, -1.0]],
         control_set=acts,
         terminal=tuple((lambda x: np.zeros(np.shape(x)[:-1])) for _ in range(2)),

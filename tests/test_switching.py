@@ -92,6 +92,74 @@ class TestSpecValidation:
         spec = _drift_spec()
         assert spec.lipschitz_ratio_check() == 0.0  # drift independent of x
 
+    def test_lipschitz_ratio_matches_per_action_loop(self):
+        # x-dependent drifts; the check calls each mode once on a stack of
+        # actions, the reference once per action.  The largest action is the
+        # last one, so a check that read only the first would fall short.
+        spec = SwitchingProcessSpec(
+            m=2,
+            dynamics=(
+                lambda x, a: a * np.sin(2 * np.pi * x),
+                lambda x, a: 0.5 * a * np.cos(2 * np.pi * x),
+            ),
+            costs=(lambda x, a: np.zeros(x.shape[:-1]),) * 2,
+            rates=SYM_RATES,
+            control_set=np.linspace(-0.5, 1.0, 17)[:, None],
+            terminal=(lambda x: np.zeros(x.shape[:-1]),) * 2,
+        )
+        rng = np.random.default_rng(5)
+        xs = rng.random((200, 1))
+        ys = xs + rng.normal(0, 0.05, xs.shape)
+        ys = ys - np.floor(ys)
+        d = np.abs(xs - ys)
+        d = np.minimum(d, 1 - d)
+        dist = np.sqrt(np.sum(d * d, axis=1))
+        keep = dist > 1e-12
+        worst = 0.0
+        for b in spec.dynamics:
+            for a in spec.control_set[::2]:
+                num = np.sqrt(np.sum((b(xs, a) - b(ys, a)) ** 2, axis=1))
+                worst = max(worst, float(np.max(num[keep] / dist[keep])))
+        assert spec.lipschitz_ratio_check() == worst
+        assert 5.0 < worst <= 2 * np.pi + 1e-12
+
+    @pytest.mark.parametrize("which, bad", [
+        ("dynamics", lambda x, a: np.full_like(x, a[0])),
+        ("cost", lambda x, a: a[0] * x[..., 0]),
+        ("cost", lambda x, a: 0.5 * a[0] ** 2),  # same at the set's two ends
+    ])
+    def test_rejects_callables_reading_one_action_row(self, which, bad):
+        # written for a single action row: a[0] is then the first path's row
+        good = dict(dynamics=lambda x, a: a * np.ones_like(x), cost=lambda x, a: x[..., 0])
+        fns = {**good, which: bad}
+        with pytest.raises(ConfigError, match=f"mode 1 {which} must take one action row"):
+            SwitchingProcessSpec(
+                m=2,
+                dynamics=(good["dynamics"], fns["dynamics"]),
+                costs=(good["cost"], fns["cost"]),
+                rates=SYM_RATES,
+                control_set=np.linspace(-1.0, 1.0, 4)[:, None],
+                terminal=(lambda x: np.zeros(x.shape[:-1]),) * 2,
+            )
+
+    def test_catalog_processes_pass_the_action_row_check(self):
+        ball = catalog.unit_ball_eikonal_process([catalog.F1, catalog.F2], SYM_RATES, 16)
+        idle = catalog.idle_process([0.0, 1.0], SYM_RATES)
+        assert len(ball.control_set) == 16 and len(idle.control_set) == 1
+
+    @pytest.mark.parametrize("dt_sim", [0.0, np.inf, np.nan])
+    def test_nonfinite_or_nonpositive_dt_sim(self, dt_sim):
+        with pytest.raises(ConfigError, match="dt_sim must be positive and finite"):
+            SwitchingProcessSpec(
+                m=1,
+                dynamics=(lambda x, a: np.zeros_like(x),),
+                costs=(lambda x, a: np.zeros(x.shape[:-1]),),
+                rates=np.zeros((1, 1)),
+                control_set=np.zeros((1, 1)),
+                terminal=(lambda x: np.zeros(x.shape[:-1]),),
+                dt_sim=dt_sim,
+            )
+
     def test_mode0_out_of_range(self):
         with pytest.raises(ConfigError):
             simulate_trajectory(_still_spec(), ConstantPolicy(0), [0.0], 2, 1.0, seed=0)
@@ -99,6 +167,16 @@ class TestSpecValidation:
     def test_nonpositive_horizon(self):
         with pytest.raises(ConfigError):
             simulate_trajectory(_still_spec(), ConstantPolicy(0), [0.0], 0, 0.0, seed=0)
+
+    @pytest.mark.parametrize(
+        "bad", [dict(horizon=np.inf), dict(horizon=np.nan), dict(dt_sim=0.0),
+                dict(dt_sim=np.inf), dict(x0=[np.nan])]
+    )
+    def test_nonfinite_or_nonpositive_run_arguments(self, bad):
+        # an infinite horizon or a zero step would never return
+        kw = dict(x0=[0.0], mode0=0, horizon=1.0, seed=0, dt_sim=0.5)
+        with pytest.raises(ConfigError):
+            simulate_trajectory(_still_spec(), ConstantPolicy(0), **{**kw, **bad})
 
 
 class TestSinglePath:
@@ -160,7 +238,9 @@ class TestValueEstimation:
             estimate_value(_still_spec(), ConstantPolicy(0), [0.0], 0, 1.0, 99, seed=0)
 
     @pytest.mark.parametrize(
-        "bad", [dict(mode=2), dict(mode=-1), dict(horizon=0.0), dict(dt_sim=0.0)]
+        "bad",
+        [dict(mode=2), dict(mode=-1), dict(horizon=0.0), dict(dt_sim=0.0),
+         dict(horizon=np.inf), dict(horizon=np.nan), dict(dt_sim=1e400), dict(x=[np.inf])],
     )
     def test_rejects_out_of_range_arguments(self, bad):
         kw = dict(x=[0.0], mode=0, horizon=1.0, n_samples=200, seed=1, dt_sim=0.5)
@@ -304,7 +384,7 @@ def _fast_spec(rates=FAST_RATES):
         m=2,
         dynamics=base.dynamics,
         costs=tuple(
-            (lambda x, a, c=c: c(x, a) + 0.5 * a[0] ** 2 + a[0] * x[..., 0])
+            (lambda x, a, c=c: c(x, a) + 0.5 * a[..., 0] ** 2 + a[..., 0] * x[..., 0])
             for c in base.costs
         ),
         rates=rates,
@@ -368,9 +448,9 @@ class TestBatchLoop:
             m=3,
             dynamics=base.dynamics,
             costs=(
-                lambda x, a: x[..., 0] * a[0],
-                lambda x, a: np.cos(2 * np.pi * x[..., 0]) + a[0],
-                lambda x, a: a[0] ** 2 + 0.0 * x[..., 0],
+                lambda x, a: x[..., 0] * a[..., 0],
+                lambda x, a: np.cos(2 * np.pi * x[..., 0]) + a[..., 0],
+                lambda x, a: a[..., 0] ** 2 + 0.0 * x[..., 0],
             ),
             rates=rates,
             control_set=base.control_set,
@@ -387,7 +467,7 @@ class TestPdeBridge:
         acts = np.linspace(-1.0, 1.0, 64)[:, None]
         return SwitchingProcessSpec(
             m=2,
-            dynamics=(lambda x, a: np.full_like(x, a[0]), lambda x, a: np.full_like(x, a[0])),
+            dynamics=(lambda x, a: a * np.ones_like(x), lambda x, a: a * np.ones_like(x)),
             costs=(lambda x, a: f(x), lambda x, a: f(x)),
             rates=SYM_RATES,
             control_set=acts,
@@ -409,7 +489,7 @@ class TestPdeBridge:
         dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
         spec = SwitchingProcessSpec(
             m=1,
-            dynamics=(lambda x, a: np.broadcast_to(a, x.shape),),
+            dynamics=(lambda x, a: a * np.ones_like(x),),
             costs=(lambda x, a: np.zeros(x.shape[:-1]),),
             rates=np.zeros((1, 1)),
             control_set=dirs,
@@ -438,6 +518,13 @@ class TestPdeBridge:
         H = hamiltonian_from_spec(self._unit_ball_spec(), 0)
         assert "coercive" in H.class_tags
 
+    def test_unit_ball_speed_bound(self):
+        # lf_alpha is 1.05 times the largest |b| over the actions and probe points
+        ball = catalog.unit_ball_eikonal_process([catalog.F1, catalog.F2], SYM_RATES)
+        for spec in (self._unit_ball_spec(), ball):
+            for i in range(2):
+                assert hamiltonian_from_spec(spec, i).lf_alpha == 1.05
+
     def test_idle_hamiltonian_not_coercive(self):
         H = hamiltonian_from_spec(_still_spec(), 0)
         assert "coercive" not in H.class_tags
@@ -461,7 +548,7 @@ class TestPdeBridge:
             m=2,
             dynamics=base.dynamics,
             costs=tuple(
-                (lambda x, a, c=c: c(x, a) + 0.5 * a[0] ** 2) for c in base.costs
+                (lambda x, a, c=c: c(x, a) + 0.5 * a[..., 0] ** 2) for c in base.costs
             ),
             rates=SYM_RATES,
             control_set=base.control_set,
