@@ -56,6 +56,7 @@ from .evolution import (
     comparison_check,
     lipschitz_check,
     solve,
+    solve_batch,
     step,
 )
 from .grid import (

@@ -55,6 +55,12 @@ def _get(cfg: dict, path: str, default=_MISSING, where: str = ""):
     return node
 
 
+def _flag(cfg: dict, name: str, default: bool) -> bool:
+    if not isinstance(value := _get(cfg, name, default), bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 @contextmanager
 def _reading(what: str):
     """Errors raised while turning config values into objects are config errors."""
@@ -188,8 +194,8 @@ def cmd_diagnose(cfg, out_dir: str) -> int:
         c_spec = _get(cfg, "c", "measured")
         c = None if c_spec == "measured" else _finite_array(c_spec, "c")
         etas = _finite_array(_get(cfg, "etas", (0.05, 0.1, 0.2)), "etas").reshape(-1).tolist()
-        use_log_transform = bool(_get(cfg, "use_log_transform", True))
-        gap = bool(_get(cfg, "gap", False))
+        use_log_transform = _flag(cfg, "use_log_transform", True)
+        gap = _flag(cfg, "gap", False)
         sets = []
         for block in _get(cfg, "sets", []):
             kind = _get(block, "kind", where="sets")
@@ -247,6 +253,7 @@ def _build_process(block) -> SwitchingProcessSpec:
 def cmd_simulate(cfg, out_dir: str) -> int:
     with _reading("process, policy, horizon, x0, mode0, n_samples, seed or dt_sim"):
         spec = _build_process(_get(cfg, "process"))
+        dump_path = _flag(cfg, "dump_path", False)
         horizon = float(_get(cfg, "horizon"))
         pol_block = _get(cfg, "policy", {"kind": "constant", "index": 0})
         pol_kind = _get(pol_block, "kind")
@@ -289,7 +296,7 @@ def cmd_simulate(cfg, out_dir: str) -> int:
         "policy_id": est.policy_id,
     }
     _write_json(payload, out_dir, "value.json")
-    if _get(cfg, "dump_path", False):
+    if dump_path:
         path = simulate_trajectory(spec, policy, x0, mode0, horizon, seed, dt_sim=dt_sim)
         rows = ["t,mode,action," + ",".join(f"x{k}" for k in range(spec.dim))]
         for k in range(len(path.times)):

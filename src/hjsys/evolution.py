@@ -18,9 +18,17 @@ reusable difference buffers, each Hamiltonian bound to the mesh, and the
 sampled coupling, so a step only does the work that depends on the values.
 Its flux equals ``numerical_flux`` applied per component to ``diff_arrays``
 bit for bit.
+
+``solve_batch`` marches B independent initial data of one system together,
+stacked as (B, m) + grid.shape and updated in place, v -= dt * (flux + D v).
+Every operation is elementwise or per member, so each member equals its own
+``solve`` bit for bit; ``solve`` is a batch of one and ``step`` updates a
+copy.  Bound evaluators see p shaped (B,) + grid.shape + (dim,), as their
+(..., dim) contract allows.  CFL and finiteness errors name the member.
 """
 from __future__ import annotations
 
+import copy
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -43,6 +51,7 @@ __all__ = [
     "cfl_dt",
     "step",
     "solve",
+    "solve_batch",
     "comparison_check",
     "lipschitz_check",
     "ComparisonReport",
@@ -132,9 +141,6 @@ class SystemState:
                 raise StructureError("components live on different grids")
         return cls(t=t, values=np.stack([f.values for f in fns]), grid=g)
 
-    def components(self) -> list[GridFunction]:
-        return [GridFunction(self.grid, v) for v in self.values]
-
 
 @dataclass(frozen=True)
 class EvolutionConfig:
@@ -167,8 +173,9 @@ class FluxKernel:
     the coupling sampled at the nodes (``D_nodes``, None for the constant
     variant) and its largest diagonal entry ``dmax``.  ``differentiable``
     says that the grid is 1D and every ``bind`` supplied derivatives, so
-    ``jacobian`` is available.  The difference buffers are reused by every
-    call, so one kernel must not be shared by concurrent solves.
+    ``jacobian`` is available.  The difference, midpoint and |p| buffers
+    are sized for the last values shape seen and reused by every call, so
+    one kernel must not be shared by concurrent solves.
     """
 
     def __init__(self, system: HJSystem, mode: str):
@@ -177,8 +184,7 @@ class FluxKernel:
         grid = system.grid
         self.grid = grid
         X = grid.mesh()
-        shape = (system.m,) + grid.shape + (grid.dim,)
-        self._buffers = (np.empty(shape), np.empty(shape))
+        self._shape, self._buffers = None, ()
         self.terms = []  # (H(p), axis alpha(pabs) or None for the global flux, lf_alpha)
         self.derivatives = []  # (dH/dp(p), d alpha/d|p|), or () without them
         for ham in system.hams:
@@ -204,23 +210,32 @@ class FluxKernel:
 
     def diffs(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``diff_arrays`` of the component stack, written into the buffers."""
-        return diff_arrays(values, self.grid, out=self._buffers)
+        if values.shape != self._shape:
+            pshape = values.shape + (self.grid.dim,)
+            self._shape, self._buffers = values.shape, [np.empty(pshape) for _ in range(4)]
+        return diff_arrays(values, self.grid, out=self._buffers[:2])
 
-    def __call__(self, values: np.ndarray) -> tuple[np.ndarray, list]:
-        """Flux of every component, and per component max_x sum_k alpha_k."""
+    def __call__(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flux of every component, shaped like ``values``: (m,) + grid.shape,
+        or (B, m) + grid.shape for B members; and max_x sum_k alpha_k, (m,) or
+        (B, m)."""
         dminus, dplus = self.diffs(values)
-        pmid = 0.5 * (dminus + dplus)
-        pabs = np.maximum(np.abs(dminus), np.abs(dplus)) if self.local else None
+        pmid, pabs = self._buffers[2:]
+        if self.local:  # pmid holds |D+ v| until the midpoint overwrites it
+            np.maximum(np.abs(dminus, out=pabs), np.abs(dplus, out=pmid), out=pabs)
+        np.multiply(0.5, np.add(dminus, dplus, out=pmid), out=pmid)
         out = np.empty_like(values)
-        alpha_sums = []
+        alpha_sums = np.empty(values.shape[: values.ndim - self.grid.dim])
+        grid_axes = tuple(range(-self.grid.dim, 0))
         for i, (H, alpha_fn, lf_alpha) in enumerate(self.terms):
+            c = (slice(None),) * (alpha_sums.ndim - 1) + (i,)
             if alpha_fn is None:
-                out[i] = flux_from_midpoint(H(pmid[i]), dminus[i], dplus[i], lf_alpha)
-                alpha_sums.append(lf_alpha * self.grid.dim)
+                out[c] = flux_from_midpoint(H(pmid[c]), dminus[c], dplus[c], lf_alpha)
+                alpha_sums[c] = lf_alpha * self.grid.dim
             else:
-                alpha = np.asarray(alpha_fn(pabs[i]))
-                out[i] = flux_from_midpoint(H(pmid[i]), dminus[i], dplus[i], alpha)
-                alpha_sums.append(float(np.add.reduce(alpha, axis=-1).max()))
+                alpha = np.asarray(alpha_fn(pabs[c]))
+                out[c] = flux_from_midpoint(H(pmid[c]), dminus[c], dplus[c], alpha)
+                alpha_sums[c] = np.maximum.reduce(np.add.reduce(alpha, axis=-1), axis=grid_axes)
         return out, alpha_sums
 
     def jacobian(self, values: np.ndarray) -> np.ndarray:
@@ -257,9 +272,10 @@ class FluxKernel:
         return out
 
     def coupling_term(self, values: np.ndarray) -> np.ndarray:
-        """sum_j d_ij(x) u_j for every component."""
+        """sum_j d_ij(x) u_j for every component (and member, for the constant variant)."""
         if self.D_nodes is None:
-            return np.tensordot(self.entries, values, axes=(1, 0))
+            rows = values.shape[: values.ndim - self.grid.dim] + (-1,)
+            return np.matmul(self.entries, values.reshape(rows)).reshape(values.shape)
         m = values.shape[0]
         out = np.einsum("kij,jk->ik", self.D_nodes, values.reshape(m, -1))
         return out.reshape(values.shape)
@@ -267,15 +283,16 @@ class FluxKernel:
     def check_cfl(self, alpha_sums, dt: float, lam: float = 0.0) -> None:
         """Raise unless dt keeps both the flux and the damping monotone.
 
-        ``alpha_sums`` holds, per component, the largest sum_k alpha_k met at
-        any node; the damping is the largest diagonal coupling entry (sampled
-        at the nodes for a field coupling) plus the discount ``lam``.
+        ``alpha_sums`` holds the largest sum_k alpha_k met at any node, (m,) or
+        (B, m); the damping is the largest diagonal coupling entry (sampled at
+        the nodes for a field coupling) plus the discount ``lam``.
         """
-        worst = dt * (max(alpha_sums) / self.grid.h)
-        if worst > 1.0 + 1e-9:
+        worst = dt * (np.maximum.reduce(alpha_sums, axis=-1) / self.grid.h)
+        if np.maximum.reduce(worst, axis=None) > 1.0 + 1e-9:
+            k = int(np.flatnonzero(worst > 1.0 + 1e-9)[0])
             raise DivergenceError(
-                f"CFL budget exceeded: dt*sum(alpha)/h = {worst!r}; enlarge "
-                "lf_alpha/p_box or shrink dt"
+                (f"member {k}: " if worst.size > 1 else "") + "CFL budget exceeded: "
+                f"dt*sum(alpha)/h = {float(worst.flat[k])!r}; enlarge lf_alpha/p_box or shrink dt"
             )
         damping = dt * (self.dmax + lam)
         if damping > 1.0 + 1e-9:
@@ -296,32 +313,41 @@ def cfl_dt(system: HJSystem, config: EvolutionConfig, extra_damping: float = 0.0
     return float(dt)
 
 
-def _first_bad_node(values: np.ndarray, grid: Grid) -> str:
-    bad = ~np.isfinite(values)
-    comp, flat = divmod(int(np.flatnonzero(bad.reshape(values.shape[0], -1))[0]), grid.num_nodes)
-    coords = grid.nodes()[flat]
-    return f"component {comp}, node {flat} at x = {coords.tolist()}"
-
-
-def step(
-    state: SystemState, system: HJSystem, dt: float, flux_mode: str = "local"
-) -> SystemState:
-    """One forward-Euler update of the full system."""
-    kernel = system.flux_kernel(flux_mode)
-    flux, alpha_sums = kernel(state.values)
+def _advance(kernel: FluxKernel, v: np.ndarray, dt: float, t: float) -> None:
+    """v -= dt * (flux + D v) in place, for every member, reaching time t."""
+    flux, alpha_sums = kernel(v)
     kernel.check_cfl(alpha_sums, dt)
     if kernel.D_nodes is not None:
         raise StructureError(
             "evolution stepping requires the constant coupling variant; "
             "field couplings are only accepted by the discounted solver"
         )
-    new = state.values - dt * (flux + kernel.coupling_term(state.values))
-    if not np.isfinite(new).all():
+    np.add(flux, kernel.coupling_term(v), out=flux)
+    np.subtract(v, np.multiply(dt, flux, out=flux), out=v)
+    if not np.logical_and.reduce(np.isfinite(v), axis=None):
+        grid, m = kernel.grid, len(kernel.terms)
+        row, flat = divmod(int(np.flatnonzero(~np.isfinite(v))[0]), grid.num_nodes)
         raise DivergenceError(
-            f"non-finite value after step to t = {state.t + dt!r}: "
-            + _first_bad_node(new, system.grid)
+            f"non-finite value after step to t = {t!r}: "
+            + (f"member {row // m}: " if v.size > m * grid.num_nodes else "")
+            + f"component {row % m}, node {flat} at x = {grid.nodes()[flat].tolist()}"
         )
-    return SystemState(t=state.t + dt, values=new, grid=state.grid)
+
+
+def _initial_values(system: HJSystem, u0: Sequence[GridFunction] | SystemState) -> np.ndarray:
+    values = (u0 if isinstance(u0, SystemState) else SystemState.from_functions(u0)).values
+    if values.shape != (system.m,) + system.grid.shape:
+        raise StructureError(f"initial data shaped {values.shape} do not fit the system")
+    return values
+
+
+def step(
+    state: SystemState, system: HJSystem, dt: float, flux_mode: str = "local"
+) -> SystemState:
+    """One forward-Euler update of the full system; ``state`` is left unchanged."""
+    v = np.array(_initial_values(system, state), dtype=float)
+    _advance(system.flux_kernel(flux_mode), v, dt, state.t + dt)
+    return SystemState(t=state.t + dt, values=v, grid=state.grid)
 
 
 @dataclass
@@ -393,33 +419,41 @@ def _snapshot_times(config: EvolutionConfig) -> np.ndarray:
 def solve(system: HJSystem, u0: Sequence[GridFunction] | SystemState,
           config: EvolutionConfig) -> Trajectory:
     """March to t_final, recording snapshots at exact multiples of the cadence."""
-    state = u0 if isinstance(u0, SystemState) else SystemState.from_functions(u0)
-    if state.values.shape[0] != system.m:
-        raise StructureError("initial data component count mismatch")
+    return solve_batch(system, [u0], config)[0]
+
+
+def solve_batch(system: HJSystem, u0s: Sequence, config: EvolutionConfig) -> list[Trajectory]:
+    """``solve`` for each of B initial data, advanced together in one march.
+
+    ``u0s`` lists the members, each in a form ``solve`` accepts.  Returns one
+    trajectory per member, bit-identical to its own ``solve``.
+    """
+    v = np.asarray(np.stack([_initial_values(system, u0) for u0 in u0s]), dtype=float)
+    kernel = system.flux_kernel(config.flux_mode)
     dt = cfl_dt(system, config)
     times = _snapshot_times(config)
-    values = [state.values.copy()]
-    steps_at = [0]
-    total = 0
+    snapshots, steps_at, t = [v.copy()], [0], 0.0
+    march = v[0] if len(v) == 1 else v  # one member: no batch axis for x-data to broadcast over
     for k in range(1, len(times)):
         span = times[k] - times[k - 1]
         nsteps = max(1, int(np.ceil(span / dt - 1e-12)))
         sub = span / nsteps
         for _ in range(nsteps):
-            state = step(state, system, sub, flux_mode=config.flux_mode)
-            total += 1
-        state = SystemState(t=float(times[k]), values=state.values, grid=state.grid)
-        values.append(state.values.copy())
-        steps_at.append(total)
+            t += sub
+            _advance(kernel, march, sub, t)
+        t = float(times[k])
+        snapshots.append(v.copy())
+        steps_at.append(steps_at[-1] + nsteps)
     meta = {
         "system": system.describe(),
         "config": asdict(config),
         "dt": dt,
-        "steps_total": total,
+        "steps_total": steps_at[-1],
         "steps_at_snapshot": steps_at,
         "identical_hamiltonians": system.identical_hamiltonians,
     }
-    return Trajectory(grid=system.grid, times=times, values=values, meta=meta)
+    members = [[s[b] for s in snapshots] for b in range(len(v))]
+    return [Trajectory(system.grid, times.copy(), vals, copy.deepcopy(meta)) for vals in members]
 
 
 @dataclass
@@ -466,17 +500,12 @@ class LipschitzReport:
 def lipschitz_check(traj: Trajectory, c, cap: float = np.inf) -> LipschitzReport:
     """Uniform bounds along a trajectory: |u + c t|, space and time increments."""
     cvec = np.broadcast_to(np.asarray(c, dtype=float), (traj.m,))
-    sup_shift = 0.0
-    sup_lip = 0.0
-    sup_rate = 0.0
+    sup_shift = sup_lip = sup_rate = 0.0
     for k, t in enumerate(traj.times):
-        shifted = traj.values[k] + cvec[:, None] * float(t) if traj.grid.dim == 1 else (
-            traj.values[k] + cvec[:, None, None] * float(t)
-        )
+        shifted = traj.values[k] + cvec.reshape((-1,) + (1,) * traj.grid.dim) * float(t)
         sup_shift = max(sup_shift, float(np.max(np.abs(shifted))))
-        for i in range(traj.m):
-            dminus, _ = diff_arrays(traj.values[k][i], traj.grid)
-            sup_lip = max(sup_lip, float(np.max(np.abs(dminus))))
+        dminus, _ = diff_arrays(traj.values[k], traj.grid)
+        sup_lip = max(sup_lip, float(np.max(np.abs(dminus))))
         if k:
             dtk = float(traj.times[k] - traj.times[k - 1])
             sup_rate = max(

@@ -425,8 +425,9 @@ def hamiltonian_from_spec(
 
     def sup(p, B, L):
         # one max over the action axis (leading, so ties resolve as in a
-        # running maximum over the actions in order)
-        return np.maximum.reduce(-np.add.reduce(B * p, axis=-1) - L, axis=0)
+        # running maximum over the actions in order); p's batch axes follow it
+        a = (slice(None),) + (None,) * (p.ndim + 1 - B.ndim)
+        return np.maximum.reduce(-np.add.reduce(B[a] * p, axis=-1) - L[a], axis=0)
 
     def eval_fn(x, p):
         p = np.asarray(p, dtype=float)
@@ -441,8 +442,9 @@ def hamiltonian_from_spec(
 
     def dsup_dp(p, B, L):
         # -B at the maximizing action: the policy of Howard's iteration
-        best = np.argmax(-np.add.reduce(B * p, axis=-1) - L, axis=0)
-        return -np.take_along_axis(B, best[None, ..., None], axis=0)[0]
+        a = (slice(None),) + (None,) * (p.ndim + 1 - B.ndim)
+        best = np.argmax(-np.add.reduce(B[a] * p, axis=-1) - L[a], axis=0)
+        return -np.take_along_axis(B[a], best[None, ..., None], axis=0)[0]
 
     def bind(X):
         B, L = _action_tables(spec, mode, X, X.shape)

@@ -22,7 +22,7 @@ from hjsys.coupling import (
     is_irreducible,
     perron_vector,
 )
-from hjsys.evolution import EvolutionConfig, HJSystem, comparison_check, solve
+from hjsys.evolution import EvolutionConfig, HJSystem, comparison_check, solve, solve_batch
 from hjsys.grid import Grid, GridFunction
 from hjsys.hamiltonians import make_quadratic_eikonal
 
@@ -145,7 +145,7 @@ def test_criterion_07_discrete_comparison_principle(capfd):
             )
             lows.append(GridFunction(grid, base))
             highs.append(GridFunction(grid, base + lift))
-        report = comparison_check(solve(system, lows, cfg), solve(system, highs, cfg))
+        report = comparison_check(*solve_batch(system, [lows, highs], cfg))
         allowance = report.slack_allowance(per_step=1e-10)
         worst = max(worst, report.worst_violation)
         failures += report.worst_violation > allowance

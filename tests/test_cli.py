@@ -174,6 +174,15 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
+def _rejects_non_booleans(kind, cfg, field, tmp_path, capsys):
+    # JSON true/false only: each of these used to switch the option on
+    for value in ("abc", -1, 1, float("nan"), None):
+        cfg[field] = value
+        rc = main([kind, "--config", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"{field} must be true or false" in capsys.readouterr().err
+
+
 def _leaf_paths(node, prefix=()):
     if isinstance(node, dict):
         items = node.items()
@@ -391,6 +400,12 @@ class TestDiagnose:
         assert rc == 2
         assert "gap decay requires" in capsys.readouterr().err
 
+    def test_use_log_transform_must_be_a_boolean(self, tmp_path, capsys):
+        _rejects_non_booleans("diagnose", _diagnose_cfg(), "use_log_transform", tmp_path, capsys)
+
+    def test_gap_must_be_a_boolean(self, tmp_path, capsys):
+        _rejects_non_booleans("diagnose", _diagnose_cfg(), "gap", tmp_path, capsys)
+
     @settings(max_examples=60)
     @given(data=st.data())
     def test_mutated_config_keeps_exit_contract(self, tmp_path_factory, data, saved_run):
@@ -491,6 +506,9 @@ class TestSimulate:
         # the path is integrated with the configured dt_sim = 0.125 up to 0.25
         times = [float(r.split(",")[0]) for r in rows[1:]]
         assert times[-1] == 0.25 and 3 <= len(times) < 20
+
+    def test_dump_path_must_be_a_boolean(self, tmp_path, capsys):
+        _rejects_non_booleans("simulate", _idle_cfg(), "dump_path", tmp_path, capsys)
 
     def test_constant_index_outside_control_set(self, tmp_path, capsys):
         cfg = _idle_cfg()

@@ -19,6 +19,7 @@ from hjsys.evolution import (
     comparison_check,
     lipschitz_check,
     solve,
+    solve_batch,
     step,
 )
 from hjsys.grid import Grid, GridFunction, sample
@@ -144,6 +145,22 @@ class TestTimeStep:
         with pytest.raises(DivergenceError, match="CFL budget exceeded: dt\\*sum\\(alpha\\)/h"):
             solve(system, [steep, steep], cfg)
 
+    def test_batch_names_the_member_outside_the_p_box(self):
+        # the same steep data between two smooth members of one batch
+        grid = Grid(dim=1, n=16)
+        hams = tuple(
+            make_quadratic_eikonal(fourier_function(f, 1), dim=1, p_box=0.5) for f in (F1, F2)
+        )
+        system = HJSystem(hams=hams, coupling=CouplingMatrix(2, entries=SYM), grid=grid)
+        steep = sample(fourier_function({"terms": [{"k": [1], "sin": 0.5}]}, 1), grid)
+        smooth = sample(fourier_function({"terms": [{"k": [1], "sin": 0.05}]}, 1), grid)
+        members = [[smooth, smooth], [steep, steep], [smooth, smooth]]
+        # two steps: the sources steepen smooth data past the box later on
+        cfg = EvolutionConfig(t_final=0.05, flux_mode="local")
+        with pytest.raises(DivergenceError, match="^member 1: CFL budget exceeded"):
+            solve_batch(system, members, cfg)
+        solve_batch(system, members[::2], cfg)  # the smooth members alone pass
+
 
 class TestExactSolutions:
     def test_constant_data_uncoupled_is_stationary(self):
@@ -252,8 +269,7 @@ class TestInvariances:
             lows.append(GridFunction(grid, base))
             highs.append(GridFunction(grid, base + lift))
         cfg = EvolutionConfig(t_final=0.25, snapshot_every=0.05)
-        traj_lo = solve(system, lows, cfg)
-        traj_hi = solve(system, highs, cfg)
+        traj_lo, traj_hi = solve_batch(system, [lows, highs], cfg)
         report = comparison_check(traj_lo, traj_hi)
         assert report.worst_violation <= report.slack_allowance(per_step=1e-10)
 
@@ -313,6 +329,22 @@ class TestDiagnosticsHooks:
         )
         with pytest.raises(DivergenceError, match="component 0.*node"):
             solve(system, _constants(system, [0.0]), EvolutionConfig(t_final=0.1))
+
+    def test_divergence_in_a_batch_names_the_member(self):
+        grid = Grid(dim=1, n=16)
+        # infinite where the midpoint slope passes 1: only the spiked member
+        # meets it, at the nodes on either side of its spike
+        H = Hamiltonian(
+            dim=1, eval_fn=lambda x, p: np.where(np.abs(p[..., 0]) > 1.0, np.inf, 0.0), lf_alpha=1.0
+        )
+        system = HJSystem(
+            hams=(H,), coupling=CouplingMatrix(1, entries=np.zeros((1, 1))), grid=grid
+        )
+        spike = np.zeros(16)
+        spike[4] = 1.0
+        members = [_constants(system, [0.0]), _constants(system, [0.5]), [GridFunction(grid, spike)]]
+        with pytest.raises(DivergenceError, match=": member 2: component 0, node 3 at x"):
+            solve_batch(system, members, EvolutionConfig(t_final=0.1))
 
     def test_lipschitz_report_on_linear_solution(self):
         grid = Grid(dim=1, n=32)

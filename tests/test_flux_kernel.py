@@ -14,7 +14,15 @@ import pytest
 from hjsys.catalog import build_hamiltonian, fourier_function
 from hjsys.coupling import CouplingMatrix
 from hjsys.errors import DivergenceError
-from hjsys.evolution import EvolutionConfig, HJSystem, SystemState, cfl_dt, solve, step
+from hjsys.evolution import (
+    EvolutionConfig,
+    HJSystem,
+    SystemState,
+    cfl_dt,
+    solve,
+    solve_batch,
+    step,
+)
 from hjsys.grid import Grid, GridFunction, diff_arrays, sample
 from hjsys.hamiltonians import Hamiltonian, numerical_flux
 from hjsys.switching import SwitchingProcessSpec, hamiltonian_from_spec
@@ -124,26 +132,87 @@ def test_flux_stack_matches_numerical_flux(family, dim, mode):
 
 
 @pytest.mark.parametrize("family,dim,mode", CASES)
-def test_solve_matches_reference_loop(family, dim, mode):
+def test_batched_flux_matches_one_call_per_member(family, dim, mode):
     system = _system(family, dim)
+    kernel = system.flux_kernel(mode)
+    batch = np.stack([_values(system.grid, seed) for seed in range(3)])
+    flux, alpha_sums = kernel(batch)
+    assert alpha_sums.shape == (3, system.m)
+    for b in range(3):
+        one, sums = kernel(batch[b])
+        assert _same_bits(flux[b], one)
+        assert _same_bits(alpha_sums[b], sums)
+
+
+def _reference_step(system, state, dt, mode):
+    """The step ``solve`` used to take once per time step: the public
+    per-component flux, ``np.tensordot`` for the coupling, and a fresh
+    ``SystemState``."""
     grid = system.grid
     X = grid.mesh()
-    u0 = _values(grid, 7)
+    flux = np.stack(
+        [
+            numerical_flux(ham, X, *diff_arrays(state.values[i], grid), mode=mode)
+            for i, ham in enumerate(system.hams)
+        ]
+    )
+    coupling = np.tensordot(system.coupling.entries, state.values, axes=(1, 0))
+    new = state.values - dt * (flux + coupling)
+    assert np.isfinite(new).all()
+    return SystemState(t=state.t + dt, values=new, grid=grid)
+
+
+def _reference_solve(system, u0, config, times):
+    """The per-solve loop: snapshots at ``times`` and the step count at each."""
+    dt = cfl_dt(system, config)
+    state = SystemState(t=0.0, values=u0, grid=system.grid)
+    snapshots, steps = [u0], [0]
+    for k in range(1, len(times)):
+        span = times[k] - times[k - 1]
+        nsteps = max(1, int(np.ceil(span / dt - 1e-12)))
+        for _ in range(nsteps):
+            state = _reference_step(system, state, span / nsteps, config.flux_mode)
+        snapshots.append(state.values)
+        steps.append(steps[-1] + nsteps)
+    return snapshots, steps
+
+
+@pytest.mark.parametrize("family,dim,mode", CASES)
+def test_solve_matches_reference_loop(family, dim, mode):
+    # solve, and each member of a batch of three, against the per-solve loop
+    # on every snapshot
+    system = _system(family, dim)
+    grid = system.grid
     dt = cfl_dt(system, EvolutionConfig(t_final=1.0, flux_mode=mode))
-    config = EvolutionConfig(t_final=200 * dt, dt_override=dt, flux_mode=mode)
-    traj = solve(system, [GridFunction(grid, v) for v in u0], config)
-    assert traj.meta["steps_total"] == 200
-    sub = (traj.times[1] - traj.times[0]) / 200
-    v = u0.copy()
-    for _ in range(200):
-        flux = np.stack(
-            [
-                numerical_flux(ham, X, *diff_arrays(v[i], grid), mode=mode)
-                for i, ham in enumerate(system.hams)
-            ]
-        )
-        v = v - sub * (flux + np.tensordot(D, v, axes=(1, 0)))
-    assert _same_bits(traj.values[-1], v)
+    config = EvolutionConfig(
+        t_final=200 * dt, snapshot_every=70 * dt, dt_override=dt, flux_mode=mode
+    )
+    u0s = [_values(grid, seed) for seed in (7, 8, 9)]
+    members = [[GridFunction(grid, v) for v in u0] for u0 in u0s]
+    batch = solve_batch(system, members, config)
+    assert len(batch) == 3
+    for u0, member, batched in zip(u0s, members, batch):
+        alone = solve(system, member, config)
+        assert alone.meta["steps_total"] == 200
+        snapshots, steps = _reference_solve(system, u0, config, alone.times)
+        for traj in (alone, batched):
+            assert _same_bits(traj.times, alone.times)
+            assert traj.meta["steps_at_snapshot"] == steps
+            assert len(traj.values) == len(snapshots) == 4
+            for got, want in zip(traj.values, snapshots):
+                assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_step_matches_reference_step_and_leaves_its_state_alone(family):
+    system = _system(family, 1)
+    values = _values(system.grid, 4)
+    state = SystemState(t=0.5, values=values, grid=system.grid)
+    out = step(state, system, 1e-3)
+    assert state.values is values and state.t == 0.5
+    assert _same_bits(values, _values(system.grid, 4))
+    want = _reference_step(system, SystemState(0.5, values.copy(), system.grid), 1e-3, "local")
+    assert _same_bits(out.values, want.values) and out.t == want.t
 
 
 @pytest.mark.parametrize("dim", (1, 2))
