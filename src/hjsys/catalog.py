@@ -88,6 +88,13 @@ def direction_profile(params: dict, dim: int) -> tuple[Callable, float]:
         (int(t.get("j", 1)), float(t.get("cos", 0.0)), float(t.get("sin", 0.0)))
         for t in params.get("angle", [])
     ]
+    named = [("const", const)] + [
+        (f"angle[{t}].{key}", v) for t, (_, a, b) in enumerate(angle)
+        for key, v in (("cos", a), ("sin", b))
+    ]
+    for key, v in named:
+        if not np.isfinite(v):
+            raise ConfigError(f"direction profile {key} must be finite, got {v!r}")
     slope = sum(abs(j) * (abs(a) + abs(b)) for j, a, b in angle)
 
     def fn(x, d):

@@ -173,12 +173,12 @@ def cmd_ergodic(cfg, out_dir: str) -> int:
 def _source_functions(system: HJSystem) -> list:
     fs = []
     for i, h in enumerate(system.hams):
-        if h.eikonal_parts is None:
+        if h.source is None:
             raise ConfigError(
                 f"hamiltonian {i} has no separable source; "
                 "minimizer sets need sources"
             )
-        fs.append(sample(lambda x: np.asarray(h.eikonal_parts[1](x)), system.grid))
+        fs.append(sample(lambda x: np.asarray(h.source(x)), system.grid))
     return fs
 
 

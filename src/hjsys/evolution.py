@@ -14,8 +14,9 @@ equal steps no longer than the CFL step.
 
 Every solver computes the flux through a ``FluxKernel``, built once per
 system and flux mode (``HJSystem.flux_kernel``).  It holds the node mesh,
-reusable difference buffers, each Hamiltonian bound to the mesh, and the
-sampled coupling, so a step only does the work that depends on the values.
+reusable difference buffers, the evaluators of each Hamiltonian's
+``bind(X)`` on the mesh, and the sampled coupling, so a step only does the
+work that depends on the values.
 Its flux equals ``numerical_flux`` applied per component to ``diff_arrays``
 bit for bit.
 
@@ -32,7 +33,6 @@ import copy
 import json
 import os
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -168,14 +168,14 @@ class FluxKernel:
     """Numerical flux of every component of one system, bound to its grid.
 
     Built by ``HJSystem.flux_kernel``.  Computed once here, on the node mesh
-    X: per Hamiltonian a p-only evaluator and axis-alpha bound (from its
-    ``bind(X)``, or ``eval_fn(X, .)`` / ``axis_alpha(X, .)`` without one);
-    the coupling sampled at the nodes (``D_nodes``, None for the constant
-    variant) and its largest diagonal entry ``dmax``.  ``differentiable``
-    says that the grid is 1D and every ``bind`` supplied derivatives, so
-    ``jacobian`` is available.  The difference, midpoint and |p| buffers
-    are sized for the last values shape seen and reused by every call, so
-    one kernel must not be shared by concurrent solves.
+    X: per Hamiltonian the p-only evaluator and axis-alpha bound of its
+    ``bind(X)`` (the bound is dropped in global mode); the coupling sampled
+    at the nodes (``D_nodes``, None for the constant variant) and its
+    largest diagonal entry ``dmax``.  ``differentiable`` says that the grid
+    is 1D and every ``bind`` supplied derivatives, so ``jacobian`` is
+    available.  The difference, midpoint and |p| buffers are sized for the
+    last values shape seen and reused by every call, so one kernel must not
+    be shared by concurrent solves.
     """
 
     def __init__(self, system: HJSystem, mode: str):
@@ -188,12 +188,8 @@ class FluxKernel:
         self.terms = []  # (H(p), axis alpha(pabs) or None for the global flux, lf_alpha)
         self.derivatives = []  # (dH/dp(p), d alpha/d|p|), or () without them
         for ham in system.hams:
-            if ham.bind is not None:
-                H, alpha, *derivs = ham.bind(X)
-            else:
-                H, derivs = partial(ham.eval_fn, X), ()
-                alpha = None if ham.axis_alpha is None else partial(ham.axis_alpha, X)
-            if mode == "global" or ham.axis_alpha is None:
+            H, alpha, *derivs = ham.bind(X)
+            if mode == "global":
                 alpha = None
             self.terms.append((H, alpha, ham.lf_alpha))
             self.derivatives.append(tuple(derivs))
@@ -301,15 +297,15 @@ class FluxKernel:
             )
 
 
-def cfl_dt(system: HJSystem, config: EvolutionConfig, extra_damping: float = 0.0) -> float:
-    """Stable explicit step: min(cfl*h/(N*max alpha), cfl/(max d_ii + damping))."""
+def cfl_dt(system: HJSystem, config: EvolutionConfig) -> float:
+    """Stable explicit step: min(cfl*h/(N*max alpha), cfl/max d_ii)."""
     if config.dt_override is not None:
         return float(config.dt_override)
     amax = max(h.lf_alpha for h in system.hams)
     dt = config.cfl * system.grid.h / (system.grid.dim * amax)
     dmax = system.flux_kernel(config.flux_mode).dmax
-    if dmax + extra_damping > 0:
-        dt = min(dt, config.cfl / (dmax + extra_damping))
+    if dmax > 0:
+        dt = min(dt, config.cfl / dmax)
     return float(dt)
 
 

@@ -15,21 +15,23 @@ The numerical flux is of Lax-Friedrichs type,
 
 monotone as long as alpha dominates |H_p| on the gradients in play.  A
 single global ``lf_alpha`` (sampled over a configured p-box at build time)
-gives the textbook scheme; builders additionally provide per-axis local
-bounds ``axis_alpha`` so the stepping code can use stencil-local dissipation,
-which is what keeps the numerical large-time constants sharp on coarse grids.
-``flux_from_midpoint`` is the one implementation of this formula; the public
-``numerical_flux`` and the solvers' grid-bound kernel both call it.
+gives the textbook scheme; the built-in families also bound |dH/dp_k| on the
+hull of the one-sided gradients, so the stepping code can use stencil-local
+dissipation, which is what keeps the numerical large-time constants sharp on
+coarse grids.  ``flux_from_midpoint`` is the one implementation of this
+formula; the public ``numerical_flux`` and the solvers' grid-bound kernel
+both call it.
 
-Solvers evaluate H on one fixed node array X at every step, so builders also
-supply ``bind(X)``: it precomputes everything that depends only on x and
-returns p-only evaluators that give the same values, bit for bit, as
-``eval_fn(X, p)`` and ``axis_alpha(X, pabs)``.  The built-in families also
+A ``Hamiltonian`` is evaluated only through ``bind(X)``: given a node array
+X shaped (..., dim), it precomputes everything that depends only on x and
+returns the p-only evaluator ``H(p)`` and the per-axis local bound
+``alpha(pabs)``, or None for the global flux.  The built-in families also
 return two a.e. derivatives, valid in 1D, for the discounted solver's Newton
 iteration: ``dH/dp`` as a p-only evaluator and the slope of the local bound
-in |p| (each family's bound is affine in |p|).  Code that runs once per step
-calls ``np.add.reduce`` directly: it is what ``np.sum`` computes, without
-the Python wrapper that dominates on small grids.
+in |p| (each family's bound is affine in |p|).  ``H(x, p)`` is
+``bind(x)[0](p)``.  Code that runs once per step calls ``np.add.reduce``
+directly: it is what ``np.sum`` computes, without the Python wrapper that
+dominates on small grids.
 """
 from __future__ import annotations
 
@@ -64,28 +66,22 @@ _NUM_TOL = 1e-9
 class Hamiltonian:
     """First-order Hamiltonian on the torus with scheme metadata.
 
-    ``eval_fn(x, p)``: vectorized evaluator as described in the module
-    docstring.  ``lf_alpha``: global dissipation coefficient.
-    ``axis_alpha(x, pabs)``: optional per-axis bound on |dH/dp_k| valid for
-    all gradients with |p_k| <= pabs_k (arrays shaped (..., dim)).
-    ``eikonal_parts``: optional pair (gradient_part(x, p), source(x)) with
-    H = gradient_part - source.  ``compact_set_K``: optional predicate for
-    the zero set that pins the large-time constant at zero.  ``bind(X)``:
-    optional; returns the pair ``(H(p), axis_alpha(pabs))`` of evaluators on
-    the fixed node array X, optionally followed by ``dH/dp(p)`` and the
-    slope ``d alpha/d|p|`` (see the module docstring).
+    ``bind(X)``: the evaluator contract of the module docstring, returning
+    ``(H(p), alpha(pabs) or None)``, optionally followed by ``dH/dp(p)`` and
+    the slope ``d alpha/d|p|``.  ``lf_alpha``: global dissipation
+    coefficient.  ``source``: optional f(x) of a Hamiltonian of the form
+    ``G(x, p) - f(x)`` with G(x, 0) = 0.  ``compact_set_K``: optional
+    predicate for the zero set that pins the large-time constant at zero.
     """
 
     dim: int
-    eval_fn: Callable
+    bind: Callable
     lf_alpha: float
     class_tags: frozenset = frozenset()
-    eikonal_parts: tuple | None = None
+    source: Callable | None = None
     compact_set_K: Callable | None = None
-    axis_alpha: Callable | None = None
     name: str = "custom"
     params: dict = dc_field(default_factory=dict)
-    bind: Callable | None = None
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
@@ -94,7 +90,7 @@ class Hamiltonian:
             raise ConfigError(f"lf_alpha must be positive, got {self.lf_alpha!r}")
 
     def __call__(self, x, p) -> np.ndarray:
-        return self.eval_fn(np.asarray(x, dtype=float), np.asarray(p, dtype=float))
+        return self.bind(np.asarray(x, dtype=float))[0](np.asarray(p, dtype=float))
 
 
 def grad_p(H, x, p, step: float = 1e-5) -> np.ndarray:
@@ -110,7 +106,7 @@ def grad_p(H, x, p, step: float = 1e-5) -> np.ndarray:
 
 
 def sampled_grad_sup(
-    eval_fn: Callable,
+    bind: Callable,
     dim: int,
     p_box: float,
     n_x: int = 32,
@@ -118,18 +114,18 @@ def sampled_grad_sup(
     step: float = 1e-5,
     seed: int = 7,
 ) -> float:
-    """Sampled sup over x and the p-box of max_k |dH/dp_k|."""
+    """Sampled sup over x and the p-box of max_k |dH/dp_k|, H from ``bind``."""
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, 1.0, size=(n_x, dim))
     ps = rng.uniform(-p_box, p_box, size=(n_p, dim))
+    X, P = np.broadcast_arrays(xs[:, None, :], ps[None, :, :])
+    H = bind(X)[0]
     best = 0.0
     for k in range(dim):
         dp = np.zeros(dim)
         dp[k] = step
-        for x in xs:
-            xa = np.broadcast_to(x, (n_p, dim))
-            g = (eval_fn(xa, ps + dp) - eval_fn(xa, ps - dp)) / (2 * step)
-            best = max(best, float(np.max(np.abs(g))))
+        g = (H(P + dp) - H(P - dp)) / (2 * step)
+        best = max(best, float(np.max(np.abs(g))))
     return best
 
 
@@ -145,28 +141,21 @@ def make_quadratic_eikonal(
     def h_of(p, fx):
         return np.add.reduce(p * p, axis=-1) - fx
 
-    def ev(x, p):
-        return h_of(p, f(x))
-
-    def axis_alpha(x, pabs):
-        # |dH/dp_k| = 2 |p_k|, exact on the one-sided hull
-        return 2.0 * pabs
+    # |dH/dp_k| = 2 |p_k|, exact on the one-sided hull; dH/dp = 2 p
+    twice = partial(np.multiply, 2.0)
 
     def bind(X):
-        return partial(h_of, fx=f(X)), partial(axis_alpha, X), partial(np.multiply, 2.0), 2.0
+        return partial(h_of, fx=f(X)), twice, twice, 2.0
 
-    alpha = 1.1 * sampled_grad_sup(ev, dim, p_box)
     return Hamiltonian(
         dim=dim,
-        eval_fn=ev,
-        lf_alpha=alpha,
+        bind=bind,
+        lf_alpha=1.1 * sampled_grad_sup(bind, dim, p_box),
         class_tags=frozenset({"convex", "strictly_convex", "coercive", "eikonal_split"}),
-        eikonal_parts=(lambda x, p: np.sum(p * p, axis=-1), f),
+        source=f,
         compact_set_K=lambda x: np.asarray(f(x)) <= 1e-9,
-        axis_alpha=axis_alpha,
         name=name,
         params=dict(params or {}),
-        bind=bind,
     )
 
 
@@ -179,31 +168,24 @@ def make_linear_eikonal(
     def h_of(p, fx):
         return np.sqrt(np.add.reduce(p * p, axis=-1)) - fx
 
-    def ev(x, p):
-        return h_of(p, f(x))
-
-    def axis_alpha(x, pabs):
-        return np.ones_like(pabs)
-
     def dh_dp(p):
         pn = np.sqrt(np.add.reduce(p * p, axis=-1, keepdims=True))
         return np.divide(p, pn, out=np.zeros_like(p), where=pn > 0)
 
     def bind(X):
-        return partial(h_of, fx=f(X)), partial(axis_alpha, X), dh_dp, 0.0
+        # |dH/dp_k| <= 1 everywhere
+        return partial(h_of, fx=f(X)), np.ones_like, dh_dp, 0.0
 
-    _ = p_box  # |dH/dp_k| <= 1 everywhere; nothing to sample
+    _ = p_box  # nothing to sample
     return Hamiltonian(
         dim=dim,
-        eval_fn=ev,
+        bind=bind,
         lf_alpha=1.1,
         class_tags=frozenset({"convex", "coercive", "eikonal_split"}),
-        eikonal_parts=(lambda x, p: np.sqrt(np.sum(p * p, axis=-1)), f),
+        source=f,
         compact_set_K=lambda x: np.asarray(f(x)) <= 1e-9,
-        axis_alpha=axis_alpha,
         name=name,
         params=dict(params or {}),
-        bind=bind,
     )
 
 
@@ -215,7 +197,6 @@ def make_nonconvex_example(
     p_box: float = 2.5,
     name: str = "nonconvex_bs00",
     params: dict | None = None,
-    f_bound: float | None = None,
     q_bound: float | None = None,
     F_bounds: tuple[float, float] | None = None,
     F_angle_slope: float = 0.0,
@@ -240,10 +221,6 @@ def make_nonconvex_example(
         d = p / safe[..., None]
         return np.where(moving, psi * np.asarray(F(x, d)) - fv, -fv)
 
-    def ev(x, p):
-        x = np.asarray(x, dtype=float)
-        return h_of(np.asarray(p, dtype=float), x, *x_data(x))
-
     # sampled positivity envelope for F and sup |q| to bound |H_p|
     probe = np.linspace(0.0, 1.0, 64, endpoint=False)
     xs = probe[:, None] if dim == 1 else np.stack(
@@ -265,7 +242,7 @@ def make_nonconvex_example(
 
     fmax, fangle, qmax = F_bounds[1], F_angle_slope, q_bound
 
-    def axis_alpha(x, pabs):
+    def alpha(pabs):
         # |H_p| <= 2(|p| + |q|) F_max + (|p| + 2|q|) sup|dF/dtheta|
         pn = np.sqrt(np.add.reduce(pabs * pabs, axis=-1, keepdims=True))
         bound = 2.0 * (pn + qmax) * fmax + (pn + 2.0 * qmax) * fangle
@@ -277,7 +254,7 @@ def make_nonconvex_example(
 
     def bind(X):
         qv, qq, fv = x_data(X)
-        return (partial(h_of, x=X, qv=qv, qq=qq, fv=fv), partial(axis_alpha, X),
+        return (partial(h_of, x=X, qv=qv, qq=qq, fv=fv), alpha,
                 partial(dh_dp, x=X, qv=qv), 2.0 * fmax + fangle)
 
     def compact_set(x):
@@ -286,25 +263,19 @@ def make_nonconvex_example(
             np.sqrt(np.sum(qv * qv, axis=-1)) <= 1e-9
         )
 
-    alpha = 1.1 * max(
-        sampled_grad_sup(ev, dim, p_box),
-        2.0 * (p_box + qmax) * fmax,
-    )
     tags = {"nonconvex_example", "coercive"}
     nodes = xs if dim == 2 else probe[:, None]
     if not np.any(compact_set(nodes)):
         tags.add("K_empty_warning")
     return Hamiltonian(
         dim=dim,
-        eval_fn=ev,
-        lf_alpha=alpha,
+        bind=bind,
+        lf_alpha=1.1 * max(sampled_grad_sup(bind, dim, p_box), 2.0 * (p_box + qmax) * fmax),
         class_tags=frozenset(tags),
-        eikonal_parts=(lambda x, p: ev(x, p) + np.asarray(f(x)), f),
+        source=f,
         compact_set_K=compact_set,
-        axis_alpha=axis_alpha,
         name=name,
         params=dict(params or {}),
-        bind=bind,
     )
 
 
@@ -325,11 +296,7 @@ def flux_from_midpoint(mid, p_minus, p_plus, alpha) -> np.ndarray:
 
 def lax_friedrichs_flux(H: Hamiltonian, x, p_minus, p_plus) -> np.ndarray:
     """Global-coefficient monotone flux (see module docstring)."""
-    if H.lf_alpha <= 0:
-        raise ConfigError("lf_alpha must be positive")
-    pm = np.asarray(p_minus, dtype=float)
-    pp = np.asarray(p_plus, dtype=float)
-    return flux_from_midpoint(H(x, 0.5 * (pm + pp)), pm, pp, H.lf_alpha)
+    return numerical_flux(H, x, p_minus, p_plus, mode="global")
 
 
 def numerical_flux(
@@ -337,22 +304,23 @@ def numerical_flux(
 ) -> np.ndarray:
     """Monotone flux with either global or stencil-local dissipation.
 
-    ``mode='local'`` uses the Hamiltonian's per-axis derivative bound on the
-    hull of the one-sided gradients; it coincides with the global flux when
-    no bound is available.  Local dissipation vanishes with the gradients,
-    which removes most of the O(alpha h) smearing at the minima that set the
-    large-time constants.  This is the reference the solvers' bound kernel
-    reproduces bit for bit.
+    ``mode='local'`` uses the per-axis derivative bound that ``H.bind(x)``
+    returns on the hull of the one-sided gradients; it coincides with the
+    global flux when the bound is None.  Local dissipation vanishes with the
+    gradients, which removes most of the O(alpha h) smearing at the minima
+    that set the large-time constants.  This is the reference the solvers'
+    bound kernel reproduces bit for bit.
     """
     if mode not in ("local", "global"):
         raise ConfigError(f"unknown flux mode {mode!r}")
-    if mode == "global" or H.axis_alpha is None:
-        return lax_friedrichs_flux(H, x, p_minus, p_plus)
     pm = np.asarray(p_minus, dtype=float)
     pp = np.asarray(p_plus, dtype=float)
-    pabs = np.maximum(np.abs(pm), np.abs(pp))
-    alpha = np.asarray(H.axis_alpha(np.asarray(x, dtype=float), pabs))
-    return flux_from_midpoint(H(x, 0.5 * (pm + pp)), pm, pp, alpha)
+    h_of, alpha_of, *_ = H.bind(np.asarray(x, dtype=float))
+    mid = h_of(0.5 * (pm + pp))
+    if mode == "global" or alpha_of is None:
+        return flux_from_midpoint(mid, pm, pp, H.lf_alpha)
+    alpha = np.asarray(alpha_of(np.maximum(np.abs(pm), np.abs(pp))))
+    return flux_from_midpoint(mid, pm, pp, alpha)
 
 
 # -- assumption checking -----------------------------------------------------

@@ -429,15 +429,11 @@ def hamiltonian_from_spec(
         a = (slice(None),) + (None,) * (p.ndim + 1 - B.ndim)
         return np.maximum.reduce(-np.add.reduce(B[a] * p, axis=-1) - L[a], axis=0)
 
-    def eval_fn(x, p):
-        p = np.asarray(p, dtype=float)
-        return sup(p, *_action_tables(spec, mode, np.asarray(x, dtype=float), p.shape))
-
     probes = np.linspace(0.0, 1.0, 17)[:-1]
     xs = np.stack(np.meshgrid(*[probes] * spec.dim, indexing="ij"), -1).reshape(-1, spec.dim)
     bmax_axis = np.max(np.abs(_action_tables(spec, mode, xs, xs.shape)[0]), axis=(0, 1))
 
-    def axis_alpha(x, pabs):
+    def alpha(pabs):
         return np.broadcast_to(bmax_axis, pabs.shape)
 
     def dsup_dp(p, B, L):
@@ -448,29 +444,21 @@ def hamiltonian_from_spec(
 
     def bind(X):
         B, L = _action_tables(spec, mode, X, X.shape)
-        return (partial(sup, B=B, L=L), partial(axis_alpha, X),
-                partial(dsup_dp, B=B, L=L), 0.0)
+        return partial(sup, B=B, L=L), alpha, partial(dsup_dp, B=B, L=L), 0.0
 
     # crude coercivity probe along the axes; gates the discounted solver
     tags = {"convex"}
     e = np.concatenate([np.eye(spec.dim), -np.eye(spec.dim)])
-    x_mid = np.full((1, spec.dim), 0.5)
-    grew = all(
-        float(eval_fn(x_mid, p_box * d[None, :])[0])
-        > float(eval_fn(x_mid, 0.5 * p_box * d[None, :])[0])
-        for d in e
-    )
-    if grew:
+    H = bind(np.full((1, spec.dim), 0.5))[0]
+    if all(float(H(p_box * d[None, :])[0]) > float(H(0.5 * p_box * d[None, :])[0]) for d in e):
         tags.add("coercive")
     return Hamiltonian(
         dim=spec.dim,
-        eval_fn=eval_fn,
+        bind=bind,
         lf_alpha=1.05 * float(np.max(bmax_axis)) if np.max(bmax_axis) > 0 else 1e-12,
         class_tags=frozenset(tags),
-        axis_alpha=axis_alpha,
         name="switching_sup",
         params={"mode": mode, "actions": len(spec.control_set)},
-        bind=bind,
     )
 
 

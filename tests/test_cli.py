@@ -150,6 +150,15 @@ class TestExitCodes:
         assert rc == 2
         assert "coupling entries must be finite" in capsys.readouterr().err
 
+    def test_nonfinite_direction_profile_is_a_config_error(self, tmp_path, capsys):
+        cfg = _evolve_cfg()
+        for hb in cfg["system"]["hamiltonians"]:
+            hb["id"] = "nonconvex_bs00"
+            hb["params"]["F"] = {"const": float("nan")}
+        rc = main(["evolve", "--config", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "direction profile const must be finite, got nan" in capsys.readouterr().err
+
     def test_gradient_outside_p_box_exits_3(self, tmp_path, capsys):
         # local-flux dt comes from lf_alpha, sampled over the p_box; data with
         # slopes up to pi overrun a box of 0.5 but not the default 2.5

@@ -155,7 +155,7 @@ class TestDiscountedFixedPoints:
         grid = Grid(dim=1, n=16)
         H = Hamiltonian(
             dim=1,
-            eval_fn=lambda x, p: np.sum(p * p, axis=-1),
+            bind=lambda X: (lambda p: np.sum(p * p, axis=-1), None),
             lf_alpha=1.0,
             class_tags=frozenset({"convex"}),  # no coercive tag
         )

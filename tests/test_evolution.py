@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -99,7 +101,7 @@ class TestTimeStep:
     def test_cfl_formula_exact(self):
         grid = Grid(dim=1, n=64)
         H = Hamiltonian(
-            dim=1, eval_fn=lambda x, p: np.sum(p * p, axis=-1), lf_alpha=2.0
+            dim=1, bind=lambda X: (lambda p: np.sum(p * p, axis=-1), None), lf_alpha=2.0
         )
         system = HJSystem(
             hams=(H, H), coupling=CouplingMatrix(2, entries=SYM), grid=grid
@@ -110,7 +112,7 @@ class TestTimeStep:
     def test_coupling_bound_binds_for_stiff_coupling(self):
         grid = Grid(dim=1, n=64)
         H = Hamiltonian(
-            dim=1, eval_fn=lambda x, p: np.sum(p * p, axis=-1), lf_alpha=0.01
+            dim=1, bind=lambda X: (lambda p: np.sum(p * p, axis=-1), None), lf_alpha=0.01
         )
         stiff = 50.0 * SYM
         system = HJSystem(
@@ -323,7 +325,7 @@ class TestDiagnosticsHooks:
                 p, axis=-1
             )
 
-        H = Hamiltonian(dim=1, eval_fn=poisoned, lf_alpha=1.0)
+        H = Hamiltonian(dim=1, bind=lambda X: (partial(poisoned, X), None), lf_alpha=1.0)
         system = HJSystem(
             hams=(H,), coupling=CouplingMatrix(1, entries=np.zeros((1, 1))), grid=grid
         )
@@ -335,7 +337,9 @@ class TestDiagnosticsHooks:
         # infinite where the midpoint slope passes 1: only the spiked member
         # meets it, at the nodes on either side of its spike
         H = Hamiltonian(
-            dim=1, eval_fn=lambda x, p: np.where(np.abs(p[..., 0]) > 1.0, np.inf, 0.0), lf_alpha=1.0
+            dim=1,
+            bind=lambda X: (lambda p: np.where(np.abs(p[..., 0]) > 1.0, np.inf, 0.0), None),
+            lf_alpha=1.0,
         )
         system = HJSystem(
             hams=(H,), coupling=CouplingMatrix(1, entries=np.zeros((1, 1))), grid=grid

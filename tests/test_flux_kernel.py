@@ -8,6 +8,8 @@ the coupling.  Equality is asserted on the raw bytes, which is stricter than
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -59,15 +61,18 @@ def _switching_hams(dim):
 
 
 def _custom_hams(dim):
-    # no bind: the kernel falls back to eval_fn / axis_alpha at the mesh
+    # hand-written binds: one with a local bound and no derivatives, one
+    # with neither, which gets the global flux in both modes
     def ev(x, p):
         return np.sum(p * p, axis=-1) * (1.2 + 0.5 * np.sin(2 * np.pi * x[..., 0])) - 0.5
 
     with_alpha = Hamiltonian(
-        dim=dim, eval_fn=ev, lf_alpha=9.0, axis_alpha=lambda x, pabs: 3.4 * pabs
+        dim=dim, bind=lambda X: (partial(ev, X), partial(np.multiply, 3.4)), lf_alpha=9.0
     )
     without_alpha = Hamiltonian(
-        dim=dim, eval_fn=lambda x, p: np.sqrt(np.sum(p * p, axis=-1)) - 0.2, lf_alpha=1.1
+        dim=dim,
+        bind=lambda X: (lambda p: np.sqrt(np.sum(p * p, axis=-1)) - 0.2, None),
+        lf_alpha=1.1,
     )
     return (with_alpha, without_alpha)
 

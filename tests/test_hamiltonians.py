@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
-from hjsys.catalog import build_hamiltonian, direction_profile, fourier_function
+from hjsys.catalog import (
+    F1,
+    F2,
+    build_hamiltonian,
+    direction_profile,
+    fourier_function,
+    unit_ball_eikonal_process,
+)
 from hjsys.errors import ConfigError
 from hjsys.hamiltonians import (
     Hamiltonian,
@@ -18,6 +27,7 @@ from hjsys.hamiltonians import (
     make_quadratic_eikonal,
     numerical_flux,
 )
+from hjsys.switching import hamiltonian_from_spec
 
 F_SHIFTED_COS = {"const": 1.5, "terms": [{"k": [1], "cos": -1.0}]}
 
@@ -31,17 +41,16 @@ class TestBuilders:
         H = make_quadratic_eikonal(_f(), dim=1)
         x = np.array([0.0])
         # f(0) = 0.5, so H(0, p) = p^2 - 0.5
-        assert np.isclose(H.eval_fn(x, np.array([2.0])), 3.5, atol=1e-14)
-        assert np.isclose(H.eval_fn(x, np.array([0.0])), -0.5, atol=1e-14)
+        assert np.isclose(H(x, np.array([2.0])), 3.5, atol=1e-14)
+        assert np.isclose(H(x, np.array([0.0])), -0.5, atol=1e-14)
 
     def test_quadratic_split_identity(self):
         H = make_quadratic_eikonal(_f(), dim=1)
-        kin, pot = H.eikonal_parts
         rng = np.random.default_rng(0)
         for _ in range(50):
             x = rng.random(1)
             p = rng.uniform(-2, 2, 1)
-            assert abs(H.eval_fn(x, p) - (kin(x, p) - pot(x))) <= 1e-14
+            assert abs(H(x, p) - (np.sum(p * p, axis=-1) - H.source(x))) <= 1e-14
 
     def test_quadratic_tags_and_alpha(self):
         H = make_quadratic_eikonal(_f(), dim=1)
@@ -53,15 +62,15 @@ class TestBuilders:
         H = make_linear_eikonal(_f(), dim=1)
         x = np.array([0.25])
         # f(0.25) = 1.5, |p| = 2
-        assert np.isclose(H.eval_fn(x, np.array([-2.0])), 0.5, atol=1e-14)
+        assert np.isclose(H(x, np.array([-2.0])), 0.5, atol=1e-14)
         assert H.lf_alpha == pytest.approx(1.1)
 
     def test_periodicity(self):
         H = make_quadratic_eikonal(_f(), dim=1)
         p = np.array([0.7])
         for x0 in (0.13, 0.77):
-            a = H.eval_fn(np.array([x0]), p)
-            b = H.eval_fn(np.array([x0 + 1.0]), p)
+            a = H(np.array([x0]), p)
+            b = H(np.array([x0 + 1.0]), p)
             assert abs(a - b) <= 1e-12
 
     def test_compact_zero_set(self):
@@ -76,7 +85,7 @@ class TestBuilders:
 
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ConfigError):
-            Hamiltonian(dim=1, eval_fn=lambda x, p: 0.0, lf_alpha=0.0)
+            Hamiltonian(dim=1, bind=lambda X: (lambda p: 0.0, None), lf_alpha=0.0)
 
     def test_catalog_unknown_id(self):
         with pytest.raises(ConfigError):
@@ -84,7 +93,7 @@ class TestBuilders:
 
     def test_catalog_builds_quadratic(self):
         H = build_hamiltonian("quadratic_eikonal", {"f": F_SHIFTED_COS}, dim=1)
-        assert np.isclose(H.eval_fn(np.array([0.0]), np.array([1.0])), 0.5)
+        assert np.isclose(H(np.array([0.0]), np.array([1.0])), 0.5)
 
 
 class TestNonconvexBuilder:
@@ -101,7 +110,7 @@ class TestNonconvexBuilder:
         H = self._H()
         for x0 in (0.0, 0.3, 0.9):
             x = np.array([x0])
-            assert np.isclose(H.eval_fn(x, np.zeros(1)), -float(_f()(x)), atol=1e-13)
+            assert np.isclose(H(x, np.zeros(1)), -float(_f()(x)), atol=1e-13)
 
     def test_reduces_to_shifted_quadratic_for_flat_profile(self):
         prof, _ = direction_profile({"const": 1.0}, 1)
@@ -112,7 +121,7 @@ class TestNonconvexBuilder:
         for pv in (-1.5, 0.4, 2.0):
             p = np.array([pv])
             expect = (pv + 0.5) ** 2 - 0.25 - float(_f()(x))
-            assert np.isclose(H.eval_fn(x, p), expect, atol=1e-12)
+            assert np.isclose(H(x, p), expect, atol=1e-12)
 
     def test_tags(self):
         H = self._H()
@@ -137,7 +146,9 @@ class TestGradient:
 
     def test_central_difference_order(self):
         # halving the step shrinks the error about 4x on a smooth profile
-        H = Hamiltonian(dim=1, eval_fn=lambda x, p: float(np.cos(p[0])), lf_alpha=1.0)
+        H = Hamiltonian(
+            dim=1, bind=lambda X: (lambda p: float(np.cos(p[0])), None), lf_alpha=1.0
+        )
         x = np.zeros(1)
         p = np.array([0.9])
         exact = -np.sin(0.9)
@@ -153,11 +164,11 @@ class TestFlux:
         x = np.array([0.3])
         p = np.array([1.2])
         assert np.isclose(
-            lax_friedrichs_flux(H, x, p, p), H.eval_fn(x, p), atol=1e-14
+            lax_friedrichs_flux(H, x, p, p), H(x, p), atol=1e-14
         )
 
     def test_dissipation_value(self):
-        H = Hamiltonian(dim=1, eval_fn=lambda x, p: float(p @ p), lf_alpha=5.0)
+        H = Hamiltonian(dim=1, bind=lambda X: (lambda p: float(p @ p), None), lf_alpha=5.0)
         val = lax_friedrichs_flux(H, np.zeros(1), np.array([0.0]), np.array([2.0]))
         # H(midpoint) - (alpha/2)(pp - pm) = 1 - 5 = -4
         assert np.isclose(val, -4.0, atol=1e-14)
@@ -183,7 +194,7 @@ class TestFlux:
         x = np.array([0.3])
         p = np.array([1.2])
         assert np.isclose(
-            numerical_flux(H, x, p, p, mode="local"), H.eval_fn(x, p), atol=1e-14
+            numerical_flux(H, x, p, p, mode="local"), H(x, p), atol=1e-14
         )
 
     def test_local_dissipation_below_global(self):
@@ -235,7 +246,7 @@ class TestAssumptionChecks:
     def test_h5_missing_compact_set_noted(self):
         H = Hamiltonian(
             dim=1,
-            eval_fn=lambda x, p: np.sum(p * p, axis=-1) - 1.0,
+            bind=lambda X: (lambda p: np.sum(p * p, axis=-1) - 1.0, None),
             lf_alpha=6.0,
             class_tags=frozenset({"convex"}),
         )
@@ -277,3 +288,56 @@ class TestDirectionProfile:
         west = prof(x, np.array([[-1.0, 0.0]]))
         assert np.isclose(east[0], 1.3)
         assert np.isclose(west[0], 0.7)
+
+    @pytest.mark.parametrize(
+        "params,field",
+        [
+            ({"const": float("nan")}, "const"),
+            ({"angle": [{"j": 1, "cos": 0.3}, {"j": 2, "sin": float("inf")}]}, "angle[1].sin"),
+        ],
+    )
+    def test_non_finite_coefficient_names_the_field(self, params, field):
+        with pytest.raises(ConfigError, match=rf"direction profile {re.escape(field)} must be finite"):
+            direction_profile(params, 1)
+
+
+_SRC_2D = {"const": 1.0, "terms": [{"k": [1, 1], "cos": -1.0}]}
+_Q_2D = [{"terms": [{"k": [1, 1], "sin": 0.3}]}] * 2
+_CONVEX = ["coercive", "convex", "eikonal_split"]
+_NONCONVEX = ["coercive", "nonconvex_example"]
+
+# lf_alpha (as float.hex) and class tags of each built-in family.  lf_alpha
+# sets dt for every solve, so it must not move when the evaluators are
+# rearranged; the last nonconvex case has a steep direction profile, so
+# there the sampled sup of |dH/dp| sets lf_alpha, not the analytic bound.
+PINNED_ALPHA = [
+    ("linear_eikonal", None, 1, "0x1.199999999999ap+0", _CONVEX),
+    ("nonconvex_bs00", None, 1, "0x1.004189374bc6ap+3", _NONCONVEX),
+    ("quadratic_eikonal", None, 1, "0x1.5d5efffd7b330p+2", _CONVEX + ["strictly_convex"]),
+    ("linear_eikonal", {"f": _SRC_2D}, 2, "0x1.199999999999ap+0", _CONVEX),
+    ("nonconvex_bs00", {"f": _SRC_2D, "q": _Q_2D}, 2, "0x1.004189374bc6ap+3", _NONCONVEX),
+    ("quadratic_eikonal", {"f": _SRC_2D}, 2, "0x1.5dba162175e40p+2", _CONVEX + ["strictly_convex"]),
+    (
+        "nonconvex_bs00",
+        {"f": _SRC_2D, "q": _Q_2D, "F": {"const": 1.0, "angle": [{"j": 3, "cos": 0.5}]}},
+        2,
+        "0x1.6d8c0734dbf71p+3",
+        _NONCONVEX,
+    ),
+]
+
+
+@pytest.mark.parametrize("ham_id,params,dim,alpha_hex,tags", PINNED_ALPHA)
+def test_builtin_lf_alpha_is_pinned(ham_id, params, dim, alpha_hex, tags):
+    H = build_hamiltonian(ham_id, params, dim)
+    assert H.lf_alpha.hex() == alpha_hex
+    assert sorted(H.class_tags) == tags
+
+
+def test_switching_lf_alpha_is_pinned():
+    # the two modes of the appendix-mc process: 64 actions in [-1, 1]
+    spec = unit_ball_eikonal_process([F1, F2], [[-1.0, 1.0], [1.0, -1.0]])
+    for mode in range(2):
+        H = hamiltonian_from_spec(spec, mode)
+        assert H.lf_alpha.hex() == "0x1.0cccccccccccdp+0"
+        assert sorted(H.class_tags) == ["coercive", "convex"]

@@ -1,13 +1,16 @@
-"""Package hygiene: no module imports a private name from another module."""
+"""Package hygiene: no module imports a private name from another module,
+and every name the benchmark tracer wraps still exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import pathlib
 
 import hjsys
 
 SRC = pathlib.Path(hjsys.__file__).parent
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def _private_imports(path: pathlib.Path) -> list[str]:
@@ -35,3 +38,49 @@ def test_the_check_sees_a_private_import(tmp_path):
     path = tmp_path / "mod.py"
     path.write_text("from .evolution import HJSystem, _hidden\nfrom os import _exit\n")
     assert _private_imports(path) == ["mod.py:1 evolution._hidden"]
+
+
+def _tracer_targets() -> list:
+    """The TARGETS list of perfbench/tracer.py, read without importing it."""
+    for node in ast.parse(TRACER.read_text(), filename=str(TRACER)).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{TRACER} defines no TARGETS")
+
+
+def _unresolved(targets) -> list[str]:
+    """Targets whose function is missing; a "Cls.meth" method must be
+    defined on the class itself, where the tracer wraps it."""
+    missing = []
+    for _, module, attr, _ in targets:
+        owner_name, _, name = attr.rpartition(".")
+        owner = importlib.import_module(module)
+        if owner_name:
+            owner = getattr(owner, owner_name, None)
+            found = owner is not None and name in vars(owner)
+        else:
+            found = callable(getattr(owner, name, None))
+        if not found:
+            missing.append(f"{module}.{attr}")
+    return missing
+
+
+def test_every_traced_name_resolves():
+    targets = _tracer_targets()
+    assert len(targets) > 50
+    assert _unresolved(targets) == []
+
+
+def test_the_check_sees_a_missing_traced_name():
+    # __init_subclass__ is inherited from object, so it is not on the class
+    targets = [
+        ("hamiltonians", "hjsys.hamiltonians", "Hamiltonian.__call__", True),
+        ("hamiltonians", "hjsys.hamiltonians", "Hamiltonian.__init_subclass__", True),
+        ("evolution", "hjsys.evolution", "no_such_function", False),
+    ]
+    assert _unresolved(targets) == [
+        "hjsys.hamiltonians.Hamiltonian.__init_subclass__",
+        "hjsys.evolution.no_such_function",
+    ]

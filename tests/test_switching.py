@@ -482,7 +482,7 @@ class TestPdeBridge:
         for pv in (-2.0, -0.5, 0.0, 0.7, 1.9):
             p = np.full((13, 1), pv)
             ref = abs(pv) - (1.5 - np.cos(2 * np.pi * xs[:, 0]))
-            assert np.allclose(H.eval_fn(xs, p), ref, atol=1e-12)
+            assert np.allclose(H(xs, p), ref, atol=1e-12)
 
     def test_direction_resolution_bound_2d(self):
         th = np.linspace(0, 2 * np.pi, 64, endpoint=False)
@@ -500,7 +500,7 @@ class TestPdeBridge:
         rng = np.random.default_rng(8)
         x = rng.random((40, 2))
         p = rng.uniform(-2, 2, (40, 2))
-        got = H.eval_fn(x, p)
+        got = H(x, p)
         pn = np.sqrt(np.sum(p * p, axis=-1))
         gap_bound = 2 * (1 - np.cos(np.pi / 64)) * pn
         assert np.all(got <= pn + 1e-12)
@@ -512,7 +512,7 @@ class TestPdeBridge:
         x = np.array([[0.2]])
         for pv in (-1.0, 0.0, 2.0):
             expect = -0.3 * pv - 0.2
-            assert np.isclose(H.eval_fn(x, np.array([[pv]]))[0], expect, atol=1e-13)
+            assert np.isclose(H(x, np.array([[pv]]))[0], expect, atol=1e-13)
 
     def test_unit_ball_hamiltonian_is_coercive(self):
         H = hamiltonian_from_spec(self._unit_ball_spec(), 0)
