@@ -126,7 +126,7 @@ def vector_field(params: list, dim: int) -> Callable:
     return fn
 
 
-_DEFAULT_F = {"const": 1.0, "terms": [{"k": [1], "cos": -1.0}]}  # 1 - cos(2 pi x)
+_DEFAULT_F = {"const": 1.0, "terms": [{"cos": -1.0}]}  # 1 - cos(2 pi k.x), k = [1] * dim
 
 
 def build_hamiltonian(ham_id: str, params: dict | None, dim: int = 1) -> Hamiltonian:
@@ -148,7 +148,7 @@ def build_hamiltonian(ham_id: str, params: dict | None, dim: int = 1) -> Hamilto
         return make_linear_eikonal(f, dim=dim, p_box=p_box,
                                    params={"id": ham_id, **params})
     f = fourier_function(params.get("f", _DEFAULT_F), dim)
-    default_q = [{"terms": [{"k": [1], "sin": 0.3}]}] * dim
+    default_q = [{"terms": [{"sin": 0.3}]}] * dim
     q = vector_field(params.get("q", default_q), dim)
     Ffn, slope = direction_profile(
         params.get("F", {"const": 1.0, "angle": [{"j": 1, "cos": 0.3}]}), dim

@@ -151,7 +151,7 @@ def make_quadratic_eikonal(
         dim=dim,
         bind=bind,
         lf_alpha=1.1 * sampled_grad_sup(bind, dim, p_box),
-        class_tags=frozenset({"convex", "strictly_convex", "coercive", "eikonal_split"}),
+        class_tags=frozenset({"convex", "strictly_convex", "coercive"}),
         source=f,
         compact_set_K=lambda x: np.asarray(f(x)) <= 1e-9,
         name=name,
@@ -181,7 +181,7 @@ def make_linear_eikonal(
         dim=dim,
         bind=bind,
         lf_alpha=1.1,
-        class_tags=frozenset({"convex", "coercive", "eikonal_split"}),
+        class_tags=frozenset({"convex", "coercive"}),
         source=f,
         compact_set_K=lambda x: np.asarray(f(x)) <= 1e-9,
         name=name,

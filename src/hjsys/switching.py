@@ -15,10 +15,10 @@ matching the value functions solved by the PDE side with
     d_ii = sum_{j != i} gamma_ij,   d_ij = -gamma_ij.
 
 ``simulate_trajectory`` is the scalar reference implementation with a full
-path record.  ``estimate_value`` runs batched paths vectorized over the
-sample axis; every batch draws from an independent child stream of the
-master seed and batches are aggregated in fixed order, so results are
-reproducible for a given seed.
+path record.  ``estimate_value`` runs all its paths in one time loop,
+vectorized over the sample axis.  Each RNG block of ``batch_size`` paths
+draws from its own child stream of the master seed, so seeded results are
+reproducible; ``batch_size`` sets only that partition, not the speed.
 """
 from __future__ import annotations
 
@@ -327,15 +327,18 @@ def _advance(spec, policy, x, modes, cost, seg, time_to_go):
     x[idx] = (xs + s[:, None] * v) % 1.0
 
 
-def _run_batch(spec, policy, x0, mode0, horizon, dt, rng, size) -> np.ndarray:
+def _run_batch(spec, policy, x0, mode0, horizon, dt, rngs, sizes) -> np.ndarray:
+    """Path costs of RNG blocks of the given sizes, in one time loop; block b
+    draws from rngs[b] alone, in the order of a run of its own."""
     R = spec.total_rates()
     cdf = _destination_cdf(spec, R)
+    bounds = np.cumsum([0, *sizes])
     x = np.broadcast_to(
-        np.atleast_1d(np.asarray(x0, dtype=float)) % 1.0, (size, spec.dim)
+        np.atleast_1d(np.asarray(x0, dtype=float)) % 1.0, (sum(sizes), spec.dim)
     ).copy()
-    modes = np.full(size, int(mode0))
-    cost = np.zeros(size)
-    draw = rng.exponential(size=size)
+    modes = np.full(len(x), int(mode0))
+    cost = np.zeros(len(x))
+    draw = np.concatenate([rng.exponential(size=n) for rng, n in zip(rngs, sizes)])
     with np.errstate(divide="ignore"):
         next_switch = np.where(R[modes] > 0, draw / R[modes], np.inf)
     n_steps = int(np.ceil(horizon / dt - 1e-12))
@@ -354,9 +357,10 @@ def _run_batch(spec, policy, x0, mode0, horizon, dt, rng, size) -> np.ndarray:
             )
             if not len(switching):
                 break
-            u = rng.random(len(switching))
+            counts = np.diff(np.searchsorted(switching, bounds))
+            u = np.concatenate([rng.random(n) for rng, n in zip(rngs, counts) if n])
             modes[switching] = _draw_destinations(cdf, modes[switching], u)
-            draw = rng.exponential(size=len(switching))
+            draw = np.concatenate([rng.exponential(size=n) for rng, n in zip(rngs, counts) if n])
             Rsel = R[modes[switching]]
             with np.errstate(divide="ignore"):
                 next_switch[switching] = cur[switching] + np.where(
@@ -383,22 +387,18 @@ def estimate_value(
     dt_sim: float | None = None,
     batch_size: int = 2048,
 ) -> ValueEstimate:
-    """Monte Carlo path-cost mean with independent per-batch streams."""
+    """Monte Carlo path-cost mean.  Block b of ``batch_size`` paths (the last
+    may be shorter) draws from child stream b of ``seed``; one time loop runs
+    every block, so ``batch_size`` fixes only the stream partition: a seeded
+    value depends on it, the speed hardly does."""
     dt = _run_step(spec, x, mode, horizon, dt_sim)
     if n_samples < 100:
         raise ConfigError("need at least 100 samples")
-    sizes = []
-    left = n_samples
-    while left > 0:
-        sizes.append(min(batch_size, left))
-        left -= sizes[-1]
-    streams = np.random.SeedSequence(seed).spawn(len(sizes))
-    costs = np.concatenate(
-        [
-            _run_batch(spec, policy, x, mode, horizon, dt, np.random.default_rng(ss), size)
-            for ss, size in zip(streams, sizes)
-        ]
-    )
+    if not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
+        raise ConfigError(f"batch_size must be an integer >= 1, got {batch_size!r}")
+    sizes = [min(batch_size, n_samples - s) for s in range(0, n_samples, batch_size)]
+    rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(len(sizes))]
+    costs = _run_batch(spec, policy, x, mode, horizon, dt, rngs, sizes)
     mean = float(np.mean(costs))
     std_error = float(np.std(costs, ddof=1) / np.sqrt(len(costs)))
     return ValueEstimate(

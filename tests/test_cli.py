@@ -294,6 +294,16 @@ class TestEvolve:
         assert any(k.endswith(".bin") for k in files_a)
         assert files_a == files_b  # byte-identical rerun
 
+    def test_2d_config_without_sources_uses_the_defaults(self, tmp_path):
+        cfg = _evolve_cfg(n=8, t_final=0.05)
+        cfg["system"]["grid"]["dim"] = 2
+        cfg["system"]["hamiltonians"] = [
+            {"id": "quadratic_eikonal"},
+            {"id": "nonconvex_bs00", "params": {}},
+        ]
+        cfg_path = _write(tmp_path, "c.json", cfg)
+        assert main(["evolve", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+
     def test_fourier_initial_data(self, tmp_path):
         cfg = _evolve_cfg()
         cfg["u0"] = {

@@ -303,7 +303,7 @@ class TestDirectionProfile:
 
 _SRC_2D = {"const": 1.0, "terms": [{"k": [1, 1], "cos": -1.0}]}
 _Q_2D = [{"terms": [{"k": [1, 1], "sin": 0.3}]}] * 2
-_CONVEX = ["coercive", "convex", "eikonal_split"]
+_CONVEX = ["coercive", "convex"]
 _NONCONVEX = ["coercive", "nonconvex_example"]
 
 # lf_alpha (as float.hex) and class tags of each built-in family.  lf_alpha
@@ -332,6 +332,26 @@ def test_builtin_lf_alpha_is_pinned(ham_id, params, dim, alpha_hex, tags):
     H = build_hamiltonian(ham_id, params, dim)
     assert H.lf_alpha.hex() == alpha_hex
     assert sorted(H.class_tags) == tags
+
+
+# each family's default data leaves k out, so it is [1] * dim: in 2D the
+# defaults are the k = [1, 1] data of the pinned 2D cases
+_DEFAULTS_2D = {
+    "linear_eikonal": {"f": _SRC_2D},
+    "nonconvex_bs00": {"f": _SRC_2D, "q": _Q_2D},
+    "quadratic_eikonal": {"f": _SRC_2D},
+}
+
+
+@pytest.mark.parametrize("ham_id", sorted(_DEFAULTS_2D))
+def test_builtin_defaults_build_in_2d(ham_id):
+    H = build_hamiltonian(ham_id, None, 2)
+    ref = build_hamiltonian(ham_id, _DEFAULTS_2D[ham_id], 2)
+    rng = np.random.default_rng(4)
+    x, p = rng.random((32, 2)), rng.uniform(-2.0, 2.0, (32, 2))
+    assert H.lf_alpha == ref.lf_alpha
+    assert np.array_equal(H(x, p), ref(x, p))
+    assert np.array_equal(H.source(x), ref.source(x))
 
 
 def test_switching_lf_alpha_is_pinned():
