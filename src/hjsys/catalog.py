@@ -53,13 +53,18 @@ BUILTIN_COUPLINGS = {
 }
 
 
+def _mapping(spec, what: str) -> None:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{what} must be a mapping, got {type(spec).__name__}")
+
+
 def fourier_function(params: dict, dim: int) -> Callable:
     """Compile a truncated Fourier description into a vectorized callable."""
-    if not isinstance(params, dict):
-        raise ConfigError(f"fourier spec must be a mapping, got {type(params).__name__}")
+    _mapping(params, "fourier spec")
     const = float(params.get("const", 0.0))
     terms = []
     for t, term in enumerate(params.get("terms", [])):
+        _mapping(term, f"fourier terms[{t}]")
         k = np.asarray(term.get("k", [1] * dim), dtype=float).reshape(-1)
         if k.size != dim or not np.all(np.isfinite(k)):
             raise ConfigError(f"terms[{t}].k must have {dim} finite entries, got {k.tolist()}")
@@ -83,11 +88,12 @@ def fourier_function(params: dict, dim: int) -> Callable:
 
 def direction_profile(params: dict, dim: int) -> tuple[Callable, float]:
     """Compile a direction profile F(x, d); returns (fn, angle_slope_bound)."""
+    _mapping(params, "direction profile F")
     const = float(params.get("const", 1.0))
-    angle = [
-        (int(t.get("j", 1)), float(t.get("cos", 0.0)), float(t.get("sin", 0.0)))
-        for t in params.get("angle", [])
-    ]
+    angle = []
+    for i, t in enumerate(params.get("angle", [])):
+        _mapping(t, f"direction profile angle[{i}]")
+        angle.append((int(t.get("j", 1)), float(t.get("cos", 0.0)), float(t.get("sin", 0.0))))
     named = [("const", const)] + [
         (f"angle[{t}].{key}", v) for t, (_, a, b) in enumerate(angle)
         for key, v in (("cos", a), ("sin", b))

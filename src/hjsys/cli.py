@@ -55,6 +55,16 @@ def _get(cfg: dict, path: str, default=_MISSING, where: str = ""):
     return node
 
 
+def _integer(cfg: dict, path: str, default=_MISSING, where: str = "") -> int:
+    """An integer field; booleans, strings and non-integral numbers are config errors."""
+    value = _get(cfg, path, default, where)
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        name = ".".join(([where] if where else []) + [path])
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _flag(cfg: dict, name: str, default: bool) -> bool:
     if not isinstance(value := _get(cfg, name, default), bool):
         raise ConfigError(f"{name} must be true or false, got {value!r}")
@@ -79,8 +89,8 @@ def _build_coupling(block) -> CouplingMatrix:
 
 
 def _build_system(block, where: str = "system") -> HJSystem:
-    dim = int(_get(block, "grid.dim", 1))
-    n = int(_get(block, "grid.n", where=where))
+    dim = _integer(block, "grid.dim", 1, where=where)
+    n = _integer(block, "grid.n", where=where)
     grid = Grid(dim, n)
     coupling = _build_coupling(_get(block, "coupling", where=where))
     ham_blocks = _get(block, "hamiltonians", where=where)
@@ -135,7 +145,7 @@ def _discount_schedule(block) -> DiscountSchedule:
     if "flux_mode" in block:
         kwargs["flux_mode"] = str(block["flux_mode"])
     if "max_steps_per_lambda" in block:
-        kwargs["max_steps_per_lambda"] = int(block["max_steps_per_lambda"])
+        kwargs["max_steps_per_lambda"] = _integer(block, "max_steps_per_lambda", where="schedule")
     return DiscountSchedule(**kwargs)
 
 
@@ -243,7 +253,8 @@ def _build_process(block) -> SwitchingProcessSpec:
     rates = np.asarray(_get(block, "rates", where="process"), dtype=float)
     if kind == "unit_ball_eikonal":
         return catalog.unit_ball_eikonal_process(
-            _get(block, "fs", where="process"), rates, int(_get(block, "n_actions", 64))
+            _get(block, "fs", where="process"), rates,
+            _integer(block, "n_actions", 64, where="process"),
         )
     if kind == "idle":
         return catalog.idle_process(_get(block, "cost_rates", where="process"), rates)
@@ -258,13 +269,13 @@ def cmd_simulate(cfg, out_dir: str) -> int:
         pol_block = _get(cfg, "policy", {"kind": "constant", "index": 0})
         pol_kind = _get(pol_block, "kind")
         if pol_kind == "constant":
-            index = int(_get(pol_block, "index", 0))
+            index = _integer(pol_block, "index", 0, where="policy")
             if not 0 <= index < len(spec.control_set):
                 raise ConfigError(
                     f"policy.index must be in [0, {len(spec.control_set)}), got {index}"
                 )
         elif pol_kind == "greedy":
-            grid = Grid(1, int(_get(pol_block, "grid_n", 256)))
+            grid = Grid(1, _integer(pol_block, "grid_n", 256, where="policy"))
             pde_cfg = EvolutionConfig(
                 t_final=horizon,
                 snapshot_every=float(_get(pol_block, "snapshot_every", 0.125)),
@@ -274,9 +285,9 @@ def cmd_simulate(cfg, out_dir: str) -> int:
         x0 = np.atleast_1d(np.asarray(_get(cfg, "x0"), dtype=float))
         if x0.shape != (spec.dim,) or not np.all(np.isfinite(x0)):
             raise ConfigError(f"x0 must list {spec.dim} finite coordinates, got {x0.tolist()}")
-        mode0 = int(_get(cfg, "mode0"))
-        n_samples = int(_get(cfg, "n_samples"))
-        seed = int(_get(cfg, "seed"))
+        mode0 = _integer(cfg, "mode0")
+        n_samples = _integer(cfg, "n_samples")
+        seed = _integer(cfg, "seed")
         if seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {seed}")
         dt_sim = _get(cfg, "dt_sim", None)

@@ -16,16 +16,20 @@ Every solver computes the flux through a ``FluxKernel``, built once per
 system and flux mode (``HJSystem.flux_kernel``).  It holds the node mesh,
 reusable difference buffers, the evaluators of each Hamiltonian's
 ``bind(X)`` on the mesh, and the sampled coupling, so a step only does the
-work that depends on the values.
-Its flux equals ``numerical_flux`` applied per component to ``diff_arrays``
-bit for bit.
+work that depends on the values; in 1D that includes the nonconvex direction
+profile, sampled at d = +1 and d = -1.  Components of one built-in family
+(``FAMILY_EVALUATORS``; in global mode also with equal ``lf_alpha``) are
+evaluated together, once per step, with their x-data stacked on the
+component axis; any other component is a group of its own.  The flux equals
+``numerical_flux`` applied per component to ``diff_arrays`` bit for bit.
 
 ``solve_batch`` marches B independent initial data of one system together,
 stacked as (B, m) + grid.shape and updated in place, v -= dt * (flux + D v).
 Every operation is elementwise or per member, so each member equals its own
 ``solve`` bit for bit; ``solve`` is a batch of one and ``step`` updates a
-copy.  Bound evaluators see p shaped (B,) + grid.shape + (dim,), as their
-(..., dim) contract allows.  CFL and finiteness errors name the member.
+copy.  Bound evaluators see p shaped (B,) + grid.shape + (dim,), or
+(B, k) + grid.shape + (dim,) for a family group of k, as their (..., dim)
+contract allows.  CFL and finiteness errors name the member.
 """
 from __future__ import annotations
 
@@ -33,6 +37,7 @@ import copy
 import json
 import os
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +45,7 @@ import numpy as np
 from .coupling import CouplingMatrix, validate_monotone
 from .errors import ConfigError, DivergenceError, StructureError
 from .grid import Grid, GridFunction, diff_arrays, load_binary, save_binary
-from .hamiltonians import flux_from_midpoint
+from .hamiltonians import FAMILY_EVALUATORS, flux_from_midpoint
 
 __all__ = [
     "HJSystem",
@@ -169,7 +174,9 @@ class FluxKernel:
 
     Built by ``HJSystem.flux_kernel``.  Computed once here, on the node mesh
     X: per Hamiltonian the p-only evaluator and axis-alpha bound of its
-    ``bind(X)`` (the bound is dropped in global mode); the coupling sampled
+    ``bind(X)`` (the bound is dropped in global mode), and per group of
+    components the evaluators that ``__call__`` runs, stacked for a family
+    group of several; the coupling sampled
     at the nodes (``D_nodes``, None for the constant variant) and its
     largest diagonal entry ``dmax``.  ``differentiable`` says that the grid
     is 1D and every ``bind`` supplied derivatives, so ``jacobian`` is
@@ -194,6 +201,18 @@ class FluxKernel:
             self.terms.append((H, alpha, ham.lf_alpha))
             self.derivatives.append(tuple(derivs))
         self.local = any(alpha is not None for _, alpha, _ in self.terms)
+        families = {}  # family key, or the index of a component of its own -> indices
+        for i, term in enumerate(self.terms):
+            families.setdefault(_family_key(*term) or i, []).append(i)
+        self.groups = []  # (component index or indices, H(p), alpha(pabs) or None, lf_alpha)
+        for members in families.values():
+            sel = members[0]
+            H, alpha, lf_alpha = self.terms[sel]
+            if len(members) > 1:
+                contiguous = members[-1] - sel == len(members) - 1
+                sel = slice(sel, members[-1] + 1) if contiguous else np.array(members)
+                H, alpha = (_stacked([self.terms[i][j] for i in members], X.ndim) for j in (0, 1))
+            self.groups.append((sel, H, alpha, lf_alpha))
         self.differentiable = grid.dim == 1 and all(self.derivatives)
         coupling = system.coupling
         self.entries = coupling.entries
@@ -223,8 +242,8 @@ class FluxKernel:
         out = np.empty_like(values)
         alpha_sums = np.empty(values.shape[: values.ndim - self.grid.dim])
         grid_axes = tuple(range(-self.grid.dim, 0))
-        for i, (H, alpha_fn, lf_alpha) in enumerate(self.terms):
-            c = (slice(None),) * (alpha_sums.ndim - 1) + (i,)
+        for sel, H, alpha_fn, lf_alpha in self.groups:
+            c = (slice(None),) * (alpha_sums.ndim - 1) + (sel,)
             if alpha_fn is None:
                 out[c] = flux_from_midpoint(H(pmid[c]), dminus[c], dplus[c], lf_alpha)
                 alpha_sums[c] = lf_alpha * self.grid.dim
@@ -295,6 +314,33 @@ class FluxKernel:
             raise DivergenceError(
                 f"CFL budget exceeded: dt*(max d_ii + lambda) = {damping!r}; shrink dt"
             )
+
+
+def _family(fn):
+    """The built-in family function that ``fn`` binds, else ``fn`` itself."""
+    return fn.func if isinstance(fn, partial) and fn.func in FAMILY_EVALUATORS else fn
+
+
+def _family_key(H, alpha, lf_alpha):
+    """What components must share to be evaluated together: the family's H
+    and bound, and in global mode lf_alpha; None for H outside the families."""
+    if _family(H) is H:
+        return None
+    return _family(H), _family(alpha), lf_alpha if alpha is None else None
+
+
+def _stacked(fns, ndim: int):
+    """One evaluator for components bound to one family function: its
+    keywords stacked on a leading component axis, x-data shaped (k,) +
+    grid.shape (+ (dim,)) and constants (k,) + (1,) * ndim, to broadcast
+    against gradients.  A shared function without x-data, or None, is
+    returned as is."""
+    if _family(fns[0]) is fns[0]:
+        return fns[0]
+    stacks = {key: np.stack([fn.keywords[key] for fn in fns]) for key in fns[0].keywords}
+    return partial(fns[0].func, **{
+        key: s.reshape(s.shape + (1,) * ndim) if s.ndim == 1 else s for key, s in stacks.items()
+    })
 
 
 def cfl_dt(system: HJSystem, config: EvolutionConfig) -> float:

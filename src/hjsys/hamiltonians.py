@@ -25,13 +25,19 @@ both call it.
 A ``Hamiltonian`` is evaluated only through ``bind(X)``: given a node array
 X shaped (..., dim), it precomputes everything that depends only on x and
 returns the p-only evaluator ``H(p)`` and the per-axis local bound
-``alpha(pabs)``, or None for the global flux.  The built-in families also
-return two a.e. derivatives, valid in 1D, for the discounted solver's Newton
+``alpha(pabs)``, or None for the global flux.  In 1D the built-in families
+also return two a.e. derivatives for the discounted solver's Newton
 iteration: ``dH/dp`` as a p-only evaluator and the slope of the local bound
 in |p| (each family's bound is affine in |p|).  ``H(x, p)`` is
-``bind(x)[0](p)``.  Code that runs once per step calls ``np.add.reduce``
-directly: it is what ``np.sum`` computes, without the Python wrapper that
-dominates on small grids.
+``bind(x)[0](p)``.  In 1D the nonconvex ``bind(X)`` samples the direction
+profile at d = +1 and d = -1 once, since p/|p| takes no other value.
+
+The built-in evaluators and local bounds are module-level functions bound to
+their x-data by ``partial`` keywords (``FAMILY_EVALUATORS``), so the flux
+kernel evaluates all components of one family together, with their x-data
+stacked on the component axis.  Code that runs once per step calls
+``np.add.reduce`` directly: it is what ``np.sum`` computes, without the
+Python wrapper that dominates on small grids.
 """
 from __future__ import annotations
 
@@ -50,6 +56,7 @@ __all__ = [
     "make_quadratic_eikonal",
     "make_linear_eikonal",
     "make_nonconvex_example",
+    "FAMILY_EVALUATORS",
     "lax_friedrichs_flux",
     "numerical_flux",
     "flux_from_midpoint",
@@ -132,20 +139,71 @@ def sampled_grad_sup(
 # -- built-in families -------------------------------------------------------
 
 
+def _xdata(fn, X, *args) -> np.ndarray:
+    """fn(X, *args) broadcast to the node shape X.shape[:-1]."""
+    return np.broadcast_to(np.asarray(fn(X, *args), dtype=float), X.shape[:-1])
+
+
+def _quadratic_h(p, fx):
+    return np.add.reduce(p * p, axis=-1) - fx
+
+
+# |dH/dp_k| = 2 |p_k|, exact on the one-sided hull; dH/dp = 2 p
+_TWICE = partial(np.multiply, 2.0)
+
+
+def _linear_h(p, fx):
+    return np.sqrt(np.add.reduce(p * p, axis=-1)) - fx
+
+
+def _linear_dh(p):
+    pn = np.sqrt(np.add.reduce(p * p, axis=-1, keepdims=True))
+    return np.divide(p, pn, out=np.zeros_like(p), where=pn > 0)
+
+
+def _nonconvex_h(p, x, qv, qq, fv, F):
+    """The nonconvex family in 2D: F(x, p/|p|) on every call."""
+    pn = np.sqrt(np.add.reduce(p * p, axis=-1))
+    psi = np.add.reduce((p + qv) ** 2, axis=-1) - qq
+    moving = pn > 0
+    safe = np.where(moving, pn, 1.0)
+    d = p / safe[..., None]
+    return np.where(moving, psi * np.asarray(F(x, d)) - fv, -fv)
+
+
+def _nonconvex_h1(p, qv, qq, fv, fplus, fminus):
+    """The nonconvex family in 1D, where p/|p| = +-1 for p != 0, so
+    F(x, p/|p|) is one of the samples F(x, +1) and F(x, -1)."""
+    pn = np.sqrt(np.add.reduce(p * p, axis=-1))
+    psi = np.add.reduce((p + qv) ** 2, axis=-1) - qq
+    return np.where(pn > 0, psi * np.where(p[..., 0] >= 0, fplus, fminus) - fv, -fv)
+
+
+def _nonconvex_dh1(p, qv, fplus, fminus):
+    # F does not vary with p away from p = 0
+    return 2.0 * (p + qv) * np.where(p >= 0, fplus[..., None], fminus[..., None])
+
+
+def _nonconvex_alpha(pabs, qmax, fmax, fangle):
+    # |H_p| <= 2(|p| + |q|) F_max + (|p| + 2|q|) sup|dF/dtheta|
+    pn = np.sqrt(np.add.reduce(pabs * pabs, axis=-1, keepdims=True))
+    bound = 2.0 * (pn + qmax) * fmax + (pn + 2.0 * qmax) * fangle
+    return bound if bound.shape == pabs.shape else np.broadcast_to(bound, pabs.shape)
+
+
+# bound by partial keywords that are x-data shaped like X.shape[:-1] (+ (dim,))
+# or scalar constants, so the kernel may stack them on a component axis
+FAMILY_EVALUATORS = frozenset({_quadratic_h, _linear_h, _nonconvex_h1, _nonconvex_alpha})
+
+
 def make_quadratic_eikonal(
     f: Callable, dim: int = 1, p_box: float = 2.5, name: str = "quadratic_eikonal",
     params: dict | None = None,
 ) -> Hamiltonian:
     """H(x, p) = |p|^2 - f(x); strictly convex and coercive."""
 
-    def h_of(p, fx):
-        return np.add.reduce(p * p, axis=-1) - fx
-
-    # |dH/dp_k| = 2 |p_k|, exact on the one-sided hull; dH/dp = 2 p
-    twice = partial(np.multiply, 2.0)
-
     def bind(X):
-        return partial(h_of, fx=f(X)), twice, twice, 2.0
+        return partial(_quadratic_h, fx=_xdata(f, X)), _TWICE, _TWICE, 2.0
 
     return Hamiltonian(
         dim=dim,
@@ -165,16 +223,9 @@ def make_linear_eikonal(
 ) -> Hamiltonian:
     """H(x, p) = |p| - f(x); convex and coercive, kink at p = 0."""
 
-    def h_of(p, fx):
-        return np.sqrt(np.add.reduce(p * p, axis=-1)) - fx
-
-    def dh_dp(p):
-        pn = np.sqrt(np.add.reduce(p * p, axis=-1, keepdims=True))
-        return np.divide(p, pn, out=np.zeros_like(p), where=pn > 0)
-
     def bind(X):
         # |dH/dp_k| <= 1 everywhere
-        return partial(h_of, fx=f(X)), np.ones_like, dh_dp, 0.0
+        return partial(_linear_h, fx=_xdata(f, X)), np.ones_like, _linear_dh, 0.0
 
     _ = p_box  # nothing to sample
     return Hamiltonian(
@@ -205,22 +256,10 @@ def make_nonconvex_example(
 
     ``F(x, d)`` takes unit directions d; it must be bounded between positive
     constants.  ``q(x)`` returns (..., dim).  Optional analytic bounds feed
-    the local dissipation estimate; when omitted they are sampled.
+    the local dissipation estimate; when omitted they are sampled.  In 1D,
+    ``bind(X)`` samples F(X, +1) and F(X, -1) once; the 2D evaluator calls F
+    and supplies no derivatives.
     """
-
-    def x_data(x):
-        # q(x), |q(x)|^2 and f(x): everything H needs that is free of p
-        qv = np.asarray(q(x), dtype=float)
-        return qv, np.sum(qv * qv, axis=-1), np.asarray(f(x))
-
-    def h_of(p, x, qv, qq, fv):
-        pn = np.sqrt(np.add.reduce(p * p, axis=-1))
-        psi = np.add.reduce((p + qv) ** 2, axis=-1) - qq
-        moving = pn > 0
-        safe = np.where(moving, pn, 1.0)
-        d = p / safe[..., None]
-        return np.where(moving, psi * np.asarray(F(x, d)) - fv, -fv)
-
     # sampled positivity envelope for F and sup |q| to bound |H_p|
     probe = np.linspace(0.0, 1.0, 64, endpoint=False)
     xs = probe[:, None] if dim == 1 else np.stack(
@@ -240,22 +279,19 @@ def make_nonconvex_example(
     if q_bound is None:
         q_bound = float(np.max(np.abs(np.asarray(q(xs)))))
 
-    fmax, fangle, qmax = F_bounds[1], F_angle_slope, q_bound
-
-    def alpha(pabs):
-        # |H_p| <= 2(|p| + |q|) F_max + (|p| + 2|q|) sup|dF/dtheta|
-        pn = np.sqrt(np.add.reduce(pabs * pabs, axis=-1, keepdims=True))
-        bound = 2.0 * (pn + qmax) * fmax + (pn + 2.0 * qmax) * fangle
-        return bound if bound.shape == pabs.shape else np.broadcast_to(bound, pabs.shape)
-
-    def dh_dp(p, x, qv):
-        # 1D: p/|p| = sign p, so F does not vary with p away from p = 0
-        return 2.0 * (p + qv) * np.asarray(F(x, np.sign(p)))[..., None]
+    fmax, qmax = F_bounds[1], q_bound
+    alpha = partial(_nonconvex_alpha, qmax=qmax, fmax=fmax, fangle=F_angle_slope)
 
     def bind(X):
-        qv, qq, fv = x_data(X)
-        return (partial(h_of, x=X, qv=qv, qq=qq, fv=fv), alpha,
-                partial(dh_dp, x=X, qv=qv), 2.0 * fmax + fangle)
+        # q(x), |q(x)|^2 and f(x): everything H needs that is free of p
+        qv = np.broadcast_to(np.asarray(q(X), dtype=float), X.shape)
+        xdata = {"qv": qv, "qq": np.sum(qv * qv, axis=-1), "fv": _xdata(f, X)}
+        if dim == 2:
+            return partial(_nonconvex_h, x=X, F=F, **xdata), alpha
+        unit = np.ones(X.shape)
+        signs = {"fplus": _xdata(F, X, unit), "fminus": _xdata(F, X, -unit)}
+        return (partial(_nonconvex_h1, **xdata, **signs), alpha,
+                partial(_nonconvex_dh1, qv=qv, **signs), 2.0 * fmax + F_angle_slope)
 
     def compact_set(x):
         qv = np.asarray(q(x), dtype=float)

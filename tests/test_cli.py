@@ -159,6 +159,23 @@ class TestExitCodes:
         assert rc == 2
         assert "direction profile const must be finite, got nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [({"F": [1]}, "direction profile F must be a mapping, got list"),
+         ({"F": {"angle": [5]}}, "direction profile angle[0] must be a mapping, got int"),
+         ({"f": {"terms": [5]}}, "fourier terms[0] must be a mapping, got int")],
+    )
+    def test_non_mapping_profile_or_term_is_a_config_error(self, tmp_path, capsys, params,
+                                                           message):
+        cfg = _evolve_cfg()
+        for hb in cfg["system"]["hamiltonians"]:
+            hb["id"] = "nonconvex_bs00"
+            hb["params"].update(params)
+        rc = main(["evolve", "--config", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_gradient_outside_p_box_exits_3(self, tmp_path, capsys):
         # local-flux dt comes from lf_alpha, sampled over the p_box; data with
         # slopes up to pi overrun a box of 0.5 but not the default 2.5
@@ -646,3 +663,36 @@ class TestTheoremSuite:
         cfg = {"name": ["identical-gap"]}
         rc = main(["theorem-suite", "--config", _write(tmp_path, "c.json", cfg)])
         assert rc == 2
+
+
+_INTEGER_FIELDS = [
+    ("evolve", _evolve_cfg, ("system", "grid", "n"), "system.grid.n"),
+    ("evolve", _evolve_cfg, ("system", "grid", "dim"), "system.grid.dim"),
+    ("ergodic", _ergodic_cfg, ("schedule", "max_steps_per_lambda"),
+     "schedule.max_steps_per_lambda"),
+    ("simulate", _simulate_cfg, ("process", "n_actions"), "process.n_actions"),
+    ("simulate", _simulate_cfg, ("policy", "grid_n"), "policy.grid_n"),
+    ("simulate", _idle_cfg, ("policy", "index"), "policy.index"),
+    ("simulate", _idle_cfg, ("mode0",), "mode0"),
+    ("simulate", _idle_cfg, ("n_samples",), "n_samples"),
+    ("simulate", _idle_cfg, ("seed",), "seed"),
+]
+
+
+@pytest.mark.parametrize("kind, base, path, name", _INTEGER_FIELDS)
+def test_integer_field_rejects_non_integers(tmp_path, capsys, kind, base, path, name):
+    # bare int() truncated 16.5 to 16 and took true for 1
+    for value in (16.5, True, "16"):
+        cfg = _mutated(base(), path, value)
+        rc = main([kind, "--config", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"{name} must be an integer, got {value!r}" in capsys.readouterr().err
+
+
+def test_integral_float_is_an_integer(tmp_path):
+    cfg = _evolve_cfg()
+    cfg["system"]["grid"]["n"] = 16.0
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "trajectory" / "manifest.json").read_text())
+    assert manifest["grid"] == {"dim": 1, "n": 16}

@@ -101,10 +101,10 @@ def _system(family, dim):
     return HJSystem(hams=_hams(family, dim), coupling=CouplingMatrix(2, entries=D), grid=grid)
 
 
-def _values(grid, seed):
+def _values(grid, seed, m=2):
     rng = np.random.default_rng(seed)
     out = []
-    for _ in range(2):
+    for _ in range(m):
         a, b = 0.1 * rng.normal(size=2)
         spec = {
             "const": float(rng.normal()),
@@ -147,6 +147,118 @@ def test_batched_flux_matches_one_call_per_member(family, dim, mode):
         one, sums = kernel(batch[b])
         assert _same_bits(flux[b], one)
         assert _same_bits(alpha_sums[b], sums)
+
+
+def _sup(p, B, L):
+    # one module-level evaluator shared by two custom Hamiltonians; its
+    # tables lead with the action axis, so stacking them would be wrong
+    a = (slice(None),) + (None,) * (p.ndim + 1 - B.ndim)
+    return np.maximum.reduce(-np.add.reduce(B[a] * p, axis=-1) - L[a], axis=0)
+
+
+def _action_first_hams(dim):
+    acts = np.array([-1.0, 0.5, 1.0])
+
+    def ham(shift):
+        def bind(X):
+            B = np.multiply.outer(acts, np.ones(X.shape))
+            L = np.multiply.outer(acts**2, 1.0 + 0.5 * np.cos(2 * np.pi * X[..., 0])) + shift
+            return partial(_sup, B=B, L=L), np.ones_like
+
+        return Hamiltonian(dim=dim, bind=bind, lf_alpha=1.1)
+
+    return (ham(0.0), ham(0.3))
+
+
+def _grouping_system(name, dim):
+    if name == "mixed":
+        quad, nonconvex = _hams("quadratic", dim), _hams("nonconvex", dim)
+        hams = (quad[0], nonconvex[0], _custom_hams(dim)[0], quad[1], nonconvex[1])
+    elif name == "nonconvex-profiles":
+        hams = tuple(
+            build_hamiltonian("nonconvex_bs00", {"F": F, "p_box": p_box}, dim)
+            for F, p_box in (({"const": 1.0, "angle": [{"j": 1, "cos": 0.3}]}, 2.5),
+                             ({"const": 1.5, "angle": [{"j": 2, "sin": -0.4}]}, 3.0))
+        )
+    else:
+        hams = _action_first_hams(dim)
+    m = len(hams)
+    entries = np.eye(m) - np.roll(np.eye(m), 1, axis=1)
+    grid = Grid(dim, 24 if dim == 1 else 12)
+    return HJSystem(hams=hams, coupling=CouplingMatrix(m, entries=entries), grid=grid)
+
+
+def _group_count(name, dim, mode):
+    """Quadratics stack in every case and 1D nonconvex components in local
+    mode; their global lf_alpha differ, and 2D nonconvex and custom
+    components stand alone."""
+    if name == "action-first":
+        return 2
+    nonconvex_stack = dim == 1 and mode == "local"
+    if name == "nonconvex-profiles":
+        return 1 if nonconvex_stack else 2
+    return 3 if nonconvex_stack else 4
+
+
+def _reference_alpha_sum(ham, X, dminus, dplus, mode):
+    alpha = ham.bind(X)[1]
+    if mode == "global" or alpha is None:
+        return ham.lf_alpha * X.shape[-1]
+    return np.max(np.sum(alpha(np.maximum(np.abs(dminus), np.abs(dplus))), axis=-1))
+
+
+GROUPINGS = [
+    (name, d, mode)
+    for name in ("mixed", "nonconvex-profiles", "action-first")
+    for d in (1, 2)
+    for mode in ("local", "global")
+]
+
+
+@pytest.mark.parametrize("name,dim,mode", GROUPINGS)
+def test_grouped_flux_matches_numerical_flux(name, dim, mode):
+    system = _grouping_system(name, dim)
+    grid, X = system.grid, system.grid.mesh()
+    kernel = system.flux_kernel(mode)
+    assert len(kernel.groups) == _group_count(name, dim, mode)
+    members = np.stack([_values(grid, seed, system.m) for seed in range(3)])
+    # one member as solve marches it (no batch axis), then B = 1 and B = 3
+    for values in (members[0], members[:1], members):
+        flux, alpha_sums = kernel(values)
+        assert flux.shape == values.shape
+        assert alpha_sums.shape == values.shape[: values.ndim - dim]
+        batch = values.reshape((-1,) + members.shape[1:])
+        flux, alpha_sums = flux.reshape(batch.shape), alpha_sums.reshape(len(batch), -1)
+        for b, member in enumerate(batch):
+            for i, ham in enumerate(system.hams):
+                dm, dp = diff_arrays(member[i], grid)
+                assert _same_bits(flux[b, i], numerical_flux(ham, X, dm, dp, mode=mode))
+                assert alpha_sums[b, i] == _reference_alpha_sum(ham, X, dm, dp, mode)
+
+
+def test_action_first_evaluators_are_never_stacked():
+    for dim in (1, 2):
+        for mode in ("local", "global"):
+            kernel = _grouping_system("action-first", dim).flux_kernel(mode)
+            assert [sel for sel, *_ in kernel.groups] == [0, 1]
+
+
+@pytest.mark.parametrize("family,dim", [("quadratic", 2), ("linear", 1), ("nonconvex", 1)])
+def test_one_family_makes_one_evaluator_call_per_step(family, dim):
+    system = _system(family, dim)
+    kernel = system.flux_kernel("local")
+    [(sel, H, alpha, lf_alpha)] = kernel.groups
+    shapes = []
+
+    def counted(p):
+        shapes.append(p.shape)
+        return H(p)
+
+    kernel.groups[0] = (sel, counted, alpha, lf_alpha)
+    u0 = [GridFunction(system.grid, v) for v in _values(system.grid, 0)]
+    traj = solve(system, u0, EvolutionConfig(t_final=0.05))
+    assert len(shapes) == traj.meta["steps_total"] > 1
+    assert set(shapes) == {(system.m,) + system.grid.shape + (dim,)}
 
 
 def _reference_step(system, state, dt, mode):

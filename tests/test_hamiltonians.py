@@ -14,6 +14,7 @@ from hjsys.catalog import (
     direction_profile,
     fourier_function,
     unit_ball_eikonal_process,
+    vector_field,
 )
 from hjsys.errors import ConfigError
 from hjsys.hamiltonians import (
@@ -122,6 +123,25 @@ class TestNonconvexBuilder:
             p = np.array([pv])
             expect = (pv + 0.5) ** 2 - 0.25 - float(_f()(x))
             assert np.isclose(H(x, p), expect, atol=1e-12)
+
+    def test_1d_evaluator_matches_the_generic_formula(self):
+        # the 1D evaluator selects F(x, +1) or F(x, -1) by the sign of p;
+        # the generic formula evaluates F(x, p/|p|), zero momentum gives -f
+        prof, slope = direction_profile({"const": 1.0, "angle": [{"j": 1, "cos": 0.4}]}, 1)
+        q = vector_field([{"terms": [{"k": [1], "sin": 0.3}]}], 1)
+        H = make_nonconvex_example(prof, _f(), q, dim=1, p_box=2.5, F_angle_slope=slope)
+        X = np.linspace(0.0, 1.0, 16, endpoint=False)[:, None]
+        qv, fv = q(X), _f()(X)
+        tiny = np.nextafter(0.0, 1.0)
+        for pv in (0.0, -0.0, tiny, -tiny, 1e-160, -1e-160, 1e-3, -1e-3, 2.5, -2.5):
+            p = np.full(X.shape, pv)
+            pn = np.sqrt(np.sum(p * p, axis=-1))
+            psi = np.sum((p + qv) ** 2, axis=-1) - np.sum(qv * qv, axis=-1)
+            moving = pn > 0
+            d = p / np.where(moving, pn, 1.0)[..., None]
+            want = np.where(moving, psi * prof(X, d) - fv, -fv)
+            got = H(X, p)
+            assert got.tobytes() == want.tobytes(), pv
 
     def test_tags(self):
         H = self._H()
