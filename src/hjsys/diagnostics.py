@@ -6,7 +6,10 @@ constant per component, cost-rate units) and works with the shifted field
 
     phi_i(x, t) = u_i(x, t) + c_i t,
 
-which is the quantity expected to settle.  The oscillation functional
+which is the quantity expected to settle; ``Trajectory.shifted`` computes
+it.  Trajectory values are one (K, m) + grid.shape array for K snapshots,
+and everything here but the reference ``p_eta`` reduces over its time
+axis.  The oscillation functional
 
     P_eta[phi](t) = max over grid x and snapshot times s >= t of
                     [phi(x, t) - phi(x, s) - 2 eta (s - t)],  clamped at 0,
@@ -66,18 +69,12 @@ def _c_vector(traj: Trajectory, c) -> np.ndarray:
     return cv
 
 
-def _shifted(traj: Trajectory, cv: np.ndarray, k: int) -> np.ndarray:
-    shape = (traj.m,) + (1,) * traj.grid.dim
-    return traj.values[k] + cv.reshape(shape) * float(traj.times[k])
-
-
 def shift_trajectory(traj: Trajectory, c) -> Trajectory:
     """New trajectory holding u_i + c_i t."""
     cv = _c_vector(traj, c)
-    vals = [_shifted(traj, cv, k) for k in range(len(traj.times))]
     meta = dict(traj.meta)
     meta["drift_shift"] = cv.tolist()
-    return Trajectory(grid=traj.grid, times=traj.times, values=vals, meta=meta)
+    return Trajectory(grid=traj.grid, times=traj.times, values=traj.shifted(cv), meta=meta)
 
 
 def exp_transform(traj: Trajectory, c) -> Trajectory:
@@ -87,11 +84,10 @@ def exp_transform(traj: Trajectory, c) -> Trajectory:
     ``meta`` so the transform can be undone exactly.
     """
     cv = _c_vector(traj, c)
-    shifted = [_shifted(traj, cv, k) for k in range(len(traj.times))]
-    lowest = min(float(np.min(s)) for s in shifted)
-    kappa = 1.0 - lowest
-    vals = [np.log(s + kappa) for s in shifted]
-    if any(not np.all(np.isfinite(v)) for v in vals):
+    shifted = traj.shifted(cv)
+    kappa = 1.0 - float(np.min(shifted))
+    vals = np.log(shifted + kappa)
+    if not np.all(np.isfinite(vals)):
         raise DivergenceError("log transform produced non-finite values")
     meta = dict(traj.meta)
     meta["kappa"] = kappa
@@ -105,11 +101,8 @@ def undo_exp_transform(traj_w: Trajectory) -> Trajectory:
         raise ConfigError("trajectory lacks kappa/drift_shift metadata")
     kappa = float(traj_w.meta["kappa"])
     cv = np.asarray(traj_w.meta["drift_shift"], dtype=float)
-    shape = (traj_w.m,) + (1,) * traj_w.grid.dim
-    vals = [
-        np.exp(traj_w.values[k]) - kappa - cv.reshape(shape) * float(traj_w.times[k])
-        for k in range(len(traj_w.times))
-    ]
+    # u = (u + c t) - c t: the shift by -c of exp(w) - kappa
+    vals = Trajectory(traj_w.grid, traj_w.times, np.exp(traj_w.values) - kappa).shifted(-cv)
     meta = {k: v for k, v in traj_w.meta.items() if k not in ("kappa", "drift_shift")}
     return Trajectory(grid=traj_w.grid, times=traj_w.times, values=vals, meta=meta)
 
@@ -128,9 +121,9 @@ def p_eta(traj: Trajectory, component: int, eta: float, t: float) -> float:
     The input must be the field expected to settle (u + c t, or its log
     transform); no drift is applied here.
     """
-    if eta < 0:
+    if not eta >= 0:  # NaN fails too
         raise ConfigError("eta must be nonnegative")
-    times = np.asarray(traj.times, dtype=float)
+    times = traj.times
     k0 = _snapshot_at_or_after(times, t)
     phi0 = traj.values[k0][component]
     best = 0.0
@@ -147,31 +140,30 @@ def p_eta_table(
 ) -> list:
     """Rows (eta, t, max over components of P_eta).
 
-    Shares the pairwise max-difference table across etas, so the cost is
-    one (snapshots x snapshots x nodes) sweep per component.
+    Shares the table gap[k, s] = max over components and nodes of
+    phi(t_k) - phi(t_s), s >= k, across etas.  It is built with one sweep
+    over the later snapshots per start snapshot, so no temporary outgrows
+    the trajectory.
     """
-    times = np.asarray(traj.times, dtype=float)
+    etas = [float(eta) for eta in etas]
+    if not all(eta >= 0 for eta in etas):
+        raise ConfigError("eta must be nonnegative")
+    times = traj.times
     K = len(times)
-    if components is None:
-        components = range(traj.m)
     if ts is None:
-        kidx = list(range(K))
+        kidx = np.arange(K)
     else:
-        kidx = [_snapshot_at_or_after(times, float(t)) for t in ts]
-    gap = np.full((len(components), K, K), -np.inf)
-    for ci, i in enumerate(components):
-        flat = np.stack([traj.values[k][i].ravel() for k in range(K)])
-        for k in range(K):
-            gap[ci, k, k:] = np.max(flat[k][None, :] - flat[k:], axis=1)
+        kidx = np.array([_snapshot_at_or_after(times, float(t)) for t in ts], dtype=int)
+    comps = np.arange(traj.m) if components is None else list(components)
+    flat = traj.values[:, comps].reshape(K, len(comps), -1)
+    gap = np.full((K, K), -np.inf)
+    for k in range(K):
+        gap[k, k:] = np.max(flat[k] - flat[k:], axis=(1, 2))
+    lag = times[None, :] - times[kidx, None]
     rows = []
     for eta in etas:
-        for k in kidx:
-            lag = times[k:] - times[k]
-            val = max(
-                float(np.max(gap[ci, k, k:] - 2 * float(eta) * lag))
-                for ci in range(len(components))
-            )
-            rows.append((float(eta), float(times[k]), max(0.0, val)))
+        vals = np.max(gap[kidx] - 2 * eta * lag, axis=1)
+        rows.extend((eta, float(times[k]), max(0.0, float(v))) for k, v in zip(kidx, vals))
     return rows
 
 
@@ -202,17 +194,10 @@ def component_gap_decay(
         )
     if traj.m < 2:
         raise StructureError("gap decay needs at least two components")
-    times = np.asarray(traj.times, dtype=float)
-    phis = []
-    for k in range(len(times)):
-        v = traj.values[k]
-        phi = max(
-            float(np.max(np.abs(v[i] - v[j])))
-            for i in range(traj.m)
-            for j in range(i + 1, traj.m)
-        )
-        phis.append(phi)
-    phis = np.asarray(phis)
+    times = traj.times
+    i, j = np.triu_indices(traj.m, 1)
+    pair_gaps = np.abs(traj.values[:, i] - traj.values[:, j])
+    phis = np.max(pair_gaps, axis=tuple(range(1, pair_gaps.ndim)))
     table = [(float(t), float(p)) for t, p in zip(times, phis)]
     notes = []
     rate = None
@@ -253,26 +238,19 @@ def monotone_tail(traj: Trajectory, c, tol: float | None = None) -> tuple[bool, 
     increase between consecutive tail snapshots.
     """
     cv = _c_vector(traj, c)
-    times = np.asarray(traj.times, dtype=float)
     if tol is None:
         dt = float(traj.meta.get("dt", 0.0))
         tol = 5 * (traj.grid.h + dt)
-    k_start = max(0, int(np.ceil(0.75 * (len(times) - 1))))
-    worst = 0.0
-    for k in range(k_start, len(times) - 1):
-        inc = float(np.min(_shifted(traj, cv, k + 1) - _shifted(traj, cv, k)))
-        worst = min(worst, inc)
+    k_start = max(0, int(np.ceil(0.75 * (len(traj.times) - 1))))
+    worst = float(np.min(np.diff(traj.shifted(cv)[k_start:], axis=0), initial=0.0))
     return worst >= -tol, worst
 
 
 def profile_distances(traj: Trajectory, c) -> list:
     """Rows (t, max_i sup |phi_i(t) - phi_i(T)|) with phi = u + c t; last is 0."""
-    cv = _c_vector(traj, c)
-    last = _shifted(traj, cv, len(traj.times) - 1)
-    return [
-        (float(traj.times[k]), float(np.max(np.abs(_shifted(traj, cv, k) - last))))
-        for k in range(len(traj.times))
-    ]
+    phi = traj.shifted(_c_vector(traj, c))
+    dists = np.max(np.abs(phi - phi[-1]), axis=tuple(range(1, phi.ndim)))
+    return [(float(t), float(d)) for t, d in zip(traj.times, dists)]
 
 
 @dataclass
@@ -417,7 +395,7 @@ def build_report(
         gd = component_gap_decay(traj)
         gap_table, rate = gd.gap_table, gd.fitted_rate
         notes.extend(gd.notes)
-    times = np.asarray(traj.times, dtype=float)
+    times = traj.times
     cadence = float(np.min(np.diff(times))) if len(times) > 1 else None
     if use_log_transform:
         notes.append("oscillation functional evaluated on the log transform")

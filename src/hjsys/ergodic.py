@@ -400,7 +400,7 @@ def long_time_constant(
     Requires the window to span at least ``min_window`` time units so the
     transient is excluded; returns one constant per component.
     """
-    times = np.asarray(traj.times, dtype=float)
+    times = traj.times
     if anchor is None:
         anchor = (0.0,) * traj.grid.dim
     idx = traj.grid.node_index(np.asarray(anchor))
@@ -411,9 +411,5 @@ def long_time_constant(
             f"trailing window spans {times[-1] - times[sel][0] if np.any(sel) else 0} "
             f"time units; need at least {min_window}"
         )
-    ts = times[sel]
-    out = np.empty(traj.m)
-    for i in range(traj.m):
-        ys = np.array([-traj.values[k][i][idx] for k in np.flatnonzero(sel)])
-        out[i] = np.polyfit(ts, ys, 1)[0]
-    return out
+    ts, ys = times[sel], -traj.values[(Ellipsis,) + idx][sel]
+    return np.array([np.polyfit(ts, ys[:, i], 1)[0] for i in range(traj.m)])

@@ -29,7 +29,11 @@ Every operation is elementwise or per member, so each member equals its own
 ``solve`` bit for bit; ``solve`` is a batch of one and ``step`` updates a
 copy.  Bound evaluators see p shaped (B,) + grid.shape + (dim,), or
 (B, k) + grid.shape + (dim,) for a family group of k, as their (..., dim)
-contract allows.  CFL and finiteness errors name the member.
+contract allows.  CFL and finiteness errors name the member; a field
+coupling is refused before the first flux.  The K snapshots go into one
+(B, K, m) + grid.shape array, and member b's ``Trajectory.values`` is its
+row b, shaped (K, m) + grid.shape.  ``Trajectory.shifted`` is the one place
+that computes the drift-shifted field u_i + c_i t.
 """
 from __future__ import annotations
 
@@ -359,11 +363,6 @@ def _advance(kernel: FluxKernel, v: np.ndarray, dt: float, t: float) -> None:
     """v -= dt * (flux + D v) in place, for every member, reaching time t."""
     flux, alpha_sums = kernel(v)
     kernel.check_cfl(alpha_sums, dt)
-    if kernel.D_nodes is not None:
-        raise StructureError(
-            "evolution stepping requires the constant coupling variant; "
-            "field couplings are only accepted by the discounted solver"
-        )
     np.add(flux, kernel.coupling_term(v), out=flux)
     np.subtract(v, np.multiply(dt, flux, out=flux), out=v)
     if not np.logical_and.reduce(np.isfinite(v), axis=None):
@@ -374,6 +373,16 @@ def _advance(kernel: FluxKernel, v: np.ndarray, dt: float, t: float) -> None:
             + (f"member {row // m}: " if v.size > m * grid.num_nodes else "")
             + f"component {row % m}, node {flat} at x = {grid.nodes()[flat].tolist()}"
         )
+
+
+def _march_kernel(system: HJSystem, flux_mode: str) -> FluxKernel:
+    """The flux kernel of ``system`` for the time march, which needs a constant coupling."""
+    if system.coupling.variant != "constant":
+        raise StructureError(
+            "evolution stepping requires the constant coupling variant; "
+            "field couplings are only accepted by the discounted solver"
+        )
+    return system.flux_kernel(flux_mode)
 
 
 def _initial_values(system: HJSystem, u0: Sequence[GridFunction] | SystemState) -> np.ndarray:
@@ -387,26 +396,41 @@ def step(
     state: SystemState, system: HJSystem, dt: float, flux_mode: str = "local"
 ) -> SystemState:
     """One forward-Euler update of the full system; ``state`` is left unchanged."""
+    kernel = _march_kernel(system, flux_mode)
     v = np.array(_initial_values(system, state), dtype=float)
-    _advance(system.flux_kernel(flux_mode), v, dt, state.t + dt)
+    _advance(kernel, v, dt, state.t + dt)
     return SystemState(t=state.t + dt, values=v, grid=state.grid)
 
 
 @dataclass
 class Trajectory:
-    """Snapshots of a solve; values[k] has shape (m,) + grid.shape."""
+    """Snapshots of a solve: ``values`` is one float array shaped
+    (K, m) + grid.shape, K = len(times), so values[k] is the snapshot at
+    times[k].  A list of snapshots is stacked; an array is kept as is.
+    ``shifted`` is the one implementation of the drift shift u + c t."""
 
     grid: Grid
     times: np.ndarray
-    values: list
+    values: np.ndarray
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.times = np.asarray(self.times, dtype=float)
+        self.values = np.asarray(self.values, dtype=float)
 
     @property
     def m(self) -> int:
-        return self.values[0].shape[0]
+        return self.values.shape[1]
 
     def component(self, i: int, k: int) -> GridFunction:
-        return GridFunction(self.grid, self.values[k][i])
+        return GridFunction(self.grid, self.values[k, i])
+
+    def shifted(self, c) -> np.ndarray:
+        """The drift-shifted field u_i + c_i t at every snapshot, shaped like
+        ``values``; ``c`` is one drift constant, or one per component."""
+        c = np.broadcast_to(np.asarray(c, dtype=float), (self.m,))
+        ones = (1,) * self.grid.dim
+        return self.values + c.reshape((1, -1) + ones) * self.times.reshape((-1, 1) + ones)
 
     def save(self, directory) -> None:
         os.makedirs(directory, exist_ok=True)
@@ -434,14 +458,13 @@ class Trajectory:
             manifest = json.load(fh)
         grid = Grid(**manifest["grid"])
         times = np.asarray(manifest["times"], dtype=float)
-        m = manifest["m"]
-        values = []
-        for k in range(len(times)):
-            comps = [
+        values = [
+            [
                 load_binary(os.path.join(directory, manifest["files"][f"{i},{k}"])).values
-                for i in range(m)
+                for i in range(manifest["m"])
             ]
-            values.append(np.stack(comps))
+            for k in range(len(times))
+        ]
         return cls(grid=grid, times=times, values=values, meta=manifest.get("meta", {}))
 
 
@@ -468,13 +491,16 @@ def solve_batch(system: HJSystem, u0s: Sequence, config: EvolutionConfig) -> lis
     """``solve`` for each of B initial data, advanced together in one march.
 
     ``u0s`` lists the members, each in a form ``solve`` accepts.  Returns one
-    trajectory per member, bit-identical to its own ``solve``.
+    trajectory per member, bit-identical to its own ``solve``; member b's
+    ``values`` is row b of one (B, K, m) + grid.shape snapshot array.
     """
+    kernel = _march_kernel(system, config.flux_mode)
     v = np.asarray(np.stack([_initial_values(system, u0) for u0 in u0s]), dtype=float)
-    kernel = system.flux_kernel(config.flux_mode)
     dt = cfl_dt(system, config)
     times = _snapshot_times(config)
-    snapshots, steps_at, t = [v.copy()], [0], 0.0
+    snapshots = np.empty((len(v), len(times)) + v.shape[1:])
+    snapshots[:, 0] = v
+    steps_at, t = [0], 0.0
     march = v[0] if len(v) == 1 else v  # one member: no batch axis for x-data to broadcast over
     for k in range(1, len(times)):
         span = times[k] - times[k - 1]
@@ -484,7 +510,7 @@ def solve_batch(system: HJSystem, u0s: Sequence, config: EvolutionConfig) -> lis
             t += sub
             _advance(kernel, march, sub, t)
         t = float(times[k])
-        snapshots.append(v.copy())
+        snapshots[:, k] = v
         steps_at.append(steps_at[-1] + nsteps)
     meta = {
         "system": system.describe(),
@@ -494,8 +520,7 @@ def solve_batch(system: HJSystem, u0s: Sequence, config: EvolutionConfig) -> lis
         "steps_at_snapshot": steps_at,
         "identical_hamiltonians": system.identical_hamiltonians,
     }
-    members = [[s[b] for s in snapshots] for b in range(len(v))]
-    return [Trajectory(system.grid, times.copy(), vals, copy.deepcopy(meta)) for vals in members]
+    return [Trajectory(system.grid, times.copy(), row, copy.deepcopy(meta)) for row in snapshots]
 
 
 @dataclass
@@ -520,11 +545,8 @@ def comparison_check(traj_u: Trajectory, traj_v: Trajectory) -> ComparisonReport
         traj_u.times, traj_v.times
     ):
         raise ValueError("trajectories have different snapshot times")
-    rhs = max(0.0, float(np.max(traj_u.values[0] - traj_v.values[0])))
-    per = []
-    for k in range(len(traj_u.times)):
-        lhs = float(np.max(traj_u.values[k] - traj_v.values[k]))
-        per.append(lhs - rhs)
+    lhs = np.max(traj_u.values - traj_v.values, axis=tuple(range(1, traj_u.values.ndim)))
+    per = (lhs - max(0.0, float(lhs[0]))).tolist()
     steps = traj_u.meta.get("steps_at_snapshot", list(range(len(traj_u.times))))
     return ComparisonReport(
         worst_violation=max(per), per_snapshot=per, steps_at_snapshot=steps
@@ -541,19 +563,12 @@ class LipschitzReport:
 
 def lipschitz_check(traj: Trajectory, c, cap: float = np.inf) -> LipschitzReport:
     """Uniform bounds along a trajectory: |u + c t|, space and time increments."""
-    cvec = np.broadcast_to(np.asarray(c, dtype=float), (traj.m,))
-    sup_shift = sup_lip = sup_rate = 0.0
-    for k, t in enumerate(traj.times):
-        shifted = traj.values[k] + cvec.reshape((-1,) + (1,) * traj.grid.dim) * float(t)
-        sup_shift = max(sup_shift, float(np.max(np.abs(shifted))))
-        dminus, _ = diff_arrays(traj.values[k], traj.grid)
-        sup_lip = max(sup_lip, float(np.max(np.abs(dminus))))
-        if k:
-            dtk = float(traj.times[k] - traj.times[k - 1])
-            sup_rate = max(
-                sup_rate,
-                float(np.max(np.abs(traj.values[k] - traj.values[k - 1]))) / dtk,
-            )
+    sup_shift = float(np.max(np.abs(traj.shifted(c))))
+    sup_lip = float(np.max(np.abs(diff_arrays(traj.values, traj.grid)[0])))
+    increments = np.max(
+        np.abs(np.diff(traj.values, axis=0)), axis=tuple(range(1, traj.values.ndim))
+    )
+    sup_rate = float(np.max(increments / np.diff(traj.times), initial=0.0))
     finite = all(np.isfinite(v) for v in (sup_shift, sup_lip, sup_rate))
     if not finite:
         raise DivergenceError("non-finite norm along trajectory")

@@ -157,7 +157,6 @@ def _tail_distance(dists, t_from: float) -> float:
 
 def suite_largenew_eikonal(n: int = 256, t_final: float = 40.0) -> SuiteResult:
     """Eikonal pair with a shared minimizer: constants, bounds, convergence."""
-    t0 = time.perf_counter()
     system, fs = catalog.quadratic_eikonal_pair(n)
     grid = system.grid
     checks = []
@@ -255,24 +254,14 @@ def suite_largenew_eikonal(n: int = 256, t_final: float = 40.0) -> SuiteResult:
         [traj_a.component(i, -1) for i in range(system.m)], "common_min", fs=fs
     )
     k_mid = len(traj_a.times) // 2
-    mid_gap_global = float(np.max(np.abs(traj_a.values[k_mid] - traj_b.values[k_mid])))
-    mid_gap_set = (
-        max(
-            abs(
-                float(traj_a.values[k_mid][i][grid.node_index(p)])
-                - float(traj_b.values[k_mid][i][grid.node_index(p)])
-            )
-            for i in range(system.m)
-            for p in sset.points
-        )
-        if sset.points
-        else float("nan")
-    )
+    mid_gaps = np.abs(traj_a.values[k_mid] - traj_b.values[k_mid])
+    on_set = [mid_gaps[(slice(None),) + grid.node_index(p)] for p in sset.points]
+    mid_gap_set = float(np.max(on_set)) if on_set else float("nan")
     artifacts["shared_minimizer_set"] = sset.to_dict()
     artifacts["mid_run_gap"] = {
         "t": float(traj_a.times[k_mid]),
         "on_set": mid_gap_set,
-        "global": mid_gap_global,
+        "global": float(np.max(mid_gaps)),
     }
     artifacts["ergodic"] = result.to_dict()
     artifacts["measured_drift"] = {
@@ -283,13 +272,11 @@ def suite_largenew_eikonal(n: int = 256, t_final: float = 40.0) -> SuiteResult:
         name="largenew-eikonal",
         checks=checks,
         artifacts=artifacts,
-        elapsed_seconds=time.perf_counter() - t0,
     )
 
 
 def suite_mainresult_nonconvex(n: int = 128, t_final: float = 40.0) -> SuiteResult:
     """Nonconvex pair pinned at a common zero: flat drift, settled tail."""
-    t0 = time.perf_counter()
     grid = Grid(1, n)
     h1 = catalog.build_hamiltonian(
         "nonconvex_bs00",
@@ -349,13 +336,11 @@ def suite_mainresult_nonconvex(n: int = 128, t_final: float = 40.0) -> SuiteResu
             "measured_drift": c_meas.tolist(),
             "oscillation_rows": [list(r) for r in rows],
         },
-        elapsed_seconds=time.perf_counter() - t0,
     )
 
 
 def suite_exist_smoo_strictconvex(n: int = 256, t_final: float = 40.0) -> SuiteResult:
     """Strictly convex pair with disjoint minimizers; profiles still settle."""
-    t0 = time.perf_counter()
     grid = Grid(1, n)
     # Disjoint argmins: x = 0 for the first source, x = 1/2 for the second.
     f1 = {"const": 1.0, "terms": [{"k": [1], "cos": -1.0}]}
@@ -403,11 +388,7 @@ def suite_exist_smoo_strictconvex(n: int = 256, t_final: float = 40.0) -> SuiteR
     # uniqueness (which the experiment does not assert).
     t_restart = 4.0
     k_restart = int(np.searchsorted(traj_a.times, t_restart))
-    drift = float(np.mean(c_a)) * float(traj_a.times[k_restart])
-    u0_b = [
-        GridFunction(grid, traj_a.values[k_restart][i] + drift)
-        for i in range(system.m)
-    ]
+    u0_b = [GridFunction(grid, u) for u in traj_a.shifted(np.mean(c_a))[k_restart]]
     traj_b = solve(system, u0_b, config)
     c_b = long_time_constant(traj_b)
     checks.append(
@@ -433,13 +414,11 @@ def suite_exist_smoo_strictconvex(n: int = 256, t_final: float = 40.0) -> SuiteR
             "measured_drift": {"zeros": c_a.tolist(), "restarted": c_b.tolist()},
             "restart_time": t_restart,
         },
-        elapsed_seconds=time.perf_counter() - t0,
     )
 
 
 def suite_identical_gap(n: int = 256, t_final: float = 8.0) -> SuiteResult:
     """One shared Hamiltonian, constant initial data: exact gap contraction."""
-    t0 = time.perf_counter()
     grid = Grid(1, n)
     ham = catalog.build_hamiltonian(
         "quadratic_eikonal", {"f": {"const": 1.0, "terms": [{"k": [1], "cos": -1.0}]}}
@@ -487,7 +466,6 @@ def suite_identical_gap(n: int = 256, t_final: float = 8.0) -> SuiteResult:
         name="identical-gap",
         checks=checks,
         artifacts={"gap_table": gd.gap_table, "fitted_rate": gd.fitted_rate},
-        elapsed_seconds=time.perf_counter() - t0,
     )
 
 
@@ -495,7 +473,6 @@ def suite_appendix_mc(
     n: int = 256, horizon: float = 2.0, n_samples: int = 10_000, seed: int = 2026
 ) -> SuiteResult:
     """Monte Carlo value estimates against the PDE and a closed form."""
-    t0 = time.perf_counter()
     rates = [[-1.0, 1.0], [1.0, -1.0]]
     spec = catalog.unit_ball_eikonal_process([catalog.F1, catalog.F2], rates)
     grid = Grid(1, n)
@@ -566,7 +543,6 @@ def suite_appendix_mc(
         name="appendix-mc",
         checks=checks,
         artifacts={"probes": rows},
-        elapsed_seconds=time.perf_counter() - t0,
     )
 
 
@@ -582,7 +558,9 @@ SUITE_RUNNERS = {
 
 def _overrides(name: str, runner, kwargs: dict) -> dict:
     """Check override keys against the runner and convert each value to the
-    type of that parameter's default."""
+    type of that parameter's default; a boolean is not a number.  The grid
+    size and the seed are held to the ranges ``Grid`` and ``SeedSequence``
+    accept."""
     params = inspect.signature(runner).parameters
     out = {}
     for key, value in kwargs.items():
@@ -593,19 +571,30 @@ def _overrides(name: str, runner, kwargs: dict) -> dict:
         kind = type(params[key].default)
         try:
             out[key] = kind(value)
-            if kind is int and isinstance(value, float) and out[key] != value:
-                raise ValueError("not an integer")
+            lossy = kind is int and isinstance(value, float) and out[key] != value
+            if isinstance(value, bool) or lossy:
+                raise ValueError("not a number of that type")
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(
                 f"suite {name!r} parameter {key!r} must be {kind.__name__}, got {value!r}"
             ) from exc
+    for key, least in (("n", 8), ("seed", 0)):
+        if out.get(key, least) < least:
+            raise ConfigError(
+                f"suite {name!r} parameter {key!r} must be at least {least}, got {out[key]}"
+            )
     return out
 
 
 def run_suite(name: str, **kwargs) -> SuiteResult:
+    """Run the named suite with its parameter overrides, timing the run."""
     if not isinstance(name, str) or name not in SUITE_RUNNERS:
         raise ConfigError(
             f"unknown suite {name!r}; known: {', '.join(sorted(SUITE_RUNNERS))}"
         )
     runner = SUITE_RUNNERS[name]
-    return runner(**_overrides(name, runner, kwargs))
+    overrides = _overrides(name, runner, kwargs)
+    t0 = time.perf_counter()
+    result = runner(**overrides)
+    result.elapsed_seconds = time.perf_counter() - t0
+    return result

@@ -184,7 +184,7 @@ class GreedyGradientPolicy:
         for i in range(spec.m):
             B, L = _action_tables(spec, i, nodes, nodes.shape)
             for k in range(len(traj.times)):
-                u = traj.values[k][i]
+                u = traj.values[k, i]
                 grad = np.stack(
                     [
                         (np.roll(u, -1, axis=ax) - np.roll(u, 1, axis=ax))

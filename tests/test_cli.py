@@ -436,6 +436,14 @@ class TestDiagnose:
         assert rc == 2
         assert "gap decay requires" in capsys.readouterr().err
 
+    def test_negative_eta_is_a_config_error(self, tmp_path, capsys):
+        cfg = dict(_diagnose_cfg(), etas=[-0.5], c=[0, 0])
+        out = tmp_path / "out"
+        rc = main(["diagnose", "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)])
+        assert rc == 2
+        assert "eta must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_use_log_transform_must_be_a_boolean(self, tmp_path, capsys):
         _rejects_non_booleans("diagnose", _diagnose_cfg(), "use_log_transform", tmp_path, capsys)
 
@@ -653,6 +661,27 @@ class TestTheoremSuite:
         rc = main(["theorem-suite", "--config", _write(tmp_path, "c.json", cfg)])
         assert rc == 2
         assert "parameter 'n' must be int" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [
+            ("identical-gap", "n", 4),  # a grid needs at least 8 nodes
+            ("identical-gap", "n", True),  # a boolean is not a number
+            ("appendix-mc", "seed", -1),  # SeedSequence takes no negative seed
+            ("identical-gap", "t_final", True),
+            ("appendix-mc", "horizon", True),
+        ],
+    )
+    def test_override_out_of_range_or_boolean(self, tmp_path, capsys, name, key, value):
+        cfg = {"name": name, "overrides": {key: value}}
+        rc = main(["theorem-suite", "--config", _write(tmp_path, "c.json", cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"suite {name!r} parameter {key!r} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_suite_records_its_elapsed_time(self):
+        assert run_suite("identical-gap", n=16, t_final=0.5).elapsed_seconds > 0
 
     def test_unknown_suite(self, tmp_path, capsys):
         cfg = {"name": "no-such-suite"}

@@ -87,6 +87,14 @@ class TestOscillationFunctional:
         with pytest.raises(ConfigError):
             p_eta(traj, 0, -0.1, 0.0)
 
+    def test_table_and_pointwise_reject_negative_or_nan_eta(self):
+        traj = _drifting_traj()
+        for bad in (-0.5, float("nan")):
+            with pytest.raises(ConfigError, match="eta must be nonnegative"):
+                p_eta_table(traj, (0.1, bad))
+            with pytest.raises(ConfigError, match="eta must be nonnegative"):
+                p_eta(traj, 0, bad, 0.0)
+
     def test_rejects_t_beyond_horizon(self):
         traj = _drifting_traj(t_final=5.0)
         with pytest.raises(ConfigError):
