@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .diagnostics import build_report, evaluate_on_set
 from .ergodic import DiscountSchedule, estimate_ergodic_constant, long_time_constant
 from .errors import ConfigError, ConvergenceError, DivergenceError, StructureError
 from .evolution import EvolutionConfig, HJSystem, Trajectory, solve
-from .grid import Grid, GridFunction, sample
+from .grid import Grid, GridFunction, sample, save_json
 from .suites import run_suite
 from .switching import (
     ConstantPolicy,
@@ -63,6 +65,34 @@ def _integer(cfg: dict, path: str, default=_MISSING, where: str = "") -> int:
         name = ".".join(([where] if where else []) + [path])
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(cfg: dict, path: str, default=_MISSING, where: str = "", many: bool = False):
+    """A float field, or with ``many`` a number or nested lists of numbers,
+    returned as an array; booleans, strings and non-finite numbers are
+    config errors.  A None default lets the field be null."""
+    value = _get(cfg, path, default, where)
+    if value is None and default is None:
+        return None
+
+    def numbers(v) -> bool:
+        if many and isinstance(v, (list, tuple)):
+            return all(numbers(e) for e in v)
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+    if not numbers(value):
+        name = ".".join(([where] if where else []) + [path])
+        kind = "a finite number or a list of them" if many else "a finite number"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    return np.asarray(value, dtype=float) if many else float(value)
+
+
+def _known_keys(block, cls, where: str) -> None:
+    """A block that sets a field outside the dataclass ``cls`` is a config error."""
+    accepted = [f.name for f in fields(cls)]
+    for key in block:
+        if key not in accepted:
+            raise ConfigError(f"{where} has no key {key!r}; accepted: {', '.join(accepted)}")
 
 
 def _flag(cfg: dict, name: str, default: bool) -> bool:
@@ -108,10 +138,10 @@ def _build_u0(block, grid: Grid, m: int) -> list:
     if kind == "zeros":
         return [GridFunction(grid, np.zeros(grid.shape)) for _ in range(m)]
     if kind == "constants":
-        vals = _get(block, "values", where="u0")
-        if len(vals) != m:
+        vals = _real(block, "values", where="u0", many=True)
+        if vals.shape != (m,):
             raise ConfigError(f"u0.values must list {m} constants")
-        return [GridFunction(grid, np.full(grid.shape, float(v))) for v in vals]
+        return [GridFunction(grid, np.full(grid.shape, v)) for v in vals]
     if kind == "fourier":
         comps = _get(block, "components", where="u0")
         if len(comps) != m:
@@ -123,39 +153,30 @@ def _build_u0(block, grid: Grid, m: int) -> list:
 
 
 def _evolution_config(block, where: str = "solver") -> EvolutionConfig:
+    _known_keys(block, EvolutionConfig, where)
     return EvolutionConfig(
-        t_final=float(_get(block, "t_final", where=where)),
-        snapshot_every=_get(block, "snapshot_every", None),
-        cfl=float(_get(block, "cfl", 0.5)),
-        dt_override=_get(block, "dt_override", None),
+        t_final=_real(block, "t_final", where=where),
+        snapshot_every=_real(block, "snapshot_every", None, where),
+        cfl=_real(block, "cfl", 0.5, where),
+        dt_override=_real(block, "dt_override", None, where),
         flux_mode=_get(block, "flux_mode", "local"),
     )
 
 
 def _discount_schedule(block) -> DiscountSchedule:
+    _known_keys(block, DiscountSchedule, "schedule")
     kwargs = {}
-    if "lambdas" in block:
-        kwargs["lambdas"] = tuple(float(l) for l in block["lambdas"])
-    if "steady_state_tol" in block:
-        kwargs["steady_state_tol"] = float(block["steady_state_tol"])
-    if "anchor" in block:
-        kwargs["anchor"] = tuple(float(a) for a in block["anchor"])
-    if "cfl" in block:
-        kwargs["cfl"] = float(block["cfl"])
+    for key in ("lambdas", "anchor"):
+        if key in block:
+            kwargs[key] = tuple(_real(block, key, where="schedule", many=True).tolist())
+    for key in ("steady_state_tol", "cfl"):
+        if key in block:
+            kwargs[key] = _real(block, key, where="schedule")
     if "flux_mode" in block:
         kwargs["flux_mode"] = str(block["flux_mode"])
     if "max_steps_per_lambda" in block:
         kwargs["max_steps_per_lambda"] = _integer(block, "max_steps_per_lambda", where="schedule")
     return DiscountSchedule(**kwargs)
-
-
-def _write_json(obj, out_dir: str, fname: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, fname)
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
 
 
 def cmd_evolve(cfg, out_dir: str) -> int:
@@ -192,25 +213,18 @@ def _source_functions(system: HJSystem) -> list:
     return fs
 
 
-def _finite_array(value, what: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{what} must be finite, got {arr.tolist()}")
-    return arr
-
-
 def cmd_diagnose(cfg, out_dir: str) -> int:
     with _reading("c, etas, use_log_transform, gap or sets"):
-        c_spec = _get(cfg, "c", "measured")
-        c = None if c_spec == "measured" else _finite_array(c_spec, "c")
-        etas = _finite_array(_get(cfg, "etas", (0.05, 0.1, 0.2)), "etas").reshape(-1).tolist()
+        measured = _get(cfg, "c", "measured") == "measured"
+        c = None if measured else _real(cfg, "c", many=True)
+        etas = _real(cfg, "etas", (0.05, 0.1, 0.2), many=True).reshape(-1).tolist()
         use_log_transform = _flag(cfg, "use_log_transform", True)
         gap = _flag(cfg, "gap", False)
         sets = []
         for block in _get(cfg, "sets", []):
             kind = _get(block, "kind", where="sets")
-            points = _get(block, "points", where="sets") if kind == "custom" else None
-            sets.append((kind, None if points is None else _finite_array(points, "sets.points")))
+            points = _real(block, "points", where="sets", many=True) if kind == "custom" else None
+            sets.append((kind, points))
     if "trajectory_dir" in cfg:
         with _reading("trajectory_dir"):
             traj = Trajectory.load(cfg["trajectory_dir"])
@@ -250,14 +264,14 @@ def cmd_diagnose(cfg, out_dir: str) -> int:
 
 def _build_process(block) -> SwitchingProcessSpec:
     kind = _get(block, "kind", where="process")
-    rates = np.asarray(_get(block, "rates", where="process"), dtype=float)
+    rates = _real(block, "rates", where="process", many=True)
     if kind == "unit_ball_eikonal":
         return catalog.unit_ball_eikonal_process(
             _get(block, "fs", where="process"), rates,
             _integer(block, "n_actions", 64, where="process"),
         )
     if kind == "idle":
-        return catalog.idle_process(_get(block, "cost_rates", where="process"), rates)
+        return catalog.idle_process(_real(block, "cost_rates", where="process", many=True), rates)
     raise ConfigError(f"unknown process kind {kind!r}")
 
 
@@ -265,7 +279,7 @@ def cmd_simulate(cfg, out_dir: str) -> int:
     with _reading("process, policy, horizon, x0, mode0, n_samples, seed or dt_sim"):
         spec = _build_process(_get(cfg, "process"))
         dump_path = _flag(cfg, "dump_path", False)
-        horizon = float(_get(cfg, "horizon"))
+        horizon = _real(cfg, "horizon")
         pol_block = _get(cfg, "policy", {"kind": "constant", "index": 0})
         pol_kind = _get(pol_block, "kind")
         if pol_kind == "constant":
@@ -278,20 +292,19 @@ def cmd_simulate(cfg, out_dir: str) -> int:
             grid = Grid(1, _integer(pol_block, "grid_n", 256, where="policy"))
             pde_cfg = EvolutionConfig(
                 t_final=horizon,
-                snapshot_every=float(_get(pol_block, "snapshot_every", 0.125)),
+                snapshot_every=_real(pol_block, "snapshot_every", 0.125, "policy"),
             )
         else:
             raise ConfigError(f"unknown policy kind {pol_kind!r}")
-        x0 = np.atleast_1d(np.asarray(_get(cfg, "x0"), dtype=float))
-        if x0.shape != (spec.dim,) or not np.all(np.isfinite(x0)):
-            raise ConfigError(f"x0 must list {spec.dim} finite coordinates, got {x0.tolist()}")
+        x0 = np.atleast_1d(_real(cfg, "x0", many=True))
+        if x0.shape != (spec.dim,):
+            raise ConfigError(f"x0 must list {spec.dim} coordinates, got {x0.tolist()}")
         mode0 = _integer(cfg, "mode0")
         n_samples = _integer(cfg, "n_samples")
         seed = _integer(cfg, "seed")
         if seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {seed}")
-        dt_sim = _get(cfg, "dt_sim", None)
-        dt_sim = None if dt_sim is None else float(dt_sim)
+        dt_sim = _real(cfg, "dt_sim", None)
     if pol_kind == "constant":
         policy = ConstantPolicy(index)
     else:
@@ -306,7 +319,7 @@ def cmd_simulate(cfg, out_dir: str) -> int:
         "samples": est.samples,
         "policy_id": est.policy_id,
     }
-    _write_json(payload, out_dir, "value.json")
+    save_json(payload, out_dir, "value.json")
     if dump_path:
         path = simulate_trajectory(spec, policy, x0, mode0, horizon, seed, dt_sim=dt_sim)
         rows = ["t,mode,action," + ",".join(f"x{k}" for k in range(spec.dim))]
@@ -331,7 +344,7 @@ def cmd_validate_coupling(cfg, out_dir: str) -> int:
     payload = report.to_dict()
     print(json.dumps(payload, indent=2, sort_keys=True))
     if out_dir:
-        _write_json(payload, out_dir, "coupling.json")
+        save_json(payload, out_dir, "coupling.json")
     return 0 if report.monotone else 1
 
 

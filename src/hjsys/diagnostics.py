@@ -32,7 +32,6 @@ where Phi sits between 10x the numerical floor and half its initial value.
 """
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
@@ -41,7 +40,7 @@ import numpy as np
 from .coupling import delta_rate
 from .errors import ConfigError, DivergenceError, StructureError
 from .evolution import Trajectory
-from .grid import GridFunction, interp_periodic
+from .grid import GridFunction, interp_periodic, save_json
 
 __all__ = [
     "shift_trajectory",
@@ -358,10 +357,7 @@ class ConvergenceReport:
         }
 
     def save(self, directory) -> None:
-        os.makedirs(directory, exist_ok=True)
-        with open(os.path.join(directory, "convergence.json"), "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json(self.to_dict(), directory, "convergence.json")
         tables = {
             "profile_distances.csv": ("t,distance", self.profile_distances),
             "p_eta.csv": ("eta,t,value", self.p_eta_table),

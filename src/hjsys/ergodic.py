@@ -38,7 +38,6 @@ drift of -u_i(anchor, t) over the trailing window of an undiscounted solve.
 """
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -48,7 +47,7 @@ import numpy as np
 from .coupling import is_irreducible, validate_monotone
 from .errors import ConfigError, ConvergenceError, DivergenceError, StructureError
 from .evolution import HJSystem
-from .grid import GridFunction, diff_arrays, save_binary
+from .grid import GridFunction, diff_arrays, save_binary, save_json
 
 __all__ = [
     "DiscountSchedule",
@@ -296,10 +295,7 @@ class ErgodicResult:
         }
 
     def save(self, directory) -> None:
-        os.makedirs(directory, exist_ok=True)
-        with open(os.path.join(directory, "ergodic.json"), "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json(self.to_dict(), directory, "ergodic.json")
         for i, v in enumerate(self.correctors):
             save_binary(v, os.path.join(directory, f"corrector{i}.bin"))
         rows = ["lambda,component,estimate,sup,lip"]

@@ -48,7 +48,7 @@ import numpy as np
 
 from .coupling import CouplingMatrix, validate_monotone
 from .errors import ConfigError, DivergenceError, StructureError
-from .grid import Grid, GridFunction, diff_arrays, load_binary, save_binary
+from .grid import Grid, GridFunction, diff_arrays, load_binary, save_binary, save_json
 from .hamiltonians import FAMILY_EVALUATORS, flux_from_midpoint
 
 __all__ = [
@@ -448,9 +448,7 @@ class Trajectory:
             "files": files,
             "meta": self.meta,
         }
-        with open(os.path.join(directory, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json(manifest, directory, "manifest.json")
 
     @classmethod
     def load(cls, directory) -> "Trajectory":

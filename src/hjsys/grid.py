@@ -9,6 +9,8 @@ downstream monotonicity tests rely on.
 """
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,6 +30,7 @@ __all__ = [
     "load_csv",
     "save_binary",
     "load_binary",
+    "save_json",
 ]
 
 # 2D guard: a 512^2 grid is the largest the explicit solvers handle in
@@ -204,6 +207,7 @@ def interp_periodic(values: np.ndarray, grid: Grid, points: np.ndarray) -> np.nd
 # CSV: one row per node, "index,x[,y],value", floats via repr (round-trip).
 # Binary: int32 little-endian header (dim, n), then row-major float64
 # little-endian values.
+# JSON artifacts: indent 2, sorted keys, a trailing newline.
 
 
 def save_csv(u: GridFunction, path) -> None:
@@ -249,3 +253,14 @@ def load_binary(path) -> GridFunction:
         )
     vals = np.frombuffer(raw[8:], dtype="<f8").reshape(grid.shape)
     return GridFunction(grid, vals)
+
+
+def save_json(obj, directory, name: str) -> str:
+    """Write ``obj`` as the JSON artifact ``directory/name``, creating the
+    directory; returns the path.  Every JSON artifact uses this format."""
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, name)
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path

@@ -32,6 +32,12 @@ in |p| (each family's bound is affine in |p|).  ``H(x, p)`` is
 ``bind(x)[0](p)``.  In 1D the nonconvex ``bind(X)`` samples the direction
 profile at d = +1 and d = -1 once, since p/|p| takes no other value.
 
+Sampling follows the same rule: ``sampled_grad_sup`` (which sets
+``lf_alpha``), ``grad_p`` and each ``check_assumption`` branch bind H once to
+their whole sample, x broadcast against p, and reduce over the values.  They
+share one central difference in p, and every x lattice they probe is
+``Grid(dim, n).nodes()``.
+
 The built-in evaluators and local bounds are module-level functions bound to
 their x-data by ``partial`` keywords (``FAMILY_EVALUATORS``), so the flux
 kernel evaluates all components of one family together, with their x-data
@@ -48,6 +54,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
+from .grid import Grid
 
 __all__ = [
     "Hamiltonian",
@@ -100,16 +107,19 @@ class Hamiltonian:
         return self.bind(np.asarray(x, dtype=float))[0](np.asarray(p, dtype=float))
 
 
+def _p_gradient(h, p, step: float) -> np.ndarray:
+    """Central difference in p of a bound evaluator ``h(p)``, one axis at a time."""
+    out = np.empty(p.shape)
+    for k in range(p.shape[-1]):
+        dp = np.zeros(p.shape[-1])
+        dp[k] = step
+        out[..., k] = (h(p + dp) - h(p - dp)) / (2 * step)
+    return out
+
+
 def grad_p(H, x, p, step: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of H in p; shapes follow the evaluator."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    out = np.empty_like(p)
-    for k in range(p.shape[-1]):
-        dp = np.zeros_like(p)
-        dp[..., k] = step
-        out[..., k] = (H(x, p + dp) - H(x, p - dp)) / (2 * step)
-    return out
+    return _p_gradient(H.bind(np.asarray(x, dtype=float))[0], np.asarray(p, dtype=float), step)
 
 
 def sampled_grad_sup(
@@ -126,14 +136,15 @@ def sampled_grad_sup(
     xs = rng.uniform(0.0, 1.0, size=(n_x, dim))
     ps = rng.uniform(-p_box, p_box, size=(n_p, dim))
     X, P = np.broadcast_arrays(xs[:, None, :], ps[None, :, :])
-    H = bind(X)[0]
-    best = 0.0
-    for k in range(dim):
-        dp = np.zeros(dim)
-        dp[k] = step
-        g = (H(P + dp) - H(P - dp)) / (2 * step)
-        best = max(best, float(np.max(np.abs(g))))
-    return best
+    return float(np.max(np.abs(_p_gradient(bind(X)[0], P, step))))
+
+
+def _unit_directions(dim: int, k: int) -> np.ndarray:
+    """Unit directions, shape (-, dim): +-1 in 1D, k equally spaced angles in 2D."""
+    if dim == 1:
+        return np.array([[1.0], [-1.0]])
+    th = np.linspace(0, 2 * np.pi, k, endpoint=False)
+    return np.stack([np.cos(th), np.sin(th)], axis=-1)
 
 
 # -- built-in families -------------------------------------------------------
@@ -248,38 +259,23 @@ def make_nonconvex_example(
     p_box: float = 2.5,
     name: str = "nonconvex_bs00",
     params: dict | None = None,
-    q_bound: float | None = None,
-    F_bounds: tuple[float, float] | None = None,
     F_angle_slope: float = 0.0,
 ) -> Hamiltonian:
     """Direction-dependent nonconvex family; see module docstring.
 
     ``F(x, d)`` takes unit directions d; it must be bounded between positive
-    constants.  ``q(x)`` returns (..., dim).  Optional analytic bounds feed
-    the local dissipation estimate; when omitted they are sampled.  In 1D,
-    ``bind(X)`` samples F(X, +1) and F(X, -1) once; the 2D evaluator calls F
-    and supplies no derivatives.
+    constants.  ``q(x)`` returns (..., dim).  The bounds of F and sup |q|
+    that feed the local dissipation estimate are sampled on a probe
+    lattice.  In 1D, ``bind(X)`` samples F(X, +1) and F(X, -1) once; the 2D
+    evaluator calls F and supplies no derivatives.
     """
-    # sampled positivity envelope for F and sup |q| to bound |H_p|
-    probe = np.linspace(0.0, 1.0, 64, endpoint=False)
-    xs = probe[:, None] if dim == 1 else np.stack(
-        np.meshgrid(probe[::4], probe[::4], indexing="ij"), axis=-1
-    ).reshape(-1, 2)
-    if F_bounds is None:
-        if dim == 1:
-            dirs = np.array([[1.0], [-1.0]])
-        else:
-            th = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-            dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        fvals = np.concatenate([np.asarray(F(xs, np.broadcast_to(d, xs.shape))).ravel()
-                                for d in dirs])
-        F_bounds = (float(np.min(fvals)), float(np.max(fvals)))
-    if F_bounds[0] <= 0:
-        raise ConfigError(f"direction profile must stay positive, sampled min {F_bounds[0]!r}")
-    if q_bound is None:
-        q_bound = float(np.max(np.abs(np.asarray(q(xs)))))
-
-    fmax, qmax = F_bounds[1], q_bound
+    xs = Grid(dim, 64 if dim == 1 else 16).nodes()
+    X, D = np.broadcast_arrays(xs[None], _unit_directions(dim, 64)[:, None])
+    fvals = np.asarray(F(X, D))
+    fmin, fmax = float(np.min(fvals)), float(np.max(fvals))
+    if fmin <= 0:
+        raise ConfigError(f"direction profile must stay positive, sampled min {fmin!r}")
+    qmax = float(np.max(np.abs(np.asarray(q(xs)))))
     alpha = partial(_nonconvex_alpha, qmax=qmax, fmax=fmax, fangle=F_angle_slope)
 
     def bind(X):
@@ -300,8 +296,7 @@ def make_nonconvex_example(
         )
 
     tags = {"nonconvex_example", "coercive"}
-    nodes = xs if dim == 2 else probe[:, None]
-    if not np.any(compact_set(nodes)):
+    if not np.any(compact_set(xs)):
         tags.add("K_empty_warning")
     return Hamiltonian(
         dim=dim,
@@ -417,7 +412,8 @@ def check_assumption(
     The optional ``shift_c`` subtracts a constant before testing, which is
     how the checks are rerun after normalizing by a computed large-time
     constant.  Kink neighborhoods |p| <= kink_radius are excluded from
-    derivative-based sampling.
+    derivative-based sampling.  Each check binds H once, to its whole
+    sample of x broadcast against its momenta, and reduces over the values.
     """
     if assumption_id not in ASSUMPTION_IDS:
         raise ConfigError(
@@ -430,8 +426,11 @@ def check_assumption(
     keep = np.sqrt(np.sum(ps * ps, axis=-1)) > config.kink_radius
     ps = ps[keep]
 
-    def Hs(x, p):
-        return H(x, p) - shift_c
+    def bound(x, p):
+        """H - shift_c bound to the points x broadcast against p, and p."""
+        X, P = np.broadcast_arrays(x, p)
+        h = H.bind(X)[0]
+        return (lambda p: h(p) - shift_c), P
 
     report = AssumptionReport(assumption_id=assumption_id, passed=True, sample_count=0)
 
@@ -439,40 +438,32 @@ def check_assumption(
         qs = rng.uniform(-config.p_box, config.p_box, size=(ps.shape[0], dim))
         # deliberate collinear probes: the classic failure witness for |p|
         qs[: max(1, len(qs) // 4)] = 2.0 * ps[: max(1, len(qs) // 4)]
-        for x in xs[:: max(1, len(xs) // 16)]:
-            xa = np.broadcast_to(x, ps.shape)
-            hp = Hs(xa, ps)
-            hq = Hs(xa, qs)
-            for lam in config.lambdas:
-                mixd = lam * ps + (1 - lam) * qs
-                hm = Hs(xa, mixd)
-                gap = lam * hp + (1 - lam) * hq - hm
-                sep = np.sqrt(np.sum((ps - qs) ** 2, axis=-1))
-                bad = (gap <= config.margin) & (sep > 1e-6)
-                report.sample_count += len(gap)
-                for idx in np.flatnonzero(bad)[:5]:
-                    report.violations.append(
-                        (x.tolist(), ps[idx].tolist(), qs[idx].tolist(), lam,
-                         float(gap[idx]))
-                    )
+        x_sub = xs[:: max(1, len(xs) // 16)]
+        lam = np.array(config.lambdas, dtype=float)[:, None]
+        mixes = lam[..., None] * ps + (1 - lam[..., None]) * qs
+        # one (x, lambda, p) array whose lambda axis is led by p and q
+        hs, P = bound(x_sub[:, None, None, :], np.concatenate([ps[None], qs[None], mixes]))
+        vals = hs(P)
+        gap = lam * vals[:, :1] + (1 - lam) * vals[:, 1:2] - vals[:, 2:]
+        sep = np.sqrt(np.sum((ps - qs) ** 2, axis=-1))
+        bad = (gap <= config.margin) & (sep > 1e-6)
+        report.sample_count = gap.size
+        # the first 5 per (x, lambda), in sample order
+        for a, k, b in zip(*np.nonzero(bad & (np.cumsum(bad, axis=-1) <= 5))):
+            report.violations.append(
+                (x_sub[a].tolist(), ps[b].tolist(), qs[b].tolist(), config.lambdas[k],
+                 float(gap[a, k, b]))
+            )
         report.passed = not report.violations
         return report
 
     if assumption_id == "coercive":
         radii = np.array([0.25, 0.5, 1.0]) * config.p_box
-        if dim == 1:
-            dirs = np.array([[1.0], [-1.0]])
-        else:
-            th = np.linspace(0, 2 * np.pi, 32, endpoint=False)
-            dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        mins = []
-        for r in radii:
-            worst = np.inf
-            for d in dirs:
-                pa = np.broadcast_to(r * d, xs.shape)
-                worst = min(worst, float(np.min(Hs(xs, pa))))
-            mins.append(worst)
-            report.sample_count += len(xs) * len(dirs)
+        dirs = _unit_directions(dim, 32)
+        hs, P = bound(xs, radii[:, None, None, None] * dirs[:, None, :])
+        vals = hs(P)
+        mins = np.min(vals, axis=(1, 2)).tolist()
+        report.sample_count = vals.size
         if not (mins[0] < mins[1] < mins[2]):
             report.violations.append((radii.tolist(), mins, "min H not increasing in |p|"))
         report.notes.append(f"min H at radii {radii.tolist()}: {mins}")
@@ -484,90 +475,44 @@ def check_assumption(
         anchors = np.empty((0, dim))
         report.notes.append("no compact set supplied; treated as empty (dist = inf)")
     else:
-        lattice = np.linspace(0.0, 1.0, 256, endpoint=False)
-        nodes = (
-            lattice[:, None]
-            if dim == 1
-            else np.stack(
-                np.meshgrid(lattice[::8], lattice[::8], indexing="ij"), axis=-1
-            ).reshape(-1, 2)
-        )
-        mask = np.asarray(H.compact_set_K(nodes)).reshape(-1)
-        anchors = nodes[mask]
+        nodes = Grid(dim, 256 if dim == 1 else 32).nodes()
+        anchors = nodes[np.asarray(H.compact_set_K(nodes)).reshape(-1)]
         if anchors.size == 0:
             report.notes.append("compact set predicate is empty on the sample lattice")
     dist = _torus_dist(xs, anchors)
-
-    def radial(x, p):
-        # H_p . p - H, via central differences in p
-        g = grad_p(Hs, x, p, step=config.fd_step)
-        return np.sum(g * p, axis=-1) - Hs(x, p)
 
     if assumption_id == "H5":
         # Triple form: where H(x, p+q) >= eta, H(x, q) <= 0 and x is eta-far
         # from the zero set, the excess H_p(x, p+q).p - H(x, p+q) must be
         # positive, uniformly per eta.
         qs = rng.uniform(-config.p_box, config.p_box, size=(len(ps), dim))
-        profile = []
-        count = 0
-        rows = []
-        for a, x in enumerate(xs):
-            xa = np.broadcast_to(x, ps.shape)
-            tot = ps + qs
-            h_tot = Hs(xa, tot)
-            h_q = Hs(xa, qs)
-            g = grad_p(Hs, xa, tot, step=config.fd_step)
-            excess = np.sum(g * ps, axis=-1) - h_tot
-            rows.append((h_tot, h_q, excess, dist[a]))
-            count += len(ps)
-        report.sample_count = count
-        for eta in config.etas:
-            vals = [
-                float(np.min(exc[sel]))
-                for (ht, hq, exc, dx) in rows
-                if dx >= eta and np.any(sel := (ht >= eta) & (hq <= 0.0))
-            ]
-            val = min(vals) if vals else None
-            profile.append((float(eta), val))
-            if val is not None and val <= 0:
-                report.violations.append((float(eta), val, "perturbation excess not positive"))
-        report.eta_psi_profile = profile
-        report.passed = not report.violations
-        return report
-
-    profile = []
-    hvals = np.empty((len(xs), len(ps)))
-    rvals = np.empty_like(hvals)
-    for a, x in enumerate(xs):
-        xa = np.broadcast_to(x, ps.shape)
-        hvals[a] = Hs(xa, ps)
-        rvals[a] = radial(xa, ps)
-    report.sample_count = hvals.size
+        hs, P = bound(xs[:, None, :], ps + qs)
+        admissible = hs(np.broadcast_to(qs, P.shape)) <= 0.0
+    else:
+        # H7 / H10: the radial excess H_p . p - H; the rows after the x
+        # sample sit on the compact zero set, where H must not be negative
+        hs, P = bound(np.concatenate([xs, anchors])[:, None, :], ps)
+        admissible = True
+    level = hs(P)
+    excess = np.sum(_p_gradient(hs, P, config.fd_step) * ps, axis=-1) - level
+    level, excess, on_k = level[: len(xs)], excess[: len(xs)], level[len(xs):]
+    report.sample_count = level.size + on_k.size
 
     if assumption_id == "H10":
-        bad = rvals < -config.margin
-        for a, b in zip(*np.nonzero(bad)):
-            if len(report.violations) >= 10:
-                break
+        for a, b in list(zip(*np.nonzero(excess < -config.margin)))[:10]:
             report.violations.append(
-                (xs[a].tolist(), ps[b].tolist(), float(rvals[a, b]),
-                 "H_p . p - H < 0")
+                (xs[a].tolist(), ps[b].tolist(), float(excess[a, b]), "H_p . p - H < 0")
             )
-    if anchors.size:
-        on_k = Hs(
-            np.repeat(anchors, len(ps), axis=0), np.tile(ps, (len(anchors), 1))
-        )
-        report.sample_count += on_k.size
-        if np.min(on_k) < -config.margin:
-            report.violations.append(
-                (float(np.min(on_k)), "H < 0 on the compact zero set")
-            )
+    if on_k.size and np.min(on_k) < -config.margin:
+        report.violations.append((float(np.min(on_k)), "H < 0 on the compact zero set"))
+    what = "perturbation" if assumption_id == "H5" else "radial"
+    profile = []
     for eta in config.etas:
-        sel = (hvals >= eta) & (dist[:, None] >= eta)
-        val = float(np.min(rvals[sel])) if np.any(sel) else None
+        sel = (level >= eta) & admissible & (dist[:, None] >= eta)
+        val = float(np.min(excess[sel])) if np.any(sel) else None
         profile.append((float(eta), val))
         if val is not None and val <= 0:
-            report.violations.append((float(eta), val, "radial excess not positive"))
+            report.violations.append((float(eta), val, f"{what} excess not positive"))
     report.eta_psi_profile = profile
     report.passed = not report.violations
     return report

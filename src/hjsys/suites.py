@@ -15,8 +15,6 @@ constant matches the continuum one beyond the stated tolerance.
 from __future__ import annotations
 
 import inspect
-import json
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -35,7 +33,7 @@ from .diagnostics import (
 from .ergodic import DiscountSchedule, estimate_ergodic_constant, long_time_constant
 from .errors import ConfigError
 from .evolution import EvolutionConfig, HJSystem, solve, solve_batch
-from .grid import Grid, GridFunction, interp_periodic, sample
+from .grid import Grid, GridFunction, interp_periodic, sample, save_json
 from .hamiltonians import check_assumption
 from .switching import (
     ConstantPolicy,
@@ -89,10 +87,7 @@ class SuiteResult:
         }
 
     def save(self, directory) -> None:
-        os.makedirs(directory, exist_ok=True)
-        with open(os.path.join(directory, "suite.json"), "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json(self.to_dict(), directory, "suite.json")
 
     def summary_lines(self) -> list:
         lines = []

@@ -29,6 +29,7 @@ import numpy as np
 
 from .coupling import CouplingMatrix
 from .errors import ConfigError, StructureError
+from .grid import Grid
 from .hamiltonians import Hamiltonian
 
 __all__ = [
@@ -429,8 +430,7 @@ def hamiltonian_from_spec(
         a = (slice(None),) + (None,) * (p.ndim + 1 - B.ndim)
         return np.maximum.reduce(-np.add.reduce(B[a] * p, axis=-1) - L[a], axis=0)
 
-    probes = np.linspace(0.0, 1.0, 17)[:-1]
-    xs = np.stack(np.meshgrid(*[probes] * spec.dim, indexing="ij"), -1).reshape(-1, spec.dim)
+    xs = Grid(spec.dim, 16).nodes()
     bmax_axis = np.max(np.abs(_action_tables(spec, mode, xs, xs.shape)[0]), axis=(0, 1))
 
     def alpha(pabs):

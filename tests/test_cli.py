@@ -680,6 +680,31 @@ class TestTheoremSuite:
         assert f"suite {name!r} parameter {key!r} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"name": "largenew-eikonal", "overrides": {"n": 16, "t_final": 31.0}},
+         {"name": "identical-gap", "overrides": {"n": 64, "t_final": 6.0}}],
+    )
+    def test_rerun_reproduces_suite_json_apart_from_wall_time(self, tmp_path, overrides):
+        # the README names the only wall-time fields: elapsed_seconds and the
+        # value of the estimator_runtime_seconds check
+        def without_wall_time(path):
+            payload = json.loads(path.read_text())
+            del payload["elapsed_seconds"]
+            for check in payload["checks"]:
+                if check["name"] == "estimator_runtime_seconds":
+                    del check["value"]
+            return json.dumps(payload, indent=2, sort_keys=True)
+
+        cfg_path = _write(tmp_path, "c.json", overrides)
+        runs = []
+        for k in range(2):
+            out = tmp_path / f"run{k}"
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = main(["theorem-suite", "--config", cfg_path, "--out", str(out)])
+            runs.append((rc, without_wall_time(out / "suite.json")))
+        assert runs[0] == runs[1]
+
     def test_run_suite_records_its_elapsed_time(self):
         assert run_suite("identical-gap", n=16, t_final=0.5).elapsed_seconds > 0
 
@@ -725,3 +750,62 @@ def test_integral_float_is_an_integer(tmp_path):
     assert main(["evolve", "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
     manifest = json.loads((out / "trajectory" / "manifest.json").read_text())
     assert manifest["grid"] == {"dim": 1, "n": 16}
+
+
+def _evolve_constants_cfg():
+    return dict(_evolve_cfg(), u0={"kind": "constants", "values": [0.1, -0.1]})
+
+
+# (kind, base config, path, field name in the message, holds a list)
+_FLOAT_FIELDS = [
+    ("evolve", _evolve_mixed_cfg, ("solver", "t_final"), "solver.t_final", False),
+    ("evolve", _evolve_mixed_cfg, ("solver", "snapshot_every"), "solver.snapshot_every", False),
+    ("evolve", _evolve_mixed_cfg, ("solver", "cfl"), "solver.cfl", False),
+    ("evolve", _evolve_mixed_cfg, ("solver", "dt_override"), "solver.dt_override", False),
+    ("evolve", _evolve_constants_cfg, ("u0", "values"), "u0.values", True),
+    ("ergodic", _ergodic_cfg, ("schedule", "lambdas"), "schedule.lambdas", True),
+    ("ergodic", _ergodic_cfg, ("schedule", "steady_state_tol"), "schedule.steady_state_tol", False),
+    ("ergodic", _ergodic_cfg, ("schedule", "anchor"), "schedule.anchor", True),
+    ("ergodic", _ergodic_cfg, ("schedule", "cfl"), "schedule.cfl", False),
+    ("simulate", _simulate_cfg, ("policy", "snapshot_every"), "policy.snapshot_every", False),
+    ("simulate", _idle_cfg, ("horizon",), "horizon", False),
+    ("simulate", _idle_cfg, ("dt_sim",), "dt_sim", False),
+    ("simulate", _idle_cfg, ("x0",), "x0", True),
+    ("simulate", _idle_cfg, ("process", "rates"), "process.rates", True),
+    ("simulate", _idle_cfg, ("process", "cost_rates"), "process.cost_rates", True),
+    ("diagnose", _diagnose_cfg, ("c",), "c", True),
+    ("diagnose", _diagnose_cfg, ("etas",), "etas", True),
+    ("diagnose", _diagnose_cfg, ("sets", 1, "points"), "sets.points", True),
+]
+
+
+@pytest.mark.parametrize("kind, base, path, name, many", _FLOAT_FIELDS)
+def test_float_field_rejects_booleans_and_strings(tmp_path, capsys, kind, base, path, name, many):
+    # float() took true for 1.0, and the list fields took [true, ...] too
+    values = [True, "0.5", float("nan")]
+    values += [[True, 0.5], [[0.5], ["0.5"]], [0.5, float("inf")]] if many else [[0.5]]
+    for value in values:
+        cfg = _mutated(base(), path, value)
+        out = tmp_path / "out"
+        rc = main([kind, "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)])
+        assert rc == 2, value
+        kind_text = "a finite number or a list of them" if many else "a finite number"
+        assert f"{name} must be {kind_text}, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, base, block, typo",
+    [("evolve", _evolve_cfg, "solver", "snapshot_evry"), ("ergodic", _ergodic_cfg, "schedule", "lambda")],
+)
+def test_unknown_solver_or_schedule_key_is_a_config_error(tmp_path, capsys, kind, base, block, typo):
+    # the typo used to be ignored, so the run went ahead with the default
+    cfg = base()
+    cfg[block][typo] = [0.2, 0.1]
+    out = tmp_path / "out"
+    rc = main([kind, "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{block} has no key {typo!r}; accepted: " in err
+    assert ("snapshot_every" if block == "solver" else "lambdas, steady_state_tol, anchor") in err
+    assert not out.exists()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hjsys.catalog import (
+    BUILTIN_HAMILTONIAN_IDS,
     F1,
     F2,
     build_hamiltonian,
@@ -18,6 +19,7 @@ from hjsys.catalog import (
 )
 from hjsys.errors import ConfigError
 from hjsys.hamiltonians import (
+    AssumptionReport,
     Hamiltonian,
     SamplerConfig,
     check_assumption,
@@ -28,7 +30,7 @@ from hjsys.hamiltonians import (
     make_quadratic_eikonal,
     numerical_flux,
 )
-from hjsys.switching import hamiltonian_from_spec
+from hjsys.switching import SwitchingProcessSpec, hamiltonian_from_spec
 
 F_SHIFTED_COS = {"const": 1.5, "terms": [{"k": [1], "cos": -1.0}]}
 
@@ -263,6 +265,22 @@ class TestAssumptionChecks:
         rep = check_assumption(H, "H10", self.CFG)
         assert rep.passed
 
+    def test_h7_grades_the_zero_set_and_the_radial_excess(self):
+        # H7 is H10 without the pointwise listing: it fails on the sign of H
+        # on the zero set (shift 0.3) or on the per-eta excess (shift -50)
+        H = make_quadratic_eikonal(
+            _f({"const": 1.0, "terms": [{"k": [1], "cos": -1.0}]}), dim=1
+        )
+        rep = check_assumption(H, "H7", self.CFG)
+        assert rep.passed
+        assert [val > 0 for _, val in rep.eta_psi_profile[:4]] == [True] * 4
+        on_k = check_assumption(H, "H7", self.CFG, shift_c=0.3)
+        assert [v[-1] for v in on_k.violations] == ["H < 0 on the compact zero set"]
+        low = check_assumption(H, "H7", self.CFG, shift_c=-50.0)
+        assert not low.passed
+        assert {v[-1] for v in low.violations} == {"radial excess not positive"}
+        assert len(check_assumption(H, "H10", self.CFG, shift_c=-50.0).violations) == 10 + 4
+
     def test_h5_missing_compact_set_noted(self):
         H = Hamiltonian(
             dim=1,
@@ -381,3 +399,206 @@ def test_switching_lf_alpha_is_pinned():
         H = hamiltonian_from_spec(spec, mode)
         assert H.lf_alpha.hex() == "0x1.0cccccccccccdp+0"
         assert sorted(H.class_tags) == ["coercive", "convex"]
+
+
+# -- the per-x reference of check_assumption ----------------------------------
+#
+# check_assumption binds H once per check and reduces over the whole (x, p)
+# sample.  The reference below is the earlier form, which evaluates H(x, p)
+# one x at a time and takes the central difference in p axis by axis; the
+# reports of both must agree bit for bit.
+
+
+def _reference_grad_p(H, x, p, step):
+    out = np.empty_like(p)
+    for k in range(p.shape[-1]):
+        dp = np.zeros_like(p)
+        dp[..., k] = step
+        out[..., k] = (H(x, p + dp) - H(x, p - dp)) / (2 * step)
+    return out
+
+
+def _reference_torus_dist(xs, anchors):
+    if anchors.size == 0:
+        return np.full(xs.shape[0], np.inf)
+    diff = np.abs(xs[:, None, :] - anchors[None, :, :])
+    diff = np.minimum(diff, 1.0 - diff)
+    return np.sqrt(np.sum(diff**2, axis=-1)).min(axis=1)
+
+
+def _reference_check_assumption(H, assumption_id, config, shift_c=0.0):
+    rng = np.random.default_rng(config.seed)
+    dim = H.dim
+    xs = rng.uniform(0.0, 1.0, size=(config.n_x, dim))
+    ps = rng.uniform(-config.p_box, config.p_box, size=(config.n_p, dim))
+    ps = ps[np.sqrt(np.sum(ps * ps, axis=-1)) > config.kink_radius]
+
+    def Hs(x, p):
+        return H(x, p) - shift_c
+
+    report = AssumptionReport(assumption_id=assumption_id, passed=True, sample_count=0)
+    if assumption_id == "strictconvex":
+        qs = rng.uniform(-config.p_box, config.p_box, size=(ps.shape[0], dim))
+        qs[: max(1, len(qs) // 4)] = 2.0 * ps[: max(1, len(qs) // 4)]
+        for x in xs[:: max(1, len(xs) // 16)]:
+            xa = np.broadcast_to(x, ps.shape)
+            hp, hq = Hs(xa, ps), Hs(xa, qs)
+            for lam in config.lambdas:
+                gap = lam * hp + (1 - lam) * hq - Hs(xa, lam * ps + (1 - lam) * qs)
+                sep = np.sqrt(np.sum((ps - qs) ** 2, axis=-1))
+                bad = (gap <= config.margin) & (sep > 1e-6)
+                report.sample_count += len(gap)
+                for idx in np.flatnonzero(bad)[:5]:
+                    report.violations.append(
+                        (x.tolist(), ps[idx].tolist(), qs[idx].tolist(), lam, float(gap[idx]))
+                    )
+        report.passed = not report.violations
+        return report
+    if assumption_id == "coercive":
+        radii = np.array([0.25, 0.5, 1.0]) * config.p_box
+        if dim == 1:
+            dirs = np.array([[1.0], [-1.0]])
+        else:
+            th = np.linspace(0, 2 * np.pi, 32, endpoint=False)
+            dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
+        mins = []
+        for r in radii:
+            worst = np.inf
+            for d in dirs:
+                worst = min(worst, float(np.min(Hs(xs, np.broadcast_to(r * d, xs.shape)))))
+            mins.append(worst)
+            report.sample_count += len(xs) * len(dirs)
+        if not (mins[0] < mins[1] < mins[2]):
+            report.violations.append((radii.tolist(), mins, "min H not increasing in |p|"))
+        report.notes.append(f"min H at radii {radii.tolist()}: {mins}")
+        report.passed = not report.violations
+        return report
+    if H.compact_set_K is None:
+        anchors = np.empty((0, dim))
+        report.notes.append("no compact set supplied; treated as empty (dist = inf)")
+    else:
+        lattice = np.linspace(0.0, 1.0, 256, endpoint=False)
+        nodes = lattice[:, None] if dim == 1 else np.stack(
+            np.meshgrid(lattice[::8], lattice[::8], indexing="ij"), axis=-1
+        ).reshape(-1, 2)
+        anchors = nodes[np.asarray(H.compact_set_K(nodes)).reshape(-1)]
+        if anchors.size == 0:
+            report.notes.append("compact set predicate is empty on the sample lattice")
+    dist = _reference_torus_dist(xs, anchors)
+    profile = []
+    if assumption_id == "H5":
+        qs = rng.uniform(-config.p_box, config.p_box, size=(len(ps), dim))
+        rows = []
+        for a, x in enumerate(xs):
+            xa = np.broadcast_to(x, ps.shape)
+            h_tot, h_q = Hs(xa, ps + qs), Hs(xa, qs)
+            g = _reference_grad_p(Hs, xa, ps + qs, config.fd_step)
+            rows.append((h_tot, h_q, np.sum(g * ps, axis=-1) - h_tot, dist[a]))
+            report.sample_count += len(ps)
+        for eta in config.etas:
+            vals = [
+                float(np.min(exc[sel]))
+                for (ht, hq, exc, dx) in rows
+                if dx >= eta and np.any(sel := (ht >= eta) & (hq <= 0.0))
+            ]
+            val = min(vals) if vals else None
+            profile.append((float(eta), val))
+            if val is not None and val <= 0:
+                report.violations.append((float(eta), val, "perturbation excess not positive"))
+        report.eta_psi_profile = profile
+        report.passed = not report.violations
+        return report
+    hvals = np.empty((len(xs), len(ps)))
+    rvals = np.empty_like(hvals)
+    for a, x in enumerate(xs):
+        xa = np.broadcast_to(x, ps.shape)
+        hvals[a] = Hs(xa, ps)
+        g = _reference_grad_p(Hs, xa, ps, config.fd_step)
+        rvals[a] = np.sum(g * ps, axis=-1) - Hs(xa, ps)
+    report.sample_count = hvals.size
+    if assumption_id == "H10":
+        for a, b in zip(*np.nonzero(rvals < -config.margin)):
+            if len(report.violations) >= 10:
+                break
+            report.violations.append(
+                (xs[a].tolist(), ps[b].tolist(), float(rvals[a, b]), "H_p . p - H < 0")
+            )
+    if anchors.size:
+        on_k = Hs(np.repeat(anchors, len(ps), axis=0), np.tile(ps, (len(anchors), 1)))
+        report.sample_count += on_k.size
+        if np.min(on_k) < -config.margin:
+            report.violations.append((float(np.min(on_k)), "H < 0 on the compact zero set"))
+    for eta in config.etas:
+        sel = (hvals >= eta) & (dist[:, None] >= eta)
+        val = float(np.min(rvals[sel])) if np.any(sel) else None
+        profile.append((float(eta), val))
+        if val is not None and val <= 0:
+            report.violations.append((float(eta), val, "radial excess not positive"))
+    report.eta_psi_profile = profile
+    report.passed = not report.violations
+    return report
+
+
+def _switching_2d_process():
+    # 12 unit velocities in the plane, running cost f or 2 f
+    f = fourier_function(_SRC_2D, 2)
+    th = np.linspace(0.0, 2 * np.pi, 12, endpoint=False)
+    return SwitchingProcessSpec(
+        m=2,
+        dynamics=(lambda x, a: np.broadcast_to(a, np.broadcast_shapes(np.shape(x), np.shape(a))),) * 2,
+        costs=(lambda x, a: f(x) + 0 * a[..., 0], lambda x, a: 2 * f(x) + 0 * a[..., 0]),
+        rates=[[-1.0, 1.0], [0.5, -1.0]],
+        control_set=np.stack([np.cos(th), np.sin(th)], axis=-1),
+        terminal=(lambda x: np.zeros(np.shape(x)[:-1]),) * 2,
+        dim=2,
+    )
+
+
+def _sampled_hamiltonian(name):
+    family, dim = name.split("/")
+    if family in BUILTIN_HAMILTONIAN_IDS:
+        params = {} if dim == "1" else {"f": _SRC_2D, "q": _Q_2D}
+        if family != "nonconvex_bs00":
+            params.pop("q", None)
+        return build_hamiltonian(family, params, int(dim))
+    if family == "zero_set":
+        return build_hamiltonian("quadratic_eikonal", {"f": {"const": 1.0, "terms": [{"cos": -1.0}]}})
+    if family == "switching":
+        spec = unit_ball_eikonal_process([F1, F2], [[-1.0, 1.0], [1.0, -1.0]])
+        return hamiltonian_from_spec(spec if dim == "1" else _switching_2d_process(), 1)
+    # custom: convex in 1D, concave (so failing every check) in 2D
+    sign = 1.0 if dim == "1" else -1.0
+    return Hamiltonian(
+        dim=int(dim),
+        bind=lambda X: (lambda p: sign * (np.sum(p * p, axis=-1) - 1.0), None),
+        lf_alpha=6.0,
+    )
+
+
+_SAMPLED = [f"{family}/{dim}" for family in BUILTIN_HAMILTONIAN_IDS for dim in (1, 2)] + [
+    "zero_set/1", "switching/1", "switching/2", "custom/1", "custom/2",
+]
+_SAMPLER_CONFIGS = [
+    SamplerConfig(),
+    SamplerConfig(n_x=24, n_p=64, seed=5, p_box=1.7, lambdas=(0.3, 0.6)),
+]
+
+
+@pytest.mark.parametrize("name", _SAMPLED)
+def test_check_assumption_matches_the_per_x_reference(name):
+    H = _sampled_hamiltonian(name)
+    for assumption_id in ("H5", "H7", "H10", "strictconvex", "coercive"):
+        for shift_c in (0.0, -50.0, 0.3):
+            for config in _SAMPLER_CONFIGS:
+                got = check_assumption(H, assumption_id, config, shift_c)
+                want = _reference_check_assumption(H, assumption_id, config, shift_c)
+                assert repr(got) == repr(want), (assumption_id, shift_c, config)
+
+
+@pytest.mark.parametrize("name", _SAMPLED)
+def test_grad_p_matches_the_axis_by_axis_reference(name):
+    H = _sampled_hamiltonian(name)
+    rng = np.random.default_rng(3)
+    x, p = rng.random((7, H.dim)), rng.uniform(-2.0, 2.0, (7, H.dim))
+    for step in (1e-5, 1e-3):
+        assert grad_p(H, x, p, step).tobytes() == _reference_grad_p(H, x, p, step).tobytes()
