@@ -12,6 +12,8 @@ theta = atan2(d_2, d_1) (theta in {0, pi} in one dimension).
 """
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Callable
 
 import numpy as np
@@ -58,30 +60,44 @@ def _mapping(spec, what: str) -> None:
         raise ConfigError(f"{what} must be a mapping, got {type(spec).__name__}")
 
 
+def _number(value, what: str) -> float:
+    """A finite real number; booleans, strings and non-finite values are
+    config errors naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return float(value)
+
+
 def fourier_function(params: dict, dim: int) -> Callable:
     """Compile a truncated Fourier description into a vectorized callable."""
     _mapping(params, "fourier spec")
-    const = float(params.get("const", 0.0))
+    const = _number(params.get("const", 0.0), "fourier const")
     terms = []
     for t, term in enumerate(params.get("terms", [])):
-        _mapping(term, f"fourier terms[{t}]")
-        k = np.asarray(term.get("k", [1] * dim), dtype=float).reshape(-1)
-        if k.size != dim or not np.all(np.isfinite(k)):
-            raise ConfigError(f"terms[{t}].k must have {dim} finite entries, got {k.tolist()}")
-        terms.append((k, float(term.get("cos", 0.0)), float(term.get("sin", 0.0))))
-    if not np.all(np.isfinite([const] + [c for _, a, b in terms for c in (a, b)])):
-        raise ConfigError("fourier const, cos and sin must be finite")
+        where = f"fourier terms[{t}]"
+        _mapping(term, where)
+        k = term.get("k", [1] * dim)
+        k = k if isinstance(k, (list, tuple, np.ndarray)) else [k]
+        if len(k) != dim:
+            raise ConfigError(f"{where}.k must have {dim} entries, got {k!r}")
+        k = np.array([_number(e, f"{where}.k") for e in k])
+        a, b = (_number(term.get(key, 0.0), f"{where}.{key}") for key in ("cos", "sin"))
+        terms.append((k, a, b))
 
     def fn(x):
         x = np.asarray(x, dtype=float)
-        out = np.full(x.shape[:-1], const)
+        out = const
         for k, a, b in terms:
-            phase = 2.0 * np.pi * np.sum(x * k, axis=-1)
+            # in 1D, + 0.0 stands for the length-1 sum: it turns -0.0 into 0.0
+            kx = x[..., 0] * k[0] + 0.0 if dim == 1 else np.sum(x * k, axis=-1)
+            phase = 2.0 * np.pi * kx
             if a:
                 out = out + a * np.cos(phase)
             if b:
                 out = out + b * np.sin(phase)
-        return out
+        return np.full(x.shape[:-1], const) if out is const else out
 
     return fn
 
@@ -89,18 +105,16 @@ def fourier_function(params: dict, dim: int) -> Callable:
 def direction_profile(params: dict, dim: int) -> tuple[Callable, float]:
     """Compile a direction profile F(x, d); returns (fn, angle_slope_bound)."""
     _mapping(params, "direction profile F")
-    const = float(params.get("const", 1.0))
+    const = _number(params.get("const", 1.0), "direction profile const")
     angle = []
     for i, t in enumerate(params.get("angle", [])):
-        _mapping(t, f"direction profile angle[{i}]")
-        angle.append((int(t.get("j", 1)), float(t.get("cos", 0.0)), float(t.get("sin", 0.0))))
-    named = [("const", const)] + [
-        (f"angle[{t}].{key}", v) for t, (_, a, b) in enumerate(angle)
-        for key, v in (("cos", a), ("sin", b))
-    ]
-    for key, v in named:
-        if not np.isfinite(v):
-            raise ConfigError(f"direction profile {key} must be finite, got {v!r}")
+        where = f"direction profile angle[{i}]"
+        _mapping(t, where)
+        j = _number(t.get("j", 1), f"{where}.j")
+        if not j.is_integer():
+            raise ConfigError(f"{where}.j must be an integer, got {t['j']!r}")
+        a, b = (_number(t.get(key, 0.0), f"{where}.{key}") for key in ("cos", "sin"))
+        angle.append((int(j), a, b))
     slope = sum(abs(j) * (abs(a) + abs(b)) for j, a, b in angle)
 
     def fn(x, d):
@@ -142,8 +156,8 @@ def build_hamiltonian(ham_id: str, params: dict | None, dim: int = 1) -> Hamilto
         raise ConfigError(
             f"unknown hamiltonian id {ham_id!r}; valid: {BUILTIN_HAMILTONIAN_IDS}"
         )
-    p_box = float(params.get("p_box", 2.5))
-    if not (np.isfinite(p_box) and p_box > 0):
+    p_box = _number(params.get("p_box", 2.5), "p_box")
+    if p_box <= 0:
         raise ConfigError(f"p_box must be positive and finite, got {p_box!r}")
     if ham_id == "quadratic_eikonal":
         f = fourier_function(params.get("f", _DEFAULT_F), dim)

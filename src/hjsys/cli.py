@@ -87,9 +87,8 @@ def _real(cfg: dict, path: str, default=_MISSING, where: str = "", many: bool = 
     return np.asarray(value, dtype=float) if many else float(value)
 
 
-def _known_keys(block, cls, where: str) -> None:
-    """A block that sets a field outside the dataclass ``cls`` is a config error."""
-    accepted = [f.name for f in fields(cls)]
+def _known_keys(block, accepted, where: str) -> None:
+    """A block that sets a key outside ``accepted`` is a config error."""
     for key in block:
         if key not in accepted:
             raise ConfigError(f"{where} has no key {key!r}; accepted: {', '.join(accepted)}")
@@ -153,7 +152,7 @@ def _build_u0(block, grid: Grid, m: int) -> list:
 
 
 def _evolution_config(block, where: str = "solver") -> EvolutionConfig:
-    _known_keys(block, EvolutionConfig, where)
+    _known_keys(block, [f.name for f in fields(EvolutionConfig)], where)
     return EvolutionConfig(
         t_final=_real(block, "t_final", where=where),
         snapshot_every=_real(block, "snapshot_every", None, where),
@@ -164,7 +163,7 @@ def _evolution_config(block, where: str = "solver") -> EvolutionConfig:
 
 
 def _discount_schedule(block) -> DiscountSchedule:
-    _known_keys(block, DiscountSchedule, "schedule")
+    _known_keys(block, [f.name for f in fields(DiscountSchedule)], "schedule")
     kwargs = {}
     for key in ("lambdas", "anchor"):
         if key in block:
@@ -262,40 +261,51 @@ def cmd_diagnose(cfg, out_dir: str) -> int:
     return 0
 
 
+# the keys of a simulate config: top level, then per process and policy kind
+_SIMULATE_KEYS = ("process", "policy", "horizon", "x0", "mode0", "n_samples", "seed",
+                  "dt_sim", "dump_path")
+_PROCESS_KEYS = {"unit_ball_eikonal": ("kind", "rates", "fs", "n_actions"),
+                 "idle": ("kind", "rates", "cost_rates")}
+_POLICY_KEYS = {"constant": ("kind", "index"), "greedy": ("kind", "grid_n", "snapshot_every")}
+
+
 def _build_process(block) -> SwitchingProcessSpec:
     kind = _get(block, "kind", where="process")
+    if not isinstance(kind, str) or kind not in _PROCESS_KEYS:
+        raise ConfigError(f"unknown process kind {kind!r}")
+    _known_keys(block, _PROCESS_KEYS[kind], f"process of kind {kind!r}")
     rates = _real(block, "rates", where="process", many=True)
     if kind == "unit_ball_eikonal":
         return catalog.unit_ball_eikonal_process(
             _get(block, "fs", where="process"), rates,
             _integer(block, "n_actions", 64, where="process"),
         )
-    if kind == "idle":
-        return catalog.idle_process(_real(block, "cost_rates", where="process", many=True), rates)
-    raise ConfigError(f"unknown process kind {kind!r}")
+    return catalog.idle_process(_real(block, "cost_rates", where="process", many=True), rates)
 
 
 def cmd_simulate(cfg, out_dir: str) -> int:
     with _reading("process, policy, horizon, x0, mode0, n_samples, seed or dt_sim"):
+        _known_keys(cfg, _SIMULATE_KEYS, "simulate config")
         spec = _build_process(_get(cfg, "process"))
         dump_path = _flag(cfg, "dump_path", False)
         horizon = _real(cfg, "horizon")
         pol_block = _get(cfg, "policy", {"kind": "constant", "index": 0})
         pol_kind = _get(pol_block, "kind")
+        if not isinstance(pol_kind, str) or pol_kind not in _POLICY_KEYS:
+            raise ConfigError(f"unknown policy kind {pol_kind!r}")
+        _known_keys(pol_block, _POLICY_KEYS[pol_kind], f"policy of kind {pol_kind!r}")
         if pol_kind == "constant":
             index = _integer(pol_block, "index", 0, where="policy")
             if not 0 <= index < len(spec.control_set):
                 raise ConfigError(
                     f"policy.index must be in [0, {len(spec.control_set)}), got {index}"
                 )
-        elif pol_kind == "greedy":
+        else:
             grid = Grid(1, _integer(pol_block, "grid_n", 256, where="policy"))
             pde_cfg = EvolutionConfig(
                 t_final=horizon,
                 snapshot_every=_real(pol_block, "snapshot_every", 0.125, "policy"),
             )
-        else:
-            raise ConfigError(f"unknown policy kind {pol_kind!r}")
         x0 = np.atleast_1d(_real(cfg, "x0", many=True))
         if x0.shape != (spec.dim,):
             raise ConfigError(f"x0 must list {spec.dim} coordinates, got {x0.tolist()}")

@@ -19,6 +19,14 @@ path record.  ``estimate_value`` runs all its paths in one time loop,
 vectorized over the sample axis.  Each RNG block of ``batch_size`` paths
 draws from its own child stream of the master seed, so seeded results are
 reproducible; ``batch_size`` sets only that partition, not the speed.
+
+Each (sub-)step of that loop looks up the moving paths' actions with one
+gather from the policy table, calls each distinct dynamics or cost callable
+once on the rows of all the modes it serves (the catalog processes share
+one dynamics callable, so it runs on every row with no gather or scatter),
+and wraps positions with ``_wrap``, ``y - floor(y)``, which equals
+``y % 1.0`` bit for bit on finite y at a fraction of its cost.  Callables
+must therefore be pointwise.
 """
 from __future__ import annotations
 
@@ -45,6 +53,13 @@ __all__ = [
 ]
 
 
+def _wrap(y):
+    """Positions y taken onto the torus [0, 1); bit for bit ``y % 1.0`` for
+    finite y (numpy's remainder is the exact fmod plus at most one rounded
+    + 1, and so is y - floor(y)), at a fraction of its cost."""
+    return y - np.floor(y)
+
+
 @dataclass(frozen=True)
 class SwitchingProcessSpec:
     """Modes, dynamics, running costs, switching rates, and the action list.
@@ -58,7 +73,8 @@ class SwitchingProcessSpec:
     * x)``: the Monte Carlo passes one row per path, the PDE side the control
     set shaped (A, 1, ..., 1, adim).  They must be pointwise (row k of the
     result depends on row k of x and of a only), since the Monte Carlo calls
-    them on varying subsets of its paths.
+    them on varying subsets of its paths, and calls a callable that several
+    modes share once on the rows of all of them.
     """
 
     m: int
@@ -118,7 +134,7 @@ class SwitchingProcessSpec:
         rng = np.random.default_rng(seed)
         xs = rng.random((n_pairs, self.dim))
         ys = xs + rng.normal(0, 0.05, xs.shape)
-        ys = ys - np.floor(ys)
+        ys = _wrap(ys)
         d = np.abs(xs - ys)
         d = np.minimum(d, 1 - d)
         dist = np.sqrt(np.sum(d * d, axis=1))
@@ -204,17 +220,25 @@ class GreedyGradientPolicy:
             return idx[:, 0]
         return idx[:, 0] * n + idx[:, 1]
 
-    def action_indices(self, x, modes, time_to_go) -> np.ndarray:
-        snap = np.minimum(
-            np.searchsorted(self.snapshot_ttg, time_to_go), len(self.snapshot_ttg) - 1
-        )
+    def _snapshot(self, time_to_go):
+        """Index of the snapshot nearest in time to go (the earlier one on a
+        tie); scalar arithmetic when ``time_to_go`` is one number."""
+        ttg = self.snapshot_ttg
+        if np.ndim(time_to_go) == 0:
+            snap = min(int(np.searchsorted(ttg, time_to_go)), len(ttg) - 1)
+            if snap > 0 and abs(ttg[snap - 1] - time_to_go) <= abs(ttg[snap] - time_to_go):
+                snap -= 1
+            return snap
+        snap = np.minimum(np.searchsorted(ttg, time_to_go), len(ttg) - 1)
         lower = np.maximum(snap - 1, 0)
-        pick_lower = np.abs(self.snapshot_ttg[lower] - time_to_go) <= np.abs(
-            self.snapshot_ttg[snap] - time_to_go
-        )
-        snap = np.where(pick_lower & (snap > 0), lower, snap)
-        nodes = self._node_index(x)
-        return self._tables[snap, np.asarray(modes, dtype=int), nodes]
+        pick_lower = np.abs(ttg[lower] - time_to_go) <= np.abs(ttg[snap] - time_to_go)
+        return np.where(pick_lower & (snap > 0), lower, snap)
+
+    def action_indices(self, x, modes, time_to_go) -> np.ndarray:
+        # one gather from the flat (snapshot, mode, node) table
+        m, n_nodes = self._tables.shape[1:]
+        rows = (self._snapshot(time_to_go) * m + np.asarray(modes, dtype=int)) * n_nodes
+        return self._tables.reshape(-1).take(rows + self._node_index(x))
 
 
 def _run_step(spec, x0, mode, horizon, dt_sim) -> float:
@@ -260,7 +284,7 @@ def simulate_trajectory(
     rng = np.random.default_rng(seed)
     R = spec.total_rates()
     cdf = _destination_cdf(spec, R)
-    x = np.atleast_1d(np.asarray(x0, dtype=float)) % 1.0
+    x = _wrap(np.atleast_1d(np.asarray(x0, dtype=float)))
     mode = int(mode0)
     t = 0.0
     next_switch = t + rng.exponential(1.0 / R[mode]) if R[mode] > 0 else np.inf
@@ -276,7 +300,7 @@ def simulate_trajectory(
         ell = float(np.asarray(spec.costs[mode](x, a), dtype=float))
         seg = seg_end - t
         cost += ell * seg
-        x = (x + seg * b) % 1.0
+        x = _wrap(x + seg * b)
         t = seg_end
         if t >= next_switch - 1e-15 and t < horizon - 1e-15:
             mode = _draw_destinations(cdf, np.array([mode]), rng.random(1))[0]
@@ -312,20 +336,30 @@ def _advance(spec, policy, x, modes, cost, seg, time_to_go):
         if np.ndim(time_to_go):
             time_to_go = time_to_go[idx]
     xs, ms, s = x[idx], modes[idx], seg[idx]
-    a_idx = policy.action_indices(xs, ms, time_to_go)
-    if np.all(ms == ms[0]):
-        i = int(ms[0])
-        a = spec.control_set.take(a_idx, axis=0)
-        v, c = spec.dynamics[i](xs, a), spec.costs[i](xs, a)
-    else:
-        # one call per mode present on its rows, gathered once by np.take
-        v, c = np.empty_like(xs), np.empty(len(xs))
-        for i in np.flatnonzero(np.bincount(ms)).tolist():
-            sel = np.flatnonzero(ms == i)
-            xi, ai = xs.take(sel, axis=0), spec.control_set.take(a_idx[sel], axis=0)
-            v[sel], c[sel] = spec.dynamics[i](xi, ai), spec.costs[i](xi, ai)
+    a = spec.control_set.take(policy.action_indices(xs, ms, time_to_go), axis=0)
+    present = np.flatnonzero(np.bincount(ms)).tolist()
+    v = _per_callable(spec.dynamics, present, ms, xs, a, xs.shape)
+    c = _per_callable(spec.costs, present, ms, xs, a, (len(xs),))
     cost[idx] += c * s
-    x[idx] = (xs + s[:, None] * v) % 1.0
+    x[idx] = _wrap(xs + s[:, None] * v)
+
+
+def _per_callable(fns, present, ms, x, a, shape):
+    """fns[i](x, a) on the rows in mode i for every mode i present, with one
+    call per distinct callable among those modes.  A callable that serves
+    every present mode runs on all the rows as they are; the others run on
+    their modes' rows, gathered by np.take, and their results are scattered
+    back.  Pointwise callables make both ways agree bit for bit."""
+    groups = {}
+    for i in present:
+        groups.setdefault(id(fns[i]), []).append(i)
+    if len(groups) == 1:
+        return fns[present[0]](x, a)
+    out = np.empty(shape)
+    for served in groups.values():
+        sel = np.flatnonzero(np.isin(ms, served) if len(served) > 1 else ms == served[0])
+        out[sel] = fns[served[0]](x.take(sel, axis=0), a.take(sel, axis=0))
+    return out
 
 
 def _run_batch(spec, policy, x0, mode0, horizon, dt, rngs, sizes) -> np.ndarray:
@@ -335,7 +369,7 @@ def _run_batch(spec, policy, x0, mode0, horizon, dt, rngs, sizes) -> np.ndarray:
     cdf = _destination_cdf(spec, R)
     bounds = np.cumsum([0, *sizes])
     x = np.broadcast_to(
-        np.atleast_1d(np.asarray(x0, dtype=float)) % 1.0, (sum(sizes), spec.dim)
+        _wrap(np.atleast_1d(np.asarray(x0, dtype=float))), (sum(sizes), spec.dim)
     ).copy()
     modes = np.full(len(x), int(mode0))
     cost = np.zeros(len(x))

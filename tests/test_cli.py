@@ -236,13 +236,15 @@ def _mutated(cfg, path, value):
 
 def _check_mutant(kind, bases, data, tmp_path_factory):
     """Run one base config with one leaf deleted or replaced by a string,
-    null, -1, inf or nan, and check the exit-code contract.  No size is
+    null, -1, inf, nan or true, and check the exit-code contract.  No size is
     raised to a finite value and the config boundary rejects non-finite
     ones, so every run stays short.  main runs in-process, so an uncaught
     exception fails the calling test with its traceback."""
     base = data.draw(st.sampled_from(bases))
     path = data.draw(st.sampled_from(_leaf_paths(base)))
-    value = data.draw(st.sampled_from([_DELETE, "abc", None, -1, float("inf"), float("nan")]))
+    value = data.draw(
+        st.sampled_from([_DELETE, "abc", None, -1, float("inf"), float("nan"), True])
+    )
     cfg = _mutated(base, path, value)
     tmp = tmp_path_factory.mktemp("mutant")
     err = io.StringIO()
@@ -258,7 +260,9 @@ def _evolve_mixed_cfg():
             "grid": {"dim": 1, "n": 12},
             "coupling": {"entries": [[1.0, -1.0], [-0.5, 0.5]]},
             "hamiltonians": [
-                {"id": "nonconvex_bs00", "params": {"p_box": 3.0}},
+                {"id": "nonconvex_bs00", "params": {
+                    "p_box": 3.0, "F": {"const": 1.0, "angle": [{"j": 1, "cos": 0.3, "sin": 0.0}]},
+                }},
                 {"id": "linear_eikonal", "params": {"f": F2}},
             ],
         },
@@ -792,6 +796,73 @@ def test_float_field_rejects_booleans_and_strings(tmp_path, capsys, kind, base, 
         kind_text = "a finite number or a list of them" if many else "a finite number"
         assert f"{name} must be {kind_text}, got {value!r}" in capsys.readouterr().err
         assert not out.exists()
+
+
+# (kind, base config, path, field name in the message); each took true for 1
+_CATALOG_NUMBER_FIELDS = [
+    ("evolve", _evolve_cfg, ("system", "hamiltonians", 0, "params", "f", "const"), "fourier const"),
+    ("evolve", _evolve_cfg, ("system", "hamiltonians", 0, "params", "f", "terms", 0, "k", 0),
+     "fourier terms[0].k"),
+    ("evolve", _evolve_cfg, ("system", "hamiltonians", 0, "params", "f", "terms", 0, "cos"),
+     "fourier terms[0].cos"),
+    ("evolve", _evolve_mixed_cfg, ("u0", "components", 0, "terms", 0, "sin"),
+     "fourier terms[0].sin"),
+    ("evolve", _evolve_mixed_cfg, ("system", "hamiltonians", 0, "params", "p_box"), "p_box"),
+    ("evolve", _evolve_mixed_cfg, ("system", "hamiltonians", 0, "params", "F", "const"),
+     "direction profile const"),
+    ("evolve", _evolve_mixed_cfg, ("system", "hamiltonians", 0, "params", "F", "angle", 0, "j"),
+     "direction profile angle[0].j"),
+    ("evolve", _evolve_mixed_cfg, ("system", "hamiltonians", 0, "params", "F", "angle", 0, "cos"),
+     "direction profile angle[0].cos"),
+    ("evolve", _evolve_mixed_cfg, ("system", "hamiltonians", 0, "params", "F", "angle", 0, "sin"),
+     "direction profile angle[0].sin"),
+    ("simulate", _simulate_cfg, ("process", "fs", 1, "const"), "fourier const"),
+    ("simulate", _simulate_cfg, ("process", "fs", 0, "terms", 0, "cos"), "fourier terms[0].cos"),
+]
+
+
+@pytest.mark.parametrize("kind, base, path, name", _CATALOG_NUMBER_FIELDS)
+def test_catalog_number_rejects_booleans_and_strings(tmp_path, capsys, kind, base, path, name):
+    # the catalog read these with bare float(), so true ran as 1.0
+    for value in (True, False, "0.5"):
+        cfg = _mutated(base(), path, value)
+        out = tmp_path / "out"
+        rc = main([kind, "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)])
+        assert rc == 2, value
+        assert f"{name} must be a number, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_direction_profile_order_must_be_an_integer(tmp_path, capsys):
+    # int() truncated j = 1.5 to 1
+    cfg = _mutated(_evolve_mixed_cfg(), ("system", "hamiltonians", 0, "params", "F", "angle", 0,
+                                         "j"), 1.5)
+    rc = main(["evolve", "--config", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "direction profile angle[0].j must be an integer, got 1.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "base, block, typo, accepted",
+    [(_idle_cfg, (), "dump_pth", "process, policy, horizon, x0, mode0, n_samples, seed, dt_sim"),
+     (_idle_cfg, ("policy",), "indx", "kind, index"),
+     (_simulate_cfg, ("policy",), "index", "kind, grid_n, snapshot_every"),
+     (_idle_cfg, ("process",), "fs", "kind, rates, cost_rates"),
+     (_simulate_cfg, ("process",), "cost_rates", "kind, rates, fs, n_actions")],
+)
+def test_unknown_simulate_key_is_a_config_error(tmp_path, capsys, base, block, typo, accepted):
+    # the key used to be ignored, so the run went ahead with the defaults
+    cfg = base()
+    node = cfg
+    for key in block:
+        node = node[key]
+    node[typo] = 3
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"has no key {typo!r}; accepted: {accepted}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,9 @@ from hjsys.switching import (
     ConstantPolicy,
     GreedyGradientPolicy,
     SwitchingProcessSpec,
+    _advance,
     _run_batch,
+    _wrap,
     coupling_from_spec,
     estimate_value,
     hamiltonian_from_spec,
@@ -40,8 +42,9 @@ def _still_spec(costs=None, terminal=None, rates=None, control=None):
     )
 
 
-def _drift_spec(shift=0.0):
-    """Mode 0 drifts right, mode 1 drifts left; cost is x plus a shift."""
+def _drift_spec(shift=0.0, rates=SYM_RATES):
+    """Mode 0 drifts right, mode 1 drifts left; cost is x plus a shift.
+    Each mode has its own dynamics and cost callable."""
     return SwitchingProcessSpec(
         m=2,
         dynamics=(
@@ -52,7 +55,7 @@ def _drift_spec(shift=0.0):
             lambda x, a: x[..., 0] + shift,
             lambda x, a: 1.0 - x[..., 0] + shift,
         ),
-        rates=SYM_RATES,
+        rates=rates,
         control_set=np.array([[0.0]]),
         terminal=(lambda x: np.zeros(x.shape[:-1]), lambda x: np.zeros(x.shape[:-1])),
         dim=1,
@@ -421,11 +424,12 @@ class TestBatchLoop:
     loop that evaluates every path, run once per block."""
 
     def _assert_matches_reference(
-        self, spec, policy, mode0, dt, horizon=0.25, batch_size=128, sizes=(128, 128, 44)
+        self, spec, policy, mode0, dt, horizon=0.25, batch_size=128, sizes=(128, 128, 44),
+        x0=(0.3,),
     ):
         # all blocks run in one time loop must give, bit for bit, the
         # reference loop run once per block with the block's own stream
-        x0, seed = [0.3], 9
+        x0, seed = list(x0), 9
         est = estimate_value(
             spec, policy, x0, mode0, horizon, sum(sizes), seed, dt_sim=dt, batch_size=batch_size
         )
@@ -486,6 +490,88 @@ class TestBatchLoop:
             terminal=base.terminal,
         )
         self._assert_matches_reference(spec, ConstantPolicy(2), 0, 1 / 256)
+
+    @pytest.mark.parametrize("x0", [0.02, 0.98])
+    @pytest.mark.parametrize("dt", [1 / 1024, 0.003])
+    def test_one_dynamics_callable_per_mode(self, x0, dt):
+        # the catalog processes share one dynamics callable across modes and
+        # call it once on all the rows; here each mode has its own dynamics
+        # and cost, gathered and scattered per mode.  Starting next to 0 or
+        # 1, the paths of one mode wrap around the torus.
+        spec = _drift_spec(0.25, FAST_RATES)
+        self._assert_matches_reference(spec, ConstantPolicy(0), 0, dt, x0=(x0,))
+
+    def test_callables_shared_by_some_modes(self):
+        # modes 0 and 2 share a dynamics callable and modes 0 and 1 a cost,
+        # so a shared callable runs on the rows of two of three modes
+        rates = np.array([[0.0, 30.0, 10.0], [5.0, 0.0, 35.0], [20.0, 20.0, 0.0]])
+        base = _fast_spec()
+
+        def swirl(x, a):
+            return a * np.cos(2 * np.pi * x)
+
+        spec = SwitchingProcessSpec(
+            m=3,
+            dynamics=(base.dynamics[0], swirl, base.dynamics[0]),
+            costs=(base.costs[0], base.costs[0], base.costs[1]),
+            rates=rates,
+            control_set=base.control_set,
+            terminal=base.terminal + (base.terminal[0],),
+        )
+        self._assert_matches_reference(spec, ConstantPolicy(12), 2, 1 / 512, x0=(0.95,))
+
+    def test_one_call_per_distinct_callable(self):
+        # both modes present: the shared dynamics runs once on every row,
+        # each mode's cost once on that mode's rows
+        calls = []
+
+        def counted(name, fn):
+            def wrapped(x, a):
+                calls.append((name, len(x)))
+                return fn(x, a)
+            return wrapped
+
+        base = _fast_spec()
+        dynamics = counted("dynamics", base.dynamics[0])
+        spec = SwitchingProcessSpec(
+            m=2,
+            dynamics=(dynamics, dynamics),
+            costs=tuple(counted(f"cost{i}", c) for i, c in enumerate(base.costs)),
+            rates=FAST_RATES,
+            control_set=base.control_set,
+            terminal=base.terminal,
+        )
+        x = np.linspace(0.0, 1.0, 10, endpoint=False)[:, None]
+        modes = np.array([0, 1, 1, 0, 1, 1, 1, 0, 0, 1])
+        seg = np.full(10, 0.01)
+        seg[3] = 0.0  # a path that does not move is neither looked up nor evaluated
+        calls.clear()
+        _advance(spec, ConstantPolicy(4), x, modes, np.zeros(10), seg, 0.5)
+        assert sorted(calls) == [("cost0", 3), ("cost1", 6), ("dynamics", 9)]
+
+
+class TestWrap:
+    """Positions are wrapped with y - floor(y), which must equal y % 1.0
+    bit for bit on every finite input."""
+
+    def test_matches_remainder_on_uniform_draws(self):
+        y = np.random.default_rng(11).uniform(-3.0, 4.0, 1_000_000)
+        assert _wrap(y).tobytes() == (y % 1.0).tobytes()
+
+    def test_matches_remainder_at_the_edges(self):
+        tiny = np.nextafter(0.0, 1.0)  # 5e-324, the smallest subnormal
+        y = np.array(
+            [-0.0, 0.0, 1.0, -1.0, 3.0, -3.0, 1e-300, -1e-300, 1 - 2.0**-53, -(1 - 2.0**-53),
+             1e17, -1e17, -tiny, tiny]
+        )
+        assert _wrap(y).tobytes() == (y % 1.0).tobytes()
+        # -0.0 wraps to +0.0, and a tiny negative rounds up to 1.0 both ways
+        assert not np.signbit(_wrap(y)[0])
+        assert _wrap(y)[-2] == 1.0
+
+    def test_non_finite_stays_non_finite(self):
+        with np.errstate(invalid="ignore"):
+            assert not np.any(np.isfinite(_wrap(np.array([np.nan, np.inf, -np.inf]))))
 
 
 class TestPdeBridge:
