@@ -88,7 +88,9 @@ def _real(cfg: dict, path: str, default=_MISSING, where: str = "", many: bool = 
 
 
 def _known_keys(block, accepted, where: str) -> None:
-    """A block that sets a key outside ``accepted`` is a config error."""
+    """A block that is not a mapping, or sets a key outside ``accepted``, is a config error."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a mapping, got {block!r}")
     for key in block:
         if key not in accepted:
             raise ConfigError(f"{where} has no key {key!r}; accepted: {', '.join(accepted)}")
@@ -109,22 +111,27 @@ def _reading(what: str):
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-def _build_coupling(block) -> CouplingMatrix:
+def _build_coupling(block, where: str = "coupling") -> CouplingMatrix:
+    _known_keys(block, ("name", "entries"), where)
     if "name" in block:
         return CouplingMatrix.constant(catalog.builtin_coupling(block["name"]))
     if "entries" in block:
-        return CouplingMatrix.constant(np.asarray(block["entries"], dtype=float))
+        return CouplingMatrix.constant(_real(block, "entries", where=where, many=True))
     raise ConfigError("coupling block needs either 'name' or 'entries'")
 
 
 def _build_system(block, where: str = "system") -> HJSystem:
+    _known_keys(block, ("grid", "coupling", "hamiltonians"), where)
+    _known_keys(_get(block, "grid", where=where), ("dim", "n"), f"{where}.grid")
     dim = _integer(block, "grid.dim", 1, where=where)
     n = _integer(block, "grid.n", where=where)
     grid = Grid(dim, n)
-    coupling = _build_coupling(_get(block, "coupling", where=where))
+    coupling = _build_coupling(_get(block, "coupling", where=where), f"{where}.coupling")
     ham_blocks = _get(block, "hamiltonians", where=where)
     if not isinstance(ham_blocks, list) or not ham_blocks:
         raise ConfigError("system.hamiltonians must be a nonempty list")
+    for i, hb in enumerate(ham_blocks):
+        _known_keys(hb, ("id", "params"), f"{where}.hamiltonians[{i}]")
     hams = tuple(
         catalog.build_hamiltonian(hb["id"], hb.get("params", {}), dim=dim)
         for hb in ham_blocks
@@ -135,19 +142,20 @@ def _build_system(block, where: str = "system") -> HJSystem:
 def _build_u0(block, grid: Grid, m: int) -> list:
     kind = _get(block, "kind", "zeros")
     if kind == "zeros":
+        _known_keys(block, ("kind",), "u0 of kind 'zeros'")
         return [GridFunction(grid, np.zeros(grid.shape)) for _ in range(m)]
     if kind == "constants":
+        _known_keys(block, ("kind", "values"), "u0 of kind 'constants'")
         vals = _real(block, "values", where="u0", many=True)
         if vals.shape != (m,):
             raise ConfigError(f"u0.values must list {m} constants")
         return [GridFunction(grid, np.full(grid.shape, v)) for v in vals]
     if kind == "fourier":
+        _known_keys(block, ("kind", "components"), "u0 of kind 'fourier'")
         comps = _get(block, "components", where="u0")
         if len(comps) != m:
             raise ConfigError(f"u0.components must list {m} function specs")
-        return [
-            sample(catalog.fourier_function(c, grid.dim), grid) for c in comps
-        ]
+        return [sample(catalog.fourier_function(c, grid.dim), grid) for c in comps]
     raise ConfigError(f"unknown u0 kind {kind!r}")
 
 
@@ -180,6 +188,7 @@ def _discount_schedule(block) -> DiscountSchedule:
 
 def cmd_evolve(cfg, out_dir: str) -> int:
     with _reading("system, solver or u0"):
+        _known_keys(cfg, ("system", "solver", "u0"), "evolve config")
         system = _build_system(_get(cfg, "system"))
         config = _evolution_config(_get(cfg, "solver"))
         u0 = _build_u0(_get(cfg, "u0", {}), system.grid, system.m)
@@ -191,6 +200,7 @@ def cmd_evolve(cfg, out_dir: str) -> int:
 
 def cmd_ergodic(cfg, out_dir: str) -> int:
     with _reading("system or schedule"):
+        _known_keys(cfg, ("system", "schedule"), "ergodic config")
         system = _build_system(_get(cfg, "system"))
         schedule = _discount_schedule(_get(cfg, "schedule", {}))
     result = estimate_ergodic_constant(system, schedule)
@@ -214,6 +224,8 @@ def _source_functions(system: HJSystem) -> list:
 
 def cmd_diagnose(cfg, out_dir: str) -> int:
     with _reading("c, etas, use_log_transform, gap or sets"):
+        _known_keys(cfg, ("trajectory_dir", "system", "solver", "u0", "c", "sets", "etas", "gap",
+                          "use_log_transform"), "diagnose config")
         measured = _get(cfg, "c", "measured") == "measured"
         c = None if measured else _real(cfg, "c", many=True)
         etas = _real(cfg, "etas", (0.05, 0.1, 0.2), many=True).reshape(-1).tolist()

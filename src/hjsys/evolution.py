@@ -22,6 +22,10 @@ profile, sampled at d = +1 and d = -1.  Components of one built-in family
 evaluated together, once per step, with their x-data stacked on the
 component axis; any other component is a group of its own.  The flux equals
 ``numerical_flux`` applied per component to ``diff_arrays`` bit for bit.
+Reductions are the dearest numpy calls at 1D sizes: p-axis sums use
+``hamiltonians.sum_p``, which reads a length-1 axis instead of reducing it,
+and CFL and finiteness take one reduction each.  The kernel owns its
+outputs, flux and alpha sums, and the jump D+v - D-v, computed once a step.
 
 ``solve_batch`` marches B independent initial data of one system together,
 stacked as (B, m) + grid.shape and updated in place, v -= dt * (flux + D v).
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -49,7 +54,7 @@ import numpy as np
 from .coupling import CouplingMatrix, validate_monotone
 from .errors import ConfigError, DivergenceError, StructureError
 from .grid import Grid, GridFunction, diff_arrays, load_binary, save_binary, save_json
-from .hamiltonians import FAMILY_EVALUATORS, flux_from_midpoint
+from .hamiltonians import FAMILY_EVALUATORS, flux_from_midpoint, sum_p
 
 __all__ = [
     "HJSystem",
@@ -184,9 +189,10 @@ class FluxKernel:
     at the nodes (``D_nodes``, None for the constant variant) and its
     largest diagonal entry ``dmax``.  ``differentiable`` says that the grid
     is 1D and every ``bind`` supplied derivatives, so ``jacobian`` is
-    available.  The difference, midpoint and |p| buffers are sized for the
-    last values shape seen and reused by every call, so one kernel must not
-    be shared by concurrent solves.
+    available.  The difference, midpoint, |p| and jump buffers and the
+    returned flux and alpha sums are sized for the last values shape seen and
+    reused by every call: a caller that keeps a returned array across calls
+    must copy it, and concurrent solves must not share one kernel.
     """
 
     def __init__(self, system: HJSystem, mode: str):
@@ -196,6 +202,7 @@ class FluxKernel:
         self.grid = grid
         X = grid.mesh()
         self._shape, self._buffers = None, ()
+        self._grid_axes = tuple(range(-grid.dim, 0))
         self.terms = []  # (H(p), axis alpha(pabs) or None for the global flux, lf_alpha)
         self.derivatives = []  # (dH/dp(p), d alpha/d|p|), or () without them
         for ham in system.hams:
@@ -230,8 +237,9 @@ class FluxKernel:
     def diffs(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``diff_arrays`` of the component stack, written into the buffers."""
         if values.shape != self._shape:
-            pshape = values.shape + (self.grid.dim,)
-            self._shape, self._buffers = values.shape, [np.empty(pshape) for _ in range(4)]
+            shape, dim = values.shape, self.grid.dim
+            shapes = [shape + (dim,)] * 5 + [shape, shape[:-dim]]  # ..., flux, alpha sums
+            self._shape, self._buffers = shape, [np.empty(s) for s in shapes]
         return diff_arrays(values, self.grid, out=self._buffers[:2])
 
     def __call__(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,22 +247,20 @@ class FluxKernel:
         or (B, m) + grid.shape for B members; and max_x sum_k alpha_k, (m,) or
         (B, m)."""
         dminus, dplus = self.diffs(values)
-        pmid, pabs = self._buffers[2:]
+        pmid, pabs, jump, out, alpha_sums = self._buffers[2:]
         if self.local:  # pmid holds |D+ v| until the midpoint overwrites it
             np.maximum(np.abs(dminus, out=pabs), np.abs(dplus, out=pmid), out=pabs)
         np.multiply(0.5, np.add(dminus, dplus, out=pmid), out=pmid)
-        out = np.empty_like(values)
-        alpha_sums = np.empty(values.shape[: values.ndim - self.grid.dim])
-        grid_axes = tuple(range(-self.grid.dim, 0))
+        np.subtract(dplus, dminus, out=jump)
         for sel, H, alpha_fn, lf_alpha in self.groups:
             c = (slice(None),) * (alpha_sums.ndim - 1) + (sel,)
             if alpha_fn is None:
-                out[c] = flux_from_midpoint(H(pmid[c]), dminus[c], dplus[c], lf_alpha)
+                out[c] = flux_from_midpoint(H(pmid[c]), jump[c], lf_alpha)
                 alpha_sums[c] = lf_alpha * self.grid.dim
             else:
                 alpha = np.asarray(alpha_fn(pabs[c]))
-                out[c] = flux_from_midpoint(H(pmid[c]), dminus[c], dplus[c], alpha)
-                alpha_sums[c] = np.maximum.reduce(np.add.reduce(alpha, axis=-1), axis=grid_axes)
+                out[c] = flux_from_midpoint(H(pmid[c]), jump[c], alpha)
+                alpha_sums[c] = np.maximum.reduce(sum_p(alpha), axis=self._grid_axes)
         return out, alpha_sums
 
     def jacobian(self, values: np.ndarray) -> np.ndarray:
@@ -306,8 +312,9 @@ class FluxKernel:
         (B, m); the damping is the largest diagonal coupling entry (sampled at
         the nodes for a field coupling) plus the discount ``lam``.
         """
-        worst = dt * (np.maximum.reduce(alpha_sums, axis=-1) / self.grid.h)
-        if np.maximum.reduce(worst, axis=None) > 1.0 + 1e-9:
+        # x -> dt * (x / h) rounds monotonically: the largest sum decides
+        if dt * (np.maximum.reduce(alpha_sums, axis=None) / self.grid.h) > 1.0 + 1e-9:
+            worst = dt * (np.maximum.reduce(alpha_sums, axis=-1) / self.grid.h)
             k = int(np.flatnonzero(worst > 1.0 + 1e-9)[0])
             raise DivergenceError(
                 (f"member {k}: " if worst.size > 1 else "") + "CFL budget exceeded: "
@@ -365,7 +372,8 @@ def _advance(kernel: FluxKernel, v: np.ndarray, dt: float, t: float) -> None:
     kernel.check_cfl(alpha_sums, dt)
     np.add(flux, kernel.coupling_term(v), out=flux)
     np.subtract(v, np.multiply(dt, flux, out=flux), out=v)
-    if not np.logical_and.reduce(np.isfinite(v), axis=None):
+    # a finite sum proves every entry finite; an overflowing one proves nothing
+    if not math.isfinite(np.add.reduce(v, axis=None)) and not np.all(np.isfinite(v)):
         grid, m = kernel.grid, len(kernel.terms)
         row, flat = divmod(int(np.flatnonzero(~np.isfinite(v))[0]), grid.num_nodes)
         raise DivergenceError(

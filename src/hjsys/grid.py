@@ -129,9 +129,10 @@ def diff_arrays(
     ``values.shape + (dim,)`` with the axis index in the trailing slot,
     matching the (x, p) convention of the Hamiltonian evaluators; ``out``
     supplies two such arrays to fill instead of fresh ones.  Periodic
-    wrap-around is done by slicing, and the forward quotients are copies of
-    the backward ones shifted by one node, so ``roll(dplus, 1) == dminus``
-    holds exactly.
+    wrap-around is done by ``take`` with ``mode="wrap"``, which reads index
+    -1 as n - 1 and n as 0, and the forward quotients are copies of the
+    backward ones shifted by one node, so ``roll(dplus, 1) == dminus`` holds
+    exactly.
     """
     h = grid.h
     if out is None:
@@ -140,15 +141,11 @@ def diff_arrays(
     else:
         dminus, dplus = out
     for k in range(grid.dim):
-        tail = (slice(None),) * (grid.dim - 1 - k)
-        first, last = (Ellipsis, slice(0, 1)) + tail, (Ellipsis, slice(-1, None)) + tail
-        head, rest = (Ellipsis, slice(None, -1)) + tail, (Ellipsis, slice(1, None)) + tail
+        axis = values.ndim - grid.dim + k
         dm, dp = dminus[..., k], dplus[..., k]
-        np.subtract(values[rest], values[head], out=dm[rest])
-        np.subtract(values[first], values[last], out=dm[first])
+        np.subtract(values, values.take(np.arange(-1, grid.n - 1), axis, mode="wrap"), out=dm)
         np.divide(dm, h, out=dm)
-        dp[head] = dm[rest]
-        dp[last] = dm[first]
+        dm.take(np.arange(1, grid.n + 1), axis, out=dp, mode="wrap")
     return dminus, dplus
 
 

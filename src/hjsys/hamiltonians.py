@@ -41,9 +41,9 @@ share one central difference in p, and every x lattice they probe is
 The built-in evaluators and local bounds are module-level functions bound to
 their x-data by ``partial`` keywords (``FAMILY_EVALUATORS``), so the flux
 kernel evaluates all components of one family together, with their x-data
-stacked on the component axis.  Code that runs once per step calls
-``np.add.reduce`` directly: it is what ``np.sum`` computes, without the
-Python wrapper that dominates on small grids.
+stacked on the component axis.  Code that runs once per step sums over the
+p axis with ``sum_p``: ``np.add.reduce(a, axis=-1)`` bit for bit, without
+the ``np.sum`` wrapper, and without a reduction on the length-1 axis of 1D.
 """
 from __future__ import annotations
 
@@ -67,6 +67,7 @@ __all__ = [
     "lax_friedrichs_flux",
     "numerical_flux",
     "flux_from_midpoint",
+    "sum_p",
     "grad_p",
     "sampled_grad_sup",
     "check_assumption",
@@ -155,8 +156,13 @@ def _xdata(fn, X, *args) -> np.ndarray:
     return np.broadcast_to(np.asarray(fn(X, *args), dtype=float), X.shape[:-1])
 
 
+def sum_p(a) -> np.ndarray:
+    """``np.add.reduce(a, axis=-1)`` bit for bit; a length-1 axis is read, + 0.0 for -0.0."""
+    return a[..., 0] + 0.0 if a.shape[-1] == 1 else np.add.reduce(a, axis=-1)
+
+
 def _quadratic_h(p, fx):
-    return np.add.reduce(p * p, axis=-1) - fx
+    return sum_p(p * p) - fx
 
 
 # |dH/dp_k| = 2 |p_k|, exact on the one-sided hull; dH/dp = 2 p
@@ -164,7 +170,7 @@ _TWICE = partial(np.multiply, 2.0)
 
 
 def _linear_h(p, fx):
-    return np.sqrt(np.add.reduce(p * p, axis=-1)) - fx
+    return np.sqrt(sum_p(p * p)) - fx
 
 
 def _linear_dh(p):
@@ -174,8 +180,8 @@ def _linear_dh(p):
 
 def _nonconvex_h(p, x, qv, qq, fv, F):
     """The nonconvex family in 2D: F(x, p/|p|) on every call."""
-    pn = np.sqrt(np.add.reduce(p * p, axis=-1))
-    psi = np.add.reduce((p + qv) ** 2, axis=-1) - qq
+    pn = np.sqrt(sum_p(p * p))
+    psi = sum_p((p + qv) ** 2) - qq
     moving = pn > 0
     safe = np.where(moving, pn, 1.0)
     d = p / safe[..., None]
@@ -185,9 +191,8 @@ def _nonconvex_h(p, x, qv, qq, fv, F):
 def _nonconvex_h1(p, qv, qq, fv, fplus, fminus):
     """The nonconvex family in 1D, where p/|p| = +-1 for p != 0, so
     F(x, p/|p|) is one of the samples F(x, +1) and F(x, -1)."""
-    pn = np.sqrt(np.add.reduce(p * p, axis=-1))
-    psi = np.add.reduce((p + qv) ** 2, axis=-1) - qq
-    return np.where(pn > 0, psi * np.where(p[..., 0] >= 0, fplus, fminus) - fv, -fv)
+    psi = sum_p((p + qv) ** 2) - qq
+    return np.where(sum_p(p * p) > 0, psi * np.where(p[..., 0] >= 0, fplus, fminus) - fv, -fv)
 
 
 def _nonconvex_dh1(p, qv, fplus, fminus):
@@ -197,7 +202,7 @@ def _nonconvex_dh1(p, qv, fplus, fminus):
 
 def _nonconvex_alpha(pabs, qmax, fmax, fangle):
     # |H_p| <= 2(|p| + |q|) F_max + (|p| + 2|q|) sup|dF/dtheta|
-    pn = np.sqrt(np.add.reduce(pabs * pabs, axis=-1, keepdims=True))
+    pn = np.sqrt(sum_p(pabs * pabs))[..., None]
     bound = 2.0 * (pn + qmax) * fmax + (pn + 2.0 * qmax) * fangle
     return bound if bound.shape == pabs.shape else np.broadcast_to(bound, pabs.shape)
 
@@ -313,16 +318,16 @@ def make_nonconvex_example(
 # -- numerical flux ----------------------------------------------------------
 
 
-def flux_from_midpoint(mid, p_minus, p_plus, alpha) -> np.ndarray:
-    """Lax-Friedrichs flux from ``mid = H(x, (p- + p+)/2)``.
+def flux_from_midpoint(mid, jump, alpha) -> np.ndarray:
+    """Lax-Friedrichs flux from ``mid = H(x, (p- + p+)/2)`` and ``jump = p+ - p-``.
 
     ``alpha`` is either the global scalar coefficient or per-axis local
     bounds shaped like the gradients; the two dissipation terms are summed
     in different orders, so each keeps its own expression.
     """
     if np.ndim(alpha) == 0:
-        return mid - 0.5 * alpha * np.add.reduce(p_plus - p_minus, axis=-1)
-    return mid - 0.5 * np.add.reduce(alpha * (p_plus - p_minus), axis=-1)
+        return mid - 0.5 * alpha * sum_p(jump)
+    return mid - 0.5 * sum_p(alpha * jump)
 
 
 def lax_friedrichs_flux(H: Hamiltonian, x, p_minus, p_plus) -> np.ndarray:
@@ -349,9 +354,9 @@ def numerical_flux(
     h_of, alpha_of, *_ = H.bind(np.asarray(x, dtype=float))
     mid = h_of(0.5 * (pm + pp))
     if mode == "global" or alpha_of is None:
-        return flux_from_midpoint(mid, pm, pp, H.lf_alpha)
+        return flux_from_midpoint(mid, pp - pm, H.lf_alpha)
     alpha = np.asarray(alpha_of(np.maximum(np.abs(pm), np.abs(pp))))
-    return flux_from_midpoint(mid, pm, pp, alpha)
+    return flux_from_midpoint(mid, pp - pm, alpha)
 
 
 # -- assumption checking -----------------------------------------------------

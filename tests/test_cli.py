@@ -148,7 +148,8 @@ class TestExitCodes:
         cfg["system"]["coupling"] = {"entries": [[None, -1.0], [-1.0, 1.0]]}
         rc = main(["evolve", "--config", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path)])
         assert rc == 2
-        assert "coupling entries must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "system.coupling.entries must be a finite number or a list of them" in err
 
     def test_nonfinite_direction_profile_is_a_config_error(self, tmp_path, capsys):
         cfg = _evolve_cfg()
@@ -780,6 +781,10 @@ _FLOAT_FIELDS = [
     ("diagnose", _diagnose_cfg, ("c",), "c", True),
     ("diagnose", _diagnose_cfg, ("etas",), "etas", True),
     ("diagnose", _diagnose_cfg, ("sets", 1, "points"), "sets.points", True),
+    ("evolve", _evolve_mixed_cfg, ("system", "coupling", "entries"), "system.coupling.entries",
+     True),
+    ("validate-coupling", lambda: {"coupling": {"entries": [[1.0, -1.0], [-1.0, 1.0]]}},
+     ("coupling", "entries"), "coupling.entries", True),
 ]
 
 
@@ -879,4 +884,81 @@ def test_unknown_solver_or_schedule_key_is_a_config_error(tmp_path, capsys, kind
     err = capsys.readouterr().err
     assert f"{block} has no key {typo!r}; accepted: " in err
     assert ("snapshot_every" if block == "solver" else "lambdas, steady_state_tol, anchor") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, base, where", [
+    ("evolve", _evolve_mixed_cfg, "system.coupling"),
+    ("ergodic", _ergodic_mixed_cfg, "system.coupling"),
+    ("validate-coupling", lambda: {"coupling": {}}, "coupling"),
+])
+def test_boolean_coupling_entry_is_a_config_error(tmp_path, capsys, kind, base, where):
+    # np.asarray(..., dtype=float) read true as 1.0, so this coupling ran
+    entries = [[True, -1.0], [-1.0, 1.0]]
+    cfg = base()
+    (cfg["system"] if "system" in cfg else cfg)["coupling"] = {"entries": entries}
+    out = tmp_path / "out"
+    rc = main([kind, "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{where}.entries must be a finite number or a list of them, got {entries!r}" in err
+    assert not out.exists()
+
+
+_DIAGNOSE_KEYS = "trajectory_dir, system, solver, u0, c, sets, etas, gap, use_log_transform"
+
+
+@pytest.mark.parametrize(
+    "kind, base, block, typo, where, accepted",
+    [("evolve", _evolve_cfg, (), "uo", "evolve config", "system, solver, u0"),
+     ("evolve", _evolve_cfg, ("system",), "grd", "system", "grid, coupling, hamiltonians"),
+     ("evolve", _evolve_cfg, ("system", "grid"), "m", "system.grid", "dim, n"),
+     ("evolve", _evolve_cfg, ("system", "coupling"), "entrys", "system.coupling", "name, entries"),
+     ("evolve", _evolve_cfg, ("system", "hamiltonians", 1), "parms", "system.hamiltonians[1]",
+      "id, params"),
+     ("evolve", _evolve_cfg, ("u0",), "values", "u0 of kind 'zeros'", "kind"),
+     ("evolve", _evolve_constants_cfg, ("u0",), "value", "u0 of kind 'constants'",
+      "kind, values"),
+     ("evolve", _evolve_mixed_cfg, ("u0",), "component", "u0 of kind 'fourier'",
+      "kind, components"),
+     ("ergodic", _ergodic_cfg, (), "shedule", "ergodic config", "system, schedule"),
+     ("ergodic", _ergodic_mixed_cfg, ("system", "hamiltonians", 0), "parms",
+      "system.hamiltonians[0]", "id, params"),
+     ("diagnose", _diagnose_cfg, (), "eta", "diagnose config", _DIAGNOSE_KEYS),
+     ("diagnose", _diagnose_cfg, ("system", "grid"), "m", "system.grid", "dim, n"),
+     ("diagnose", _diagnose_cfg, ("u0",), "kinds", "u0 of kind 'constants'", "kind, values")],
+)
+def test_unknown_system_or_top_level_key_is_a_config_error(tmp_path, capsys, kind, base, block,
+                                                           typo, where, accepted):
+    # the key used to be ignored, so the run went ahead with the defaults
+    cfg = base()
+    node = cfg
+    for key in block:
+        node = node[key]
+    node[typo] = 3
+    out = tmp_path / "out"
+    rc = main([kind, "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)])
+    assert rc == 2
+    assert f"{where} has no key {typo!r}; accepted: {accepted}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, base, block, value, where",
+    [("evolve", _evolve_cfg, ("system",), "abc", "system"),
+     ("evolve", _evolve_cfg, ("system", "grid"), 16, "system.grid"),
+     ("evolve", _evolve_cfg, ("system", "coupling"), "symmetric_pair", "system.coupling"),
+     ("evolve", _evolve_cfg, ("system", "hamiltonians", 0), "quadratic_eikonal",
+      "system.hamiltonians[0]"),
+     ("evolve", _evolve_cfg, ("u0",), "zeros", "u0 of kind 'zeros'"),
+     ("ergodic", _ergodic_cfg, ("system",), [1, 2], "system")],
+)
+def test_block_that_is_not_a_mapping_is_a_config_error(tmp_path, capsys, kind, base, block,
+                                                       value, where):
+    # the key check used to iterate a string block letter by letter
+    cfg = _mutated(base(), block, value)
+    out = tmp_path / "out"
+    rc = main([kind, "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)])
+    assert rc == 2
+    assert f"{where} must be a mapping, got {value!r}" in capsys.readouterr().err
     assert not out.exists()

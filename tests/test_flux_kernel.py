@@ -13,7 +13,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from hjsys.catalog import build_hamiltonian, fourier_function
+from hjsys.catalog import build_hamiltonian, fourier_function, quadratic_eikonal_pair
 from hjsys.coupling import CouplingMatrix
 from hjsys.errors import DivergenceError
 from hjsys.evolution import (
@@ -26,7 +26,9 @@ from hjsys.evolution import (
     step,
 )
 from hjsys.grid import Grid, GridFunction, diff_arrays, sample
-from hjsys.hamiltonians import Hamiltonian, numerical_flux
+from hjsys.ergodic import _residual
+from hjsys.evolution import _advance
+from hjsys.hamiltonians import Hamiltonian, numerical_flux, sum_p
 from hjsys.switching import SwitchingProcessSpec, hamiltonian_from_spec
 
 D = np.array([[1.0, -1.0], [-2.0, 2.0]])
@@ -434,3 +436,105 @@ def test_jacobian_matches_finite_differences(family, mode):
 def test_only_1d_kernels_with_derivatives_are_differentiable():
     assert not _system("custom", 1).flux_kernel().differentiable
     assert not _system("quadratic", 2).flux_kernel().differentiable
+
+
+# -- fewer reductions per step, same bits ------------------------------------
+
+SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -2.5e-308,
+           1.0, -1.5, 1e308, -1e308]
+
+
+@pytest.mark.parametrize("dim", (1, 2))
+def test_sum_p_is_add_reduce_on_raw_bytes(dim):
+    # every special value in every slot of the p axis, behind leading axes
+    rows = np.array(np.meshgrid(*[SPECIAL] * dim, indexing="ij")).reshape(dim, -1).T
+    rng = np.random.default_rng(1)
+    for a in (rows, np.stack([rows, -rows[::-1]]), rng.normal(size=(2, 3, 5, dim))):
+        got, want = sum_p(a), np.add.reduce(a, axis=-1)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()  # NaN != NaN
+    assert sum_p(np.array([[-0.0]])).tobytes() == np.array([0.0]).tobytes()
+
+
+def _old_check_cfl(kernel, alpha_sums, dt):
+    """``check_cfl``'s flux test as it was: one ratio per member, then the largest."""
+    worst = dt * (np.maximum.reduce(alpha_sums, axis=-1) / kernel.grid.h)
+    if np.maximum.reduce(worst, axis=None) > 1.0 + 1e-9:
+        k = int(np.flatnonzero(worst > 1.0 + 1e-9)[0])
+        raise DivergenceError(
+            (f"member {k}: " if worst.size > 1 else "") + "CFL budget exceeded: "
+            f"dt*sum(alpha)/h = {float(worst.flat[k])!r}; enlarge lf_alpha/p_box or shrink dt"
+        )
+
+
+def _cfl_outcome(check, alpha_sums, dt):
+    try:
+        check(alpha_sums, dt)
+    except DivergenceError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("shape", [(2,), (1, 2), (3, 2)])
+def test_cfl_decision_at_the_boundary(shape):
+    kernel = _system("quadratic", 1).flux_kernel("local")
+    h = kernel.grid.h
+    rng = np.random.default_rng(2)
+    edge = np.full(shape, 4.0 * h)
+    edge.flat[-1] = 8.0 * h  # the last member's last component sets the budget
+    dt = (1.0 + 1e-9) / 8.0  # dt * (8 h / h) lands exactly on 1 + 1e-9
+    assert dt * (np.max(edge) / h) == 1.0 + 1e-9 and kernel.dmax * dt < 0.5
+    kernel.check_cfl(edge, dt)
+    above = np.nextafter(dt, np.inf)
+    with pytest.raises(DivergenceError, match="CFL budget exceeded"):
+        kernel.check_cfl(edge, above)
+    member = f"member {shape[0] - 1}: " if len(shape) == 2 and shape[0] > 1 else ""
+    assert _cfl_outcome(kernel.check_cfl, edge, above).startswith(member + "CFL budget")
+    # against the old decision, one ulp at a time around the boundary of random sums
+    for _ in range(50):
+        sums = rng.uniform(0.5, 3.0, size=shape)
+        edge_dt = (1.0 + 1e-9) / (np.max(sums) / h)
+        for dt in edge_dt * (1.0 + np.arange(-4, 5) * 2.0**-52):
+            want = _cfl_outcome(partial(_old_check_cfl, kernel), sums, dt)
+            assert _cfl_outcome(kernel.check_cfl, sums, dt) == want
+
+
+def test_nan_in_one_member_names_it():
+    system = _system("quadratic", 1)
+    kernel, grid = system.flux_kernel("local"), system.grid
+    v = np.stack([_values(grid, seed) for seed in (1, 2, 3)])
+    v[1, 0, 5] = np.nan
+    # the stencil carries the NaN to nodes 4 and 6, and the coupling to component 1
+    x = grid.nodes()[4].tolist()
+    with pytest.raises(DivergenceError) as exc:
+        _advance(kernel, v, 1e-3, 0.25)
+    assert str(exc.value) == f"non-finite value after step to t = 0.25: member 1: component 0, node 4 at x = {x}"
+    alone = v[1].copy()
+    alone[:] = _values(grid, 2)
+    alone[0, 5] = np.nan
+    with pytest.raises(DivergenceError) as exc:
+        _advance(kernel, alone, 1e-3, 0.5)
+    assert str(exc.value).startswith("non-finite value after step to t = 0.5: component 0, node 4")
+
+
+def test_finite_state_whose_sum_overflows_does_not_raise():
+    # flat data: no gradient, and the symmetric coupling's rows sum to zero
+    system, _ = quadratic_eikonal_pair(24)
+    big = [[GridFunction(system.grid, np.full(system.grid.shape, s * 1e308)) for _ in range(2)]
+           for s in (1.0, -1.0)]
+    with np.errstate(over="ignore"):  # the sum that overflows warns, it does not raise
+        trajs = solve_batch(system, big, EvolutionConfig(t_final=0.05))
+        final = np.stack([traj.values[-1] for traj in trajs])
+        assert not np.isfinite(np.add.reduce(final, axis=None))
+    assert np.all(np.isfinite(final)) and trajs[0].meta["steps_total"] > 1
+
+
+def test_kernel_outputs_are_reused_and_residuals_are_not():
+    system = _system("nonconvex", 1)
+    kernel = system.flux_kernel("local")
+    v1, v2 = _values(system.grid, 1), _values(system.grid, 2)
+    residual, _ = _residual(kernel, 0.1, v1)
+    kept = residual.copy()
+    flux, alpha_sums = kernel(v1)
+    again, sums = _residual(kernel, 0.1, v2)
+    assert _same_bits(residual, kept)
+    assert kernel(v2)[0] is flux and kernel(v1)[1] is alpha_sums  # the kernel's buffers
