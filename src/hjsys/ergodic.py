@@ -8,22 +8,20 @@ is discretized with the monotone flux used everywhere else and solved until
 the sup norm of its residual F(v) = lambda v + flux(v) + D v is below the
 steady-state tolerance.
 
-On 1D grids whose Hamiltonians supply derivatives, as every built-in
-family does (``FluxKernel.differentiable``), the solver is damped
-semismooth Newton: each iteration solves (lambda I + J + D) dv = F densely,
-J being the a.e. derivative of the flux including that of the local alpha.
-For the switching Hamiltonian, a maximum of affine maps, this is Howard's
-policy iteration (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47,
-2009); lambda > 0 and the monotone scheme keep each system well posed.
-When no damped step reduces the residual, the system is singular, or the
+On 1D grids the solver is damped Newton, for every system: each iteration
+solves (lambda I + J + D) dv = F densely, J being the derivative of the
+flux kernel itself, by central differences over colored nodes (Curtis,
+Powell & Reid, J. Inst. Math. Appl. 13, 1974) in one batched kernel call.
+lambda > 0 and the monotone scheme keep each system well posed.  When no
+damped step reduces the residual, the system is singular, or the
 iterations run out, the march takes over from the best iterate.
 
-The march also serves 2D grids and Hamiltonians without derivatives.  It
-steps the evolution counterpart to steady state; since plain marching
-relaxes the quasi-constant mode only at rate lambda, it jumps that mode:
-adding a constant beta to every component changes r = -F by exactly
--lambda beta (constants are in the coupling kernel), so once r is nearly
-flat, beta = mean(r)/lambda lands the constant mode on the fixed point.
+The march also serves 2D grids.  It steps the evolution counterpart to
+steady state; since plain marching relaxes the quasi-constant mode only at
+rate lambda, it jumps that mode: adding a constant beta to every component
+changes r = -F by exactly -lambda beta (constants are in the coupling
+kernel), so once r is nearly flat, beta = mean(r)/lambda lands the
+constant mode on the fixed point.
 
 The schedule halves lambda from 0.1 down to ~1.6e-3.  Each solve warm
 starts from the previous one with only its quasi-constant mode rescaled
@@ -132,6 +130,7 @@ def _check_field_coupling(system: HJSystem, D: np.ndarray | None) -> None:
 
 
 _NEWTON_MAX_ITER = 50
+_FD_STEP = 1e-9  # larger steps blur the kinks of the local alpha: Newton falls back
 
 
 def _residual(kernel, lam: float, v: np.ndarray) -> tuple[np.ndarray, list]:
@@ -140,35 +139,50 @@ def _residual(kernel, lam: float, v: np.ndarray) -> tuple[np.ndarray, list]:
     return lam * v + flux + kernel.coupling_term(v), alpha_sums
 
 
+def _jacobian(kernel, lam: float, v: np.ndarray) -> np.ndarray:
+    """lam I + J + D at v, shaped (m, n, m, n): component, node, component, node.
+
+    J is the central difference of the flux with step _FD_STEP.  Nodes
+    k < 3 (n // 3) get color k mod 3 and each of the n mod 3 others a color
+    of its own, so no two nodes of one color share a 3-point stencil, even
+    across the periodic wrap; the members v +- step on every node of one
+    color, in every component, make one kernel call.
+    """
+    m, n = v.shape
+    k = np.arange(n)
+    color = k % 3
+    color[3 * (n // 3):] = 3 + np.arange(n % 3)
+    bumps = _FD_STEP * (color == np.arange(color.max() + 1)[:, None])[:, None]
+    flux, _ = kernel(np.concatenate([v + bumps, v - bumps]))
+    dflux = (flux[: len(bumps)] - flux[len(bumps):]) / (2 * _FD_STEP)
+    coupling = kernel.entries if kernel.D_nodes is None else kernel.D_nodes
+    J = np.zeros((m, n, m, n))
+    J[:, k, :, k] = coupling + lam * np.eye(m)
+    # row r of flux_i moves with v_i at the one node of each color in its stencil
+    i, rows = np.arange(m)[:, None, None], (k + np.array([[-1], [0], [1]])) % n
+    J[i, rows, i, k] += dflux[color, i, rows]
+    return J
+
+
 def _newton(kernel, lam: float, v: np.ndarray, tol: float, history: list):
-    """Damped semismooth Newton on F; returns (best iterate, iterations, its
-    residual).
+    """Damped Newton on F; returns (best iterate, iterations, its residual).
 
     Each iteration takes the longest of the steps 1, 1/2, ..., 2^-20 times
     the Newton step that reduces the sup-norm residual.  It stops below
     ``tol``, when no such step exists or the system is singular, or after
     _NEWTON_MAX_ITER iterations.
     """
-    m, n = v.shape
-    k = np.arange(n)
-    coupling = kernel.entries if kernel.D_nodes is None else kernel.D_nodes
     F, _ = _residual(kernel, lam, v)
     rmax = float(np.max(np.abs(F)))
     history.append(rmax)
     for it in range(_NEWTON_MAX_ITER):
         if rmax < tol:
             return v, it, rmax
-        # (m, n, m, n): component, node, component, node
-        J = np.zeros((m, n, m, n))
-        J[:, k, :, k] = coupling + lam * np.eye(m)
-        for i, stencil in enumerate(kernel.jacobian(v)):
-            for s, coef in enumerate(stencil):
-                J[i, k, i, (k + s - 1) % n] += coef
         try:
-            dv = np.linalg.solve(J.reshape(m * n, m * n), F.reshape(-1))
+            J = _jacobian(kernel, lam, v).reshape(v.size, v.size)
+            dv = np.linalg.solve(J, F.reshape(-1)).reshape(v.shape)
         except np.linalg.LinAlgError:
             return v, it + 1, rmax
-        dv = dv.reshape(v.shape)
         for halvings in range(21):
             # from zero data the full step overshoots: the local alpha
             # vanishes with the gradients, so J lacks dissipation there
@@ -234,8 +248,8 @@ def solve_discounted(
 ) -> tuple[np.ndarray, DiscountInfo]:
     """Solve the discounted system from ``v0`` (zeros by default).
 
-    Newton runs when the flux kernel is differentiable, the march otherwise
-    or from Newton's best iterate when it falls back (see module docstring).
+    Newton runs on 1D grids, the march on 2D grids or from Newton's best
+    iterate when it falls back (see module docstring).
     Returns the stationary values (m,) + grid.shape and solve metadata.
     The nonnegativity expected of the discounted solutions (for sources
     with H(x, 0) <= 0) is reported, not enforced: ``info.min_value``.
@@ -252,9 +266,9 @@ def solve_discounted(
     tol = schedule.steady_state_tol
     history: list[float] = []
     iterations, rmax = 0, np.inf
-    if kernel.differentiable:
+    if system.grid.dim == 1:
         v, iterations, rmax = _newton(kernel, lam, v, tol, history)
-    fallback = kernel.differentiable and not rmax < tol
+    fallback = iterations > 0 and not rmax < tol
     steps = jumps = 0
     if not rmax < tol:
         v, steps, jumps, rmax = _march(kernel, lam, v, schedule, history)

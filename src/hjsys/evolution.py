@@ -9,6 +9,8 @@ Euler:
 Under the CFL rule dt = min(cfl * h / (N * max_i lf_alpha_i), cfl / max_i d_ii)
 with cfl <= 1/2 the fully discrete scheme is monotone, so ordered initial
 data stay ordered up to roundoff; the comparison check quantifies this.
+``FluxKernel.check_cfl`` refuses a step whose summed budget
+dt (max sum_k alpha_k / h + max d_ii) exceeds 1.
 Snapshot times are hit exactly: each inter-snapshot segment is divided into
 equal steps no longer than the CFL step.
 
@@ -185,14 +187,13 @@ class FluxKernel:
     X: per Hamiltonian the p-only evaluator and axis-alpha bound of its
     ``bind(X)`` (the bound is dropped in global mode), and per group of
     components the evaluators that ``__call__`` runs, stacked for a family
-    group of several; the coupling sampled
-    at the nodes (``D_nodes``, None for the constant variant) and its
-    largest diagonal entry ``dmax``.  ``differentiable`` says that the grid
-    is 1D and every ``bind`` supplied derivatives, so ``jacobian`` is
-    available.  The difference, midpoint, |p| and jump buffers and the
-    returned flux and alpha sums are sized for the last values shape seen and
-    reused by every call: a caller that keeps a returned array across calls
-    must copy it, and concurrent solves must not share one kernel.
+    group of several; the coupling sampled at the nodes (``D_nodes``, None
+    for the constant variant) and its largest diagonal entry ``dmax``.  The
+    discounted solver's Newton iteration differentiates ``__call__`` itself.
+    The difference, midpoint, |p| and jump buffers and the returned flux and
+    alpha sums are sized for the last values shape seen and reused by every
+    call: a caller that keeps a returned array across calls must copy it,
+    and concurrent solves must not share one kernel.
     """
 
     def __init__(self, system: HJSystem, mode: str):
@@ -204,13 +205,9 @@ class FluxKernel:
         self._shape, self._buffers = None, ()
         self._grid_axes = tuple(range(-grid.dim, 0))
         self.terms = []  # (H(p), axis alpha(pabs) or None for the global flux, lf_alpha)
-        self.derivatives = []  # (dH/dp(p), d alpha/d|p|), or () without them
         for ham in system.hams:
-            H, alpha, *derivs = ham.bind(X)
-            if mode == "global":
-                alpha = None
-            self.terms.append((H, alpha, ham.lf_alpha))
-            self.derivatives.append(tuple(derivs))
+            H, alpha = ham.bind(X)
+            self.terms.append((H, None if mode == "global" else alpha, ham.lf_alpha))
         self.local = any(alpha is not None for _, alpha, _ in self.terms)
         families = {}  # family key, or the index of a component of its own -> indices
         for i, term in enumerate(self.terms):
@@ -224,7 +221,6 @@ class FluxKernel:
                 sel = slice(sel, members[-1] + 1) if contiguous else np.array(members)
                 H, alpha = (_stacked([self.terms[i][j] for i in members], X.ndim) for j in (0, 1))
             self.groups.append((sel, H, alpha, lf_alpha))
-        self.differentiable = grid.dim == 1 and all(self.derivatives)
         coupling = system.coupling
         self.entries = coupling.entries
         if coupling.entries is not None:
@@ -263,39 +259,6 @@ class FluxKernel:
                 alpha_sums[c] = np.maximum.reduce(sum_p(alpha), axis=self._grid_axes)
         return out, alpha_sums
 
-    def jacobian(self, values: np.ndarray) -> np.ndarray:
-        """a.e. derivative of the 1D flux, as 3-point stencils.
-
-        Returns ``J`` shaped (m, 3, n): ``J[i, s, k]`` is the derivative of
-        flux_i at node k with respect to v_i at node k - 1 + s.  The chain
-        rule runs through ``flux_from_midpoint`` and includes the local
-        alpha, which depends on the values through
-        pabs = max(|D-v|, |D+v|); the global alpha is constant.
-        """
-        dminus, dplus = self.diffs(values)
-        dm, dp = dminus[..., 0], dplus[..., 0]
-        pmid = 0.5 * (dminus + dplus)
-        h = self.grid.h
-        out = np.empty((values.shape[0], 3) + dm.shape[1:])
-        for i, ((_, alpha_fn, lf_alpha), (dH, dalpha)) in enumerate(
-            zip(self.terms, self.derivatives)
-        ):
-            g = dH(pmid[i])[..., 0] / (2.0 * h)
-            if alpha_fn is None:
-                alpha, slope, sm, sp = lf_alpha, 0.0, 0.0, 0.0
-            else:
-                pabs = np.maximum(np.abs(dminus[i]), np.abs(dplus[i]))
-                alpha = np.asarray(alpha_fn(pabs))[..., 0]
-                # pabs follows whichever one-sided slope is larger
-                back = np.abs(dm[i]) >= np.abs(dp[i])
-                sm = np.where(back, np.sign(dm[i]), 0.0)
-                sp = np.where(back, 0.0, np.sign(dp[i]))
-                slope = -0.5 * (dp[i] - dm[i]) * dalpha / h
-            out[i, 0] = -g - 0.5 * alpha / h - slope * sm
-            out[i, 1] = alpha / h + slope * (sm - sp)
-            out[i, 2] = g - 0.5 * alpha / h + slope * sp
-        return out
-
     def coupling_term(self, values: np.ndarray) -> np.ndarray:
         """sum_j d_ij(x) u_j for every component (and member, for the constant variant)."""
         if self.D_nodes is None:
@@ -306,24 +269,23 @@ class FluxKernel:
         return out.reshape(values.shape)
 
     def check_cfl(self, alpha_sums, dt: float, lam: float = 0.0) -> None:
-        """Raise unless dt keeps both the flux and the damping monotone.
+        """Raise unless dt (max sum_k alpha_k / h + max d_ii + lam) <= 1.
 
+        One minus dt times that sum bounds the coefficient of v_i(x_k) in
+        the update from below, so the flux and the damping share one budget.
         ``alpha_sums`` holds the largest sum_k alpha_k met at any node, (m,) or
         (B, m); the damping is the largest diagonal coupling entry (sampled at
         the nodes for a field coupling) plus the discount ``lam``.
         """
-        # x -> dt * (x / h) rounds monotonically: the largest sum decides
-        if dt * (np.maximum.reduce(alpha_sums, axis=None) / self.grid.h) > 1.0 + 1e-9:
-            worst = dt * (np.maximum.reduce(alpha_sums, axis=-1) / self.grid.h)
+        damping = self.dmax + lam
+        # x -> dt * (x / h + damping) rounds monotonically: the largest sum decides
+        if dt * (np.maximum.reduce(alpha_sums, axis=None) / self.grid.h + damping) > 1.0 + 1e-9:
+            worst = dt * (np.maximum.reduce(alpha_sums, axis=-1) / self.grid.h + damping)
             k = int(np.flatnonzero(worst > 1.0 + 1e-9)[0])
             raise DivergenceError(
                 (f"member {k}: " if worst.size > 1 else "") + "CFL budget exceeded: "
-                f"dt*sum(alpha)/h = {float(worst.flat[k])!r}; enlarge lf_alpha/p_box or shrink dt"
-            )
-        damping = dt * (self.dmax + lam)
-        if damping > 1.0 + 1e-9:
-            raise DivergenceError(
-                f"CFL budget exceeded: dt*(max d_ii + lambda) = {damping!r}; shrink dt"
+                f"dt*sum(alpha)/h + dt*(max d_ii + lambda) = {float(worst.flat[k])!r}; "
+                "enlarge lf_alpha/p_box or shrink dt"
             )
 
 

@@ -24,13 +24,12 @@ both call it.
 
 A ``Hamiltonian`` is evaluated only through ``bind(X)``: given a node array
 X shaped (..., dim), it precomputes everything that depends only on x and
-returns the p-only evaluator ``H(p)`` and the per-axis local bound
-``alpha(pabs)``, or None for the global flux.  In 1D the built-in families
-also return two a.e. derivatives for the discounted solver's Newton
-iteration: ``dH/dp`` as a p-only evaluator and the slope of the local bound
-in |p| (each family's bound is affine in |p|).  ``H(x, p)`` is
-``bind(x)[0](p)``.  In 1D the nonconvex ``bind(X)`` samples the direction
-profile at d = +1 and d = -1 once, since p/|p| takes no other value.
+returns exactly two things: the p-only evaluator ``H(p)`` and the per-axis
+local bound ``alpha(pabs)``, or None for the global flux.  No derivative is
+supplied: the discounted solver's Newton iteration differentiates the flux
+kernel itself.  ``H(x, p)`` is ``bind(x)[0](p)``.  In 1D the nonconvex
+``bind(X)`` samples the direction profile at d = +1 and d = -1 once, since
+p/|p| takes no other value.
 
 Sampling follows the same rule: ``sampled_grad_sup`` (which sets
 ``lf_alpha``), ``grad_p`` and each ``check_assumption`` branch bind H once to
@@ -82,8 +81,7 @@ class Hamiltonian:
     """First-order Hamiltonian on the torus with scheme metadata.
 
     ``bind(X)``: the evaluator contract of the module docstring, returning
-    ``(H(p), alpha(pabs) or None)``, optionally followed by ``dH/dp(p)`` and
-    the slope ``d alpha/d|p|``.  ``lf_alpha``: global dissipation
+    exactly ``(H(p), alpha(pabs) or None)``.  ``lf_alpha``: global dissipation
     coefficient.  ``source``: optional f(x) of a Hamiltonian of the form
     ``G(x, p) - f(x)`` with G(x, 0) = 0.  ``compact_set_K``: optional
     predicate for the zero set that pins the large-time constant at zero.
@@ -165,17 +163,12 @@ def _quadratic_h(p, fx):
     return sum_p(p * p) - fx
 
 
-# |dH/dp_k| = 2 |p_k|, exact on the one-sided hull; dH/dp = 2 p
+# |dH/dp_k| = 2 |p_k|, exact on the one-sided hull
 _TWICE = partial(np.multiply, 2.0)
 
 
 def _linear_h(p, fx):
     return np.sqrt(sum_p(p * p)) - fx
-
-
-def _linear_dh(p):
-    pn = np.sqrt(np.add.reduce(p * p, axis=-1, keepdims=True))
-    return np.divide(p, pn, out=np.zeros_like(p), where=pn > 0)
 
 
 def _nonconvex_h(p, x, qv, qq, fv, F):
@@ -193,11 +186,6 @@ def _nonconvex_h1(p, qv, qq, fv, fplus, fminus):
     F(x, p/|p|) is one of the samples F(x, +1) and F(x, -1)."""
     psi = sum_p((p + qv) ** 2) - qq
     return np.where(sum_p(p * p) > 0, psi * np.where(p[..., 0] >= 0, fplus, fminus) - fv, -fv)
-
-
-def _nonconvex_dh1(p, qv, fplus, fminus):
-    # F does not vary with p away from p = 0
-    return 2.0 * (p + qv) * np.where(p >= 0, fplus[..., None], fminus[..., None])
 
 
 def _nonconvex_alpha(pabs, qmax, fmax, fangle):
@@ -219,7 +207,7 @@ def make_quadratic_eikonal(
     """H(x, p) = |p|^2 - f(x); strictly convex and coercive."""
 
     def bind(X):
-        return partial(_quadratic_h, fx=_xdata(f, X)), _TWICE, _TWICE, 2.0
+        return partial(_quadratic_h, fx=_xdata(f, X)), _TWICE
 
     return Hamiltonian(
         dim=dim,
@@ -241,7 +229,7 @@ def make_linear_eikonal(
 
     def bind(X):
         # |dH/dp_k| <= 1 everywhere
-        return partial(_linear_h, fx=_xdata(f, X)), np.ones_like, _linear_dh, 0.0
+        return partial(_linear_h, fx=_xdata(f, X)), np.ones_like
 
     _ = p_box  # nothing to sample
     return Hamiltonian(
@@ -272,7 +260,7 @@ def make_nonconvex_example(
     constants.  ``q(x)`` returns (..., dim).  The bounds of F and sup |q|
     that feed the local dissipation estimate are sampled on a probe
     lattice.  In 1D, ``bind(X)`` samples F(X, +1) and F(X, -1) once; the 2D
-    evaluator calls F and supplies no derivatives.
+    evaluator calls F.
     """
     xs = Grid(dim, 64 if dim == 1 else 16).nodes()
     X, D = np.broadcast_arrays(xs[None], _unit_directions(dim, 64)[:, None])
@@ -291,8 +279,7 @@ def make_nonconvex_example(
             return partial(_nonconvex_h, x=X, F=F, **xdata), alpha
         unit = np.ones(X.shape)
         signs = {"fplus": _xdata(F, X, unit), "fminus": _xdata(F, X, -unit)}
-        return (partial(_nonconvex_h1, **xdata, **signs), alpha,
-                partial(_nonconvex_dh1, qv=qv, **signs), 2.0 * fmax + F_angle_slope)
+        return partial(_nonconvex_h1, **xdata, **signs), alpha
 
     def compact_set(x):
         qv = np.asarray(q(x), dtype=float)
@@ -351,7 +338,7 @@ def numerical_flux(
         raise ConfigError(f"unknown flux mode {mode!r}")
     pm = np.asarray(p_minus, dtype=float)
     pp = np.asarray(p_plus, dtype=float)
-    h_of, alpha_of, *_ = H.bind(np.asarray(x, dtype=float))
+    h_of, alpha_of = H.bind(np.asarray(x, dtype=float))
     mid = h_of(0.5 * (pm + pp))
     if mode == "global" or alpha_of is None:
         return flux_from_midpoint(mid, pp - pm, H.lf_alpha)

@@ -470,15 +470,9 @@ def hamiltonian_from_spec(
     def alpha(pabs):
         return np.broadcast_to(bmax_axis, pabs.shape)
 
-    def dsup_dp(p, B, L):
-        # -B at the maximizing action: the policy of Howard's iteration
-        a = (slice(None),) + (None,) * (p.ndim + 1 - B.ndim)
-        best = np.argmax(-np.add.reduce(B[a] * p, axis=-1) - L[a], axis=0)
-        return -np.take_along_axis(B[a], best[None, ..., None], axis=0)[0]
-
     def bind(X):
         B, L = _action_tables(spec, mode, X, X.shape)
-        return partial(sup, B=B, L=L), alpha, partial(dsup_dp, B=B, L=L), 0.0
+        return partial(sup, B=B, L=L), alpha
 
     # crude coercivity probe along the axes; gates the discounted solver
     tags = {"convex"}

@@ -300,6 +300,30 @@ class TestInvariances:
         report = comparison_check(traj_lo, traj_hi)
         assert report.worst_violation <= report.slack_allowance(per_step=1e-10)
 
+    def test_summed_cfl_budget_guards_the_comparison_principle(self):
+        # each half of the budget passes on its own at dt = 0.1: the flux
+        # dt * 2 lf_alpha / h = 0.873 and the damping dt * 9 = 0.9; their sum
+        # 1.77 made one step take min(v - u) to -7.7e-4 from data v >= u
+        grid = Grid(dim=1, n=8)
+        hams = tuple(
+            make_quadratic_eikonal(fourier_function(f, 1), dim=1, p_box=0.5) for f in (F1, F2)
+        )
+        system = HJSystem(
+            hams=hams, coupling=CouplingMatrix(2, entries=9.0 * SYM), grid=grid
+        )
+        xs = grid.axis_coords()
+        u = [GridFunction(grid, 0.05 * np.cos(2 * np.pi * xs)),
+             GridFunction(grid, 0.05 * np.sin(2 * np.pi * xs))]
+        v = [GridFunction(grid, u[0].values + 1e-3 * (np.arange(8) == 3)), u[1]]
+        with pytest.raises(DivergenceError, match=r"dt\*sum\(alpha\)/h \+ dt\*\(max d_ii"):
+            solve_batch(system, [u, v], EvolutionConfig(
+                t_final=0.1, dt_override=0.1, flux_mode="global"))
+        # half the step keeps the sum below 1, and the order with it
+        lo, hi = solve_batch(system, [u, v], EvolutionConfig(
+            t_final=0.1, dt_override=0.05, flux_mode="global"))
+        report = comparison_check(lo, hi)
+        assert report.worst_violation <= report.slack_allowance(per_step=1e-10)
+
 
 class TestSnapshotsAndIO:
     def test_snapshot_times_clip_final(self):

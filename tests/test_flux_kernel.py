@@ -26,7 +26,7 @@ from hjsys.evolution import (
     step,
 )
 from hjsys.grid import Grid, GridFunction, diff_arrays, sample
-from hjsys.ergodic import _residual
+from hjsys.ergodic import _FD_STEP, _jacobian, _residual
 from hjsys.evolution import _advance
 from hjsys.hamiltonians import Hamiltonian, numerical_flux, sum_p
 from hjsys.switching import SwitchingProcessSpec, hamiltonian_from_spec
@@ -63,8 +63,8 @@ def _switching_hams(dim):
 
 
 def _custom_hams(dim):
-    # hand-written binds: one with a local bound and no derivatives, one
-    # with neither, which gets the global flux in both modes
+    # hand-written binds: one with a local bound, one without, which gets
+    # the global flux in both modes
     def ev(x, p):
         return np.sum(p * p, axis=-1) * (1.2 + 0.5 * np.sin(2 * np.pi * x[..., 0])) - 0.5
 
@@ -391,51 +391,28 @@ def test_field_coupling_with_too_large_dt_diverges():
         kernel.check_cfl(alpha_sums, 0.5)
 
 
-DIFFERENTIABLE = ("quadratic", "linear", "nonconvex", "switching")
-
-
-@pytest.mark.parametrize("family", DIFFERENTIABLE)
-def test_bound_derivatives_match_finite_differences(family):
-    # away from the kinks at p = 0 (and |p-| = |p+| for the bound)
-    grid = Grid(1, 24)
-    X = grid.mesh()
-    rng = np.random.default_rng(3)
-    p = rng.uniform(0.2, 2.0, size=X.shape) * rng.choice([-1.0, 1.0], size=X.shape)
-    eps = 1e-6
-    for ham in _hams(family, 1):
-        H, alpha, dH, dalpha = ham.bind(X)
-        fd = (H(p + eps) - H(p - eps)) / (2 * eps)
-        assert np.allclose(dH(p)[..., 0], fd, rtol=1e-6, atol=1e-6)
-        pabs = np.abs(p)
-        fd = (alpha(pabs + eps) - alpha(pabs - eps)) / (2 * eps)
-        assert np.allclose(dalpha, fd, rtol=1e-6, atol=1e-6)
-
-
-@pytest.mark.parametrize("family", DIFFERENTIABLE)
+@pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("mode", ["local", "global"])
 def test_jacobian_matches_finite_differences(family, mode):
-    system = _system(family, 1)
-    kernel = system.flux_kernel(mode)
-    assert kernel.differentiable
-    n = system.grid.n
-    values = 0.3 * np.random.default_rng(5).normal(size=(system.m, n))
-    J = kernel.jacobian(values)
-    eps = 1e-7
-    fd = np.empty_like(J)
-    for i in range(system.m):
-        for s in range(3):
+    # the colored assembly against one central difference per node; n = 10,
+    # 11 and 12 leave one, two and no nodes outside the mod-3 colors
+    lam, eps = 0.1, _FD_STEP
+    for n in (10, 11, 12):
+        system = HJSystem(
+            hams=_hams(family, 1), coupling=CouplingMatrix(2, entries=D), grid=Grid(1, n)
+        )
+        kernel = system.flux_kernel(mode)
+        values = 0.3 * np.random.default_rng(n).normal(size=(system.m, n))
+        want = np.zeros((system.m, n, system.m, n))
+        want[:, range(n), :, range(n)] = D + lam * np.eye(system.m)
+        for i in range(system.m):
             for k in range(n):
                 bumped = values.copy()
-                bumped[i, (k + s - 1) % n] += eps
-                up = kernel(bumped)[0][i, k]
-                bumped[i, (k + s - 1) % n] -= 2 * eps
-                fd[i, s, k] = (up - kernel(bumped)[0][i, k]) / (2 * eps)
-    assert np.allclose(J, fd, rtol=0, atol=1e-6 * np.max(np.abs(J)))
-
-
-def test_only_1d_kernels_with_derivatives_are_differentiable():
-    assert not _system("custom", 1).flux_kernel().differentiable
-    assert not _system("quadratic", 2).flux_kernel().differentiable
+                bumped[i, k] += eps
+                up = kernel(bumped)[0][i].copy()
+                bumped[i, k] = values[i, k] - eps
+                want[i, :, i, k] += (up - kernel(bumped)[0][i]) / (2 * eps)
+        assert _same_bits(_jacobian(kernel, lam, values), want)
 
 
 # -- fewer reductions per step, same bits ------------------------------------
@@ -455,14 +432,16 @@ def test_sum_p_is_add_reduce_on_raw_bytes(dim):
     assert sum_p(np.array([[-0.0]])).tobytes() == np.array([0.0]).tobytes()
 
 
-def _old_check_cfl(kernel, alpha_sums, dt):
-    """``check_cfl``'s flux test as it was: one ratio per member, then the largest."""
-    worst = dt * (np.maximum.reduce(alpha_sums, axis=-1) / kernel.grid.h)
+def _per_member_check_cfl(kernel, alpha_sums, dt):
+    """``check_cfl``'s decision taken the long way: one summed budget per
+    member, then the largest."""
+    worst = dt * (np.maximum.reduce(alpha_sums, axis=-1) / kernel.grid.h + kernel.dmax)
     if np.maximum.reduce(worst, axis=None) > 1.0 + 1e-9:
         k = int(np.flatnonzero(worst > 1.0 + 1e-9)[0])
         raise DivergenceError(
             (f"member {k}: " if worst.size > 1 else "") + "CFL budget exceeded: "
-            f"dt*sum(alpha)/h = {float(worst.flat[k])!r}; enlarge lf_alpha/p_box or shrink dt"
+            f"dt*sum(alpha)/h + dt*(max d_ii + lambda) = {float(worst.flat[k])!r}; "
+            "enlarge lf_alpha/p_box or shrink dt"
         )
 
 
@@ -481,20 +460,22 @@ def test_cfl_decision_at_the_boundary(shape):
     rng = np.random.default_rng(2)
     edge = np.full(shape, 4.0 * h)
     edge.flat[-1] = 8.0 * h  # the last member's last component sets the budget
-    dt = (1.0 + 1e-9) / 8.0  # dt * (8 h / h) lands exactly on 1 + 1e-9
-    assert dt * (np.max(edge) / h) == 1.0 + 1e-9 and kernel.dmax * dt < 0.5
+    assert kernel.dmax == 2.0
+    dt = (1.0 + 1e-9) / 10.0  # dt * (8 h / h + max d_ii) lands exactly on 1 + 1e-9
+    assert dt * (np.max(edge) / h + kernel.dmax) == 1.0 + 1e-9
     kernel.check_cfl(edge, dt)
     above = np.nextafter(dt, np.inf)
     with pytest.raises(DivergenceError, match="CFL budget exceeded"):
         kernel.check_cfl(edge, above)
     member = f"member {shape[0] - 1}: " if len(shape) == 2 and shape[0] > 1 else ""
     assert _cfl_outcome(kernel.check_cfl, edge, above).startswith(member + "CFL budget")
-    # against the old decision, one ulp at a time around the boundary of random sums
+    # against the per-member decision, one ulp at a time around the boundary
+    # of random sums
     for _ in range(50):
         sums = rng.uniform(0.5, 3.0, size=shape)
-        edge_dt = (1.0 + 1e-9) / (np.max(sums) / h)
+        edge_dt = (1.0 + 1e-9) / (np.max(sums) / h + kernel.dmax)
         for dt in edge_dt * (1.0 + np.arange(-4, 5) * 2.0**-52):
-            want = _cfl_outcome(partial(_old_check_cfl, kernel), sums, dt)
+            want = _cfl_outcome(partial(_per_member_check_cfl, kernel), sums, dt)
             assert _cfl_outcome(kernel.check_cfl, sums, dt) == want
 
 

@@ -1,11 +1,15 @@
 """Package hygiene: no module imports a private name from another module,
-and every name the benchmark tracer wraps still exists."""
+every name the benchmark tracer wraps still exists, and the solvers run
+without scipy."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import hjsys
 
@@ -84,3 +88,28 @@ def test_the_check_sees_a_missing_traced_name():
         "hjsys.hamiltonians.Hamiltonian.__init_subclass__",
         "hjsys.evolution.no_such_function",
     ]
+
+
+_SOLVER_PATH = """
+import sys
+from hjsys.catalog import quadratic_eikonal_pair
+from hjsys.ergodic import estimate_ergodic_constant
+from hjsys.evolution import EvolutionConfig, solve_batch
+from hjsys.grid import GridFunction
+import numpy as np
+
+system, _ = quadratic_eikonal_pair(32)
+estimate_ergodic_constant(system)
+zeros = [GridFunction(system.grid, np.zeros(system.grid.shape))] * system.m
+solve_batch(system, [zeros, zeros], EvolutionConfig(t_final=0.1))
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_solvers_do_not_import_scipy():
+    # scipy is a test dependency only; importing scipy.sparse alone costs
+    # about 22 MB of resident memory and a quarter of a second
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", _SOLVER_PATH], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
