@@ -12,7 +12,10 @@ On 1D grids the solver is damped Newton, for every system: each iteration
 solves (lambda I + J + D) dv = F densely, J being the derivative of the
 flux kernel itself, by central differences over colored nodes (Curtis,
 Powell & Reid, J. Inst. Math. Appl. 13, 1974) in one batched kernel call.
-lambda > 0 and the monotone scheme keep each system well posed.  When no
+lambda > 0 and the monotone scheme keep each system well posed.  A local
+flux solve from zero data starts at the global-flux solution, found by
+Newton on the global kernel, since the local alpha vanishes with the
+gradients of zero data; ``newton_iterations`` counts both stages.  When no
 damped step reduces the residual, the system is singular, or the
 iterations run out, the march takes over from the best iterate.
 
@@ -267,7 +270,10 @@ def solve_discounted(
     history: list[float] = []
     iterations, rmax = 0, np.inf
     if system.grid.dim == 1:
-        v, iterations, rmax = _newton(kernel, lam, v, tol, history)
+        if v0 is None and schedule.flux_mode == "local":
+            v, iterations, _ = _newton(system.flux_kernel("global"), lam, v, tol, history)
+        v, more, rmax = _newton(kernel, lam, v, tol, history)
+        iterations += more
     fallback = iterations > 0 and not rmax < tol
     steps = jumps = 0
     if not rmax < tol:

@@ -14,7 +14,7 @@ The numerical flux is of Lax-Friedrichs type,
     flux = H(x, (p- + p+)/2) - (alpha/2) * sum_k (p+_k - p-_k),
 
 monotone as long as alpha dominates |H_p| on the gradients in play.  A
-single global ``lf_alpha`` (sampled over a configured p-box at build time)
+single global ``lf_alpha`` (probed over a configured p-box at build time)
 gives the textbook scheme; the built-in families also bound |dH/dp_k| on the
 hull of the one-sided gradients, so the stepping code can use stencil-local
 dissipation, which is what keeps the numerical large-time constants sharp on
@@ -34,8 +34,9 @@ p/|p| takes no other value.
 Sampling follows the same rule: ``sampled_grad_sup`` (which sets
 ``lf_alpha``), ``grad_p`` and each ``check_assumption`` branch bind H once to
 their whole sample, x broadcast against p, and reduce over the values.  They
-share one central difference in p, and every x lattice they probe is
-``Grid(dim, n).nodes()``.
+share one central difference in p, and every lattice they probe is
+``Grid(dim, n).nodes()``, scaled onto the p-box for momenta.  Only
+``check_assumption``, which hunts for counterexamples, draws random numbers.
 
 The built-in evaluators and local bounds are module-level functions bound to
 their x-data by ``partial`` keywords (``FAMILY_EVALUATORS``), so the flux
@@ -121,21 +122,19 @@ def grad_p(H, x, p, step: float = 1e-5) -> np.ndarray:
     return _p_gradient(H.bind(np.asarray(x, dtype=float))[0], np.asarray(p, dtype=float), step)
 
 
-def sampled_grad_sup(
-    bind: Callable,
-    dim: int,
-    p_box: float,
-    n_x: int = 32,
-    n_p: int = 128,
-    step: float = 1e-5,
-    seed: int = 7,
-) -> float:
-    """Sampled sup over x and the p-box of max_k |dH/dp_k|, H from ``bind``."""
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(0.0, 1.0, size=(n_x, dim))
-    ps = rng.uniform(-p_box, p_box, size=(n_p, dim))
-    X, P = np.broadcast_arrays(xs[:, None, :], ps[None, :, :])
-    return float(np.max(np.abs(_p_gradient(bind(X)[0], P, step))))
+# one node lattice probes x and, scaled, p: 63^2 pairs in 1D, 64^2 in 2D; the
+# odd 1D count keeps x off 1/4, 1/2 and 3/4, where one-harmonic q peak, so no
+# pair lands on the nonconvex family's analytic bound and adds roundoff to it
+_SUP_NODES_PER_AXIS = {1: 63, 2: 8}
+_SUP_STEP = 1e-5
+
+
+def sampled_grad_sup(bind: Callable, dim: int, p_box: float) -> float:
+    """Sup of max_k |dH/dp_k| over x on a node lattice and p on the same
+    lattice scaled onto [-p_box, p_box), H from ``bind``."""
+    nodes = Grid(dim, _SUP_NODES_PER_AXIS[dim]).nodes()
+    X, P = np.broadcast_arrays(nodes[:, None, :], p_box * (2.0 * nodes[None, :, :] - 1.0))
+    return float(np.max(np.abs(_p_gradient(bind(X)[0], P, _SUP_STEP))))
 
 
 def _unit_directions(dim: int, k: int) -> np.ndarray:

@@ -16,9 +16,8 @@ matching the value functions solved by the PDE side with
 
 ``simulate_trajectory`` is the scalar reference implementation with a full
 path record.  ``estimate_value`` runs all its paths in one time loop,
-vectorized over the sample axis.  Each RNG block of ``batch_size`` paths
-draws from its own child stream of the master seed, so seeded results are
-reproducible; ``batch_size`` sets only that partition, not the speed.
+vectorized over the sample axis, and draws every clock and destination from
+one generator seeded by its ``seed``, so seeded results are reproducible.
 
 Each (sub-)step of that loop looks up the moving paths' actions with one
 gather from the policy table, calls each distinct dynamics or cost callable
@@ -362,18 +361,15 @@ def _per_callable(fns, present, ms, x, a, shape):
     return out
 
 
-def _run_batch(spec, policy, x0, mode0, horizon, dt, rngs, sizes) -> np.ndarray:
-    """Path costs of RNG blocks of the given sizes, in one time loop; block b
-    draws from rngs[b] alone, in the order of a run of its own."""
+def _run_batch(spec, policy, x0, mode0, horizon, dt, rng, n) -> np.ndarray:
+    """Costs of n paths from (x0, mode0), advanced in one time loop; every
+    random number comes from ``rng``."""
     R = spec.total_rates()
     cdf = _destination_cdf(spec, R)
-    bounds = np.cumsum([0, *sizes])
-    x = np.broadcast_to(
-        _wrap(np.atleast_1d(np.asarray(x0, dtype=float))), (sum(sizes), spec.dim)
-    ).copy()
-    modes = np.full(len(x), int(mode0))
-    cost = np.zeros(len(x))
-    draw = np.concatenate([rng.exponential(size=n) for rng, n in zip(rngs, sizes)])
+    x = np.broadcast_to(_wrap(np.atleast_1d(np.asarray(x0, dtype=float))), (n, spec.dim)).copy()
+    modes = np.full(n, int(mode0))
+    cost = np.zeros(n)
+    draw = rng.exponential(size=n)
     with np.errstate(divide="ignore"):
         next_switch = np.where(R[modes] > 0, draw / R[modes], np.inf)
     n_steps = int(np.ceil(horizon / dt - 1e-12))
@@ -392,10 +388,9 @@ def _run_batch(spec, policy, x0, mode0, horizon, dt, rngs, sizes) -> np.ndarray:
             )
             if not len(switching):
                 break
-            counts = np.diff(np.searchsorted(switching, bounds))
-            u = np.concatenate([rng.random(n) for rng, n in zip(rngs, counts) if n])
+            u = rng.random(len(switching))
             modes[switching] = _draw_destinations(cdf, modes[switching], u)
-            draw = np.concatenate([rng.exponential(size=n) for rng, n in zip(rngs, counts) if n])
+            draw = rng.exponential(size=len(switching))
             Rsel = R[modes[switching]]
             with np.errstate(divide="ignore"):
                 next_switch[switching] = cur[switching] + np.where(
@@ -420,20 +415,13 @@ def estimate_value(
     n_samples: int,
     seed: int,
     dt_sim: float | None = None,
-    batch_size: int = 2048,
 ) -> ValueEstimate:
-    """Monte Carlo path-cost mean.  Block b of ``batch_size`` paths (the last
-    may be shorter) draws from child stream b of ``seed``; one time loop runs
-    every block, so ``batch_size`` fixes only the stream partition: a seeded
-    value depends on it, the speed hardly does."""
+    """Monte Carlo path-cost mean of ``n_samples`` paths, all drawn from the
+    one generator ``np.random.default_rng(seed)``."""
     dt = _run_step(spec, x, mode, horizon, dt_sim)
     if n_samples < 100:
         raise ConfigError("need at least 100 samples")
-    if not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
-        raise ConfigError(f"batch_size must be an integer >= 1, got {batch_size!r}")
-    sizes = [min(batch_size, n_samples - s) for s in range(0, n_samples, batch_size)]
-    rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(len(sizes))]
-    costs = _run_batch(spec, policy, x, mode, horizon, dt, rngs, sizes)
+    costs = _run_batch(spec, policy, x, mode, horizon, dt, np.random.default_rng(seed), n_samples)
     mean = float(np.mean(costs))
     std_error = float(np.std(costs, ddof=1) / np.sqrt(len(costs)))
     return ValueEstimate(

@@ -346,20 +346,33 @@ _NONCONVEX = ["coercive", "nonconvex_example"]
 
 # lf_alpha (as float.hex) and class tags of each built-in family.  lf_alpha
 # sets dt for every solve, so it must not move when the evaluators are
-# rearranged; the last nonconvex case has a steep direction profile, so
-# there the sampled sup of |dH/dp| sets lf_alpha, not the analytic bound.
+# rearranged; the 2D nonconvex case with angle data has a steep direction
+# profile, so there the sampled sup of |dH/dp| sets lf_alpha, not the
+# analytic bound.
 PINNED_ALPHA = [
     ("linear_eikonal", None, 1, "0x1.199999999999ap+0", _CONVEX),
     ("nonconvex_bs00", None, 1, "0x1.004189374bc6ap+3", _NONCONVEX),
-    ("quadratic_eikonal", None, 1, "0x1.5d5efffd7b330p+2", _CONVEX + ["strictly_convex"]),
+    ("quadratic_eikonal", None, 1, "0x1.6000000017551p+2", _CONVEX + ["strictly_convex"]),
     ("linear_eikonal", {"f": _SRC_2D}, 2, "0x1.199999999999ap+0", _CONVEX),
     ("nonconvex_bs00", {"f": _SRC_2D, "q": _Q_2D}, 2, "0x1.004189374bc6ap+3", _NONCONVEX),
-    ("quadratic_eikonal", {"f": _SRC_2D}, 2, "0x1.5dba162175e40p+2", _CONVEX + ["strictly_convex"]),
+    ("quadratic_eikonal", {"f": _SRC_2D}, 2, "0x1.6000000017551p+2", _CONVEX + ["strictly_convex"]),
     (
         "nonconvex_bs00",
         {"f": _SRC_2D, "q": _Q_2D, "F": {"const": 1.0, "angle": [{"j": 3, "cos": 0.5}]}},
         2,
-        "0x1.6d8c0734dbf71p+3",
+        "0x1.7e8d3b0d35b0fp+3",
+        _NONCONVEX,
+    ),
+    (
+        # |dH/dp| reaches the analytic bound 2(p_box + |q|) F_max only at
+        # x = 3/4, p = -p_box, which the probe lattice leaves out
+        "nonconvex_bs00",
+        {
+            "q": [{"terms": [{"k": [1], "sin": 0.2}]}],
+            "F": {"const": 1.0, "angle": [{"j": 1, "cos": -0.25}]},
+        },
+        1,
+        "0x1.db33333333334p+2",
         _NONCONVEX,
     ),
 ]
@@ -370,6 +383,14 @@ def test_builtin_lf_alpha_is_pinned(ham_id, params, dim, alpha_hex, tags):
     H = build_hamiltonian(ham_id, params, dim)
     assert H.lf_alpha.hex() == alpha_hex
     assert sorted(H.class_tags) == tags
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("p_box", [2.5, 1.0])
+def test_quadratic_lf_alpha_is_the_bound_at_the_box_corner(dim, p_box):
+    # |dH/dp_k| = 2|p_k| peaks at p_k = -p_box, a node of the probe lattice
+    H = build_hamiltonian("quadratic_eikonal", {"p_box": p_box}, dim)
+    assert H.lf_alpha == pytest.approx(1.1 * 2.0 * p_box, rel=1e-10)
 
 
 # each family's default data leaves k out, so it is [1] * dim: in 2D the

@@ -1,6 +1,6 @@
 """Package hygiene: no module imports a private name from another module,
-every name the benchmark tracer wraps still exists, and the solvers run
-without scipy."""
+every name the benchmark tracer wraps still exists, the solvers run
+without scipy, and the PDE path draws no random numbers."""
 
 from __future__ import annotations
 
@@ -113,3 +113,54 @@ def test_solvers_do_not_import_scipy():
     out = subprocess.run([sys.executable, "-c", _SOLVER_PATH], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+_PDE_PATH = """
+import json, os, sys
+import numpy as np
+from hjsys import catalog, cli
+from hjsys.coupling import CouplingMatrix
+from hjsys.ergodic import DiscountSchedule, estimate_ergodic_constant
+from hjsys.evolution import EvolutionConfig, HJSystem, solve_batch
+from hjsys.grid import Grid, GridFunction
+from hjsys.switching import hamiltonian_from_spec
+
+D = CouplingMatrix.constant(catalog.builtin_coupling("symmetric_pair"))
+pairs = {}
+for dim in (1, 2):
+    for ham_id in catalog.BUILTIN_HAMILTONIAN_IDS:
+        pairs[ham_id, dim] = (catalog.build_hamiltonian(ham_id, None, dim),) * 2
+spec = catalog.unit_ball_eikonal_process([catalog.F1, catalog.F2], [[-1.0, 1.0], [1.0, -1.0]])
+pairs["switching", 1] = tuple(hamiltonian_from_spec(spec, i) for i in range(2))
+for (_, dim), hams in pairs.items():
+    system = HJSystem(hams=hams, coupling=D, grid=Grid(dim, 8))
+    if dim == 1:
+        estimate_ergodic_constant(system, DiscountSchedule(lambdas=(0.1, 0.05)))
+    zeros = [GridFunction(system.grid, np.zeros(system.grid.shape))] * 2
+    solve_batch(system, [zeros, zeros], EvolutionConfig(t_final=0.1))
+
+out = sys.argv[1]
+system = {"grid": {"dim": 1, "n": 16}, "coupling": {"name": "symmetric_pair"},
+          "hamiltonians": [{"id": "nonconvex_bs00"}, {"id": "nonconvex_bs00"}]}
+configs = {
+    "evolve": {"system": system, "solver": {"t_final": 20.0, "snapshot_every": 1.0},
+               "u0": {"kind": "zeros"}},
+    "diagnose": {"trajectory_dir": os.path.join(out, "evolve", "trajectory"), "c": "measured"},
+}
+for kind, cfg in configs.items():
+    path = os.path.join(out, kind + ".json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    assert cli.main([kind, "--config", path, "--out", os.path.join(out, kind)]) == 0
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_pde_path_does_not_import_numpy_random(tmp_path):
+    # random numbers belong to the Monte Carlo and the counterexample
+    # samplers; importing numpy.random pulls in secrets and hashlib, about
+    # 6 MB of resident memory
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", _PDE_PATH, str(tmp_path)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip().splitlines()[-1] == "False"

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hjsys import catalog, switching
+from hjsys import catalog
 from hjsys.coupling import validate_monotone
 from hjsys.errors import ConfigError, StructureError
 from hjsys.evolution import EvolutionConfig, HJSystem, solve
@@ -250,19 +250,6 @@ class TestValueEstimation:
         with pytest.raises(ConfigError):
             estimate_value(_still_spec(), ConstantPolicy(0), **{**kw, **bad})
 
-    @pytest.mark.parametrize("batch_size", [0, -1, 2.5])
-    def test_rejects_batch_size_that_is_not_a_positive_integer(self, batch_size, monkeypatch):
-        # 0 and -1 used to partition the samples forever; no path may run
-        def run_batch(*args):
-            raise AssertionError("paths ran with an invalid batch_size")
-
-        monkeypatch.setattr(switching, "_run_batch", run_batch)
-        with pytest.raises(ConfigError, match="batch_size must be an integer >= 1"):
-            estimate_value(
-                _still_spec(), ConstantPolicy(0), [0.0], 0, 1.0, 200, seed=1, dt_sim=0.5,
-                batch_size=batch_size,
-            )
-
     def test_constant_cost_is_exact(self):
         # l = kappa in both modes and b = 0: every path costs exactly
         # kappa T + u0(x0), so the spread collapses to zero
@@ -419,29 +406,16 @@ def _greedy(spec, horizon):
 
 
 class TestBatchLoop:
-    """The batch loop runs every RNG block at once and evaluates only the
-    paths that move in each pass; it must reproduce, bit for bit, the masked
-    loop that evaluates every path, run once per block."""
+    """The batch loop evaluates only the paths that move in each pass; it
+    must reproduce, bit for bit, the masked loop that evaluates every path,
+    on the same single generator."""
 
-    def _assert_matches_reference(
-        self, spec, policy, mode0, dt, horizon=0.25, batch_size=128, sizes=(128, 128, 44),
-        x0=(0.3,),
-    ):
-        # all blocks run in one time loop must give, bit for bit, the
-        # reference loop run once per block with the block's own stream
+    def _assert_matches_reference(self, spec, policy, mode0, dt, horizon=0.25, n=300, x0=(0.3,)):
         x0, seed = list(x0), 9
-        est = estimate_value(
-            spec, policy, x0, mode0, horizon, sum(sizes), seed, dt_sim=dt, batch_size=batch_size
-        )
-        streams = np.random.SeedSequence(seed).spawn(len(sizes))
+        est = estimate_value(spec, policy, x0, mode0, horizon, n, seed, dt_sim=dt)
         args = (spec, policy, x0, mode0, horizon, dt)
-        got = _run_batch(*args, [np.random.default_rng(ss) for ss in streams], list(sizes))
-        ref = np.concatenate(
-            [
-                _reference_batch(*args, np.random.default_rng(ss), size)
-                for ss, size in zip(streams, sizes)
-            ]
-        )
+        got = _run_batch(*args, np.random.default_rng(seed), n)
+        ref = _reference_batch(*args, np.random.default_rng(seed), n)
         assert got.tobytes() == ref.tobytes()
         assert est.mean == float(np.mean(ref))
         assert est.std_error == float(np.std(ref, ddof=1) / np.sqrt(len(ref)))
@@ -457,13 +431,11 @@ class TestBatchLoop:
     def test_constant_policy(self, dt):
         self._assert_matches_reference(_fast_spec(), ConstantPolicy(5), 1, dt)
 
-    @pytest.mark.parametrize("batch_size", [300, 4096])
-    def test_one_block(self, batch_size):
-        # batch_size >= n_samples: a single stream drives every path
+    @pytest.mark.parametrize("n", [300, 4096])
+    def test_one_block(self, n):
+        # one generator drives every path of an estimate, however many
         spec = _fast_spec()
-        self._assert_matches_reference(
-            spec, _greedy(spec, 0.25), 0, 1 / 1024, batch_size=batch_size, sizes=(300,)
-        )
+        self._assert_matches_reference(spec, _greedy(spec, 0.25), 0, 1 / 1024, n=n)
 
     def test_single_group_batch(self):
         # mode 1 falls into mode 0 at rate 40 and mode 0 never leaves: after
