@@ -6,7 +6,8 @@ Usage:
     python3 scripts/run_suites.py --out results/suites
 
 Each suite prints one line per check; with --out the machine-readable
-summary lands in <out>/<suite>/suite.json.  Exit code 1 if any check fails.
+summary lands in <out>/<suite>/suite.json.  Exit code 1 if any check fails,
+2 for an unknown suite or a bad override, 3 for a numerical failure.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import os
 import sys
 import time
 
+from hjsys.errors import ConfigError, ConvergenceError, DivergenceError
 from hjsys.suites import SUITE_RUNNERS, run_suite
 
 
@@ -52,7 +54,14 @@ def main(argv=None) -> int:
             k: v for k, v in requested.items() if v is not None and k in accepted
         }
         t0 = time.perf_counter()
-        result = run_suite(name, **overrides)
+        try:
+            result = run_suite(name, **overrides)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except (DivergenceError, ConvergenceError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 3
         for line in result.summary_lines():
             print(line)
         verdict = "ok" if result.passed else "FAILED"

@@ -218,7 +218,7 @@ def component_gap_decay(
     if D is not None:
         try:
             coupling_rate = delta_rate(np.asarray(D, dtype=float))
-        except Exception as exc:  # reducible or oversized: report, don't fail
+        except Exception as exc:  # no rate or a malformed manifest: report, don't fail
             notes.append(f"coupling rate unavailable: {exc}")
     return GapDecay(
         gap_table=table,

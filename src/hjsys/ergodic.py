@@ -387,8 +387,7 @@ def estimate_ergodic_constant(
     anchor_val = v[0][idx]
     w = v - anchor_val  # same scalar off every component
     kernel = system.flux_kernel(schedule.flux_mode)
-    flux, _ = kernel(w)
-    stat = flux + kernel.coupling_term(w)
+    stat, _ = _residual(kernel, 0.0, w)
     shape = (system.m,) + (1,) * grid.dim
     residual = float(np.max(np.abs(stat - c.reshape(shape))))
     correctors = [GridFunction(grid, w[i]) for i in range(system.m)]

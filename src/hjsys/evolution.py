@@ -191,8 +191,8 @@ class FluxKernel:
     for the constant variant) and its largest diagonal entry ``dmax``.  The
     discounted solver's Newton iteration differentiates ``__call__`` itself.
     The difference, midpoint, |p| and jump buffers and the returned flux and
-    alpha sums are sized for the last values shape seen and reused by every
-    call: a caller that keeps a returned array across calls must copy it,
+    alpha sums are kept per values shape and reused by every call of that
+    shape: a caller that keeps a returned array across calls must copy it,
     and concurrent solves must not share one kernel.
     """
 
@@ -202,7 +202,7 @@ class FluxKernel:
         grid = system.grid
         self.grid = grid
         X = grid.mesh()
-        self._shape, self._buffers = None, ()
+        self._buffers = {}  # values shape -> the seven buffers of ``diffs``
         self._grid_axes = tuple(range(-grid.dim, 0))
         self.terms = []  # (H(p), axis alpha(pabs) or None for the global flux, lf_alpha)
         for ham in system.hams:
@@ -232,18 +232,18 @@ class FluxKernel:
 
     def diffs(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``diff_arrays`` of the component stack, written into the buffers."""
-        if values.shape != self._shape:
-            shape, dim = values.shape, self.grid.dim
+        shape, dim = values.shape, self.grid.dim
+        if shape not in self._buffers:
             shapes = [shape + (dim,)] * 5 + [shape, shape[:-dim]]  # ..., flux, alpha sums
-            self._shape, self._buffers = shape, [np.empty(s) for s in shapes]
-        return diff_arrays(values, self.grid, out=self._buffers[:2])
+            self._buffers[shape] = [np.empty(s) for s in shapes]
+        return diff_arrays(values, self.grid, out=self._buffers[shape][:2])
 
     def __call__(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Flux of every component, shaped like ``values``: (m,) + grid.shape,
         or (B, m) + grid.shape for B members; and max_x sum_k alpha_k, (m,) or
         (B, m)."""
         dminus, dplus = self.diffs(values)
-        pmid, pabs, jump, out, alpha_sums = self._buffers[2:]
+        pmid, pabs, jump, out, alpha_sums = self._buffers[values.shape][2:]
         if self.local:  # pmid holds |D+ v| until the midpoint overwrites it
             np.maximum(np.abs(dminus, out=pabs), np.abs(dplus, out=pmid), out=pabs)
         np.multiply(0.5, np.add(dminus, dplus, out=pmid), out=pmid)

@@ -143,11 +143,22 @@ def _initial_data(system: HJSystem, which: str) -> list:
     raise ConfigError(f"unknown initial data kind {which!r}")
 
 
-def _tail_distance(dists, t_from: float) -> float:
-    vals = [d for t, d in dists if t >= t_from - 1e-9]
-    if not vals:
-        raise ConfigError(f"no snapshots at or after t = {t_from}")
-    return max(vals)
+def _settledness_checks(traj_a, c_a, traj_b, c_b, h: float) -> list:
+    """Grade two runs of one system for settled profiles.
+
+    ``profile_settled_a`` and ``_b``: the largest drift-shifted distance to
+    the final profile over the last quarter of the run, t >= 0.75 T, within
+    5 h.  ``terminal_profiles_agree``: the final snapshots within 10 h.
+    """
+    checks = []
+    for label, traj, c in (("a", traj_a, c_a), ("b", traj_b, c_b)):
+        dists = profile_distances(traj, c)
+        t_from = 0.75 * dists[-1][0] - 1e-9
+        tail = max(d for t, d in dists if t >= t_from)
+        checks.append(_leq(f"profile_settled_{label}", tail, 5 * h))
+    terminal_gap = float(np.max(np.abs(traj_a.values[-1] - traj_b.values[-1])))
+    checks.append(_leq("terminal_profiles_agree", terminal_gap, 10 * h))
+    return checks
 
 
 def suite_largenew_eikonal(n: int = 256, t_final: float = 40.0) -> SuiteResult:
@@ -233,16 +244,7 @@ def suite_largenew_eikonal(n: int = 256, t_final: float = 40.0) -> SuiteResult:
     )
 
     c_meas_b = long_time_constant(traj_b)
-    dists_a = profile_distances(traj_a, c_meas_a)
-    dists_b = profile_distances(traj_b, c_meas_b)
-    checks.append(
-        _leq("profile_settled_a", _tail_distance(dists_a, 30.0), 5 * grid.h)
-    )
-    checks.append(
-        _leq("profile_settled_b", _tail_distance(dists_b, 30.0), 5 * grid.h)
-    )
-    terminal_gap = float(np.max(np.abs(traj_a.values[-1] - traj_b.values[-1])))
-    checks.append(_leq("terminal_profiles_agree", terminal_gap, 10 * grid.h))
+    checks += _settledness_checks(traj_a, c_meas_a, traj_b, c_meas_b, grid.h)
 
     # evidence that the two runs agree on the shared-minimizer set first
     sset = evaluate_on_set(
@@ -386,22 +388,7 @@ def suite_exist_smoo_strictconvex(n: int = 256, t_final: float = 40.0) -> SuiteR
     u0_b = [GridFunction(grid, u) for u in traj_a.shifted(np.mean(c_a))[k_restart]]
     traj_b = solve(system, u0_b, config)
     c_b = long_time_constant(traj_b)
-    checks.append(
-        _leq(
-            "profile_settled_a",
-            _tail_distance(profile_distances(traj_a, c_a), 30.0),
-            5 * grid.h,
-        )
-    )
-    checks.append(
-        _leq(
-            "profile_settled_b",
-            _tail_distance(profile_distances(traj_b, c_b), 30.0),
-            5 * grid.h,
-        )
-    )
-    terminal_gap = float(np.max(np.abs(traj_a.values[-1] - traj_b.values[-1])))
-    checks.append(_leq("terminal_profiles_agree", terminal_gap, 10 * grid.h))
+    checks += _settledness_checks(traj_a, c_a, traj_b, c_b, grid.h)
     return SuiteResult(
         name="exist-smoo-strictconvex",
         checks=checks,

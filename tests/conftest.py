@@ -47,6 +47,30 @@ def random_monotone_matrix(
     return entries
 
 
+def delta_rate_bruteforce(entries: np.ndarray) -> float:
+    """Oracle for ``delta_rate``: the minimum over ordered pairs i != j and
+    over every subset I with j in I, i not in I of
+    -(sum_{k in I} d_ik + sum_{k not in I} d_jk), by enumeration (small m
+    only).  Returns the raw minimum, with no positivity check."""
+    m = entries.shape[0]
+    best = np.inf
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                continue
+            others = [k for k in range(m) if k not in (i, j)]
+            # all subsets I = {j} | S, S subset of others; complement holds i
+            for bits in range(1 << len(others)):
+                in_i, out_j = entries[i, j], entries[j, i]
+                for t, k in enumerate(others):
+                    if bits >> t & 1:
+                        in_i += entries[i, k]
+                    else:
+                        out_j += entries[j, k]
+                best = min(best, -(in_i + out_j))
+    return float(best)
+
+
 @st.composite
 def monotone_matrices(draw, max_m: int = 6, ensure_irreducible: bool = False):
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))

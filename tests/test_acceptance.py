@@ -13,13 +13,16 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from conftest import random_monotone_matrix
+from conftest import delta_rate_bruteforce, random_monotone_matrix
 from hjsys.catalog import quadratic_eikonal_pair
 from hjsys.coupling import (
     CouplingMatrix,
+    StructureError,
     constant_solution,
+    delta_rate,
     irreducible_bruteforce,
     is_irreducible,
+    pairwise_nonzero,
     perron_vector,
 )
 from hjsys.evolution import EvolutionConfig, HJSystem, comparison_check, solve, solve_batch
@@ -160,18 +163,29 @@ def test_criterion_07_discrete_comparison_principle(capfd):
 
 def test_criterion_08_coupling_oracle_equivalence(capfd):
     # 200 random monotone matrices (half with a forced cycle): graph
-    # irreducibility must equal the subset brute force, and on the
-    # irreducible ones the Perron and constant-solution residuals stay
-    # at solver precision.
+    # irreducibility must equal the subset brute force, the certified gap
+    # rate must equal its subset enumeration to roundoff on the pairwise
+    # nonzero ones, and on the irreducible ones the Perron and
+    # constant-solution residuals stay at solver precision.
     rng = np.random.default_rng(8)
     mismatches = 0
     n_irreducible = 0
+    n_rated = 0
     worst_perron = 0.0
     worst_const = 0.0
+    worst_delta = 0.0
     for k in range(200):
         entries = random_monotone_matrix(rng, ensure_irreducible=(k % 2 == 0))
         m = entries.shape[0]
         cm = CouplingMatrix(m, entries=entries)
+        if pairwise_nonzero(cm):
+            n_rated += 1
+            want = delta_rate_bruteforce(entries)
+            try:
+                got = delta_rate(cm)
+                worst_delta = max(worst_delta, abs(got - want) / abs(want))
+            except StructureError:
+                mismatches += want > 0
         bfs = is_irreducible(cm)
         if bfs != irreducible_bruteforce(cm):
             mismatches += 1
@@ -189,15 +203,18 @@ def test_criterion_08_coupling_oracle_equivalence(capfd):
     ok = (
         mismatches == 0
         and n_irreducible >= 100
+        and n_rated >= 100
         and worst_perron <= 1e-10
         and worst_const <= 1e-10
+        and worst_delta <= 1e-12
     )
     _stamp(
         capfd,
         8,
         "coupling analysis agrees with brute-force oracles on 200 draws",
         ok,
-        f"{mismatches} graph mismatches, {n_irreducible} irreducible, "
+        f"{mismatches} mismatches, {n_irreducible} irreducible, "
+        f"{n_rated} rated (gap rate relative error {worst_delta:.2e}), "
         f"perron residual {worst_perron:.2e}, constant residual {worst_const:.2e}",
     )
 

@@ -713,6 +713,15 @@ class TestTheoremSuite:
     def test_run_suite_records_its_elapsed_time(self):
         assert run_suite("identical-gap", n=16, t_final=0.5).elapsed_seconds > 0
 
+    @pytest.mark.parametrize("name", ["largenew-eikonal", "exist-smoo-strictconvex"])
+    def test_settledness_grades_the_last_quarter_of_any_horizon(self, name):
+        # t_final = 25 ends before t = 30: the tail is t >= 18.75, not empty,
+        # and holds more than the final snapshot, whose distance is 0
+        checks = {c.name: c for c in run_suite(name, n=16, t_final=25.0).checks}
+        for label in ("a", "b"):
+            assert 0.0 < checks[f"profile_settled_{label}"].value
+        assert "terminal_profiles_agree" in checks
+
     def test_unknown_suite(self, tmp_path, capsys):
         cfg = {"name": "no-such-suite"}
         rc = main(["theorem-suite", "--config", _write(tmp_path, "c.json", cfg)])

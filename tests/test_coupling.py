@@ -23,7 +23,7 @@ from hjsys.coupling import (
 )
 from hjsys.grid import Grid, sample
 
-from conftest import monotone_matrices, random_monotone_matrix
+from conftest import delta_rate_bruteforce, monotone_matrices, random_monotone_matrix
 
 
 SYM = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -249,12 +249,26 @@ class TestDeltaRate:
         with pytest.raises(StructureError):
             delta_rate(CouplingMatrix(4, entries=blocks))
 
-    def test_size_cap(self):
-        # subset enumeration is exponential, so matrices beyond m = 12 refuse
-        m = 13
+    @pytest.mark.parametrize("m", [13, 40])
+    def test_full_matrix_rate_beyond_enumeration(self, m):
+        # -1 + m I: every pair gives 2 + (m - 2), exactly, with no size cap
         full = -np.ones((m, m)) + m * np.eye(m)
-        with pytest.raises(StructureError):
-            delta_rate(CouplingMatrix(m, entries=full))
+        assert delta_rate(CouplingMatrix(m, entries=full)) == float(m)
+
+    @given(monotone_matrices(max_m=8, ensure_irreducible=True))
+    def test_matches_subset_enumeration(self, entries):
+        # the closed form regroups the enumerated sums: bit-equal for a
+        # pair, where both read -(d_ij + d_ji), and equal to roundoff beyond
+        if not pairwise_nonzero(entries):
+            return
+        want = delta_rate_bruteforce(entries)
+        if want <= 0:
+            with pytest.raises(StructureError):
+                delta_rate(entries)
+        elif entries.shape[0] == 2:
+            assert delta_rate(entries) == want
+        else:
+            assert abs(delta_rate(entries) - want) <= 1e-12 * abs(want)
 
     @given(monotone_matrices(max_m=4, ensure_irreducible=True))
     def test_homogeneity(self, entries):

@@ -519,3 +519,22 @@ def test_kernel_outputs_are_reused_and_residuals_are_not():
     again, sums = _residual(kernel, 0.1, v2)
     assert _same_bits(residual, kept)
     assert kernel(v2)[0] is flux and kernel(v1)[1] is alpha_sums  # the kernel's buffers
+
+
+def test_alternating_residual_and_jacobian_calls_keep_their_buffers():
+    # Newton alternates (m, n) residuals with (2 colors, m, n) Jacobian
+    # stacks: each shape keeps its own seven buffers, allocated once
+    system = _system("nonconvex", 1)
+    kernel = system.flux_kernel("local")
+    v = _values(system.grid, 1)
+    F, _ = _residual(kernel, 0.1, v)
+    J = _jacobian(kernel, 0.1, v)
+    kept = {shape: list(buffers) for shape, buffers in kernel._buffers.items()}
+    assert len(kept) == 2 and v.shape in kept
+    for _ in range(2):
+        assert _same_bits(_residual(kernel, 0.1, v)[0], F)
+        assert _same_bits(_jacobian(kernel, 0.1, v), J)
+    assert kernel._buffers.keys() == kept.keys()
+    for shape, buffers in kept.items():
+        assert len(buffers) == 7
+        assert all(a is b for a, b in zip(kernel._buffers[shape], buffers))

@@ -6,6 +6,10 @@ import importlib.util
 import json
 import os
 
+import pytest
+
+from hjsys.errors import DivergenceError
+
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
 
@@ -30,3 +34,20 @@ def test_run_suites_writes_summary(tmp_path, capsys):
     argv = ["identical-gap", "--n", "32", "--t-final", "6", "--out", str(tmp_path)]
     assert _load("run_suites").main(argv) == 0
     assert json.loads((tmp_path / "identical-gap" / "suite.json").read_text())["passed"]
+
+
+@pytest.mark.parametrize("argv", [["identical-gap", "--n", "4"], ["appendix-mc", "--seed", "-1"]])
+def test_run_suites_bad_override_exits_2(argv, capsys):
+    assert _load("run_suites").main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_run_suites_numerical_failure_exits_3(monkeypatch, capsys):
+    module = _load("run_suites")
+
+    def diverge(name, **overrides):
+        raise DivergenceError("non-finite values")
+
+    monkeypatch.setattr(module, "run_suite", diverge)
+    assert module.main(["identical-gap"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
