@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -31,6 +32,7 @@ from .hamiltonians import (
 from .switching import SwitchingProcessSpec
 
 __all__ = [
+    "fourier_series",
     "fourier_function",
     "direction_profile",
     "vector_field",
@@ -70,10 +72,33 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
+def fourier_series(x, a=None, *, coef, terms):
+    """coef[0] + sum coef[i] cos(2 pi k.x) + coef[j] sin(2 pi k.x) over the
+    (k, i, j) of ``terms``, i or j 0 for a term left out.  ``coef`` may hold
+    one value per point on a trailing axis.  The action ``a`` is ignored: a
+    source f(x) and a running cost l(x, a) alike."""
+    x = np.asarray(x, dtype=float)
+    out = const = coef[0]
+    for k, i, j in terms:
+        # in 1D, + 0.0 stands for the length-1 sum: it turns -0.0 into 0.0
+        kx = x[..., 0] * k[0] + 0.0 if len(k) == 1 else np.sum(x * k, axis=-1)
+        phase = 2.0 * np.pi * kx
+        if i:
+            out = out + coef[i] * np.cos(phase)
+        if j:
+            out = out + coef[j] * np.sin(phase)
+    return np.full(x.shape[:-1], const) if out is const else out
+
+
+fourier_series.mode_keyword = "coef"  # see switching.SwitchingProcessSpec
+
+
 def fourier_function(params: dict, dim: int) -> Callable:
-    """Compile a truncated Fourier description into a vectorized callable."""
+    """Compile a truncated Fourier description into ``fourier_series`` with
+    ``coef`` the constant and the nonzero cos and sin coefficients; zero
+    ones are left out, so ``terms`` holds the frequencies and that pattern."""
     _mapping(params, "fourier spec")
-    const = _number(params.get("const", 0.0), "fourier const")
+    coef = [_number(params.get("const", 0.0), "fourier const")]
     terms = []
     for t, term in enumerate(params.get("terms", [])):
         where = f"fourier terms[{t}]"
@@ -82,24 +107,15 @@ def fourier_function(params: dict, dim: int) -> Callable:
         k = k if isinstance(k, (list, tuple, np.ndarray)) else [k]
         if len(k) != dim:
             raise ConfigError(f"{where}.k must have {dim} entries, got {k!r}")
-        k = np.array([_number(e, f"{where}.k") for e in k])
-        a, b = (_number(term.get(key, 0.0), f"{where}.{key}") for key in ("cos", "sin"))
-        terms.append((k, a, b))
-
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        out = const
-        for k, a, b in terms:
-            # in 1D, + 0.0 stands for the length-1 sum: it turns -0.0 into 0.0
-            kx = x[..., 0] * k[0] + 0.0 if dim == 1 else np.sum(x * k, axis=-1)
-            phase = 2.0 * np.pi * kx
-            if a:
-                out = out + a * np.cos(phase)
-            if b:
-                out = out + b * np.sin(phase)
-        return np.full(x.shape[:-1], const) if out is const else out
-
-    return fn
+        k = tuple(_number(e, f"{where}.k") for e in k)
+        slots = []
+        for key in ("cos", "sin"):
+            value = _number(term.get(key, 0.0), f"{where}.{key}")
+            slots.append(len(coef) if value else 0)
+            if value:
+                coef.append(value)
+        terms.append((k, *slots))
+    return partial(fourier_series, coef=np.array(coef), terms=tuple(terms))
 
 
 def direction_profile(params: dict, dim: int) -> tuple[Callable, float]:
@@ -159,15 +175,10 @@ def build_hamiltonian(ham_id: str, params: dict | None, dim: int = 1) -> Hamilto
     p_box = _number(params.get("p_box", 2.5), "p_box")
     if p_box <= 0:
         raise ConfigError(f"p_box must be positive and finite, got {p_box!r}")
-    if ham_id == "quadratic_eikonal":
-        f = fourier_function(params.get("f", _DEFAULT_F), dim)
-        return make_quadratic_eikonal(f, dim=dim, p_box=p_box,
-                                      params={"id": ham_id, **params})
-    if ham_id == "linear_eikonal":
-        f = fourier_function(params.get("f", _DEFAULT_F), dim)
-        return make_linear_eikonal(f, dim=dim, p_box=p_box,
-                                   params={"id": ham_id, **params})
     f = fourier_function(params.get("f", _DEFAULT_F), dim)
+    if ham_id != "nonconvex_bs00":
+        make = make_quadratic_eikonal if ham_id == "quadratic_eikonal" else make_linear_eikonal
+        return make(f, dim=dim, p_box=p_box, params={"id": ham_id, **params})
     default_q = [{"terms": [{"sin": 0.3}]}] * dim
     q = vector_field(params.get("q", default_q), dim)
     Ffn, slope = direction_profile(
@@ -204,10 +215,6 @@ def quadratic_eikonal_pair(n: int) -> tuple[HJSystem, list]:
     return HJSystem(hams=hams, coupling=D, grid=grid), fs
 
 
-def _zero_terminal(x):
-    return np.zeros(np.shape(x)[:-1])
-
-
 def _process(rates, dynamics, costs, control_set) -> SwitchingProcessSpec:
     """1D process with one dynamics/cost pair per mode and zero terminal cost."""
     m = len(costs)
@@ -217,13 +224,13 @@ def _process(rates, dynamics, costs, control_set) -> SwitchingProcessSpec:
         costs=tuple(costs),
         rates=rates,
         control_set=control_set,
-        terminal=(_zero_terminal,) * m,
+        terminal=(partial(fourier_series, coef=np.zeros(1), terms=()),) * m,
         dim=1,
     )
 
 
 def _unit_ball_velocity(x, a):
-    return np.broadcast_to(a, np.broadcast_shapes(np.shape(x), np.shape(a)))
+    return np.broadcast_to(a, np.broadcast(x, a).shape)
 
 
 def unit_ball_eikonal_process(fs, rates, n_actions: int = 64) -> SwitchingProcessSpec:
@@ -237,13 +244,10 @@ def unit_ball_eikonal_process(fs, rates, n_actions: int = 64) -> SwitchingProces
     if len(fs) != m:
         raise ConfigError(f"process.fs must list {m} source functions")
 
-    def running_cost(fn):
-        return lambda x, a: fn(x)
-
     return _process(
         rates,
         _unit_ball_velocity,
-        [running_cost(fourier_function(f, 1)) for f in fs],
+        [fourier_function(f, 1) for f in fs],
         np.linspace(-1.0, 1.0, n_actions)[:, None],
     )
 
@@ -259,10 +263,8 @@ def idle_process(cost_rates, rates) -> SwitchingProcessSpec:
     if len(cost_rates) != m or not np.all(np.isfinite(cost_rates)):
         raise ConfigError(f"process.cost_rates must list {m} finite rates")
 
-    def running_cost(v):
-        return lambda x, a: np.full(np.broadcast_shapes(np.shape(x), np.shape(a))[:-1], v)
-
-    return _process(rates, _idle_velocity, [running_cost(v) for v in cost_rates], np.zeros((1, 1)))
+    costs = [partial(fourier_series, coef=np.array([v]), terms=()) for v in cost_rates]
+    return _process(rates, _idle_velocity, costs, np.zeros((1, 1)))
 
 
 def list_builtin(kind: str) -> list[str]:

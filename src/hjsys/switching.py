@@ -20,12 +20,9 @@ vectorized over the sample axis, and draws every clock and destination from
 one generator seeded by its ``seed``, so seeded results are reproducible.
 
 Each (sub-)step of that loop looks up the moving paths' actions with one
-gather from the policy table, calls each distinct dynamics or cost callable
-once on the rows of all the modes it serves (the catalog processes share
-one dynamics callable, so it runs on every row with no gather or scatter),
-and wraps positions with ``_wrap``, ``y - floor(y)``, which equals
-``y % 1.0`` bit for bit on finite y at a fraction of its cost.  Callables
-must therefore be pointwise.
+gather from the policy table, evaluates the dynamics and the costs with
+one call each where ``_one_call`` allows, else per mode, and wraps
+positions with ``_wrap``.  Callables must therefore be pointwise.
 """
 from __future__ import annotations
 
@@ -73,7 +70,9 @@ class SwitchingProcessSpec:
     set shaped (A, 1, ..., 1, adim).  They must be pointwise (row k of the
     result depends on row k of x and of a only), since the Monte Carlo calls
     them on varying subsets of its paths, and calls a callable that several
-    modes share once on the rows of all of them.
+    modes share once on the rows of all of them.  So are partials of one
+    function that differ only in the keyword its ``mode_keyword`` names: that
+    keyword then gets the value of each row's mode along a trailing axis.
     """
 
     m: int
@@ -321,10 +320,11 @@ def simulate_trajectory(
     )
 
 
-def _advance(spec, policy, x, modes, cost, seg, time_to_go):
+def _advance(spec, roles, policy, x, modes, cost, seg, time_to_go):
     """Move the paths with seg > 0 along their actions for seg and charge
     their running cost, in place.  Only those paths are looked up and
-    evaluated; ``time_to_go`` is one number or one entry per path."""
+    evaluated; ``time_to_go`` is one number or one entry per path, and
+    ``roles`` the ``_one_call`` of the dynamics and of the costs."""
     live = seg > 0
     if np.all(live):
         idx = slice(None)
@@ -336,29 +336,44 @@ def _advance(spec, policy, x, modes, cost, seg, time_to_go):
             time_to_go = time_to_go[idx]
     xs, ms, s = x[idx], modes[idx], seg[idx]
     a = spec.control_set.take(policy.action_indices(xs, ms, time_to_go), axis=0)
-    present = np.flatnonzero(np.bincount(ms)).tolist()
-    v = _per_callable(spec.dynamics, present, ms, xs, a, xs.shape)
-    c = _per_callable(spec.costs, present, ms, xs, a, (len(xs),))
+    v, c = (
+        _per_callable(fns, ms, xs, a, shape) if role is None
+        else role[0](xs, a, **({role[1]: role[2].take(ms, axis=-1)} if role[1] else {}))
+        for fns, role, shape in zip((spec.dynamics, spec.costs), roles, (xs.shape, (len(xs),)))
+    )
     cost[idx] += c * s
     x[idx] = _wrap(xs + s[:, None] * v)
 
 
-def _per_callable(fns, present, ms, x, a, shape):
-    """fns[i](x, a) on the rows in mode i for every mode i present, with one
-    call per distinct callable among those modes.  A callable that serves
-    every present mode runs on all the rows as they are; the others run on
-    their modes' rows, gathered by np.take, and their results are scattered
-    back.  Pointwise callables make both ways agree bit for bit."""
-    groups = {}
-    for i in present:
-        groups.setdefault(id(fns[i]), []).append(i)
-    if len(groups) == 1:
-        return fns[present[0]](x, a)
+def _one_call(fns):
+    """(fn, key, stack) if one call of fn = fns[0] serves every mode: all
+    modes share fn (key None), or their partials differ only in the keyword
+    ``key`` named by the function's ``mode_keyword``, stacked on a trailing
+    mode axis in ``stack``; else None."""
+    fn = fns[0]
+    key = getattr(getattr(fn, "func", None), "mode_keyword", None)
+    try:
+        if all(g is fn or key and (g.func, {**g.keywords, key: 0})
+               == (fn.func, {**fn.keywords, key: 0}) for g in fns):
+            return fn, key, key and np.stack([g.keywords[key] for g in fns], axis=-1)
+    except (AttributeError, ValueError):  # not partials, or arrays that do not compare
+        pass
+    return None
+
+
+def _per_callable(fns, ms, x, a, shape):
+    """Each present mode's callable on its rows, gathered and scattered."""
     out = np.empty(shape)
-    for served in groups.values():
-        sel = np.flatnonzero(np.isin(ms, served) if len(served) > 1 else ms == served[0])
-        out[sel] = fns[served[0]](x.take(sel, axis=0), a.take(sel, axis=0))
+    for i in np.flatnonzero(np.bincount(ms)).tolist():
+        sel = np.flatnonzero(ms == i)
+        out[sel] = fns[i](x.take(sel, axis=0), a.take(sel, axis=0))
     return out
+
+
+def _clock(R, draw):
+    """Times to the next switch at rates R from standard exponential draws."""
+    with np.errstate(divide="ignore"):
+        return np.where(R > 0, draw / R, np.inf)
 
 
 def _run_batch(spec, policy, x0, mode0, horizon, dt, rng, n) -> np.ndarray:
@@ -369,35 +384,30 @@ def _run_batch(spec, policy, x0, mode0, horizon, dt, rng, n) -> np.ndarray:
     x = np.broadcast_to(_wrap(np.atleast_1d(np.asarray(x0, dtype=float))), (n, spec.dim)).copy()
     modes = np.full(n, int(mode0))
     cost = np.zeros(n)
-    draw = rng.exponential(size=n)
-    with np.errstate(divide="ignore"):
-        next_switch = np.where(R[modes] > 0, draw / R[modes], np.inf)
-    n_steps = int(np.ceil(horizon / dt - 1e-12))
+    next_switch = _clock(R[modes], rng.exponential(size=n))
+    n_steps = max(1, int(np.ceil(horizon / dt - 1e-12)))
+    roles = [_one_call(spec.dynamics), _one_call(spec.costs)]
     t0 = 0.0
     for k in range(n_steps):
         t1 = min((k + 1) * dt, horizon)
         # every path starts the step at t0, so the time to go is one number
         seg = np.maximum(np.minimum(next_switch, t1) - t0, 0.0)
-        _advance(spec, policy, x, modes, cost, seg, horizon - t0)
+        _advance(spec, roles, policy, x, modes, cost, seg, horizon - t0)
         cur = t0 + seg
         while True:
             # the few paths whose clock rang inside the step switch mode and
             # finish the step from their own switch time
-            switching = np.flatnonzero(
-                (next_switch <= t1 - 1e-15) & (cur >= next_switch - 1e-15)
-            )
+            cand = np.flatnonzero(next_switch <= t1 - 1e-15)
+            switching = cand[cur[cand] >= next_switch[cand] - 1e-15]
             if not len(switching):
                 break
             u = rng.random(len(switching))
             modes[switching] = _draw_destinations(cdf, modes[switching], u)
-            draw = rng.exponential(size=len(switching))
-            Rsel = R[modes[switching]]
-            with np.errstate(divide="ignore"):
-                next_switch[switching] = cur[switching] + np.where(
-                    Rsel > 0, draw / Rsel, np.inf
-                )
+            next_switch[switching] = cur[switching] + _clock(
+                R[modes[switching]], rng.exponential(size=len(switching))
+            )
             seg = np.maximum(np.minimum(next_switch, t1) - cur, 0.0)
-            _advance(spec, policy, x, modes, cost, seg, horizon - cur)
+            _advance(spec, roles, policy, x, modes, cost, seg, horizon - cur)
             cur += seg
         t0 = t1
     for i in np.unique(modes):

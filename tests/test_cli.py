@@ -598,6 +598,19 @@ class TestSimulate:
         lines = (out / "path.csv").read_text().splitlines()
         assert lines[0] == "t,mode,action,x0"
 
+    def test_dt_sim_past_the_horizon_takes_one_step(self, tmp_path):
+        # no switching and a constant cost rate: the value is rate * horizon
+        cfg = _idle_cfg()
+        cfg["process"].update(rates=[[0.0, 0.0], [0.0, 0.0]], cost_rates=[0.75, 0.0])
+        cfg.update(horizon=0.125, dt_sim=1e13, dump_path=True)
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)])
+        assert rc == 0
+        payload = json.loads((out / "value.json").read_text())
+        assert payload["mean"] == 0.75 * 0.125 and payload["std_error"] == 0.0
+        assert [r.split(",")[0] for r in (out / "path.csv").read_text().splitlines()[1:]] == [
+            "0.0", "0.125"]
+
     def test_simulate_rerun_reproduces_bytes(self, tmp_path):
         cfg = {
             "process": {

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from hjsys import catalog
+from hjsys import catalog, switching
 from hjsys.coupling import validate_monotone
 from hjsys.errors import ConfigError, StructureError
 from hjsys.evolution import EvolutionConfig, HJSystem, solve
@@ -15,6 +17,7 @@ from hjsys.switching import (
     GreedyGradientPolicy,
     SwitchingProcessSpec,
     _advance,
+    _one_call,
     _run_batch,
     _wrap,
     coupling_from_spec,
@@ -273,6 +276,21 @@ class TestValueEstimation:
         assert est.std_error <= 1e-15
         assert est.samples == 400
 
+    @pytest.mark.parametrize("dt_sim", [0.2, 1e13])
+    def test_a_step_past_the_horizon_is_one_step(self, dt_sim):
+        # a constant cost rate and no switching: every path costs exactly
+        # rate * horizon, also when dt_sim exceeds the horizon 1e12 times
+        spec = catalog.idle_process([0.75], [[0.0]])
+        est = estimate_value(spec, ConstantPolicy(0), [0.25], 0, 0.125, 100, 3, dt_sim=dt_sim)
+        assert est.mean == 0.75 * 0.125 and est.std_error == 0.0
+
+    def test_huge_dt_sim_matches_a_step_just_past_the_horizon(self):
+        spec = catalog.unit_ball_eikonal_process([catalog.F1, catalog.F2], SYM_RATES)
+        run = lambda dt: estimate_value(spec, ConstantPolicy(0), [0.25], 0, 0.1, 200, 5, dt_sim=dt)
+        # one Euler step from x = 0.25, where both running costs are at least 1.5
+        assert run(1e13) == run(0.2)
+        assert run(0.2).mean >= 0.15
+
     def test_occupation_time_closed_form(self):
         # pay 1 while in mode 1, start in mode 0, symmetric rate-1 switching:
         # E[cost] = T/2 - (1 - e^{-2T})/4
@@ -346,7 +364,7 @@ def _reference_batch(spec, policy, x0, mode0, horizon, dt, rng, size):
     draw = rng.exponential(size=size)
     with np.errstate(divide="ignore"):
         next_switch = np.where(R[modes] > 0, draw / R[modes], np.inf)
-    for k in range(int(np.ceil(horizon / dt - 1e-12))):
+    for k in range(max(1, int(np.ceil(horizon / dt - 1e-12)))):
         t1 = min((k + 1) * dt, horizon)
         while True:
             seg = np.maximum(np.minimum(next_switch, t1) - cur, 0.0)
@@ -378,6 +396,7 @@ def _reference_batch(spec, policy, x0, mode0, horizon, dt, rng, size):
 
 
 FAST_RATES = np.array([[0.0, 40.0], [40.0, 0.0]])
+RATES_3 = np.array([[0.0, 30.0, 10.0], [5.0, 0.0, 35.0], [20.0, 20.0, 0.0]])
 
 
 def _fast_spec(rates=FAST_RATES):
@@ -398,9 +417,9 @@ def _fast_spec(rates=FAST_RATES):
 
 def _greedy(spec, horizon):
     grid = Grid(dim=1, n=32)
-    hams = tuple(hamiltonian_from_spec(spec, i) for i in range(2))
+    hams = tuple(hamiltonian_from_spec(spec, i) for i in range(spec.m))
     system = HJSystem(hams=hams, coupling=coupling_from_spec(spec), grid=grid)
-    u0 = [GridFunction(grid, np.zeros(32)) for _ in range(2)]
+    u0 = [GridFunction(grid, np.zeros(32)) for _ in range(spec.m)]
     traj = solve(system, u0, EvolutionConfig(t_final=horizon, snapshot_every=horizon / 4))
     return GreedyGradientPolicy(spec, traj)
 
@@ -474,9 +493,8 @@ class TestBatchLoop:
         self._assert_matches_reference(spec, ConstantPolicy(0), 0, dt, x0=(x0,))
 
     def test_callables_shared_by_some_modes(self):
-        # modes 0 and 2 share a dynamics callable and modes 0 and 1 a cost,
-        # so a shared callable runs on the rows of two of three modes
-        rates = np.array([[0.0, 30.0, 10.0], [5.0, 0.0, 35.0], [20.0, 20.0, 0.0]])
+        # modes 0 and 2 share a dynamics callable and modes 0 and 1 a cost:
+        # neither role has one callable for every mode, so both run per mode
         base = _fast_spec()
 
         def swirl(x, a):
@@ -486,7 +504,7 @@ class TestBatchLoop:
             m=3,
             dynamics=(base.dynamics[0], swirl, base.dynamics[0]),
             costs=(base.costs[0], base.costs[0], base.costs[1]),
-            rates=rates,
+            rates=RATES_3,
             control_set=base.control_set,
             terminal=base.terminal + (base.terminal[0],),
         )
@@ -518,8 +536,73 @@ class TestBatchLoop:
         seg = np.full(10, 0.01)
         seg[3] = 0.0  # a path that does not move is neither looked up nor evaluated
         calls.clear()
-        _advance(spec, ConstantPolicy(4), x, modes, np.zeros(10), seg, 0.5)
+        roles = [_one_call(spec.dynamics), _one_call(spec.costs)]
+        _advance(spec, roles, ConstantPolicy(4), x, modes, np.zeros(10), seg, 0.5)
         assert sorted(calls) == [("cost0", 3), ("cost1", 6), ("dynamics", 9)]
+
+    @pytest.mark.parametrize("n", [300, 4096])
+    @pytest.mark.parametrize("dt", [1 / 1024, 0.003])
+    @pytest.mark.parametrize("policy", ["greedy", "constant"])
+    @pytest.mark.parametrize(
+        "fs, rates",
+        [([catalog.F1, catalog.F2], FAST_RATES), ([catalog.F1, catalog.F2, catalog.F1], RATES_3)],
+        ids=["F1/F2", "F1/F2/F1"],
+    )
+    def test_catalog_costs_are_one_stacked_call(self, fs, rates, policy, dt, n):
+        # the catalog sources differ only in their coefficients, so one
+        # Fourier call with coefficients taken by mode serves every path
+        spec = catalog.unit_ball_eikonal_process(fs, rates, 16)
+        assert _one_call(spec.costs) is not None
+        policy = _greedy(spec, 0.25) if policy == "greedy" else ConstantPolicy(11)
+        self._assert_matches_reference(spec, policy, 1, dt, n=n)
+
+    @pytest.mark.parametrize(
+        "other",
+        [{"const": 2.0, "terms": [{"k": [1], "cos": -2.0, "sin": 0.5}]},
+         {"const": 2.0, "terms": [{"k": [2], "cos": -2.0}]},
+         {"const": 2.0, "terms": [{"k": [1], "cos": 0.0}]}],
+        ids=["sin term", "other frequency", "zero coefficient"],
+    )
+    def test_costs_of_another_structure_fall_back(self, other):
+        # a term the other mode lacks, or skips as zero, is not stacked:
+        # each mode's cost runs on its own rows
+        spec = catalog.unit_ball_eikonal_process([catalog.F1, other], FAST_RATES, 16)
+        assert _one_call(spec.costs) is None
+        self._assert_matches_reference(spec, _greedy(spec, 0.25), 0, 1 / 1024)
+
+    def test_keywords_that_do_not_compare_fall_back(self):
+        # two-entry arrays as frequencies (x.k then sums x twice) make the
+        # modes' terms fail to compare with ==, so each mode runs on its rows
+        base = catalog.unit_ball_eikonal_process([catalog.F1, catalog.F2], FAST_RATES, 16)
+        costs = tuple(
+            partial(catalog.fourier_series, coef=c.keywords["coef"],
+                    terms=tuple((np.array(k * 2), i, j) for k, i, j in c.keywords["terms"]))
+            for c in base.costs
+        )
+        spec = SwitchingProcessSpec(
+            m=2, dynamics=base.dynamics, costs=costs, rates=FAST_RATES,
+            control_set=base.control_set, terminal=base.terminal,
+        )
+        assert _one_call(spec.costs) is None
+        self._assert_matches_reference(spec, ConstantPolicy(3), 0, 1 / 1024)
+
+    @pytest.mark.parametrize("stacked", [True, False])
+    def test_catalog_process_never_groups_by_mode(self, monkeypatch, stacked):
+        other = catalog.F2 if stacked else {"const": 2.0, "terms": [{"k": [1], "sin": 1.0}]}
+        spec = catalog.unit_ball_eikonal_process([catalog.F1, other], FAST_RATES, 16)
+        policy = _greedy(spec, 0.25)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("mode grouping reached")
+
+        monkeypatch.setattr(switching, "_per_callable", forbidden)
+        monkeypatch.setattr(np, "bincount", forbidden)
+        run = lambda: estimate_value(spec, policy, [0.3], 0, 0.25, 300, 9, dt_sim=1 / 1024)
+        if stacked:
+            assert run().samples == 300
+        else:
+            with pytest.raises(AssertionError, match="mode grouping reached"):
+                run()
 
 
 class TestWrap:
