@@ -86,10 +86,6 @@ class CouplingMatrix:
             raise StructureError(f"coupling matrix must be square, got {e.shape}")
         return cls(m=e.shape[0], entries=e)
 
-    @classmethod
-    def from_field(cls, sampler: Callable, m: int) -> "CouplingMatrix":
-        return cls(m=m, sampler=sampler)
-
     @property
     def variant(self) -> str:
         return "constant" if self.entries is not None else "field"

@@ -1,45 +1,27 @@
 """Explicit monotone time marching for weakly coupled HJ systems.
 
-The semi-discrete operator per component is the monotone numerical flux of
-the Hamiltonian plus the zeroth-order coupling term, advanced with forward
-Euler:
+Per component, forward Euler on the monotone numerical flux of the
+Hamiltonian plus the zeroth-order coupling term:
 
     u_i <- u_i - dt * ( flux_i(x, D-u_i, D+u_i) + sum_j d_ij u_j )
 
 Under the CFL rule dt = min(cfl * h / (N * max_i lf_alpha_i), cfl / max_i d_ii)
-with cfl <= 1/2 the fully discrete scheme is monotone, so ordered initial
-data stay ordered up to roundoff; the comparison check quantifies this.
-``FluxKernel.check_cfl`` refuses a step whose summed budget
-dt (max sum_k alpha_k / h + max d_ii) exceeds 1.
-Snapshot times are hit exactly: each inter-snapshot segment is divided into
-equal steps no longer than the CFL step.
+with cfl <= 1/2 the scheme is monotone, so ordered initial data stay ordered
+up to roundoff (the comparison check); ``FluxKernel.check_cfl`` refuses a
+step whose summed budget dt (max sum_k alpha_k / h + max d_ii) exceeds 1.
+Each inter-snapshot segment is cut into equal steps no longer than the CFL
+step, so snapshot times are hit exactly.
 
-Every solver computes the flux through a ``FluxKernel``, built once per
-system and flux mode (``HJSystem.flux_kernel``).  It holds the node mesh,
-reusable difference buffers, the evaluators of each Hamiltonian's
-``bind(X)`` on the mesh, and the sampled coupling, so a step only does the
-work that depends on the values; in 1D that includes the nonconvex direction
-profile, sampled at d = +1 and d = -1.  Components of one built-in family
-(``FAMILY_EVALUATORS``; in global mode also with equal ``lf_alpha``) are
-evaluated together, once per step, with their x-data stacked on the
-component axis; any other component is a group of its own.  The flux equals
-``numerical_flux`` applied per component to ``diff_arrays`` bit for bit.
-Reductions are the dearest numpy calls at 1D sizes: p-axis sums use
-``hamiltonians.sum_p``, which reads a length-1 axis instead of reducing it,
-and CFL and finiteness take one reduction each.  The kernel owns its
-outputs, flux and alpha sums, and the jump D+v - D-v, computed once a step.
-
-``solve_batch`` marches B independent initial data of one system together,
-stacked as (B, m) + grid.shape and updated in place, v -= dt * (flux + D v).
-Every operation is elementwise or per member, so each member equals its own
-``solve`` bit for bit; ``solve`` is a batch of one and ``step`` updates a
-copy.  Bound evaluators see p shaped (B,) + grid.shape + (dim,), or
-(B, k) + grid.shape + (dim,) for a family group of k, as their (..., dim)
-contract allows.  CFL and finiteness errors name the member; a field
-coupling is refused before the first flux.  The K snapshots go into one
-(B, K, m) + grid.shape array, and member b's ``Trajectory.values`` is its
-row b, shaped (K, m) + grid.shape.  ``Trajectory.shifted`` is the one place
-that computes the drift-shifted field u_i + c_i t.
+Every solver takes the flux from a ``FluxKernel``, one per system and flux
+mode, equal bit for bit to ``numerical_flux`` of each component's
+``diff_arrays``.  ``solve_batch`` marches B initial data stacked as
+(B, m) + grid.shape in place, v -= dt * (flux + D v); every operation is
+elementwise or per member, so each member equals its own ``solve`` bit for
+bit (``solve`` is a batch of one, ``step`` updates a copy).  CFL and
+finiteness take one reduction each, and their errors name the member; a
+field coupling is refused before the first flux.  Member b's
+``Trajectory.values`` is row b of one (B, K, m) + grid.shape snapshot array;
+``Trajectory.shifted`` is the one drift shift u_i + c_i t.
 """
 from __future__ import annotations
 
@@ -55,8 +37,8 @@ import numpy as np
 
 from .coupling import CouplingMatrix, validate_monotone
 from .errors import ConfigError, DivergenceError, StructureError
-from .grid import Grid, GridFunction, diff_arrays, load_binary, save_binary, save_json
-from .hamiltonians import FAMILY_EVALUATORS, flux_from_midpoint, sum_p
+from .grid import Grid, GridFunction, diff_arrays, diff_axis, load_binary, save_binary, save_json
+from .hamiltonians import FAMILY_EVALUATORS, global_flux, local_flux, sum_p
 
 __all__ = [
     "HJSystem",
@@ -180,20 +162,21 @@ class EvolutionConfig:
             raise ConfigError(f"unknown flux mode {self.flux_mode!r}")
 
 
+_HALF = np.array(0.5)  # numpy applies a 0-d array faster than a Python float
+
+
 class FluxKernel:
     """Numerical flux of every component of one system, bound to its grid.
 
-    Built by ``HJSystem.flux_kernel``.  Computed once here, on the node mesh
-    X: per Hamiltonian the p-only evaluator and axis-alpha bound of its
-    ``bind(X)`` (the bound is dropped in global mode), and per group of
-    components the evaluators that ``__call__`` runs, stacked for a family
-    group of several; the coupling sampled at the nodes (``D_nodes``, None
-    for the constant variant) and its largest diagonal entry ``dmax``.  The
-    discounted solver's Newton iteration differentiates ``__call__`` itself.
-    The difference, midpoint, |p| and jump buffers and the returned flux and
-    alpha sums are kept per values shape and reused by every call of that
-    shape: a caller that keeps a returned array across calls must copy it,
-    and concurrent solves must not share one kernel.
+    Built by ``HJSystem.flux_kernel`` on the node mesh X: each ``bind(X)``
+    (no alpha in global mode), the groups of components evaluated together
+    (stacked for a family group of several), the coupling sampled at the
+    nodes (``D_nodes``, None if constant) and its largest diagonal ``dmax``.
+    A step plan per values shape, built on first sight, holds the buffers,
+    each group's views of them and its flux form, and family x-data
+    materialized at the batch shape; the march, ``step`` and Newton (which
+    differentiates this call) run it.  Returned arrays are the plan's, so a
+    caller that keeps one copies it; concurrent solves must not share one.
     """
 
     def __init__(self, system: HJSystem, mode: str):
@@ -202,7 +185,7 @@ class FluxKernel:
         grid = system.grid
         self.grid = grid
         X = grid.mesh()
-        self._buffers = {}  # values shape -> the seven buffers of ``diffs``
+        self._plans = {}  # values shape -> _StepPlan
         self._grid_axes = tuple(range(-grid.dim, 0))
         self.terms = []  # (H(p), axis alpha(pabs) or None for the global flux, lf_alpha)
         for ham in system.hams:
@@ -230,38 +213,43 @@ class FluxKernel:
             self.D_nodes = coupling.sample_at(grid.nodes())
             self.dmax = float(np.max(np.diagonal(self.D_nodes, axis1=-2, axis2=-1)))
 
+    def plan(self, shape: tuple) -> "_StepPlan":
+        """The step plan for values of ``shape``, built on first use."""
+        return self._plans.get(shape) or self._plans.setdefault(shape, _StepPlan(self, shape))
+
     def diffs(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``diff_arrays`` of the component stack, written into the buffers."""
-        shape, dim = values.shape, self.grid.dim
-        if shape not in self._buffers:
-            shapes = [shape + (dim,)] * 5 + [shape, shape[:-dim]]  # ..., flux, alpha sums
-            self._buffers[shape] = [np.empty(s) for s in shapes]
-        return diff_arrays(values, self.grid, out=self._buffers[shape][:2])
+        """``diff_arrays`` of the component stack, written into the plan's buffers."""
+        return diff_arrays(values, self.grid, out=self.plan(values.shape).buffers[:2])
 
     def __call__(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Flux of every component, shaped like ``values``: (m,) + grid.shape,
         or (B, m) + grid.shape for B members; and max_x sum_k alpha_k, (m,) or
         (B, m)."""
-        dminus, dplus = self.diffs(values)
-        pmid, pabs, jump, out, alpha_sums = self._buffers[values.shape][2:]
+        plan = self._plans.get(values.shape) or self.plan(values.shape)
+        dminus, dplus, pmid, pabs, jump, out, alpha_sums = plan.buffers
+        for axis, dm, dp in plan.axes:
+            diff_axis(values, self.grid, axis, dm, dp)
         if self.local:  # pmid holds |D+ v| until the midpoint overwrites it
             np.maximum(np.abs(dminus, out=pabs), np.abs(dplus, out=pmid), out=pabs)
-        np.multiply(0.5, np.add(dminus, dplus, out=pmid), out=pmid)
+        np.multiply(_HALF, np.add(dminus, dplus, out=pmid), out=pmid)
         np.subtract(dplus, dminus, out=jump)
-        for sel, H, alpha_fn, lf_alpha in self.groups:
-            c = (slice(None),) * (alpha_sums.ndim - 1) + (sel,)
+        for c, views, H, alpha_fn, lf_alpha in plan.groups:
+            pm, pa, jp, flux, sums = views or (pmid[c], pabs[c], jump[c], None, alpha_sums[c])
             if alpha_fn is None:
-                out[c] = flux_from_midpoint(H(pmid[c]), jump[c], lf_alpha)
-                alpha_sums[c] = lf_alpha * self.grid.dim
+                flux = global_flux(H(pm), jp, lf_alpha, out=flux)
             else:
-                alpha = np.asarray(alpha_fn(pabs[c]))
-                out[c] = flux_from_midpoint(H(pmid[c]), jump[c], alpha)
-                alpha_sums[c] = np.maximum.reduce(sum_p(alpha), axis=self._grid_axes)
+                alpha = np.asarray(alpha_fn(pa))
+                flux = local_flux(H(pm), jp, alpha, out=flux)
+                sums = np.maximum.reduce(sum_p(alpha), axis=self._grid_axes, out=sums)
+            if views is None:
+                out[c], alpha_sums[c] = flux, sums
         return out, alpha_sums
 
     def coupling_term(self, values: np.ndarray) -> np.ndarray:
         """sum_j d_ij(x) u_j for every component (and member, for the constant variant)."""
         if self.D_nodes is None:
+            if self.grid.dim == 1:  # the grid axis is already matmul's column axis
+                return np.matmul(self.entries, values)
             rows = values.shape[: values.ndim - self.grid.dim] + (-1,)
             return np.matmul(self.entries, values.reshape(rows)).reshape(values.shape)
         m = values.shape[0]
@@ -287,6 +275,37 @@ class FluxKernel:
                 f"dt*sum(alpha)/h + dt*(max d_ii + lambda) = {float(worst.flat[k])!r}; "
                 "enlarge lf_alpha/p_box or shrink dt"
             )
+
+
+class _StepPlan:
+    """A kernel's buffers, difference axes and group work for one values shape."""
+
+    def __init__(self, kernel: FluxKernel, shape: tuple):
+        dim = kernel.grid.dim
+        lead = shape[: len(shape) - dim - 1]
+        # D-, D+, midpoint, |p|, jump; the flux; the alpha sums
+        self.buffers = [np.empty(shape + (dim,)) for _ in range(5)]
+        self.buffers += [np.empty(shape), np.empty(shape[:-dim])]
+        dminus, dplus, *rest = self.buffers
+        self.axes = [(len(shape) - dim + k, dminus[..., k], dplus[..., k]) for k in range(dim)]
+        self.groups = []  # (index, views of rest or None, H, alpha or None, lf_alpha)
+        for sel, H, alpha, lf_alpha in kernel.groups:
+            c = (slice(None),) * len(lead) + (sel, Ellipsis)
+            if alpha is None:  # the global flux's alpha sums do not depend on the values
+                rest[-1][c] = lf_alpha * dim
+            views = None if isinstance(sel, np.ndarray) else [a[c] for a in rest]
+            H, alpha = (_at_batch_shape(fn, lead) for fn in (H, alpha))
+            self.groups.append((c, views, H, alpha, lf_alpha))
+
+
+def _at_batch_shape(fn, lead: tuple):
+    """A family evaluator with its array keywords materialized at ``lead``."""
+    if not lead or _family(fn) is fn:
+        return fn
+    return partial(fn.func, **{
+        key: np.broadcast_to(a, lead + a.shape).copy() if isinstance(a, np.ndarray) else a
+        for key, a in fn.keywords.items()
+    })
 
 
 def _family(fn):

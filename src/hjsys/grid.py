@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "sample",
     "one_sided_diffs",
     "diff_arrays",
+    "diff_axis",
     "sup_norm",
     "osc",
     "linf_distance",
@@ -66,6 +68,15 @@ class Grid:
     @property
     def num_nodes(self) -> int:
         return self.n**self.dim
+
+    @cached_property
+    def stencil(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only, built once per grid for ``diff_axis``: neighbour indices
+        -1..n-2 and 1..n, and h as a 0-d array (numpy applies it faster)."""
+        arrays = np.arange(-1, self.n - 1), np.arange(1, self.n + 1), np.array(self.h)
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
 
     def axis_coords(self) -> np.ndarray:
         return np.arange(self.n) / self.n
@@ -129,24 +140,26 @@ def diff_arrays(
     ``values.shape + (dim,)`` with the axis index in the trailing slot,
     matching the (x, p) convention of the Hamiltonian evaluators; ``out``
     supplies two such arrays to fill instead of fresh ones.  Periodic
-    wrap-around is done by ``take`` with ``mode="wrap"``, which reads index
-    -1 as n - 1 and n as 0, and the forward quotients are copies of the
-    backward ones shifted by one node, so ``roll(dplus, 1) == dminus`` holds
-    exactly.
+    wrap-around is ``take(mode="wrap")`` of the grid's ``stencil``, and the
+    forward quotients are copies of the backward ones shifted by one node,
+    so ``roll(dplus, 1) == dminus`` holds exactly.
     """
-    h = grid.h
     if out is None:
         dminus = np.empty(values.shape + (grid.dim,))
         dplus = np.empty_like(dminus)
     else:
         dminus, dplus = out
     for k in range(grid.dim):
-        axis = values.ndim - grid.dim + k
-        dm, dp = dminus[..., k], dplus[..., k]
-        np.subtract(values, values.take(np.arange(-1, grid.n - 1), axis, mode="wrap"), out=dm)
-        np.divide(dm, h, out=dm)
-        dm.take(np.arange(1, grid.n + 1), axis, out=dp, mode="wrap")
+        diff_axis(values, grid, values.ndim - grid.dim + k, dminus[..., k], dplus[..., k])
     return dminus, dplus
+
+
+def diff_axis(values: np.ndarray, grid: Grid, axis: int, dm: np.ndarray, dp: np.ndarray) -> None:
+    """One axis of ``diff_arrays``: the quotients along ``axis`` into ``dm`` and ``dp``."""
+    back, forward, h = grid.stencil
+    np.subtract(values, values.take(back, axis, mode="wrap"), out=dm)
+    np.divide(dm, h, out=dm)
+    dm.take(forward, axis, out=dp, mode="wrap")
 
 
 def one_sided_diffs(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:

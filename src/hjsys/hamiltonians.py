@@ -18,9 +18,9 @@ single global ``lf_alpha`` (probed over a configured p-box at build time)
 gives the textbook scheme; the built-in families also bound |dH/dp_k| on the
 hull of the one-sided gradients, so the stepping code can use stencil-local
 dissipation, which is what keeps the numerical large-time constants sharp on
-coarse grids.  ``flux_from_midpoint`` is the one implementation of this
-formula; the public ``numerical_flux`` and the solvers' grid-bound kernel
-both call it.
+coarse grids.  ``global_flux`` and ``local_flux`` are the one
+implementation of this formula, one per form of alpha; the public
+``numerical_flux`` and the solvers' grid-bound kernel both call them.
 
 A ``Hamiltonian`` is evaluated only through ``bind(X)``: given a node array
 X shaped (..., dim), it precomputes everything that depends only on x and
@@ -39,11 +39,8 @@ share one central difference in p, and every lattice they probe is
 ``check_assumption``, which hunts for counterexamples, draws random numbers.
 
 The built-in evaluators and local bounds are module-level functions bound to
-their x-data by ``partial`` keywords (``FAMILY_EVALUATORS``), so the flux
-kernel evaluates all components of one family together, with their x-data
-stacked on the component axis.  Code that runs once per step sums over the
-p axis with ``sum_p``: ``np.add.reduce(a, axis=-1)`` bit for bit, without
-the ``np.sum`` wrapper, and without a reduction on the length-1 axis of 1D.
+their x-data by ``partial`` keywords (``FAMILY_EVALUATORS``), which the flux
+kernel stacks per family; per-step p-axis sums use ``sum_p``.
 """
 from __future__ import annotations
 
@@ -66,7 +63,8 @@ __all__ = [
     "FAMILY_EVALUATORS",
     "lax_friedrichs_flux",
     "numerical_flux",
-    "flux_from_midpoint",
+    "global_flux",
+    "local_flux",
     "sum_p",
     "grad_p",
     "sampled_grad_sup",
@@ -153,9 +151,14 @@ def _xdata(fn, X, *args) -> np.ndarray:
     return np.broadcast_to(np.asarray(fn(X, *args), dtype=float), X.shape[:-1])
 
 
+# 0-d float64 constants: numpy applies them faster than floats, same bits
+_ZERO, _HALF, _TWO = (np.array(c) for c in (0.0, 0.5, 2.0))
+
+
 def sum_p(a) -> np.ndarray:
-    """``np.add.reduce(a, axis=-1)`` bit for bit; a length-1 axis is read, + 0.0 for -0.0."""
-    return a[..., 0] + 0.0 if a.shape[-1] == 1 else np.add.reduce(a, axis=-1)
+    """``np.add.reduce(a, axis=-1)`` of a float64 array bit for bit; a
+    length-1 axis is read, + 0.0 for -0.0."""
+    return a[..., 0] + _ZERO if a.shape[-1] == 1 else np.add.reduce(a, axis=-1)
 
 
 def _quadratic_h(p, fx):
@@ -163,7 +166,7 @@ def _quadratic_h(p, fx):
 
 
 # |dH/dp_k| = 2 |p_k|, exact on the one-sided hull
-_TWICE = partial(np.multiply, 2.0)
+_TWICE = partial(np.multiply, _TWO)
 
 
 def _linear_h(p, fx):
@@ -304,16 +307,14 @@ def make_nonconvex_example(
 # -- numerical flux ----------------------------------------------------------
 
 
-def flux_from_midpoint(mid, jump, alpha) -> np.ndarray:
-    """Lax-Friedrichs flux from ``mid = H(x, (p- + p+)/2)`` and ``jump = p+ - p-``.
+def global_flux(mid, jump, alpha, out=None) -> np.ndarray:
+    """The flux from ``mid = H(x, (p- + p+)/2)``, ``jump = p+ - p-`` and a scalar ``alpha``."""
+    return np.subtract(mid, 0.5 * alpha * sum_p(jump), out=out)
 
-    ``alpha`` is either the global scalar coefficient or per-axis local
-    bounds shaped like the gradients; the two dissipation terms are summed
-    in different orders, so each keeps its own expression.
-    """
-    if np.ndim(alpha) == 0:
-        return mid - 0.5 * alpha * sum_p(jump)
-    return mid - 0.5 * sum_p(alpha * jump)
+
+def local_flux(mid, jump, alpha, out=None) -> np.ndarray:
+    """``global_flux`` for per-axis bounds ``alpha``, summed in another order."""
+    return np.subtract(mid, _HALF * sum_p(alpha * jump), out=out)
 
 
 def lax_friedrichs_flux(H: Hamiltonian, x, p_minus, p_plus) -> np.ndarray:
@@ -340,9 +341,8 @@ def numerical_flux(
     h_of, alpha_of = H.bind(np.asarray(x, dtype=float))
     mid = h_of(0.5 * (pm + pp))
     if mode == "global" or alpha_of is None:
-        return flux_from_midpoint(mid, pp - pm, H.lf_alpha)
-    alpha = np.asarray(alpha_of(np.maximum(np.abs(pm), np.abs(pp))))
-    return flux_from_midpoint(mid, pp - pm, alpha)
+        return global_flux(mid, pp - pm, H.lf_alpha)
+    return local_flux(mid, pp - pm, np.asarray(alpha_of(np.maximum(np.abs(pm), np.abs(pp)))))
 
 
 # -- assumption checking -----------------------------------------------------

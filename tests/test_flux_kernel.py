@@ -322,6 +322,45 @@ def test_solve_matches_reference_loop(family, dim, mode):
                 assert _same_bits(got, want)
 
 
+@pytest.mark.parametrize("name,dim,mode", GROUPINGS)
+def test_grouped_batch_matches_reference_loop(name, dim, mode):
+    # three members march on one step plan; in the "mixed" system the
+    # quadratic family group is selected by an index array, and its x-data
+    # are materialized at the batch shape
+    system = _grouping_system(name, dim)
+    grid = system.grid
+    dt = cfl_dt(system, EvolutionConfig(t_final=1.0, flux_mode=mode))
+    config = EvolutionConfig(
+        t_final=60 * dt, snapshot_every=25 * dt, dt_override=dt, flux_mode=mode
+    )
+    u0s = [_values(grid, seed, system.m) for seed in (4, 5, 6)]
+    batch = solve_batch(system, [SystemState(0.0, u0, grid) for u0 in u0s], config)
+    for u0, traj in zip(u0s, batch):
+        snapshots, steps = _reference_solve(system, u0, config, traj.times)
+        assert traj.meta["steps_at_snapshot"] == steps and steps[-1] == 60
+        for got, want in zip(traj.values, snapshots):
+            assert _same_bits(got, want)
+    if name == "mixed":
+        c, views, H, *_ = system.flux_kernel(mode).plan((3,) + u0s[0].shape).groups[0]
+        assert isinstance(c[1], np.ndarray) and views is None
+        assert H.keywords["fx"].shape == (3, 2) + grid.shape
+
+
+def test_cfl_error_names_the_member_that_breaks_it_in_a_later_group():
+    # member 2 breaks the budget only in component 2, the custom group,
+    # which comes after the quadratic and nonconvex groups
+    system = _grouping_system("mixed", 1)
+    kernel, grid = system.flux_kernel("local"), system.grid
+    assert all(2 not in np.atleast_1d(np.arange(system.m)[sel]) for sel, *_ in kernel.groups[:2])
+    v = np.stack([_values(grid, seed, system.m) for seed in (1, 2, 3)])
+    v[2, 2] += 0.5 * np.sin(2 * np.pi * grid.axis_coords())
+    budgets = kernel(v)[1] / grid.h + kernel.dmax
+    dt = 1.01 / budgets[2, 2]
+    assert np.argwhere(dt * budgets > 1.0 + 1e-9).tolist() == [[2, 2]]
+    with pytest.raises(DivergenceError, match="^member 2: CFL budget exceeded"):
+        _advance(kernel, v, dt, 0.1)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_step_matches_reference_step_and_leaves_its_state_alone(family):
     system = _system(family, 1)
@@ -518,23 +557,26 @@ def test_kernel_outputs_are_reused_and_residuals_are_not():
     flux, alpha_sums = kernel(v1)
     again, sums = _residual(kernel, 0.1, v2)
     assert _same_bits(residual, kept)
-    assert kernel(v2)[0] is flux and kernel(v1)[1] is alpha_sums  # the kernel's buffers
+    assert kernel(v2)[0] is flux and kernel(v1)[1] is alpha_sums  # the plan's buffers
+    plan = kernel.plan(v1.shape)
+    assert flux is plan.buffers[5] and alpha_sums is plan.buffers[6]
 
 
 def test_alternating_residual_and_jacobian_calls_keep_their_buffers():
     # Newton alternates (m, n) residuals with (2 colors, m, n) Jacobian
-    # stacks: each shape keeps its own seven buffers, allocated once
+    # stacks: each shape keeps its own plan and its seven buffers, built once
     system = _system("nonconvex", 1)
     kernel = system.flux_kernel("local")
     v = _values(system.grid, 1)
     F, _ = _residual(kernel, 0.1, v)
     J = _jacobian(kernel, 0.1, v)
-    kept = {shape: list(buffers) for shape, buffers in kernel._buffers.items()}
+    kept = {shape: (plan, list(plan.buffers)) for shape, plan in kernel._plans.items()}
     assert len(kept) == 2 and v.shape in kept
     for _ in range(2):
         assert _same_bits(_residual(kernel, 0.1, v)[0], F)
         assert _same_bits(_jacobian(kernel, 0.1, v), J)
-    assert kernel._buffers.keys() == kept.keys()
-    for shape, buffers in kept.items():
+    assert kernel._plans.keys() == kept.keys()
+    for shape, (plan, buffers) in kept.items():
+        assert kernel._plans[shape] is plan
         assert len(buffers) == 7
-        assert all(a is b for a, b in zip(kernel._buffers[shape], buffers))
+        assert all(a is b for a, b in zip(kernel._plans[shape].buffers, buffers))

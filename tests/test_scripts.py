@@ -51,3 +51,24 @@ def test_run_suites_numerical_failure_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(module, "run_suite", diverge)
     assert module.main(["identical-gap"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_step_timing_reports_every_family_dimension_and_mode(tmp_path, capsys):
+    out = tmp_path / "step_us.json"
+    argv = ["--n", "16", "--steps", "3", "--repeat", "1", "--json", str(out)]
+    assert _load("step_timing").main(argv) == 0
+    rows = json.loads(out.read_text())
+    assert [(r["family"], r["dim"], r["mode"]) for r in rows] == [
+        (family, dim, mode)
+        for family in ("quadratic", "linear", "nonconvex")
+        for dim in (1, 2)
+        for mode in ("local", "global")
+    ]
+    assert rows[0]["shape"] == [2, 2, 16] and rows[-1]["shape"] == [2, 24, 24]
+    assert all(r["step_us"] > 0 for r in rows)
+    assert len(capsys.readouterr().out.splitlines()) == len(rows)
+
+
+def test_step_timing_rejects_a_zero_step_count(capsys):
+    assert _load("step_timing").main(["--steps", "0"]) == 2
+    assert "at least 1" in capsys.readouterr().err
