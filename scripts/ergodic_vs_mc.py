@@ -17,7 +17,6 @@ summary.json under --out and prints both tables.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import time
 
@@ -31,7 +30,7 @@ from hjsys.ergodic import (
     long_time_constant,
 )
 from hjsys.evolution import EvolutionConfig, solve
-from hjsys.grid import GridFunction
+from hjsys.grid import GridFunction, save_json
 from hjsys.suites import run_suite
 
 
@@ -115,9 +114,7 @@ def main(argv=None) -> int:
             "n_samples": args.n_samples,
             "seed": args.seed,
         }
-        with open(os.path.join(args.out, "summary.json"), "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json(summary, args.out, "summary.json")
         print(f"wrote {args.out}")
     return 0
 

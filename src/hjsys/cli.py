@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -335,13 +335,7 @@ def cmd_simulate(cfg, out_dir: str) -> int:
         u0 = [GridFunction(grid, np.zeros(grid.shape)) for _ in range(spec.m)]
         policy = GreedyGradientPolicy(spec, solve(system, u0, pde_cfg))
     est = estimate_value(spec, policy, x0, mode0, horizon, n_samples, seed, dt_sim=dt_sim)
-    payload = {
-        "mean": est.mean,
-        "std_error": est.std_error,
-        "samples": est.samples,
-        "policy_id": est.policy_id,
-    }
-    save_json(payload, out_dir, "value.json")
+    save_json(asdict(est), out_dir, "value.json")
     if dump_path:
         path = simulate_trajectory(spec, policy, x0, mode0, horizon, seed, dt_sim=dt_sim)
         rows = ["t,mode,action," + ",".join(f"x{k}" for k in range(spec.dim))]

@@ -23,7 +23,7 @@ for m = 2 the exponent is attained exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -130,17 +130,7 @@ class CouplingReport:
     perron: list | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "monotone": self.monotone,
-            "violations": [list(v) for v in self.violations],
-            "irreducible": self.irreducible,
-            "rank": self.rank,
-            "nonzero_row_index": self.nonzero_row_index,
-            "pairwise_nonzero": self.pairwise_nonzero,
-            "delta_rate": self.delta_rate,
-            "perron": self.perron,
-        }
+        return asdict(self)
 
 
 def _entries(D) -> np.ndarray:

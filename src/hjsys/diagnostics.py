@@ -33,7 +33,7 @@ where Phi sits between 10x the numerical floor and half its initial value.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -260,15 +260,6 @@ class SetEvaluation:
     empty: bool
     notes: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "points": self.points,
-            "values": self.values,
-            "empty": self.empty,
-            "notes": list(self.notes),
-        }
-
 
 def evaluate_on_set(
     vs,
@@ -342,22 +333,8 @@ class ConvergenceReport:
     set_evaluations: list = field(default_factory=list)
     notes: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "c_used": self.c_used,
-            "profile_distances": self.profile_distances,
-            "p_eta_table": self.p_eta_table,
-            "gap_table": self.gap_table,
-            "fitted_gap_rate": self.fitted_gap_rate,
-            "monotone_tail_ok": self.monotone_tail_ok,
-            "monotone_tail_worst": self.monotone_tail_worst,
-            "snapshot_cadence": self.snapshot_cadence,
-            "set_evaluations": [s.to_dict() for s in self.set_evaluations],
-            "notes": list(self.notes),
-        }
-
     def save(self, directory) -> None:
-        save_json(self.to_dict(), directory, "convergence.json")
+        save_json(asdict(self), directory, "convergence.json")
         tables = {
             "profile_distances.csv": ("t,distance", self.profile_distances),
             "p_eta.csv": ("eta,t,value", self.p_eta_table),

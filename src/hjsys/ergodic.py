@@ -45,7 +45,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .coupling import is_irreducible, validate_monotone
 from .errors import ConfigError, ConvergenceError, DivergenceError, StructureError
 from .evolution import HJSystem
 from .grid import GridFunction, diff_arrays, save_binary, save_json
@@ -112,24 +111,6 @@ class DiscountInfo:
     residual_history: list
     min_value: float
     scaled_sup: float  # lambda * sup v
-
-
-def _check_field_coupling(system: HJSystem, D: np.ndarray | None) -> None:
-    """Monotone and irreducible at every 64th node; D is sampled at the nodes."""
-    if D is None:
-        return
-    nodes = system.grid.nodes()
-    step_ = max(1, len(nodes) // 64)
-    for k in range(0, len(nodes), step_):
-        ok, violations = validate_monotone(D[k])
-        if not ok:
-            raise StructureError(
-                f"field coupling not monotone at x = {nodes[k].tolist()}: {violations[:2]}"
-            )
-        if not is_irreducible(D[k]):
-            raise StructureError(
-                f"field coupling reducible at x = {nodes[k].tolist()}"
-            )
 
 
 _NEWTON_MAX_ITER = 50
@@ -263,7 +244,6 @@ def solve_discounted(
         if "coercive" not in h.class_tags:
             raise StructureError(f"Hamiltonian {i} is not tagged coercive")
     kernel = system.flux_kernel(schedule.flux_mode)
-    _check_field_coupling(system, kernel.D_nodes)
 
     v = np.zeros((system.m,) + system.grid.shape) if v0 is None else np.array(v0, dtype=float)
     tol = schedule.steady_state_tol

@@ -31,11 +31,12 @@ import math
 import os
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
 
-from .coupling import CouplingMatrix, validate_monotone
+from .coupling import ROW_SUM_TOL, CouplingMatrix, is_irreducible, validate_monotone
 from .errors import ConfigError, DivergenceError, StructureError
 from .grid import Grid, GridFunction, diff_arrays, diff_axis, load_binary, save_binary, save_json
 from .hamiltonians import FAMILY_EVALUATORS, global_flux, local_flux, sum_p
@@ -170,8 +171,10 @@ class FluxKernel:
 
     Built by ``HJSystem.flux_kernel`` on the node mesh X: each ``bind(X)``
     (no alpha in global mode), the groups of components evaluated together
-    (stacked for a family group of several), the coupling sampled at the
-    nodes (``D_nodes``, None if constant) and its largest diagonal ``dmax``.
+    (runs of consecutive components of one family, stacked), the coupling
+    sampled at the nodes (``D_nodes``, None if constant; a field coupling
+    must be monotone and irreducible at every node) and its largest
+    diagonal ``dmax``.
     A step plan per values shape, built on first sight, holds the buffers,
     each group's views of them and its flux form, and family x-data
     materialized at the batch shape; the march, ``step`` and Newton (which
@@ -192,16 +195,14 @@ class FluxKernel:
             H, alpha = ham.bind(X)
             self.terms.append((H, None if mode == "global" else alpha, ham.lf_alpha))
         self.local = any(alpha is not None for _, alpha, _ in self.terms)
-        families = {}  # family key, or the index of a component of its own -> indices
-        for i, term in enumerate(self.terms):
-            families.setdefault(_family_key(*term) or i, []).append(i)
-        self.groups = []  # (component index or indices, H(p), alpha(pabs) or None, lf_alpha)
-        for members in families.values():
+        self.groups = []  # (component index or slice, H(p), alpha(pabs) or None, lf_alpha)
+        # a group is a run of consecutive components of one family
+        runs = groupby(range(system.m), lambda i: _family_key(*self.terms[i]) or i)
+        for members in (list(run) for _, run in runs):
             sel = members[0]
             H, alpha, lf_alpha = self.terms[sel]
             if len(members) > 1:
-                contiguous = members[-1] - sel == len(members) - 1
-                sel = slice(sel, members[-1] + 1) if contiguous else np.array(members)
+                sel = slice(sel, members[-1] + 1)
                 H, alpha = (_stacked([self.terms[i][j] for i in members], X.ndim) for j in (0, 1))
             self.groups.append((sel, H, alpha, lf_alpha))
         coupling = system.coupling
@@ -209,9 +210,28 @@ class FluxKernel:
         if coupling.entries is not None:
             self.D_nodes = None
             self.dmax = float(np.max(np.diag(coupling.entries)))
-        else:
-            self.D_nodes = coupling.sample_at(grid.nodes())
-            self.dmax = float(np.max(np.diagonal(self.D_nodes, axis1=-2, axis2=-1)))
+            return
+        # a field coupling must be monotone and irreducible at every node
+        nodes = grid.nodes()
+        D = self.D_nodes = coupling.sample_at(nodes)
+        diag = np.diagonal(D, axis1=-2, axis2=-1)
+        self.dmax = float(np.max(diag))
+        off = ~np.eye(system.m, dtype=bool)
+        bad = ~np.isfinite(D).all(axis=(-2, -1)) | (diag < 0).any(axis=-1)
+        bad |= ((D > 0) & off).any(axis=(-2, -1))
+        bad |= (np.abs(D.sum(axis=-1)) > ROW_SUM_TOL).any(axis=-1)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise StructureError(
+                f"field coupling not monotone at x = {nodes[k].tolist()}: "
+                f"{validate_monotone(D[k])[1][:2]}"
+            )
+        # one irreducibility test per off-diagonal sparsity pattern
+        patterns, first = np.unique((D != 0) & off, axis=0, return_index=True)
+        reducible = [k for pattern, k in zip(patterns, first) if not is_irreducible(pattern)]
+        if reducible:
+            x = nodes[min(reducible)].tolist()
+            raise StructureError(f"field coupling reducible at x = {x}")
 
     def plan(self, shape: tuple) -> "_StepPlan":
         """The step plan for values of ``shape``, built on first use."""
@@ -233,16 +253,13 @@ class FluxKernel:
             np.maximum(np.abs(dminus, out=pabs), np.abs(dplus, out=pmid), out=pabs)
         np.multiply(_HALF, np.add(dminus, dplus, out=pmid), out=pmid)
         np.subtract(dplus, dminus, out=jump)
-        for c, views, H, alpha_fn, lf_alpha in plan.groups:
-            pm, pa, jp, flux, sums = views or (pmid[c], pabs[c], jump[c], None, alpha_sums[c])
+        for (pm, pa, jp, flux, sums), H, alpha_fn, lf_alpha in plan.groups:
             if alpha_fn is None:
-                flux = global_flux(H(pm), jp, lf_alpha, out=flux)
+                global_flux(H(pm), jp, lf_alpha, out=flux)
             else:
                 alpha = np.asarray(alpha_fn(pa))
-                flux = local_flux(H(pm), jp, alpha, out=flux)
-                sums = np.maximum.reduce(sum_p(alpha), axis=self._grid_axes, out=sums)
-            if views is None:
-                out[c], alpha_sums[c] = flux, sums
+                local_flux(H(pm), jp, alpha, out=flux)
+                np.maximum.reduce(sum_p(alpha), axis=self._grid_axes, out=sums)
         return out, alpha_sums
 
     def coupling_term(self, values: np.ndarray) -> np.ndarray:
@@ -288,14 +305,13 @@ class _StepPlan:
         self.buffers += [np.empty(shape), np.empty(shape[:-dim])]
         dminus, dplus, *rest = self.buffers
         self.axes = [(len(shape) - dim + k, dminus[..., k], dplus[..., k]) for k in range(dim)]
-        self.groups = []  # (index, views of rest or None, H, alpha or None, lf_alpha)
+        self.groups = []  # (views of rest, H, alpha or None, lf_alpha)
         for sel, H, alpha, lf_alpha in kernel.groups:
             c = (slice(None),) * len(lead) + (sel, Ellipsis)
             if alpha is None:  # the global flux's alpha sums do not depend on the values
                 rest[-1][c] = lf_alpha * dim
-            views = None if isinstance(sel, np.ndarray) else [a[c] for a in rest]
             H, alpha = (_at_batch_shape(fn, lead) for fn in (H, alpha))
-            self.groups.append((c, views, H, alpha, lf_alpha))
+            self.groups.append(([a[c] for a in rest], H, alpha, lf_alpha))
 
 
 def _at_batch_shape(fn, lead: tuple):

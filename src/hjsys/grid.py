@@ -217,7 +217,8 @@ def interp_periodic(values: np.ndarray, grid: Grid, points: np.ndarray) -> np.nd
 # CSV: one row per node, "index,x[,y],value", floats via repr (round-trip).
 # Binary: int32 little-endian header (dim, n), then row-major float64
 # little-endian values.
-# JSON artifacts: indent 2, sorted keys, a trailing newline.
+# JSON artifacts: indent 2, sorted keys, a trailing newline.  A report is
+# ``dataclasses.asdict`` of its dataclass, so its fields are its keys.
 
 
 def save_csv(u: GridFunction, path) -> None:

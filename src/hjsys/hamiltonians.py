@@ -372,16 +372,6 @@ class AssumptionReport:
     eta_psi_profile: list | None = None
     notes: list = dc_field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "assumption_id": self.assumption_id,
-            "passed": self.passed,
-            "sample_count": self.sample_count,
-            "violations": [list(v) for v in self.violations[:20]],
-            "eta_psi_profile": self.eta_psi_profile,
-            "notes": list(self.notes),
-        }
-
 
 def _torus_dist(xs: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     """Periodic distance from each x to the nearest anchor; inf if none."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import inspect
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -55,16 +55,6 @@ class CheckResult:
     relation: str = "<="
     detail: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "value": self.value,
-            "bound": self.bound,
-            "relation": self.relation,
-            "detail": self.detail,
-        }
-
 
 @dataclass
 class SuiteResult:
@@ -78,13 +68,7 @@ class SuiteResult:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "elapsed_seconds": self.elapsed_seconds,
-            "checks": [c.to_dict() for c in self.checks],
-            "artifacts": self.artifacts,
-        }
+        return {**asdict(self), "passed": self.passed}
 
     def save(self, directory) -> None:
         save_json(self.to_dict(), directory, "suite.json")
@@ -254,7 +238,7 @@ def suite_largenew_eikonal(n: int = 256, t_final: float = 40.0) -> SuiteResult:
     mid_gaps = np.abs(traj_a.values[k_mid] - traj_b.values[k_mid])
     on_set = [mid_gaps[(slice(None),) + grid.node_index(p)] for p in sset.points]
     mid_gap_set = float(np.max(on_set)) if on_set else float("nan")
-    artifacts["shared_minimizer_set"] = sset.to_dict()
+    artifacts["shared_minimizer_set"] = asdict(sset)
     artifacts["mid_run_gap"] = {
         "t": float(traj_a.times[k_mid]),
         "on_set": mid_gap_set,

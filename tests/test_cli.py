@@ -984,3 +984,37 @@ def test_block_that_is_not_a_mapping_is_a_config_error(tmp_path, capsys, kind, b
     assert rc == 2
     assert f"{where} must be a mapping, got {value!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+_ARTIFACT_KEYS = [
+    ("evolve", _evolve_cfg, "trajectory/manifest.json",
+     {"files", "format", "grid", "m", "meta", "times"}, None),
+    ("ergodic", _ergodic_cfg, "ergodic.json",
+     {"anchor", "c", "c_raw", "cross_component_spread", "notes", "per_lambda", "residual"},
+     None),
+    ("diagnose", _diagnose_cfg, "convergence.json",
+     {"c_used", "fitted_gap_rate", "gap_table", "monotone_tail_ok", "monotone_tail_worst",
+      "notes", "p_eta_table", "profile_distances", "set_evaluations", "snapshot_cadence"},
+     ("set_evaluations", {"empty", "kind", "notes", "points", "values"})),
+    ("simulate", _idle_cfg, "value.json", {"mean", "policy_id", "samples", "std_error"}, None),
+    ("validate-coupling", lambda: {"coupling": {"name": "symmetric_pair"}}, "coupling.json",
+     {"delta_rate", "irreducible", "m", "monotone", "nonzero_row_index", "pairwise_nonzero",
+      "perron", "rank", "violations"}, None),
+    ("theorem-suite",
+     lambda: {"name": "identical-gap", "overrides": {"n": 16, "t_final": 0.5}}, "suite.json",
+     {"artifacts", "checks", "elapsed_seconds", "name", "passed"},
+     ("checks", {"bound", "detail", "name", "passed", "relation", "value"})),
+]
+
+
+@pytest.mark.parametrize("kind, cfg, name, keys, nested", _ARTIFACT_KEYS)
+def test_json_artifacts_keep_their_key_sets(tmp_path, kind, cfg, name, keys, nested):
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main([kind, "--config", _write(tmp_path, "c.json", cfg()), "--out", str(out)])
+    assert rc in (0, 1)  # the short identical-gap horizon fails a check but writes suite.json
+    payload = json.loads((out / name).read_text())
+    assert set(payload) == keys
+    if nested is not None:
+        field, entry_keys = nested
+        assert payload[field] and all(set(entry) == entry_keys for entry in payload[field])

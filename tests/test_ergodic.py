@@ -312,6 +312,30 @@ class TestFieldCoupling:
         with pytest.raises(StructureError):
             solve(system, u0, EvolutionConfig(t_final=0.1))
 
+    @staticmethod
+    def _patched(entries, at):
+        """``_field_sampler`` on Grid(1, 128) with ``entries`` at the node
+        indices k where ``at(k)`` holds."""
+        def sampler(points):
+            out = _field_sampler(points)
+            out[at(np.rint(points[:, 0] * 128).astype(int))] = entries
+            return out
+
+        system = _field_system(n=128)
+        return dataclasses.replace(system, coupling=CouplingMatrix(2, sampler=sampler))
+
+    def test_coupling_not_monotone_at_every_odd_node_is_refused(self):
+        # d_00 = -1 and d_01 = +1, rows still summing to zero, at odd nodes
+        system = self._patched([[-1.0, 1.0], [-1.0, 1.0]], lambda k: k % 2 == 1)
+        with pytest.raises(StructureError, match=r"not monotone at x = \[0\.0078125\]"):
+            solve_discounted(system, 0.1)
+
+    def test_coupling_reducible_at_one_node_is_refused(self):
+        # component 0 ignores component 1 at x = 3/128 only
+        system = self._patched([[0.0, 0.0], [-1.0, 1.0]], lambda k: k == 3)
+        with pytest.raises(StructureError, match=r"reducible at x = \[0\.0234375\]"):
+            solve_discounted(system, 0.1)
+
 
 class TestLongTimeConstant:
     def _linear_traj(self, cs, t_final=40.0, every=1.0):

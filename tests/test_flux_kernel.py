@@ -191,15 +191,15 @@ def _grouping_system(name, dim):
 
 
 def _group_count(name, dim, mode):
-    """Quadratics stack in every case and 1D nonconvex components in local
-    mode; their global lf_alpha differ, and 2D nonconvex and custom
-    components stand alone."""
+    """A group is a run of consecutive components of one family: the
+    interleaved "mixed" families stand alone, and the 1D nonconvex pair
+    stacks in local mode only; their global lf_alpha differ, and 2D
+    nonconvex and custom components stand alone."""
     if name == "action-first":
         return 2
-    nonconvex_stack = dim == 1 and mode == "local"
     if name == "nonconvex-profiles":
-        return 1 if nonconvex_stack else 2
-    return 3 if nonconvex_stack else 4
+        return 1 if dim == 1 and mode == "local" else 2
+    return 5
 
 
 def _reference_alpha_sum(ham, X, dminus, dplus, mode):
@@ -324,9 +324,10 @@ def test_solve_matches_reference_loop(family, dim, mode):
 
 @pytest.mark.parametrize("name,dim,mode", GROUPINGS)
 def test_grouped_batch_matches_reference_loop(name, dim, mode):
-    # three members march on one step plan; in the "mixed" system the
-    # quadratic family group is selected by an index array, and its x-data
-    # are materialized at the batch shape
+    # three members march on one step plan; in the "mixed" system, whose
+    # families interleave, the first quadratic is a group of its own that
+    # writes through views of the plan's buffers, and its x-data are
+    # materialized at the batch shape
     system = _grouping_system(name, dim)
     grid = system.grid
     dt = cfl_dt(system, EvolutionConfig(t_final=1.0, flux_mode=mode))
@@ -341,9 +342,10 @@ def test_grouped_batch_matches_reference_loop(name, dim, mode):
         for got, want in zip(traj.values, snapshots):
             assert _same_bits(got, want)
     if name == "mixed":
-        c, views, H, *_ = system.flux_kernel(mode).plan((3,) + u0s[0].shape).groups[0]
-        assert isinstance(c[1], np.ndarray) and views is None
-        assert H.keywords["fx"].shape == (3, 2) + grid.shape
+        plan = system.flux_kernel(mode).plan((3,) + u0s[0].shape)
+        views, H, *_ = plan.groups[0]
+        assert all(np.shares_memory(v, b) for v, b in zip(views, plan.buffers[2:], strict=True))
+        assert H.keywords["fx"].shape == (3,) + grid.shape
 
 
 def test_cfl_error_names_the_member_that_breaks_it_in_a_later_group():
