@@ -232,8 +232,13 @@ def cmd_diagnose(cfg, out_dir: str) -> int:
         use_log_transform = _flag(cfg, "use_log_transform", True)
         gap = _flag(cfg, "gap", False)
         sets = []
-        for block in _get(cfg, "sets", []):
-            kind = _get(block, "kind", where="sets")
+        if not isinstance(blocks := _get(cfg, "sets", []), list):
+            raise ConfigError(f"sets must be a list of mappings, got {blocks!r}")
+        for i, block in enumerate(blocks):
+            kind = _get(block, "kind", where=f"sets[{i}]") if isinstance(block, dict) else None
+            _known_keys(block, ("kind", "points") if kind == "custom" else ("kind",), f"sets[{i}]")
+            if kind not in ("common_min", "flat_min", "S", "F", "custom"):
+                raise ConfigError(f"sets[{i}].kind is unknown: {kind!r}")
             points = _real(block, "points", where="sets", many=True) if kind == "custom" else None
             sets.append((kind, points))
     if "trajectory_dir" in cfg:
@@ -355,6 +360,7 @@ def cmd_simulate(cfg, out_dir: str) -> int:
 
 def cmd_validate_coupling(cfg, out_dir: str) -> int:
     with _reading("coupling"):
+        _known_keys(cfg, ("coupling",), "validate-coupling config")
         coupling = _build_coupling(_get(cfg, "coupling"))
     report = analyze(coupling.entries)
     payload = report.to_dict()
@@ -365,6 +371,7 @@ def cmd_validate_coupling(cfg, out_dir: str) -> int:
 
 
 def cmd_theorem_suite(cfg, out_dir: str) -> int:
+    _known_keys(cfg, ("name", "overrides"), "theorem-suite config")
     name = _get(cfg, "name")
     overrides = _get(cfg, "overrides", {})
     if not isinstance(overrides, dict):

@@ -45,6 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .coupling import is_irreducible
 from .errors import ConfigError, ConvergenceError, DivergenceError, StructureError
 from .evolution import HJSystem
 from .grid import GridFunction, diff_arrays, save_binary, save_json
@@ -243,6 +244,8 @@ def solve_discounted(
     for i, h in enumerate(system.hams):
         if "coercive" not in h.class_tags:
             raise StructureError(f"Hamiltonian {i} is not tagged coercive")
+    if system.coupling.entries is not None and not is_irreducible(system.coupling.entries):
+        raise StructureError("constant coupling is reducible")
     kernel = system.flux_kernel(schedule.flux_mode)
 
     v = np.zeros((system.m,) + system.grid.shape) if v0 is None else np.array(v0, dtype=float)

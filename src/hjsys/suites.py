@@ -15,6 +15,7 @@ constant matches the continuum one beyond the stated tolerance.
 from __future__ import annotations
 
 import inspect
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -524,9 +525,10 @@ SUITE_RUNNERS = {
 
 def _overrides(name: str, runner, kwargs: dict) -> dict:
     """Check override keys against the runner and convert each value to the
-    type of that parameter's default; a boolean is not a number.  The grid
-    size and the seed are held to the ranges ``Grid`` and ``SeedSequence``
-    accept."""
+    type of that parameter's default.  Only finite JSON numbers pass, and
+    only integral ones for an int parameter; a boolean or a string is not a
+    number.  The grid size and the seed are held to the ranges ``Grid`` and
+    ``SeedSequence`` accept."""
     params = inspect.signature(runner).parameters
     out = {}
     for key, value in kwargs.items():
@@ -535,15 +537,12 @@ def _overrides(name: str, runner, kwargs: dict) -> dict:
                 f"suite {name!r} has no parameter {key!r}; accepted: {', '.join(params)}"
             )
         kind = type(params[key].default)
-        try:
-            out[key] = kind(value)
-            lossy = kind is int and isinstance(value, float) and out[key] != value
-            if isinstance(value, bool) or lossy:
-                raise ValueError("not a number of that type")
-        except (TypeError, ValueError, OverflowError) as exc:
+        real = isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+        if isinstance(value, bool) or not real or kind is int and value % 1:
             raise ConfigError(
                 f"suite {name!r} parameter {key!r} must be {kind.__name__}, got {value!r}"
-            ) from exc
+            )
+        out[key] = kind(value)
     for key, least in (("n", 8), ("seed", 0)):
         if out.get(key, least) < least:
             raise ConfigError(

@@ -14,10 +14,10 @@ matching the value functions solved by the PDE side with
     H_i(x, p) = max over actions a of [-<b_i(x, a), p> - l_i(x, a)],
     d_ii = sum_{j != i} gamma_ij,   d_ij = -gamma_ij.
 
-``simulate_trajectory`` is the scalar reference implementation with a full
-path record.  ``estimate_value`` runs all its paths in one time loop,
-vectorized over the sample axis, and draws every clock and destination from
-one generator seeded by its ``seed``, so seeded results are reproducible.
+``estimate_value`` runs all its paths in one time loop, vectorized over the
+sample axis, and draws every clock and destination from one generator
+seeded by its ``seed``, so seeded results are reproducible.
+``simulate_trajectory`` runs that loop on one path and records it.
 
 Each (sub-)step of that loop looks up the moving paths' actions with one
 gather from the policy table, evaluates the dynamics and the costs with
@@ -277,54 +277,21 @@ def simulate_trajectory(
     seed: int,
     dt_sim: float | None = None,
 ) -> Path:
-    """One path with a full record; deterministic given the seed."""
+    """One path of ``estimate_value``'s time loop, drawn from
+    ``np.random.default_rng(seed)``, with a full record."""
     dt = _run_step(spec, x0, mode0, horizon, dt_sim)
-    rng = np.random.default_rng(seed)
-    R = spec.total_rates()
-    cdf = _destination_cdf(spec, R)
-    x = _wrap(np.atleast_1d(np.asarray(x0, dtype=float)))
-    mode = int(mode0)
-    t = 0.0
-    next_switch = t + rng.exponential(1.0 / R[mode]) if R[mode] > 0 else np.inf
-    times, positions, modes, actions = [t], [x.copy()], [mode], []
-    cost = 0.0
-    while t < horizon - 1e-15:
-        seg_end = min(t + dt, horizon, next_switch)
-        a_idx = int(
-            policy.action_indices(x[None, :], np.array([mode]), np.array([horizon - t]))[0]
-        )
-        a = spec.control_set[a_idx]
-        b = np.broadcast_to(np.asarray(spec.dynamics[mode](x, a), dtype=float), x.shape)
-        ell = float(np.asarray(spec.costs[mode](x, a), dtype=float))
-        seg = seg_end - t
-        cost += ell * seg
-        x = _wrap(x + seg * b)
-        t = seg_end
-        if t >= next_switch - 1e-15 and t < horizon - 1e-15:
-            mode = _draw_destinations(cdf, np.array([mode]), rng.random(1))[0]
-            next_switch = t + (
-                rng.exponential(1.0 / R[mode]) if R[mode] > 0 else np.inf
-            )
-        times.append(t)
-        positions.append(x.copy())
-        modes.append(mode)
-        actions.append(a_idx)
-    cost += float(np.asarray(spec.terminal[mode](x), dtype=float))
-    actions.append(actions[-1] if actions else 0)
-    return Path(
-        times=np.asarray(times),
-        positions=np.asarray(positions),
-        modes=np.asarray(modes),
-        actions=np.asarray(actions),
-        cost=cost,
-    )
+    record = []
+    cost = _run_batch(spec, policy, x0, mode0, horizon, dt, np.random.default_rng(seed), 1, record)
+    times, positions, modes, actions = map(np.asarray, zip(*record))
+    return Path(times, positions, modes, actions, float(cost[0]))
 
 
 def _advance(spec, roles, policy, x, modes, cost, seg, time_to_go):
     """Move the paths with seg > 0 along their actions for seg and charge
-    their running cost, in place.  Only those paths are looked up and
-    evaluated; ``time_to_go`` is one number or one entry per path, and
-    ``roles`` the ``_one_call`` of the dynamics and of the costs."""
+    their running cost, in place; returns those paths' action indices.
+    Only those paths are looked up and evaluated; ``time_to_go`` is one
+    number or one entry per path, and ``roles`` the ``_one_call`` of the
+    dynamics and of the costs."""
     live = seg > 0
     if np.all(live):
         idx = slice(None)
@@ -335,7 +302,8 @@ def _advance(spec, roles, policy, x, modes, cost, seg, time_to_go):
         if np.ndim(time_to_go):
             time_to_go = time_to_go[idx]
     xs, ms, s = x[idx], modes[idx], seg[idx]
-    a = spec.control_set.take(policy.action_indices(xs, ms, time_to_go), axis=0)
+    a_idx = policy.action_indices(xs, ms, time_to_go)
+    a = spec.control_set.take(a_idx, axis=0)
     v, c = (
         _per_callable(fns, ms, xs, a, shape) if role is None
         else role[0](xs, a, **({role[1]: role[2].take(ms, axis=-1)} if role[1] else {}))
@@ -343,6 +311,7 @@ def _advance(spec, roles, policy, x, modes, cost, seg, time_to_go):
     )
     cost[idx] += c * s
     x[idx] = _wrap(xs + s[:, None] * v)
+    return a_idx
 
 
 def _one_call(fns):
@@ -376,9 +345,10 @@ def _clock(R, draw):
         return np.where(R > 0, draw / R, np.inf)
 
 
-def _run_batch(spec, policy, x0, mode0, horizon, dt, rng, n) -> np.ndarray:
+def _run_batch(spec, policy, x0, mode0, horizon, dt, rng, n, record=None) -> np.ndarray:
     """Costs of n paths from (x0, mode0), advanced in one time loop; every
-    random number comes from ``rng``."""
+    random number comes from ``rng``.  A ``record`` list gets path 0's
+    (t, x, mode, action) where each of its moves starts, and at the end."""
     R = spec.total_rates()
     cdf = _destination_cdf(spec, R)
     x = np.broadcast_to(_wrap(np.atleast_1d(np.asarray(x0, dtype=float))), (n, spec.dim)).copy()
@@ -387,12 +357,20 @@ def _run_batch(spec, policy, x0, mode0, horizon, dt, rng, n) -> np.ndarray:
     next_switch = _clock(R[modes], rng.exponential(size=n))
     n_steps = max(1, int(np.ceil(horizon / dt - 1e-12)))
     roles = [_one_call(spec.dynamics), _one_call(spec.costs)]
+
+    def move(seg, t):
+        # the paths with seg > 0 move from time t, one number or one per path
+        row = record is not None and seg[0] > 0 and (np.ravel(t)[0], x[0].copy(), modes[0])
+        a_idx = _advance(spec, roles, policy, x, modes, cost, seg, horizon - t)
+        if row:
+            record.append(row + (a_idx[0],))
+
     t0 = 0.0
     for k in range(n_steps):
         t1 = min((k + 1) * dt, horizon)
         # every path starts the step at t0, so the time to go is one number
         seg = np.maximum(np.minimum(next_switch, t1) - t0, 0.0)
-        _advance(spec, roles, policy, x, modes, cost, seg, horizon - t0)
+        move(seg, t0)
         cur = t0 + seg
         while True:
             # the few paths whose clock rang inside the step switch mode and
@@ -407,12 +385,14 @@ def _run_batch(spec, policy, x0, mode0, horizon, dt, rng, n) -> np.ndarray:
                 R[modes[switching]], rng.exponential(size=len(switching))
             )
             seg = np.maximum(np.minimum(next_switch, t1) - cur, 0.0)
-            _advance(spec, roles, policy, x, modes, cost, seg, horizon - cur)
+            move(seg, cur)
             cur += seg
         t0 = t1
     for i in np.unique(modes):
         sel = modes == i
         cost[sel] += spec.terminal[i](x[sel])
+    if record is not None:
+        record.append((t0, x[0].copy(), modes[0], record[-1][3]))
     return cost
 
 

@@ -372,6 +372,15 @@ class TestErgodic:
         assert (out / "per_lambda.csv").exists()
         assert (out / "corrector0.bin").exists()
 
+    def test_reducible_coupling_is_a_config_error(self, tmp_path, capsys):
+        # a decoupled pair has no common constant; it used to exit 0
+        cfg = _ergodic_cfg()
+        cfg["system"]["coupling"] = {"entries": [[0.0, 0.0], [0.0, 0.0]]}
+        out = tmp_path / "out"
+        rc = main(["ergodic", "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)])
+        assert rc == 2
+        assert "constant coupling is reducible" in capsys.readouterr().err
+        assert not out.exists()
 
     @settings(max_examples=60)
     @given(data=st.data())
@@ -688,6 +697,11 @@ class TestTheoremSuite:
             ("appendix-mc", "seed", -1),  # SeedSequence takes no negative seed
             ("identical-gap", "t_final", True),
             ("appendix-mc", "horizon", True),
+            # int("16") and float("nan") used to take strings
+            ("identical-gap", "n", "16"),
+            ("identical-gap", "t_final", "nan"),
+            ("appendix-mc", "seed", "7"),
+            ("identical-gap", "t_final", float("nan")),
         ],
     )
     def test_override_out_of_range_or_boolean(self, tmp_path, capsys, name, key, value):
@@ -948,7 +962,13 @@ _DIAGNOSE_KEYS = "trajectory_dir, system, solver, u0, c, sets, etas, gap, use_lo
       "system.hamiltonians[0]", "id, params"),
      ("diagnose", _diagnose_cfg, (), "eta", "diagnose config", _DIAGNOSE_KEYS),
      ("diagnose", _diagnose_cfg, ("system", "grid"), "m", "system.grid", "dim, n"),
-     ("diagnose", _diagnose_cfg, ("u0",), "kinds", "u0 of kind 'constants'", "kind, values")],
+     ("diagnose", _diagnose_cfg, ("u0",), "kinds", "u0 of kind 'constants'", "kind, values"),
+     ("diagnose", _diagnose_cfg, ("sets", 0), "points", "sets[0]", "kind"),
+     ("diagnose", _diagnose_cfg, ("sets", 1), "point", "sets[1]", "kind, points"),
+     ("validate-coupling", lambda: {"coupling": {"name": "symmetric_pair"}}, (), "coupling_",
+      "validate-coupling config", "coupling"),
+     ("theorem-suite", lambda: {"name": "identical-gap", "overrides": {"n": 16}}, (), "overides",
+      "theorem-suite config", "name, overrides")],
 )
 def test_unknown_system_or_top_level_key_is_a_config_error(tmp_path, capsys, kind, base, block,
                                                            typo, where, accepted):
@@ -973,7 +993,8 @@ def test_unknown_system_or_top_level_key_is_a_config_error(tmp_path, capsys, kin
      ("evolve", _evolve_cfg, ("system", "hamiltonians", 0), "quadratic_eikonal",
       "system.hamiltonians[0]"),
      ("evolve", _evolve_cfg, ("u0",), "zeros", "u0 of kind 'zeros'"),
-     ("ergodic", _ergodic_cfg, ("system",), [1, 2], "system")],
+     ("ergodic", _ergodic_cfg, ("system",), [1, 2], "system"),
+     ("diagnose", _diagnose_cfg, ("sets", 0), "common_min", "sets[0]")],
 )
 def test_block_that_is_not_a_mapping_is_a_config_error(tmp_path, capsys, kind, base, block,
                                                        value, where):
@@ -983,6 +1004,23 @@ def test_block_that_is_not_a_mapping_is_a_config_error(tmp_path, capsys, kind, b
     rc = main([kind, "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)])
     assert rc == 2
     assert f"{where} must be a mapping, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "sets, message",
+    [({"kind": "custom"}, "sets must be a list of mappings, got {'kind': 'custom'}"),
+     ([{"kind": ["x"]}], "sets[0].kind is unknown: ['x']"),
+     ([{"kind": "common_min"}, {"kind": "median"}], "sets[1].kind is unknown: 'median'")],
+)
+def test_diagnose_sets_must_list_known_kinds(tmp_path, capsys, sets, message):
+    # a mapping was iterated key by key ("missing sets.kind"), and an unknown
+    # kind was reported only after the solve, or not at all
+    cfg = dict(_diagnose_cfg(), sets=sets)
+    out = tmp_path / "out"
+    rc = main(["diagnose", "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

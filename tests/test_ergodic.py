@@ -162,6 +162,17 @@ class TestDiscountedFixedPoints:
         with pytest.raises(StructureError, match="coercive"):
             solve_discounted(system, 0.1)
 
+    @pytest.mark.parametrize("entries", [[[0.0, 0.0], [0.0, 0.0]], [[1.0, -1.0], [0.0, 0.0]]])
+    def test_reducible_constant_coupling_rejected(self, entries):
+        # refused as the same matrix is as a field coupling; the decoupled
+        # pair used to return constants that differ per component, no note
+        coupling = CouplingMatrix.constant(np.array(entries))
+        system = dataclasses.replace(_system(), coupling=coupling)
+        with pytest.raises(StructureError, match="constant coupling is reducible"):
+            solve_discounted(system, 0.1)
+        with pytest.raises(StructureError, match="constant coupling is reducible"):
+            estimate_ergodic_constant(system)
+
 
 class TestConstantEstimation:
     def test_matches_weighted_min_formula(self):

@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hjsys.catalog import fourier_function
 from hjsys.coupling import CouplingMatrix
@@ -37,10 +37,10 @@ def _zero_f(x):
     return np.zeros(np.asarray(x).shape[:-1])
 
 
-def _pair_system(n=32, fs=(F1, F2), coupling=SYM):
+def _pair_system(n=32, fs=(F1, F2), coupling=SYM, p_box=2.5):
     grid = Grid(dim=1, n=n)
     hams = tuple(
-        make_quadratic_eikonal(fourier_function(f, 1), dim=1, params={"f": f})
+        make_quadratic_eikonal(fourier_function(f, 1), dim=1, p_box=p_box, params={"f": f})
         for f in fs
     )
     return HJSystem(hams=hams, coupling=CouplingMatrix(len(hams), entries=coupling), grid=grid)
@@ -276,10 +276,10 @@ class TestInvariances:
 
     @settings(max_examples=10)
     @given(st.integers(min_value=0, max_value=10_000))
+    @example(seed=852)  # slopes up to 5.8: the default p_box 2.5 broke the CFL budget
     def test_comparison_principle(self, seed):
         rng = np.random.default_rng(seed)
-        system = _pair_system(n=32)
-        grid = system.grid
+        grid = Grid(dim=1, n=32)
         xs = grid.axis_coords()
 
         def rand_field():
@@ -290,11 +290,15 @@ class TestInvariances:
             return out
 
         lows, highs = [], []
-        for _ in range(system.m):
+        for _ in range(2):
             base = rand_field()
             lift = rng.uniform(0.0, 0.3) + np.abs(rand_field())
             lows.append(GridFunction(grid, base))
             highs.append(GridFunction(grid, base + lift))
+        # the Lax-Friedrichs bound must cover the data's one-sided slopes
+        slope = max(np.max(np.abs(np.diff(u.values, append=u.values[0]))) / grid.h
+                    for u in lows + highs)
+        system = _pair_system(n=32, p_box=max(2.5, 1.25 * slope))
         cfg = EvolutionConfig(t_final=0.25, snapshot_every=0.05)
         traj_lo, traj_hi = solve_batch(system, [lows, highs], cfg)
         report = comparison_check(traj_lo, traj_hi)

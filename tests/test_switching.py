@@ -237,6 +237,24 @@ class TestSinglePath:
         assert np.array_equal(pa.modes, pb.modes)
         assert pb.cost - pa.cost == pytest.approx(0.77 * 2.0, abs=1e-10)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_path_is_one_path_of_the_batch_loop(self, seed):
+        # at rate 3 the path switches inside 1/8 steps and finishes each such
+        # step from its switch time, as every path of an estimate does: its
+        # cost is that of a batch of one on the same generator, bit for bit
+        rates = np.array([[0.0, 3.0], [3.0, 0.0]])
+        spec = catalog.unit_ball_eikonal_process([catalog.F1, catalog.F2], rates, 8)
+        args = (spec, ConstantPolicy(6), [0.3], 0, 1.0)
+        path = simulate_trajectory(*args, seed, dt_sim=0.125)
+        assert path.cost == _reference_batch(*args, 0.125, np.random.default_rng(seed), 1)[0]
+        # rows at t = 0, on the 1/8 grid and at each switch, where the mode changes
+        on_grid = np.isin(path.times, np.arange(9) / 8)
+        assert path.times[0] == 0.0 and path.positions[0, 0] == 0.3 and path.times[-1] == 1.0
+        assert np.all(np.diff(path.times) > 0) and np.sum(on_grid) == 9
+        assert path.n_switches == np.sum(~on_grid) > 0
+        assert np.all(path.modes[1:][~on_grid[1:]] != path.modes[:-1][~on_grid[1:]])
+        assert np.all(path.actions == 6) and len(path.actions) == len(path.times)
+
 
 class TestValueEstimation:
     def test_requires_enough_samples(self):
