@@ -191,12 +191,10 @@ def _march(kernel, lam: float, v: np.ndarray, schedule: DiscountSchedule, histor
     tol = schedule.steady_state_tol
     jumps = 0
     since_jump = 10**9
-    checked_cfl = False
     for n in range(schedule.max_steps_per_lambda):
         F, alpha_sums = _residual(kernel, lam, v)
-        if not checked_cfl:
+        if n == 0:
             kernel.check_cfl(alpha_sums, dt, lam=lam)
-            checked_cfl = True
         r = -F
         rmax = float(np.max(np.abs(r)))
         if not np.isfinite(rmax):

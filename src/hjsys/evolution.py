@@ -17,15 +17,15 @@ mode, equal bit for bit to ``numerical_flux`` of each component's
 ``diff_arrays``.  ``solve_batch`` marches B initial data stacked as
 (B, m) + grid.shape in place, v -= dt * (flux + D v); every operation is
 elementwise or per member, so each member equals its own ``solve`` bit for
-bit (``solve`` is a batch of one, ``step`` updates a copy).  CFL and
-finiteness take one reduction each, and their errors name the member; a
-field coupling is refused before the first flux.  Member b's
-``Trajectory.values`` is row b of one (B, K, m) + grid.shape snapshot array;
-``Trajectory.shifted`` is the one drift shift u_i + c_i t.
+bit (``solve`` is a batch of one, ``step`` updates a copy).  The march
+decides CFL and finiteness once per chunk of _CHUNK steps; a failing chunk
+is replayed deciding after every step, so the first failing step's error
+names its time and member.  A field coupling is refused before the first
+flux.  Member b's ``Trajectory.values`` is row b of one (B, K, m) +
+grid.shape snapshot array; ``Trajectory.shifted`` is the drift u_i + c_i t.
 """
 from __future__ import annotations
 
-import copy
 import json
 import math
 import os
@@ -39,7 +39,7 @@ import numpy as np
 from .coupling import ROW_SUM_TOL, CouplingMatrix, is_irreducible, validate_monotone
 from .errors import ConfigError, DivergenceError, StructureError
 from .grid import Grid, GridFunction, diff_arrays, diff_axis, load_binary, save_binary, save_json
-from .hamiltonians import FAMILY_EVALUATORS, global_flux, local_flux, sum_p
+from .hamiltonians import FAMILY_EVALUATORS, global_flux, local_flux
 
 __all__ = [
     "HJSystem",
@@ -178,8 +178,10 @@ class FluxKernel:
     A step plan per values shape, built on first sight, holds the buffers,
     each group's views of them and its flux form, and family x-data
     materialized at the batch shape; the march, ``step`` and Newton (which
-    differentiates this call) run it.  Returned arrays are the plan's, so a
-    caller that keeps one copies it; concurrent solves must not share one.
+    differentiates this call) run it.  A call returns the flux and the
+    per-node sum_k alpha_k (or their running max), shaped like the values;
+    they are the plan's, so a caller that keeps one copies it; concurrent
+    solves must not share one.
     """
 
     def __init__(self, system: HJSystem, mode: str):
@@ -189,7 +191,6 @@ class FluxKernel:
         self.grid = grid
         X = grid.mesh()
         self._plans = {}  # values shape -> _StepPlan
-        self._grid_axes = tuple(range(-grid.dim, 0))
         self.terms = []  # (H(p), axis alpha(pabs) or None for the global flux, lf_alpha)
         for ham in system.hams:
             H, alpha = ham.bind(X)
@@ -241,10 +242,11 @@ class FluxKernel:
         """``diff_arrays`` of the component stack, written into the plan's buffers."""
         return diff_arrays(values, self.grid, out=self.plan(values.shape).buffers[:2])
 
-    def __call__(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Flux of every component, shaped like ``values``: (m,) + grid.shape,
-        or (B, m) + grid.shape for B members; and max_x sum_k alpha_k, (m,) or
-        (B, m)."""
+    def __call__(self, values: np.ndarray, fold: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Flux of every component and sum_k alpha_k at every node, both
+        shaped like ``values``: (m,) + grid.shape, or (B, m) + grid.shape for
+        B members.  With ``fold`` the sums hold the running max over this
+        call and the calls since the last one without it."""
         plan = self._plans.get(values.shape) or self.plan(values.shape)
         dminus, dplus, pmid, pabs, jump, out, alpha_sums = plan.buffers
         for axis, dm, dp in plan.axes:
@@ -259,7 +261,9 @@ class FluxKernel:
             else:
                 alpha = np.asarray(alpha_fn(pa))
                 local_flux(H(pm), jp, alpha, out=flux)
-                np.maximum.reduce(sum_p(alpha), axis=self._grid_axes, out=sums)
+                # 1D reads the entry (a zero's sign decides nothing); max(node, node) is node
+                node = alpha[..., 0] if self.grid.dim == 1 else np.add.reduce(alpha, axis=-1)
+                np.maximum(node, sums if fold else node, out=sums)
         return out, alpha_sums
 
     def coupling_term(self, values: np.ndarray) -> np.ndarray:
@@ -278,14 +282,15 @@ class FluxKernel:
 
         One minus dt times that sum bounds the coefficient of v_i(x_k) in
         the update from below, so the flux and the damping share one budget.
-        ``alpha_sums`` holds the largest sum_k alpha_k met at any node, (m,) or
-        (B, m); the damping is the largest diagonal coupling entry (sampled at
-        the nodes for a field coupling) plus the discount ``lam``.
+        ``alpha_sums`` holds sum_k alpha_k at every node, shaped like the
+        values; the damping is the largest diagonal coupling entry (sampled
+        at the nodes for a field coupling) plus the discount ``lam``.
         """
         damping = self.dmax + lam
         # x -> dt * (x / h + damping) rounds monotonically: the largest sum decides
         if dt * (np.maximum.reduce(alpha_sums, axis=None) / self.grid.h + damping) > 1.0 + 1e-9:
-            worst = dt * (np.maximum.reduce(alpha_sums, axis=-1) / self.grid.h + damping)
+            per_member = tuple(range(-self.grid.dim - 1, 0))  # each member's components, nodes
+            worst = dt * (np.maximum.reduce(alpha_sums, axis=per_member) / self.grid.h + damping)
             k = int(np.flatnonzero(worst > 1.0 + 1e-9)[0])
             raise DivergenceError(
                 (f"member {k}: " if worst.size > 1 else "") + "CFL budget exceeded: "
@@ -300,9 +305,9 @@ class _StepPlan:
     def __init__(self, kernel: FluxKernel, shape: tuple):
         dim = kernel.grid.dim
         lead = shape[: len(shape) - dim - 1]
-        # D-, D+, midpoint, |p|, jump; the flux; the alpha sums
+        # D-, D+, midpoint, |p|, jump; the flux; the per-node alpha sums
         self.buffers = [np.empty(shape + (dim,)) for _ in range(5)]
-        self.buffers += [np.empty(shape), np.empty(shape[:-dim])]
+        self.buffers += [np.empty(shape), np.empty(shape)]
         dminus, dplus, *rest = self.buffers
         self.axes = [(len(shape) - dim + k, dminus[..., k], dplus[..., k]) for k in range(dim)]
         self.groups = []  # (views of rest, H, alpha or None, lf_alpha)
@@ -363,12 +368,17 @@ def cfl_dt(system: HJSystem, config: EvolutionConfig) -> float:
     return float(dt)
 
 
-def _advance(kernel: FluxKernel, v: np.ndarray, dt: float, t: float) -> None:
-    """v -= dt * (flux + D v) in place, for every member, reaching time t."""
-    flux, alpha_sums = kernel(v)
-    kernel.check_cfl(alpha_sums, dt)
+def _advance(kernel: FluxKernel, v: np.ndarray, dt: float, t: float, fold: bool = False,
+             decide: bool = True) -> None:
+    """v -= dt * (flux + D v) in place, for every member, reaching time t; then,
+    if ``decide``, refuse a broken CFL budget or a non-finite v.  With ``fold``
+    the budget is the alpha sums' running max since the last step without it."""
+    flux, alpha_sums = kernel(v, fold)
     np.add(flux, kernel.coupling_term(v), out=flux)
     np.subtract(v, np.multiply(dt, flux, out=flux), out=v)
+    if not decide:
+        return
+    kernel.check_cfl(alpha_sums, dt)
     # a finite sum proves every entry finite; an overflowing one proves nothing
     if not math.isfinite(np.add.reduce(v, axis=None)) and not np.all(np.isfinite(v)):
         grid, m = kernel.grid, len(kernel.terms)
@@ -378,6 +388,29 @@ def _advance(kernel: FluxKernel, v: np.ndarray, dt: float, t: float) -> None:
             + (f"member {row // m}: " if v.size > m * grid.num_nodes else "")
             + f"component {row % m}, node {flat} at x = {grid.nodes()[flat].tolist()}"
         )
+
+
+# steps per decision: a failing march does at most this many steps twice
+_CHUNK = 64
+
+
+def _march_chunk(kernel: FluxKernel, v: np.ndarray, dt: float, t: float, steps: int) -> float:
+    """``steps`` steps of dt from time t, decided at the last (a non-finite v_i
+    stays so: it enters its own update); any failure, a floating-point error
+    too, replays them from the start, deciding after each as ``step`` does."""
+    start, t0 = v.copy(), t
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for j in range(steps):
+                t += dt
+                _advance(kernel, v, dt, t, fold=j > 0, decide=j == steps - 1)
+        return t
+    except Exception:  # the replay raises what the per-step path raises
+        v[...], t = start, t0
+    for _ in range(steps):
+        t += dt
+        _advance(kernel, v, dt, t)
+    return t
 
 
 def _march_kernel(system: HJSystem, flux_mode: str) -> FluxKernel:
@@ -475,7 +508,7 @@ def _snapshot_times(config: EvolutionConfig) -> np.ndarray:
     T = config.t_final
     if T == 0 or config.snapshot_every is None:
         return np.array([0.0, T]) if T > 0 else np.array([0.0])
-    k = int(np.floor(T / config.snapshot_every + 1e-12))
+    k = int(np.floor(T / config.snapshot_every + 1e-12))  # OverflowError if not finite
     times = np.arange(k + 1) * config.snapshot_every
     if T - times[-1] > 1e-12 * max(1.0, T):
         times = np.append(times, T)
@@ -500,18 +533,24 @@ def solve_batch(system: HJSystem, u0s: Sequence, config: EvolutionConfig) -> lis
     kernel = _march_kernel(system, config.flux_mode)
     v = np.asarray(np.stack([_initial_values(system, u0) for u0 in u0s]), dtype=float)
     dt = cfl_dt(system, config)
-    times = _snapshot_times(config)
-    snapshots = np.empty((len(v), len(times)) + v.shape[1:])
+    try:
+        times = _snapshot_times(config)
+        snapshots = np.empty((len(v), len(times)) + v.shape[1:])
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise ConfigError(f"snapshot_every = {config.snapshot_every!r}: {exc}") from exc
+    with np.errstate(over="ignore"):  # an infinite count fails the test below
+        counts = np.maximum(1.0, np.ceil(np.diff(times) / dt - 1e-12))
+    if not np.sum(counts) < 2.0**63:
+        raise ConfigError(f"dt_override = {config.dt_override!r} (dt = {dt!r}): "
+                          "more steps than int64 holds")
     snapshots[:, 0] = v
     steps_at, t = [0], 0.0
     march = v[0] if len(v) == 1 else v  # one member: no batch axis for x-data to broadcast over
     for k in range(1, len(times)):
-        span = times[k] - times[k - 1]
-        nsteps = max(1, int(np.ceil(span / dt - 1e-12)))
-        sub = span / nsteps
-        for _ in range(nsteps):
-            t += sub
-            _advance(kernel, march, sub, t)
+        nsteps = int(counts[k - 1])
+        sub = (times[k] - times[k - 1]) / nsteps
+        for done in range(0, nsteps, _CHUNK):
+            t = _march_chunk(kernel, march, sub, t, min(_CHUNK, nsteps - done))
         t = float(times[k])
         snapshots[:, k] = v
         steps_at.append(steps_at[-1] + nsteps)
@@ -523,7 +562,14 @@ def solve_batch(system: HJSystem, u0s: Sequence, config: EvolutionConfig) -> lis
         "steps_at_snapshot": steps_at,
         "identical_hamiltonians": system.identical_hamiltonians,
     }
-    return [Trajectory(system.grid, times.copy(), row, copy.deepcopy(meta)) for row in snapshots]
+    return [Trajectory(system.grid, times.copy(), row, _fresh(meta)) for row in snapshots]
+
+
+def _fresh(obj):
+    """A copy of nested dicts and lists that shares none of them."""
+    if isinstance(obj, dict):
+        return {key: _fresh(value) for key, value in obj.items()}
+    return [_fresh(value) for value in obj] if isinstance(obj, list) else obj
 
 
 @dataclass

@@ -161,8 +161,14 @@ def sum_p(a) -> np.ndarray:
     return a[..., 0] + _ZERO if a.shape[-1] == 1 else np.add.reduce(a, axis=-1)
 
 
+def _sum_sq(a) -> np.ndarray:
+    """``sum_p(a * a)``; a square is never -0.0, so a length-1 axis is read as is."""
+    sq = a * a
+    return sq[..., 0] if sq.shape[-1] == 1 else np.add.reduce(sq, axis=-1)
+
+
 def _quadratic_h(p, fx):
-    return sum_p(p * p) - fx
+    return _sum_sq(p) - fx
 
 
 # |dH/dp_k| = 2 |p_k|, exact on the one-sided hull
@@ -170,7 +176,7 @@ _TWICE = partial(np.multiply, _TWO)
 
 
 def _linear_h(p, fx):
-    return np.sqrt(sum_p(p * p)) - fx
+    return np.sqrt(_sum_sq(p)) - fx
 
 
 def _nonconvex_h(p, x, qv, qq, fv, F):
@@ -183,17 +189,17 @@ def _nonconvex_h(p, x, qv, qq, fv, F):
     return np.where(moving, psi * np.asarray(F(x, d)) - fv, -fv)
 
 
-def _nonconvex_h1(p, qv, qq, fv, fplus, fminus):
+def _nonconvex_h1(p, qv, qq, fv, nfv, fplus, fminus):
     """The nonconvex family in 1D, where p/|p| = +-1 for p != 0, so
-    F(x, p/|p|) is one of the samples F(x, +1) and F(x, -1)."""
-    psi = sum_p((p + qv) ** 2) - qq
-    return np.where(sum_p(p * p) > 0, psi * np.where(p[..., 0] >= 0, fplus, fminus) - fv, -fv)
+    F(x, p/|p|) is one of the samples F(x, +1) and F(x, -1); nfv is -f(x)."""
+    psi = _sum_sq(p + qv) - qq
+    return np.where(_sum_sq(p) > 0, psi * np.where(p[..., 0] >= 0, fplus, fminus) - fv, nfv)
 
 
-def _nonconvex_alpha(pabs, qmax, fmax, fangle):
-    # |H_p| <= 2(|p| + |q|) F_max + (|p| + 2|q|) sup|dF/dtheta|
-    pn = np.sqrt(sum_p(pabs * pabs))[..., None]
-    bound = 2.0 * (pn + qmax) * fmax + (pn + 2.0 * qmax) * fangle
+def _nonconvex_alpha(pabs, qmax, qmax2, fmax, fangle):
+    # |H_p| <= 2(|p| + |q|) F_max + (|p| + 2|q|) sup|dF/dtheta|, qmax2 = 2|q|
+    pn = np.sqrt(_sum_sq(pabs))[..., None]
+    bound = _TWO * (pn + qmax) * fmax + (pn + qmax2) * fangle
     return bound if bound.shape == pabs.shape else np.broadcast_to(bound, pabs.shape)
 
 
@@ -271,7 +277,7 @@ def make_nonconvex_example(
     if fmin <= 0:
         raise ConfigError(f"direction profile must stay positive, sampled min {fmin!r}")
     qmax = float(np.max(np.abs(np.asarray(q(xs)))))
-    alpha = partial(_nonconvex_alpha, qmax=qmax, fmax=fmax, fangle=F_angle_slope)
+    alpha = partial(_nonconvex_alpha, qmax=qmax, qmax2=2.0 * qmax, fmax=fmax, fangle=F_angle_slope)
 
     def bind(X):
         # q(x), |q(x)|^2 and f(x): everything H needs that is free of p
@@ -281,7 +287,7 @@ def make_nonconvex_example(
             return partial(_nonconvex_h, x=X, F=F, **xdata), alpha
         unit = np.ones(X.shape)
         signs = {"fplus": _xdata(F, X, unit), "fminus": _xdata(F, X, -unit)}
-        return partial(_nonconvex_h1, **xdata, **signs), alpha
+        return partial(_nonconvex_h1, nfv=-xdata["fv"], **xdata, **signs), alpha
 
     def compact_set(x):
         qv = np.asarray(q(x), dtype=float)

@@ -103,6 +103,22 @@ class TestExitCodes:
         rc = main(["evolve", "--config", _write(tmp_path, "c.json", cfg)])
         assert rc == 3
 
+    @pytest.mark.parametrize("field, value", [
+        ("snapshot_every", 1e-300),  # 1e300 snapshot times, more than an array holds
+        ("snapshot_every", 1e-12),  # 1e12 snapshot times, 7.28 TiB
+        ("dt_override", 1e-310),  # infinitely many steps per span
+    ])
+    def test_unholdable_snapshot_or_step_count_is_a_config_error(self, tmp_path, capsys, field,
+                                                                 value):
+        cfg = _evolve_cfg(t_final=1.0)
+        cfg["solver"][field] = value
+        out = tmp_path / "out"
+        rc = main(["evolve", "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field} = {value!r}")
+        assert not out.exists()
+
     def test_nonmonotone_coupling_exits_1(self, tmp_path, capsys):
         cfg = {"coupling": {"entries": [[1.0, -2.0], [-1.0, 1.0]]}}
         rc = main(

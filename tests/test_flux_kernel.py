@@ -12,12 +12,14 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hjsys.catalog import build_hamiltonian, fourier_function, quadratic_eikonal_pair
 from hjsys.coupling import CouplingMatrix
 from hjsys.errors import DivergenceError
 from hjsys.evolution import (
     EvolutionConfig,
+    FluxKernel,
     HJSystem,
     SystemState,
     cfl_dt,
@@ -27,7 +29,7 @@ from hjsys.evolution import (
 )
 from hjsys.grid import Grid, GridFunction, diff_arrays, sample
 from hjsys.ergodic import _FD_STEP, _jacobian, _residual
-from hjsys.evolution import _advance
+from hjsys.evolution import _CHUNK, _advance, _snapshot_times
 from hjsys.hamiltonians import Hamiltonian, numerical_flux, sum_p
 from hjsys.switching import SwitchingProcessSpec, hamiltonian_from_spec
 
@@ -144,7 +146,7 @@ def test_batched_flux_matches_one_call_per_member(family, dim, mode):
     kernel = system.flux_kernel(mode)
     batch = np.stack([_values(system.grid, seed) for seed in range(3)])
     flux, alpha_sums = kernel(batch)
-    assert alpha_sums.shape == (3, system.m)
+    assert alpha_sums.shape == batch.shape
     for b in range(3):
         one, sums = kernel(batch[b])
         assert _same_bits(flux[b], one)
@@ -205,8 +207,8 @@ def _group_count(name, dim, mode):
 def _reference_alpha_sum(ham, X, dminus, dplus, mode):
     alpha = ham.bind(X)[1]
     if mode == "global" or alpha is None:
-        return ham.lf_alpha * X.shape[-1]
-    return np.max(np.sum(alpha(np.maximum(np.abs(dminus), np.abs(dplus))), axis=-1))
+        return np.full(X.shape[:-1], ham.lf_alpha * X.shape[-1])
+    return np.sum(alpha(np.maximum(np.abs(dminus), np.abs(dplus))), axis=-1)
 
 
 GROUPINGS = [
@@ -228,14 +230,14 @@ def test_grouped_flux_matches_numerical_flux(name, dim, mode):
     for values in (members[0], members[:1], members):
         flux, alpha_sums = kernel(values)
         assert flux.shape == values.shape
-        assert alpha_sums.shape == values.shape[: values.ndim - dim]
+        assert alpha_sums.shape == values.shape
         batch = values.reshape((-1,) + members.shape[1:])
-        flux, alpha_sums = flux.reshape(batch.shape), alpha_sums.reshape(len(batch), -1)
+        flux, alpha_sums = flux.reshape(batch.shape), alpha_sums.reshape(batch.shape)
         for b, member in enumerate(batch):
             for i, ham in enumerate(system.hams):
                 dm, dp = diff_arrays(member[i], grid)
                 assert _same_bits(flux[b, i], numerical_flux(ham, X, dm, dp, mode=mode))
-                assert alpha_sums[b, i] == _reference_alpha_sum(ham, X, dm, dp, mode)
+                assert np.array_equal(alpha_sums[b, i], _reference_alpha_sum(ham, X, dm, dp, mode))
 
 
 def test_action_first_evaluators_are_never_stacked():
@@ -356,7 +358,7 @@ def test_cfl_error_names_the_member_that_breaks_it_in_a_later_group():
     assert all(2 not in np.atleast_1d(np.arange(system.m)[sel]) for sel, *_ in kernel.groups[:2])
     v = np.stack([_values(grid, seed, system.m) for seed in (1, 2, 3)])
     v[2, 2] += 0.5 * np.sin(2 * np.pi * grid.axis_coords())
-    budgets = kernel(v)[1] / grid.h + kernel.dmax
+    budgets = np.max(kernel(v)[1], axis=-1) / grid.h + kernel.dmax
     dt = 1.01 / budgets[2, 2]
     assert np.argwhere(dt * budgets > 1.0 + 1e-9).tolist() == [[2, 2]]
     with pytest.raises(DivergenceError, match="^member 2: CFL budget exceeded"):
@@ -476,7 +478,7 @@ def test_sum_p_is_add_reduce_on_raw_bytes(dim):
 def _per_member_check_cfl(kernel, alpha_sums, dt):
     """``check_cfl``'s decision taken the long way: one summed budget per
     member, then the largest."""
-    worst = dt * (np.maximum.reduce(alpha_sums, axis=-1) / kernel.grid.h + kernel.dmax)
+    worst = dt * (np.maximum.reduce(alpha_sums, axis=(-2, -1)) / kernel.grid.h + kernel.dmax)
     if np.maximum.reduce(worst, axis=None) > 1.0 + 1e-9:
         k = int(np.flatnonzero(worst > 1.0 + 1e-9)[0])
         raise DivergenceError(
@@ -499,7 +501,7 @@ def test_cfl_decision_at_the_boundary(shape):
     kernel = _system("quadratic", 1).flux_kernel("local")
     h = kernel.grid.h
     rng = np.random.default_rng(2)
-    edge = np.full(shape, 4.0 * h)
+    edge = np.full(shape + kernel.grid.shape, 4.0 * h)
     edge.flat[-1] = 8.0 * h  # the last member's last component sets the budget
     assert kernel.dmax == 2.0
     dt = (1.0 + 1e-9) / 10.0  # dt * (8 h / h + max d_ii) lands exactly on 1 + 1e-9
@@ -513,7 +515,7 @@ def test_cfl_decision_at_the_boundary(shape):
     # against the per-member decision, one ulp at a time around the boundary
     # of random sums
     for _ in range(50):
-        sums = rng.uniform(0.5, 3.0, size=shape)
+        sums = rng.uniform(0.5, 3.0, size=shape + kernel.grid.shape)
         edge_dt = (1.0 + 1e-9) / (np.max(sums) / h + kernel.dmax)
         for dt in edge_dt * (1.0 + np.arange(-4, 5) * 2.0**-52):
             want = _cfl_outcome(partial(_per_member_check_cfl, kernel), sums, dt)
@@ -582,3 +584,140 @@ def test_alternating_residual_and_jacobian_calls_keep_their_buffers():
         assert kernel._plans[shape] is plan
         assert len(buffers) == 7
         assert all(a is b for a, b in zip(kernel._plans[shape].buffers, buffers))
+
+
+# -- decisions once per chunk, a failing chunk replayed ----------------------
+
+
+def _reference_march(system, u0s, config):
+    """The march with both decisions after every step, as ``solve_batch``
+    took them before it took them once per chunk: the (B, K, m) + grid.shape
+    snapshots and the steps at each."""
+    kernel = system.flux_kernel(config.flux_mode)
+    v = np.stack([np.array(u0, dtype=float) for u0 in u0s])
+    dt = cfl_dt(system, config)
+    times = _snapshot_times(config)
+    snapshots, steps_at, t = [v.copy()], [0], 0.0
+    march = v[0] if len(v) == 1 else v
+    for k in range(1, len(times)):
+        span = times[k] - times[k - 1]
+        nsteps = max(1, int(np.ceil(span / dt - 1e-12)))
+        sub = span / nsteps
+        for _ in range(nsteps):
+            t += sub
+            _advance(kernel, march, sub, t)
+        t = float(times[k])
+        snapshots.append(v.copy())
+        steps_at.append(steps_at[-1] + nsteps)
+    return np.stack(snapshots, axis=1), steps_at
+
+
+@settings(max_examples=40)
+@given(
+    family=st.sampled_from(FAMILIES),
+    dim=st.sampled_from((1, 2)),
+    mode=st.sampled_from(("local", "global")),
+    members=st.integers(1, 3),
+    span=st.integers(1, 2 * _CHUNK + 5),
+    spans=st.integers(1, 3),
+    cadence=st.booleans(),
+    seed=st.integers(0, 1000),
+)
+def test_chunked_march_equals_the_per_step_march(family, dim, mode, members, span, spans,
+                                                 cadence, seed):
+    # spans shorter and longer than a chunk; without a cadence the whole
+    # horizon is one span
+    system = _system(family, dim)
+    grid = system.grid
+    dt = cfl_dt(system, EvolutionConfig(t_final=1.0, flux_mode=mode))
+    config = EvolutionConfig(t_final=span * spans * dt, dt_override=dt, flux_mode=mode,
+                             snapshot_every=span * dt if cadence else None)
+    u0s = [_values(grid, seed + b) for b in range(members)]
+    want, steps = _reference_march(system, u0s, config)
+    got = solve_batch(system, [SystemState(0.0, u0, grid) for u0 in u0s], config)
+    for b, traj in enumerate(got):
+        assert traj.meta["steps_at_snapshot"] == steps
+        assert _same_bits(traj.values, want[b])
+
+
+def _tripwire_system(kind, member, dim=1):
+    """A quadratic pair whose second component trips at the one step whose
+    one-sided gradients have the armed bytes: its alpha jumps to 1e3 (kind
+    "cfl") or its H turns NaN (kind "nan") at node 5 of ``member``.  A
+    replayed step meets the same bytes, so it trips again."""
+    wire = {"armed": None, "seen": []}
+    bad = {"cfl": 1e3, "nan": np.nan}[kind]
+    f = fourier_function(_source(dim, 1.5), dim)
+
+    def bind(X):
+        fx = f(X)
+
+        def trip(p, out, when):
+            # the evaluator that trips records every input it sees
+            if when == kind:
+                wire["seen"].append(p.tobytes())
+                if p.tobytes() == wire["armed"]:
+                    out[(member,) * (p.ndim - dim - 1) + (5,) * dim] = bad
+            return out
+
+        def H(p):
+            return trip(p, np.sum(p * p, axis=-1) - fx, "nan")
+
+        def alpha(pabs):
+            return trip(pabs, 2.0 * pabs, "cfl")
+
+        return H, alpha
+
+    ham = Hamiltonian(dim=dim, bind=bind, lf_alpha=5.5)
+    grid = Grid(dim, 24 if dim == 1 else 12)
+    system = HJSystem(hams=(_hams("quadratic", dim)[0], ham), coupling=CouplingMatrix(2, entries=D),
+                      grid=grid)
+    return system, wire
+
+
+def _counted_outcome(monkeypatch, run):
+    """``run()``'s error text and the kernel calls it made."""
+    calls = []
+    call = FluxKernel.__call__
+    monkeypatch.setattr(FluxKernel, "__call__", lambda self, *a: calls.append(1) or call(self, *a))
+    try:
+        run()
+    except DivergenceError as exc:
+        return str(exc), len(calls)
+    finally:
+        monkeypatch.setattr(FluxKernel, "__call__", call)
+    return None, len(calls)
+
+
+@pytest.mark.parametrize("kind", ["cfl", "nan"])
+@pytest.mark.parametrize("step_no,members,member,cadence,dim", [
+    (_CHUNK + _CHUNK // 2, 1, 0, None, 1),  # the middle of the second chunk
+    (2 * _CHUNK, 1, 0, None, 1),  # the last step of a chunk
+    (_CHUNK + 1, 1, 0, None, 1),  # the first step of a chunk
+    (_CHUNK + 7, 3, 2, None, 1),  # member 2 of a batch
+    (40, 3, 1, 30, 1),  # the tenth step of the second 30-step span
+    (_CHUNK + 7, 3, 2, None, 2),  # member 2 of a 2D batch
+])
+def test_failing_chunk_replays_to_the_per_step_error(monkeypatch, kind, step_no, members, member,
+                                                    cadence, dim):
+    system, wire = _tripwire_system(kind, member, dim)
+    grid = system.grid
+    dt = cfl_dt(system, EvolutionConfig(t_final=1.0))
+    config = EvolutionConfig(t_final=3 * _CHUNK * dt, dt_override=dt,
+                             snapshot_every=None if cadence is None else cadence * dt)
+    u0s = [_values(grid, 3 + b) for b in range(members)]
+    _reference_march(system, u0s, config)  # unarmed: every step's gradients
+    assert len(wire["seen"]) >= step_no and wire["seen"].count(wire["seen"][step_no - 1]) == 1
+    wire["armed"] = wire["seen"][step_no - 1]
+    want, ref_calls = _counted_outcome(monkeypatch, lambda: _reference_march(system, u0s, config))
+    assert ref_calls == step_no
+    named = f"member {member}: " if members > 1 else ""
+    if kind == "cfl":
+        assert want.startswith(named + "CFL budget exceeded")
+    else:
+        node = 5 if dim == 1 else 5 * system.grid.n + 5
+        assert want.startswith("non-finite value") and f"{named}component 1, node {node} " in want
+    states = [SystemState(0.0, u0, grid) for u0 in u0s]
+    got, calls = _counted_outcome(monkeypatch, lambda: solve_batch(system, states, config))
+    assert got == want
+    assert ref_calls < calls <= ref_calls + _CHUNK

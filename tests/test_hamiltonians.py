@@ -29,6 +29,7 @@ from hjsys.hamiltonians import (
     make_nonconvex_example,
     make_quadratic_eikonal,
     numerical_flux,
+    sum_p,
 )
 from hjsys.switching import SwitchingProcessSpec, hamiltonian_from_spec
 
@@ -623,3 +624,71 @@ def test_grad_p_matches_the_axis_by_axis_reference(name):
     x, p = rng.random((7, H.dim)), rng.uniform(-2.0, 2.0, (7, H.dim))
     for step in (1e-5, 1e-3):
         assert grad_p(H, x, p, step).tobytes() == _reference_grad_p(H, x, p, step).tobytes()
+
+
+# -- the family evaluators' x-only work is bound, the bits stay ----------------
+
+
+def _reference_quadratic_h(p, fx):
+    return sum_p(p * p) - fx
+
+
+def _reference_linear_h(p, fx):
+    return np.sqrt(sum_p(p * p)) - fx
+
+
+def _reference_nonconvex_h1(p, qv, qq, fv, fplus, fminus):
+    psi = sum_p((p + qv) ** 2) - qq
+    return np.where(sum_p(p * p) > 0, psi * np.where(p[..., 0] >= 0, fplus, fminus) - fv, -fv)
+
+
+def _reference_nonconvex_alpha(pabs, qmax, fmax, fangle):
+    pn = np.sqrt(sum_p(pabs * pabs))[..., None]
+    bound = 2.0 * (pn + qmax) * fmax + (pn + 2.0 * qmax) * fangle
+    return bound if bound.shape == pabs.shape else np.broadcast_to(bound, pabs.shape)
+
+
+_SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-160, -1e-200,
+            1e-310, 0.7, -1.5, 1e154, -1e200]
+
+
+def _momenta(dim):
+    """Every special value in every slot of the p axis, then random momenta
+    on a (2, 3, n) batch: the shapes the step plan hands an evaluator."""
+    special = np.array(np.meshgrid(*[_SPECIAL] * dim, indexing="ij")).reshape(dim, -1).T
+    return [special, np.random.default_rng(dim).normal(size=(2, 3, 17, dim))]
+
+
+def _bound(ham_id, dim, shape):
+    """A built-in's ``bind`` at random nodes shaped ``shape``."""
+    params = {"f": F_SHIFTED_COS} if dim == 1 else {}
+    if ham_id == "nonconvex_bs00":
+        params["F"] = {"const": 1.0, "angle": [{"j": 1, "cos": 0.3}]}
+        params["q"] = [{"terms": [{"k": [1] * dim, "sin": 0.3}]}] * dim
+    ham = build_hamiltonian(ham_id, params, dim)
+    X = np.random.default_rng(5).uniform(size=shape + (dim,))
+    return ham.bind(X)
+
+
+@pytest.mark.parametrize("dim", (1, 2))
+def test_family_evaluators_match_the_reference_bits(dim):
+    # the 1D sums of squares skip sum_p's + 0.0, the nonconvex -f(x) and
+    # 2|q| are bound once; every output byte is the reference's, NaN signs too
+    for p in _momenta(dim):
+        pabs = np.abs(p)
+        for ham_id, reference in (("quadratic_eikonal", _reference_quadratic_h),
+                                  ("linear_eikonal", _reference_linear_h),
+                                  ("nonconvex_bs00", _reference_nonconvex_h1)):
+            H, alpha = _bound(ham_id, dim, p.shape[:-1])
+            keys = dict(H.keywords)
+            if ham_id == "nonconvex_bs00":
+                alpha_keys = {k: v for k, v in alpha.keywords.items() if k != "qmax2"}
+                with np.errstate(all="ignore"):
+                    got, want = alpha(pabs), _reference_nonconvex_alpha(pabs, **alpha_keys)
+                assert got.tobytes() == want.tobytes()
+                if dim == 2:  # the 2D evaluator calls F and is unchanged
+                    continue
+                assert keys.pop("nfv").tobytes() == (-keys["fv"]).tobytes()
+            with np.errstate(all="ignore"):
+                got, want = H(p), reference(p, **keys)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
