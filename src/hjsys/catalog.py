@@ -29,7 +29,7 @@ from .hamiltonians import (
     make_nonconvex_example,
     make_quadratic_eikonal,
 )
-from .switching import SwitchingProcessSpec
+from .switching import SwitchingProcessSpec, coupling_from_spec, hamiltonian_from_spec
 
 __all__ = [
     "fourier_series",
@@ -38,14 +38,20 @@ __all__ = [
     "vector_field",
     "build_hamiltonian",
     "builtin_coupling",
+    "build_coupling",
+    "build_system",
+    "sources",
+    "process_system",
     "quadratic_eikonal_pair",
     "unit_ball_eikonal_process",
     "idle_process",
     "list_builtin",
+    "F0",
     "F1",
     "F2",
     "BUILTIN_HAMILTONIAN_IDS",
     "BUILTIN_COUPLINGS",
+    "SYSTEMS",
 ]
 
 BUILTIN_HAMILTONIAN_IDS = ("quadratic_eikonal", "linear_eikonal", "nonconvex_bs00")
@@ -198,21 +204,85 @@ def builtin_coupling(name: str) -> np.ndarray:
     return np.asarray(BUILTIN_COUPLINGS[name], dtype=float)
 
 
+def build_coupling(block: dict) -> CouplingMatrix:
+    """A ``coupling`` block: a built-in ``name``, else explicit ``entries``."""
+    entries = builtin_coupling(block["name"]) if "name" in block else block["entries"]
+    return CouplingMatrix.constant(entries)
+
+
+def build_system(block: dict, grid: Grid) -> HJSystem:
+    """The system of a ``coupling`` + ``hamiltonians`` block on ``grid``."""
+    coupling = build_coupling(block["coupling"])
+    hams = tuple(
+        build_hamiltonian(hb["id"], hb.get("params"), grid.dim) for hb in block["hamiltonians"]
+    )
+    return HJSystem(hams=hams, coupling=coupling, grid=grid)
+
+
+def sources(system: HJSystem) -> list:
+    """Each component's separable source f_i sampled on the system's grid."""
+    for i, h in enumerate(system.hams):
+        if h.source is None:
+            raise ConfigError(
+                f"hamiltonian {i} has no separable source; minimizer sets need sources"
+            )
+    return [sample(h.source, system.grid) for h in system.hams]
+
+
+def process_system(spec: SwitchingProcessSpec, grid: Grid) -> HJSystem:
+    """The process's PDE system: each mode's max-over-actions H, the rates' coupling."""
+    hams = tuple(hamiltonian_from_spec(spec, i) for i in range(spec.m))
+    return HJSystem(hams=hams, coupling=coupling_from_spec(spec), grid=grid)
+
+
+F0 = {"const": 1.0, "terms": [{"k": [1], "cos": -1.0}]}  # 1 - cos(2 pi x)
 # The eikonal pair's sources share their minimizer x = 0.
 F1 = {"const": 1.5, "terms": [{"k": [1], "cos": -1.0}]}  # 0.5 + 1 - cos(2 pi x)
 F2 = {"const": 2.0, "terms": [{"k": [1], "cos": -2.0}]}  # 2 (1 - cos(2 pi x))
 
+# The suites' systems; with a "grid" block added, each is an evolve config's "system".
+SYSTEMS = {
+    "largenew-eikonal": {
+        "coupling": {"name": "symmetric_pair"},
+        "hamiltonians": [{"id": "quadratic_eikonal", "params": {"f": F1}},
+                         {"id": "quadratic_eikonal", "params": {"f": F2}}],
+    },
+    "mainresult-nonconvex": {
+        "coupling": {"name": "symmetric_pair"},
+        "hamiltonians": [
+            {"id": "nonconvex_bs00", "params": {
+                "f": {"const": 1.0, "terms": [{"k": [1], "cos": -1.0}]},
+                "q": [{"terms": [{"k": [1], "sin": 0.3}]}],
+                "F": {"const": 1.0, "angle": [{"j": 1, "cos": 0.3}]},
+            }},
+            {"id": "nonconvex_bs00", "params": {
+                "f": {"const": 0.8, "terms": [{"k": [1], "cos": -0.8}]},
+                "q": [{"terms": [{"k": [1], "sin": 0.2}]}],
+                "F": {"const": 1.0, "angle": [{"j": 1, "cos": -0.25}]},
+            }},
+        ],
+    },
+    # disjoint argmins: x = 0 for the first source, x = 1/2 for the second
+    "exist-smoo-strictconvex": {
+        "coupling": {"name": "symmetric_pair"},
+        "hamiltonians": [
+            {"id": "quadratic_eikonal", "params": {"f": F0}},
+            {"id": "quadratic_eikonal",
+             "params": {"f": {"const": 0.7, "terms": [{"k": [1], "cos": 0.5}]}}},
+        ],
+    },
+    "identical-gap": {
+        "coupling": {"name": "symmetric_pair"},
+        "hamiltonians": [{"id": "quadratic_eikonal", "params": {"f": F0}}] * 2,
+    },
+}
+
 
 def quadratic_eikonal_pair(n: int) -> tuple[HJSystem, list]:
-    """|p|^2 - F1 and |p|^2 - F2 on a 1D grid of n nodes, symmetric coupling.
-
-    Returns the system and the two sources sampled on its grid.
-    """
-    grid = Grid(1, n)
-    hams = tuple(build_hamiltonian("quadratic_eikonal", {"f": f}) for f in (F1, F2))
-    D = CouplingMatrix.constant(builtin_coupling("symmetric_pair"))
-    fs = [sample(fourier_function(f, 1), grid) for f in (F1, F2)]
-    return HJSystem(hams=hams, coupling=D, grid=grid), fs
+    """The largenew-eikonal system, |p|^2 - F1 and |p|^2 - F2 symmetrically
+    coupled, on a 1D grid of n nodes, and its two sources sampled there."""
+    system = build_system(SYSTEMS["largenew-eikonal"], Grid(1, n))
+    return system, sources(system)
 
 
 def _process(rates, dynamics, costs, control_set) -> SwitchingProcessSpec:

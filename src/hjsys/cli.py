@@ -23,20 +23,18 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import catalog
-from .coupling import CouplingMatrix, analyze
+from .coupling import analyze
 from .diagnostics import build_report, evaluate_on_set
 from .ergodic import DiscountSchedule, estimate_ergodic_constant, long_time_constant
 from .errors import ConfigError, ConvergenceError, DivergenceError, StructureError
 from .evolution import EvolutionConfig, HJSystem, Trajectory, solve
-from .grid import Grid, GridFunction, sample, save_json
+from .grid import Grid, GridFunction, sample, save_json, save_table
 from .suites import run_suite
 from .switching import (
     ConstantPolicy,
     GreedyGradientPolicy,
     SwitchingProcessSpec,
-    coupling_from_spec,
     estimate_value,
-    hamiltonian_from_spec,
     simulate_trajectory,
 )
 
@@ -111,13 +109,14 @@ def _reading(what: str):
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-def _build_coupling(block, where: str = "coupling") -> CouplingMatrix:
+def _coupling_block(block, where: str = "coupling") -> dict:
+    """``block``, once its keys and its entries pass the checks."""
     _known_keys(block, ("name", "entries"), where)
-    if "name" in block:
-        return CouplingMatrix.constant(catalog.builtin_coupling(block["name"]))
-    if "entries" in block:
-        return CouplingMatrix.constant(_real(block, "entries", where=where, many=True))
-    raise ConfigError("coupling block needs either 'name' or 'entries'")
+    if "name" not in block:
+        if "entries" not in block:
+            raise ConfigError("coupling block needs either 'name' or 'entries'")
+        _real(block, "entries", where=where, many=True)
+    return block
 
 
 def _build_system(block, where: str = "system") -> HJSystem:
@@ -126,17 +125,13 @@ def _build_system(block, where: str = "system") -> HJSystem:
     dim = _integer(block, "grid.dim", 1, where=where)
     n = _integer(block, "grid.n", where=where)
     grid = Grid(dim, n)
-    coupling = _build_coupling(_get(block, "coupling", where=where), f"{where}.coupling")
+    _coupling_block(_get(block, "coupling", where=where), f"{where}.coupling")
     ham_blocks = _get(block, "hamiltonians", where=where)
     if not isinstance(ham_blocks, list) or not ham_blocks:
         raise ConfigError("system.hamiltonians must be a nonempty list")
     for i, hb in enumerate(ham_blocks):
         _known_keys(hb, ("id", "params"), f"{where}.hamiltonians[{i}]")
-    hams = tuple(
-        catalog.build_hamiltonian(hb["id"], hb.get("params", {}), dim=dim)
-        for hb in ham_blocks
-    )
-    return HJSystem(hams=hams, coupling=coupling, grid=grid)
+    return catalog.build_system(block, grid)
 
 
 def _build_u0(block, grid: Grid, m: int) -> list:
@@ -186,13 +181,18 @@ def _discount_schedule(block) -> DiscountSchedule:
     return DiscountSchedule(**kwargs)
 
 
-def cmd_evolve(cfg, out_dir: str) -> int:
+def _solve_inline(cfg) -> tuple[HJSystem, Trajectory]:
+    """The config's system and its solve from the config's solver and u0."""
     with _reading("system, solver or u0"):
-        _known_keys(cfg, ("system", "solver", "u0"), "evolve config")
         system = _build_system(_get(cfg, "system"))
         config = _evolution_config(_get(cfg, "solver"))
         u0 = _build_u0(_get(cfg, "u0", {}), system.grid, system.m)
-    traj = solve(system, u0, config)
+    return system, solve(system, u0, config)
+
+
+def cmd_evolve(cfg, out_dir: str) -> int:
+    _known_keys(cfg, ("system", "solver", "u0"), "evolve config")
+    traj = _solve_inline(cfg)[1]
     traj.save(os.path.join(out_dir, "trajectory"))
     print(f"wrote {os.path.join(out_dir, 'trajectory')}")
     return 0
@@ -208,18 +208,6 @@ def cmd_ergodic(cfg, out_dir: str) -> int:
     print(f"c = {result.c.tolist()} (residual {result.residual!r})")
     print(f"wrote {out_dir}")
     return 0
-
-
-def _source_functions(system: HJSystem) -> list:
-    fs = []
-    for i, h in enumerate(system.hams):
-        if h.source is None:
-            raise ConfigError(
-                f"hamiltonian {i} has no separable source; "
-                "minimizer sets need sources"
-            )
-        fs.append(sample(lambda x: np.asarray(h.source(x)), system.grid))
-    return fs
 
 
 def cmd_diagnose(cfg, out_dir: str) -> int:
@@ -246,25 +234,19 @@ def cmd_diagnose(cfg, out_dir: str) -> int:
             traj = Trajectory.load(cfg["trajectory_dir"])
         system = None
     else:
-        with _reading("system, solver or u0"):
-            system = _build_system(_get(cfg, "system"))
-            config = _evolution_config(_get(cfg, "solver"))
-            u0 = _build_u0(_get(cfg, "u0", {}), system.grid, system.m)
-        traj = solve(system, u0, config)
+        system, traj = _solve_inline(cfg)
     if c is None:
         c = long_time_constant(traj)
+    vs = [traj.component(i, len(traj.times) - 1) for i in range(traj.m)]
     set_evals = []
     for kind, points in sets:
-        vs = [traj.component(i, len(traj.times) - 1) for i in range(traj.m)]
         if kind == "custom":
             with _reading("sets.points"):
                 set_evals.append(evaluate_on_set(vs, "custom", points=points))
+        elif system is None:
+            raise ConfigError("minimizer-set evaluation needs an inline system block")
         else:
-            if system is None:
-                raise ConfigError(
-                    "minimizer-set evaluation needs an inline system block"
-                )
-            set_evals.append(evaluate_on_set(vs, kind, fs=_source_functions(system)))
+            set_evals.append(evaluate_on_set(vs, kind, fs=catalog.sources(system)))
     report = build_report(
         traj,
         c,
@@ -335,24 +317,15 @@ def cmd_simulate(cfg, out_dir: str) -> int:
     if pol_kind == "constant":
         policy = ConstantPolicy(index)
     else:
-        hams = tuple(hamiltonian_from_spec(spec, i) for i in range(spec.m))
-        system = HJSystem(hams=hams, coupling=coupling_from_spec(spec), grid=grid)
         u0 = [GridFunction(grid, np.zeros(grid.shape)) for _ in range(spec.m)]
-        policy = GreedyGradientPolicy(spec, solve(system, u0, pde_cfg))
+        policy = GreedyGradientPolicy(spec, solve(catalog.process_system(spec, grid), u0, pde_cfg))
     est = estimate_value(spec, policy, x0, mode0, horizon, n_samples, seed, dt_sim=dt_sim)
     save_json(asdict(est), out_dir, "value.json")
     if dump_path:
         path = simulate_trajectory(spec, policy, x0, mode0, horizon, seed, dt_sim=dt_sim)
-        rows = ["t,mode,action," + ",".join(f"x{k}" for k in range(spec.dim))]
-        for k in range(len(path.times)):
-            coords = ",".join(repr(float(v)) for v in path.positions[k])
-            rows.append(
-                f"{float(path.times[k])!r},{int(path.modes[k])},"
-                f"{int(path.actions[min(k, len(path.actions) - 1)])},{coords}"
-            )
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "path.csv"), "w") as fh:
-            fh.write("\n".join(rows) + "\n")
+        header = "t,mode,action," + ",".join(f"x{k}" for k in range(spec.dim))
+        rows = zip(path.times, path.modes.tolist(), path.actions.tolist(), *path.positions.T)
+        save_table(rows, out_dir, "path.csv", header)
     print(f"value = {est.mean!r} +- {est.std_error!r} ({est.samples} samples)")
     print(f"wrote {out_dir}")
     return 0
@@ -361,7 +334,7 @@ def cmd_simulate(cfg, out_dir: str) -> int:
 def cmd_validate_coupling(cfg, out_dir: str) -> int:
     with _reading("coupling"):
         _known_keys(cfg, ("coupling",), "validate-coupling config")
-        coupling = _build_coupling(_get(cfg, "coupling"))
+        coupling = catalog.build_coupling(_coupling_block(_get(cfg, "coupling")))
     report = analyze(coupling.entries)
     payload = report.to_dict()
     print(json.dumps(payload, indent=2, sort_keys=True))

@@ -32,7 +32,6 @@ where Phi sits between 10x the numerical floor and half its initial value.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -40,7 +39,7 @@ import numpy as np
 from .coupling import delta_rate
 from .errors import ConfigError, DivergenceError, StructureError
 from .evolution import Trajectory
-from .grid import GridFunction, interp_periodic, save_json
+from .grid import GridFunction, interp_periodic, save_json, save_table
 
 __all__ = [
     "shift_trajectory",
@@ -335,16 +334,10 @@ class ConvergenceReport:
 
     def save(self, directory) -> None:
         save_json(asdict(self), directory, "convergence.json")
-        tables = {
-            "profile_distances.csv": ("t,distance", self.profile_distances),
-            "p_eta.csv": ("eta,t,value", self.p_eta_table),
-        }
+        save_table(self.profile_distances, directory, "profile_distances.csv", "t,distance")
+        save_table(self.p_eta_table, directory, "p_eta.csv", "eta,t,value")
         if self.gap_table is not None:
-            tables["gap.csv"] = ("t,gap", self.gap_table)
-        for fname, (header, rows) in tables.items():
-            lines = [header] + [",".join(repr(float(x)) for x in r) for r in rows]
-            with open(os.path.join(directory, fname), "w") as fh:
-                fh.write("\n".join(lines) + "\n")
+            save_table(self.gap_table, directory, "gap.csv", "t,gap")
 
 
 def build_report(

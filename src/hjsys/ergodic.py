@@ -41,14 +41,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .coupling import is_irreducible
 from .errors import ConfigError, ConvergenceError, DivergenceError, StructureError
 from .evolution import HJSystem
-from .grid import GridFunction, diff_arrays, save_binary, save_json
+from .grid import GridFunction, diff_arrays, save_binary, save_json, save_table
 
 __all__ = [
     "DiscountSchedule",
@@ -299,14 +298,12 @@ class ErgodicResult:
         save_json(self.to_dict(), directory, "ergodic.json")
         for i, v in enumerate(self.correctors):
             save_binary(v, os.path.join(directory, f"corrector{i}.bin"))
-        rows = ["lambda,component,estimate,sup,lip"]
-        for row in self.per_lambda:
-            for i, est in enumerate(row["estimates"]):
-                rows.append(
-                    f"{row['lambda']!r},{i},{est!r},{row['sup']!r},{row['lip']!r}"
-                )
-        with open(os.path.join(directory, "per_lambda.csv"), "w") as fh:
-            fh.write("\n".join(rows) + "\n")
+        rows = [
+            (row["lambda"], i, est, row["sup"], row["lip"])
+            for row in self.per_lambda
+            for i, est in enumerate(row["estimates"])
+        ]
+        save_table(rows, directory, "per_lambda.csv", "lambda,component,estimate,sup,lip")
 
 
 def estimate_ergodic_constant(

@@ -238,10 +238,6 @@ class FluxKernel:
         """The step plan for values of ``shape``, built on first use."""
         return self._plans.get(shape) or self._plans.setdefault(shape, _StepPlan(self, shape))
 
-    def diffs(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``diff_arrays`` of the component stack, written into the plan's buffers."""
-        return diff_arrays(values, self.grid, out=self.plan(values.shape).buffers[:2])
-
     def __call__(self, values: np.ndarray, fold: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Flux of every component and sum_k alpha_k at every node, both
         shaped like ``values``: (m,) + grid.shape, or (B, m) + grid.shape for

@@ -33,6 +33,7 @@ __all__ = [
     "save_binary",
     "load_binary",
     "save_json",
+    "save_table",
 ]
 
 # 2D guard: a 512^2 grid is the largest the explicit solvers handle in
@@ -225,12 +226,8 @@ def save_csv(u: GridFunction, path) -> None:
     pts = u.grid.nodes()
     flat = u.values.reshape(-1)
     cols = "index," + ",".join("xy"[k] for k in range(u.grid.dim)) + ",value"
-    lines = [cols]
-    for i in range(flat.size):
-        coords = ",".join(repr(float(c)) for c in pts[i])
-        lines.append(f"{i},{coords},{float(flat[i])!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [(i, *pts[i], flat[i]) for i in range(flat.size)]
+    save_table(rows, *os.path.split(os.path.abspath(path)), cols)
 
 
 def load_csv(path) -> GridFunction:
@@ -274,4 +271,16 @@ def save_json(obj, directory, name: str) -> str:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return path
+
+
+def save_table(rows, directory, name: str, header: str) -> str:
+    """Write ``rows`` under ``header`` as the CSV table ``directory/name`` like
+    ``save_json``: ints as written, every other entry as repr(float(x))."""
+    lines = [header]
+    lines += [",".join(str(x) if isinstance(x, int) else repr(float(x)) for x in r) for r in rows]
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, name)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
     return path

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import catalog
-from .coupling import CouplingMatrix, delta_rate, ergodic_constant_formula
+from .coupling import delta_rate, ergodic_constant_formula
 from .diagnostics import (
     component_gap_decay,
     evaluate_on_set,
@@ -36,13 +36,7 @@ from .errors import ConfigError
 from .evolution import EvolutionConfig, HJSystem, solve, solve_batch
 from .grid import Grid, GridFunction, interp_periodic, sample, save_json
 from .hamiltonians import check_assumption
-from .switching import (
-    ConstantPolicy,
-    GreedyGradientPolicy,
-    coupling_from_spec,
-    estimate_value,
-    hamiltonian_from_spec,
-)
+from .switching import ConstantPolicy, GreedyGradientPolicy, estimate_value
 
 __all__ = ["CheckResult", "SuiteResult", "run_suite", "SUITE_RUNNERS"]
 
@@ -259,29 +253,12 @@ def suite_largenew_eikonal(n: int = 256, t_final: float = 40.0) -> SuiteResult:
 
 def suite_mainresult_nonconvex(n: int = 128, t_final: float = 40.0) -> SuiteResult:
     """Nonconvex pair pinned at a common zero: flat drift, settled tail."""
-    grid = Grid(1, n)
-    h1 = catalog.build_hamiltonian(
-        "nonconvex_bs00",
-        {
-            "f": {"const": 1.0, "terms": [{"k": [1], "cos": -1.0}]},
-            "q": [{"terms": [{"k": [1], "sin": 0.3}]}],
-            "F": {"const": 1.0, "angle": [{"j": 1, "cos": 0.3}]},
-        },
-    )
-    h2 = catalog.build_hamiltonian(
-        "nonconvex_bs00",
-        {
-            "f": {"const": 0.8, "terms": [{"k": [1], "cos": -0.8}]},
-            "q": [{"terms": [{"k": [1], "sin": 0.2}]}],
-            "F": {"const": 1.0, "angle": [{"j": 1, "cos": -0.25}]},
-        },
-    )
-    D = CouplingMatrix.constant(catalog.builtin_coupling("symmetric_pair"))
-    system = HJSystem(hams=(h1, h2), coupling=D, grid=grid)
+    system = catalog.build_system(catalog.SYSTEMS["mainresult-nonconvex"], Grid(1, n))
+    grid = system.grid
     checks = []
 
     nodes = grid.nodes()
-    k_sizes = [int(np.sum(h.compact_set_K(nodes))) for h in (h1, h2)]
+    k_sizes = [int(np.sum(h.compact_set_K(nodes))) for h in system.hams]
     checks.append(
         _geq("pinning_set_nonempty", float(min(k_sizes)), 1.0, node_counts=k_sizes)
     )
@@ -323,23 +300,12 @@ def suite_mainresult_nonconvex(n: int = 128, t_final: float = 40.0) -> SuiteResu
 
 def suite_exist_smoo_strictconvex(n: int = 256, t_final: float = 40.0) -> SuiteResult:
     """Strictly convex pair with disjoint minimizers; profiles still settle."""
-    grid = Grid(1, n)
-    # Disjoint argmins: x = 0 for the first source, x = 1/2 for the second.
-    f1 = {"const": 1.0, "terms": [{"k": [1], "cos": -1.0}]}
-    f2 = {"const": 0.7, "terms": [{"k": [1], "cos": 0.5}]}
-    hams = (
-        catalog.build_hamiltonian("quadratic_eikonal", {"f": f1}),
-        catalog.build_hamiltonian("quadratic_eikonal", {"f": f2}),
-    )
-    D = CouplingMatrix.constant(catalog.builtin_coupling("symmetric_pair"))
-    system = HJSystem(hams=hams, coupling=D, grid=grid)
-    fs = [
-        sample(catalog.fourier_function(f1, 1), grid),
-        sample(catalog.fourier_function(f2, 1), grid),
-    ]
+    system = catalog.build_system(catalog.SYSTEMS["exist-smoo-strictconvex"], Grid(1, n))
+    grid = system.grid
+    fs = catalog.sources(system)
     checks = []
 
-    rep = check_assumption(hams[0], "strictconvex")
+    rep = check_assumption(system.hams[0], "strictconvex")
     checks.append(
         _geq(
             "strict_convexity_sampled",
@@ -386,16 +352,10 @@ def suite_exist_smoo_strictconvex(n: int = 256, t_final: float = 40.0) -> SuiteR
 
 def suite_identical_gap(n: int = 256, t_final: float = 8.0) -> SuiteResult:
     """One shared Hamiltonian, constant initial data: exact gap contraction."""
-    grid = Grid(1, n)
-    ham = catalog.build_hamiltonian(
-        "quadratic_eikonal", {"f": {"const": 1.0, "terms": [{"k": [1], "cos": -1.0}]}}
-    )
-    D_entries = catalog.builtin_coupling("symmetric_pair")
-    system = HJSystem(
-        hams=(ham, ham), coupling=CouplingMatrix.constant(D_entries), grid=grid
-    )
+    system = catalog.build_system(catalog.SYSTEMS["identical-gap"], Grid(1, n))
+    grid = system.grid
     checks = []
-    delta = delta_rate(D_entries)
+    delta = delta_rate(system.coupling.entries)
     checks.append(
         CheckResult(
             name="certified_rate_value",
@@ -443,8 +403,7 @@ def suite_appendix_mc(
     rates = [[-1.0, 1.0], [1.0, -1.0]]
     spec = catalog.unit_ball_eikonal_process([catalog.F1, catalog.F2], rates)
     grid = Grid(1, n)
-    hams = tuple(hamiltonian_from_spec(spec, i) for i in range(spec.m))
-    system = HJSystem(hams=hams, coupling=coupling_from_spec(spec), grid=grid)
+    system = catalog.process_system(spec, grid)
     u0 = [GridFunction(grid, np.zeros(grid.shape)) for _ in range(spec.m)]
     config = EvolutionConfig(t_final=horizon, snapshot_every=0.125)
     traj = solve(system, u0, config)

@@ -250,6 +250,8 @@ def _run_step(spec, x0, mode, horizon, dt_sim) -> float:
     for what, value in (("horizon", horizon), ("dt_sim", dt)):
         if not 0 < value < np.inf:
             raise ConfigError(f"{what} must be positive and finite, got {value!r}")
+    if not float(horizon) / dt < 2.0**63:
+        raise ConfigError(f"dt_sim = {dt!r} (horizon {horizon!r}): more steps than int64 holds")
     return dt
 
 

@@ -1,13 +1,33 @@
-"""Catalog Fourier sources against the formula they replaced, and the
-catalog's reading of its numbers."""
+"""Catalog Fourier sources against the formula they replaced, the
+catalog's reading of its numbers, and the suites' systems as config blocks."""
 
 from __future__ import annotations
+
+import ast
+import json
+import pathlib
 
 import numpy as np
 import pytest
 
-from hjsys.catalog import F1, F2, build_hamiltonian, direction_profile, fourier_function
+from hjsys.catalog import (
+    F1,
+    F2,
+    SYSTEMS,
+    build_hamiltonian,
+    build_system,
+    direction_profile,
+    fourier_function,
+    process_system,
+    sources,
+    unit_ball_eikonal_process,
+)
+from hjsys.cli import main
 from hjsys.errors import ConfigError
+from hjsys.grid import Grid, sample
+from hjsys.suites import SUITE_RUNNERS
+
+WORKER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 
 
 def _reference_fourier(params: dict, dim: int):
@@ -96,3 +116,42 @@ def test_catalog_numbers_reject_booleans_and_strings(build, message):
     with pytest.raises(ConfigError) as exc:
         build()
     assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_a_suite_system_pasted_into_an_evolve_config_builds_that_system(name, tmp_path):
+    assert name in SUITE_RUNNERS
+    cfg = {"system": {**SYSTEMS[name], "grid": {"dim": 1, "n": 16}}, "solver": {"t_final": 0.05}}
+    path = tmp_path / "evolve.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "trajectory" / "manifest.json").read_text())
+    want = build_system(SYSTEMS[name], Grid(1, 16)).describe()
+    assert manifest["meta"]["system"] == json.loads(json.dumps(want))
+
+
+def _worker_hamiltonians() -> list:
+    """NONCONVEX_HAMILTONIANS of perfbench/worker.py, read without importing it."""
+    for node in ast.parse(WORKER.read_text(), filename=str(WORKER)).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "NONCONVEX_HAMILTONIANS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{WORKER} defines no NONCONVEX_HAMILTONIANS")
+
+
+def test_the_benchmark_worker_runs_the_mainresult_nonconvex_system():
+    assert _worker_hamiltonians() == SYSTEMS["mainresult-nonconvex"]["hamiltonians"]
+
+
+def test_sources_are_the_sampled_fourier_sources():
+    system = build_system(SYSTEMS["largenew-eikonal"], Grid(1, 32))
+    for got, f in zip(sources(system), (F1, F2)):
+        assert got.values.tobytes() == sample(fourier_function(f, 1), system.grid).values.tobytes()
+
+
+def test_sources_refuse_a_hamiltonian_without_a_source():
+    spec = unit_ball_eikonal_process([F1, F2], [[0.0, 1.0], [1.0, 0.0]], n_actions=4)
+    system = process_system(spec, Grid(1, 8))
+    with pytest.raises(ConfigError, match="hamiltonian 0 has no separable source"):
+        sources(system)

@@ -562,7 +562,8 @@ class TestSimulate:
         "field, value",
         [("n_samples", "abc"), ("dt_sim", "x"), ("mode0", 5),
          # an infinite step takes no step; an infinite horizon overflows the step count
-         ("dt_sim", float("inf")), ("horizon", float("inf")), ("horizon", float("nan"))],
+         ("dt_sim", float("inf")), ("horizon", float("inf")), ("horizon", float("nan")),
+         ("dt_sim", 1e-320)],  # finite, but horizon / dt_sim steps overflow
     )
     def test_bad_run_field_is_a_config_error(self, tmp_path, capsys, field, value):
         cfg = _idle_cfg()

@@ -382,13 +382,15 @@ def test_difference_buffers_keep_the_shift_identity(dim):
     system = _system("quadratic", dim)
     kernel = system.flux_kernel("local")
     values = _values(system.grid, 3)
-    dminus, dplus = kernel.diffs(values)
+    buffers = kernel.plan(values.shape).buffers[:2]
+    dminus, dplus = diff_arrays(values, system.grid, out=buffers)
     for k in range(dim):
         assert _same_bits(np.roll(dplus[..., k], 1, axis=1 + k), dminus[..., k])
     ref = [diff_arrays(values[i], system.grid) for i in range(system.m)]
     assert _same_bits(dminus, np.stack([r[0] for r in ref]))
     assert _same_bits(dplus, np.stack([r[1] for r in ref]))
-    again = kernel.diffs(values)
+    assert dminus is buffers[0] and dplus is buffers[1]  # written into the plan's buffers
+    again = diff_arrays(values, system.grid, out=kernel.plan(values.shape).buffers[:2])
     assert again[0] is dminus and again[1] is dplus  # preallocated, reused
 
 

@@ -176,7 +176,7 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize(
         "bad", [dict(horizon=np.inf), dict(horizon=np.nan), dict(dt_sim=0.0),
-                dict(dt_sim=np.inf), dict(x0=[np.nan])]
+                dict(dt_sim=np.inf), dict(x0=[np.nan]), dict(dt_sim=1e-320)]
     )
     def test_nonfinite_or_nonpositive_run_arguments(self, bad):
         # an infinite horizon or a zero step would never return
@@ -264,7 +264,8 @@ class TestValueEstimation:
     @pytest.mark.parametrize(
         "bad",
         [dict(mode=2), dict(mode=-1), dict(horizon=0.0), dict(dt_sim=0.0),
-         dict(horizon=np.inf), dict(horizon=np.nan), dict(dt_sim=1e400), dict(x=[np.inf])],
+         dict(horizon=np.inf), dict(horizon=np.nan), dict(dt_sim=1e400), dict(x=[np.inf]),
+         dict(dt_sim=1e-320)],
     )
     def test_rejects_out_of_range_arguments(self, bad):
         kw = dict(x=[0.0], mode=0, horizon=1.0, n_samples=200, seed=1, dt_sim=0.5)
