@@ -30,7 +30,7 @@ from hjsys.ergodic import (
     long_time_constant,
 )
 from hjsys.evolution import EvolutionConfig, solve
-from hjsys.grid import GridFunction, save_json
+from hjsys.grid import GridFunction, save_json, save_table
 from hjsys.suites import run_suite
 
 
@@ -102,10 +102,7 @@ def main(argv=None) -> int:
             fh.write("route,value,reference,abs_gap,seconds\n")
             for label, value, ref, gap, secs in crows:
                 fh.write(f"{label},{value!r},{ref!r},{gap!r},{secs:.3f}\n")
-        with open(os.path.join(args.out, "probes.csv"), "w") as fh:
-            fh.write("x,mode,mc,std_error,pde,relative_gap\n")
-            for x, mode, mc, se, pde, rel in prows:
-                fh.write(f"{x!r},{mode},{mc!r},{se!r},{pde!r},{rel!r}\n")
+        save_table(prows, args.out, "probes.csv", "x,mode,mc,std_error,pde,relative_gap")
         summary = {
             "grid_n": args.n,
             "formula": formula,

@@ -9,7 +9,7 @@ Clocks are sampled exactly (no per-step Bernoulli), so the switching law
 carries no time-step bias; only the position integration is explicit Euler.
 
 Path cost is the running integral of l_mode(x, a) plus a terminal payment,
-matching the value functions solved by the PDE side with
+matching the value functions solved by the PDE side (``bridge``) with
 
     H_i(x, p) = max over actions a of [-<b_i(x, a), p> - l_i(x, a)],
     d_ii = sum_{j != i} gamma_ij,   d_ij = -gamma_ij.
@@ -23,18 +23,25 @@ Each (sub-)step of that loop looks up the moving paths' actions with one
 gather from the policy table, evaluates the dynamics and the costs with
 one call each where ``_one_call`` allows, else per mode, and wraps
 positions with ``_wrap``.  Callables must therefore be pointwise.
+
+Between switches a path follows a deterministic flow, and every path starts
+at one (x0, mode0), so until its first clock rings a path is the same as
+every other such path.  The loop moves them all as one cohort row, and a
+path's own row joins the passes in the step its first clock rings.  A pass
+covers a prefix of the rows: the cohort, the paths that have switched and
+padding rows, paths not yet switched that stay exact copies of the cohort.
+As the callables and the policy are pointwise, a row's result does not
+depend on the other rows, so seeded results are those of one row per path,
+bit for bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .coupling import CouplingMatrix
+from .bridge import action_tables, coupling_from_spec, hamiltonian_from_spec
 from .errors import ConfigError, StructureError
-from .grid import Grid
-from .hamiltonians import Hamiltonian
 
 __all__ = [
     "SwitchingProcessSpec",
@@ -197,7 +204,7 @@ class GreedyGradientPolicy:
         nodes = self.grid.nodes()
         tables = np.empty((len(traj.times), spec.m, len(nodes)), dtype=np.int64)
         for i in range(spec.m):
-            B, L = _action_tables(spec, i, nodes, nodes.shape)
+            B, L = action_tables(spec, i, nodes, nodes.shape)
             for k in range(len(traj.times)):
                 u = traj.values[k, i]
                 grad = np.stack(
@@ -210,13 +217,20 @@ class GreedyGradientPolicy:
                 ).reshape(len(nodes), dim)
                 tables[k, i] = np.argmax(-np.add.reduce(B * grad, axis=-1) - L, axis=0)
         self._tables = tables
+        # the lookup copy repeats node 0 as node n at the end of each axis
+        on_grid = tables.reshape(tables.shape[:2] + self.grid.shape)
+        self._lookup = np.pad(on_grid, [(0, 0)] * 2 + [(0, 1)] * dim, mode="wrap").reshape(-1)
 
     def _node_index(self, x: np.ndarray) -> np.ndarray:
+        """Nearest node rint(x n) per axis in the lookup copy, where n stands
+        for node 0; a point off [0, 1] is taken modulo n first."""
         n = self.grid.n
-        idx = np.rint(np.atleast_2d(x) * n).astype(int) % n
+        idx = np.rint(np.atleast_2d(x) * n).astype(np.int64)
+        if idx.view(np.uint64).max(initial=0) > n:  # a negative index reads huge
+            idx %= n
         if self.grid.dim == 1:
             return idx[:, 0]
-        return idx[:, 0] * n + idx[:, 1]
+        return idx[:, 0] * (n + 1) + idx[:, 1]
 
     def _snapshot(self, time_to_go):
         """Index of the snapshot nearest in time to go (the earlier one on a
@@ -233,10 +247,10 @@ class GreedyGradientPolicy:
         return np.where(pick_lower & (snap > 0), lower, snap)
 
     def action_indices(self, x, modes, time_to_go) -> np.ndarray:
-        # one gather from the flat (snapshot, mode, node) table
-        m, n_nodes = self._tables.shape[1:]
+        # one gather from the flat (snapshot, mode, node) lookup copy
+        m, n_nodes = self._tables.shape[1], (self.grid.n + 1) ** self.grid.dim
         rows = (self._snapshot(time_to_go) * m + np.asarray(modes, dtype=int)) * n_nodes
-        return self._tables.reshape(-1).take(rows + self._node_index(x))
+        return self._lookup.take(rows + self._node_index(x))
 
 
 def _run_step(spec, x0, mode, horizon, dt_sim) -> float:
@@ -347,52 +361,75 @@ def _clock(R, draw):
         return np.where(R > 0, draw / R, np.inf)
 
 
+_PAD = 128  # the live prefix grows in blocks of this many rows
+
+
 def _run_batch(spec, policy, x0, mode0, horizon, dt, rng, n, record=None) -> np.ndarray:
     """Costs of n paths from (x0, mode0), advanced in one time loop; every
-    random number comes from ``rng``.  A ``record`` list gets path 0's
-    (t, x, mode, action) where each of its moves starts, and at the end."""
+    random number comes from ``rng``.  A ``record`` list, for n = 1, gets the
+    path's (t, x, mode, action) where each of its moves starts, and at the end.
+    Row 0 is the cohort (clock inf), row r > 0 the path with the r-th earliest
+    first clock before the horizon; a pass covers the rows [:L] whose clock
+    rings before the step end, padded to a multiple of ``_PAD``."""
     R = spec.total_rates()
     cdf = _destination_cdf(spec, R)
-    x = np.broadcast_to(_wrap(np.atleast_1d(np.asarray(x0, dtype=float))), (n, spec.dim)).copy()
-    modes = np.full(n, int(mode0))
-    cost = np.zeros(n)
-    next_switch = _clock(R[modes], rng.exponential(size=n))
+    first = _clock(R[mode0], rng.exponential(size=n))
+    ids = sorted(np.flatnonzero(first < horizon).tolist(), key=first.item)
+    path_of, rows, L = [-1] + ids, 1 + len(ids), 0
+    arrive = first[ids]
+    x = np.broadcast_to(_wrap(np.atleast_1d(np.asarray(x0, dtype=float))), (rows, spec.dim)).copy()
+    modes = np.full(rows, int(mode0))
+    cost = np.zeros(rows)
+    next_switch = np.concatenate(([np.inf], arrive))
     n_steps = max(1, int(np.ceil(horizon / dt - 1e-12)))
     roles = [_one_call(spec.dynamics), _one_call(spec.costs)]
 
     def move(seg, t):
-        # the paths with seg > 0 move from time t, one number or one per path
-        row = record is not None and seg[0] > 0 and (np.ravel(t)[0], x[0].copy(), modes[0])
-        a_idx = _advance(spec, roles, policy, x, modes, cost, seg, horizon - t)
+        # the rows with seg > 0 move from time t, one number or one per row;
+        # a recorded path is the last row, always in the prefix
+        row = record is not None and seg[-1] > 0 and (np.ravel(t)[-1], xs[-1].copy(), ms[-1])
+        a_idx = _advance(spec, roles, policy, xs, ms, cs, seg, horizon - t)
         if row:
-            record.append(row + (a_idx[0],))
+            record.append(row + (a_idx[-1],))
 
     t0 = 0.0
     for k in range(n_steps):
         t1 = min((k + 1) * dt, horizon)
-        # every path starts the step at t0, so the time to go is one number
-        seg = np.maximum(np.minimum(next_switch, t1) - t0, 0.0)
+        grown = min(-(-(1 + int(arrive.searchsorted(t1))) // _PAD) * _PAD, rows)
+        if grown > L:
+            x[L:grown], cost[L:grown] = x[0], cost[0]
+            L = grown
+        xs, ms, cs, ns = x[:L], modes[:L], cost[:L], next_switch[:L]
+        # every row starts the step at t0, so the time to go is one number
+        seg = np.maximum(np.minimum(ns, t1) - t0, 0.0)
         move(seg, t0)
         cur = t0 + seg
         while True:
-            # the few paths whose clock rang inside the step switch mode and
-            # finish the step from their own switch time
-            cand = np.flatnonzero(next_switch <= t1 - 1e-15)
-            switching = cand[cur[cand] >= next_switch[cand] - 1e-15]
+            # the few rows whose clock rang inside the step switch mode and
+            # finish the step from their own switch time, drawing in path order
+            cand = np.flatnonzero(ns <= t1 - 1e-15)
+            switching = cand[cur[cand] >= ns[cand] - 1e-15]
             if not len(switching):
                 break
+            switching = np.array(sorted(switching.tolist(), key=path_of.__getitem__))
             u = rng.random(len(switching))
-            modes[switching] = _draw_destinations(cdf, modes[switching], u)
-            next_switch[switching] = cur[switching] + _clock(
-                R[modes[switching]], rng.exponential(size=len(switching))
+            ms[switching] = _draw_destinations(cdf, ms[switching], u)
+            ns[switching] = cur[switching] + _clock(
+                R[ms[switching]], rng.exponential(size=len(switching))
             )
-            seg = np.maximum(np.minimum(next_switch, t1) - cur, 0.0)
+            seg = np.maximum(np.minimum(ns, t1) - cur, 0.0)
             move(seg, cur)
             cur += seg
         t0 = t1
-    for i in np.unique(modes):
+    # back to path order; a path whose row never entered the prefix is row 0
+    row_of = np.zeros(n, dtype=np.intp)
+    row_of[ids] = np.arange(1, rows)
+    row_of[row_of >= L] = 0
+    x, modes, cost = x[row_of], modes[row_of], cost[row_of]
+    for i in range(spec.m):  # not np.unique: a first sort maps ~1 MB of numpy's code
         sel = modes == i
-        cost[sel] += spec.terminal[i](x[sel])
+        if sel.any():
+            cost[sel] += spec.terminal[i](x[sel])
     if record is not None:
         record.append((t0, x[0].copy(), modes[0], record[-1][3]))
     return cost
@@ -419,60 +456,3 @@ def estimate_value(
     return ValueEstimate(
         mean=mean, std_error=std_error, samples=len(costs), policy_id=policy.policy_id
     )
-
-
-def _action_tables(spec: SwitchingProcessSpec, mode: int, x, shape):
-    """Velocity B[a, ..., k] and running cost L[a, ...] of every action in one
-    mode at the points x, broadcast for gradients of the given shape."""
-    A = spec.control_set
-    a = A.reshape((len(A),) + (1,) * (len(shape) - 1) + A.shape[1:])
-    B = np.broadcast_to(np.asarray(spec.dynamics[mode](x, a), dtype=float), (len(A),) + shape)
-    L = np.broadcast_to(np.asarray(spec.costs[mode](x, a), dtype=float), (len(A),) + shape[:-1])
-    return B, L
-
-
-def hamiltonian_from_spec(
-    spec: SwitchingProcessSpec, mode: int, p_box: float = 2.5
-) -> Hamiltonian:
-    """Max-over-actions Hamiltonian of one mode."""
-    if not (0 <= mode < spec.m):
-        raise ConfigError(f"mode must be in [0, {spec.m}), got {mode}")
-
-    def sup(p, B, L):
-        # one max over the action axis (leading, so ties resolve as in a
-        # running maximum over the actions in order); p's batch axes follow it
-        a = (slice(None),) + (None,) * (p.ndim + 1 - B.ndim)
-        return np.maximum.reduce(-np.add.reduce(B[a] * p, axis=-1) - L[a], axis=0)
-
-    xs = Grid(spec.dim, 16).nodes()
-    bmax_axis = np.max(np.abs(_action_tables(spec, mode, xs, xs.shape)[0]), axis=(0, 1))
-
-    def alpha(pabs):
-        return np.broadcast_to(bmax_axis, pabs.shape)
-
-    def bind(X):
-        B, L = _action_tables(spec, mode, X, X.shape)
-        return partial(sup, B=B, L=L), alpha
-
-    # crude coercivity probe along the axes; gates the discounted solver
-    tags = {"convex"}
-    e = np.concatenate([np.eye(spec.dim), -np.eye(spec.dim)])
-    H = bind(np.full((1, spec.dim), 0.5))[0]
-    if all(float(H(p_box * d[None, :])[0]) > float(H(0.5 * p_box * d[None, :])[0]) for d in e):
-        tags.add("coercive")
-    return Hamiltonian(
-        dim=spec.dim,
-        bind=bind,
-        lf_alpha=1.05 * float(np.max(bmax_axis)) if np.max(bmax_axis) > 0 else 1e-12,
-        class_tags=frozenset(tags),
-        name="switching_sup",
-        params={"mode": mode, "actions": len(spec.control_set)},
-    )
-
-
-def coupling_from_spec(spec: SwitchingProcessSpec) -> CouplingMatrix:
-    """d_ii = total leave rate, d_ij = -rate(i -> j); zero row sums."""
-    D = -np.array(spec.rates, dtype=float)
-    np.fill_diagonal(D, 0.0)
-    np.fill_diagonal(D, -D.sum(axis=1))
-    return CouplingMatrix.constant(D)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hjsys import catalog, switching
 from hjsys.coupling import validate_monotone
@@ -624,6 +626,147 @@ class TestBatchLoop:
                 run()
 
 
+class _ChosenDraws:
+    """Stands in for a generator: the first ``exponential`` call returns the
+    chosen draws, every later draw comes from a seeded generator."""
+
+    def __init__(self, first, seed=3):
+        self._first, self._rng = np.asarray(first, dtype=float), np.random.default_rng(seed)
+
+    def exponential(self, size):
+        if self._first is None:
+            return self._rng.exponential(size=size)
+        out, self._first = self._first, None
+        assert out.shape == (size,)
+        return out
+
+    def random(self, size):
+        return self._rng.random(size)
+
+
+def _wavy_spec(rates, dim=1):
+    """Distinct x-dependent dynamics and costs per mode, in any dimension."""
+    m = len(rates)
+    return SwitchingProcessSpec(
+        m=m,
+        dynamics=tuple(
+            (lambda x, a, i=i: a * np.cos(2 * np.pi * (x + 0.1 * i))) for i in range(m)
+        ),
+        costs=tuple(
+            (lambda x, a, i=i: np.sin(2 * np.pi * x[..., 0]) * (1 + i) + a[..., -1] ** 2
+             + 0.5 * x[..., -1])
+            for i in range(m)
+        ),
+        rates=rates,
+        control_set=np.linspace(-1.0, 1.0, 5)[:, None] * np.ones(dim),
+        terminal=tuple((lambda x, i=i: np.cos(2 * np.pi * x[..., -1]) + i) for i in range(m)),
+        dim=dim,
+    )
+
+
+class _PointwisePolicy:
+    """An action that depends on the position, the mode and the time to go,
+    row by row, so the cohort's copies must agree with every path."""
+
+    policy_id = "pointwise"
+
+    def action_indices(self, x, modes, time_to_go):
+        ttg = np.broadcast_to(time_to_go, np.shape(modes))
+        return (np.rint(x[:, 0] * 7).astype(int) + modes + (ttg > 0.1)) % 5
+
+
+class TestCohortEdges:
+    """Paths share the cohort row until their first clock rings.  Against
+    the masked reference loop on the same chosen first clocks, the costs
+    must agree bit for bit where a clock meets a step end, rings at once,
+    never rings or rings past the horizon."""
+
+    # total rate 4 in every mode, so a draw d gives the clock d / 4 exactly
+    RATES = np.array([[0.0, 4.0], [4.0, 0.0]])
+
+    @pytest.fixture(autouse=True, params=[1, 3, 128], ids=lambda pad: f"pad{pad}")
+    def pad(self, request, monkeypatch):
+        # with blocks of one row a late row falls outside the prefix at once
+        monkeypatch.setattr(switching, "_PAD", request.param)
+
+    def _assert_matches(self, spec, first_clocks, horizon, dt, mode0=0, x0=(0.3,), policy=None):
+        draws = np.asarray(first_clocks, dtype=float) * 4.0
+        args = (spec, policy or _PointwisePolicy(), list(x0), mode0, horizon, dt)
+        got = _run_batch(*args, _ChosenDraws(draws), len(draws))
+        ref = _reference_batch(*args, _ChosenDraws(draws), len(draws))
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "shift", [0.0, -5e-16, 5e-16], ids=["on a step end", "5e-16 below", "5e-16 above"]
+    )
+    def test_first_clock_at_a_step_end(self, shift):
+        # dt = 1/8: clocks at 1/8, 2/8 and 5/8 (plus the shift) among plain ones
+        clocks = np.linspace(0.01, 0.99, 300)
+        clocks[[7, 100, 200]] = np.array([1, 2, 5]) / 8 + shift
+        self._assert_matches(_wavy_spec(self.RATES), clocks, 1.0, 1 / 8)
+
+    def test_first_clock_at_zero(self):
+        clocks = np.linspace(0.0, 0.4, 200)
+        clocks[[50, 199]] = 0.0
+        self._assert_matches(_wavy_spec(self.RATES), clocks, 0.5, 1 / 16)
+
+    def test_first_clocks_past_the_horizon(self):
+        # no path switches: every cost is the cohort's
+        spec = _wavy_spec(self.RATES)
+        clocks = np.linspace(0.5, 3.0, 150)
+        self._assert_matches(spec, clocks, 0.5, 1 / 16)
+        got = _run_batch(spec, _PointwisePolicy(), [0.3], 0, 0.5, 1 / 16, _ChosenDraws(clocks * 4), 150)
+        assert np.all(got == got[0])
+
+    def test_absorbing_start_mode(self):
+        # mode 1 never leaves, so no first clock rings, whatever was drawn
+        rates = np.array([[0.0, 4.0], [0.0, 0.0]])
+        self._assert_matches(_wavy_spec(rates), np.linspace(0.01, 1.0, 120), 0.5, 1 / 16, mode0=1)
+
+    @pytest.mark.parametrize("clock", [0.0, 0.125, 0.2, 0.4])
+    def test_one_path(self, clock):
+        self._assert_matches(_wavy_spec(self.RATES), [clock], 0.3, 1 / 8)
+
+    def test_step_that_does_not_divide_the_horizon(self):
+        # horizon 0.3 with dt 1/8: the last step ends at the horizon, 0.05 long
+        clocks = np.concatenate([np.linspace(0.0, 0.35, 250), [0.25, 0.3 - 5e-16, 0.3]])
+        self._assert_matches(_wavy_spec(self.RATES, dim=2), clocks, 0.3, 1 / 8, x0=(0.3, 0.9))
+
+    def test_clocks_between_the_last_step_end_and_the_horizon(self):
+        # horizon / dt is 3 + 8e-14, so the loop takes 3 steps and stops 1e-14
+        # short of the horizon: the 200 clocks rung in between never switch,
+        # and more of them than the padding holds stay out of the prefix
+        clocks = np.concatenate([np.linspace(0.0, 0.37, 130), np.full(200, 0.375 + 5e-15)])
+        self._assert_matches(_wavy_spec(self.RATES), clocks, 0.375 + 1e-14, 1 / 8)
+
+    def test_more_switching_paths_than_one_block(self):
+        # 600 paths, nearly all ringing in the first steps: the prefix grows
+        # past several blocks and the switch rounds hold many rows
+        spec = _wavy_spec(np.array([[0.0, 4.0, 0.0], [0.0, 0.0, 4.0], [4.0, 0.0, 0.0]]))
+        clocks = np.random.default_rng(1).exponential(size=600) / 40.0
+        self._assert_matches(spec, clocks, 0.25, 1 / 64)
+
+    @given(
+        data=st.data(),
+        dim=st.sampled_from([1, 2]),
+        n=st.integers(1, 160),
+        dt=st.sampled_from([1 / 64, 1 / 16, 0.03, 0.1, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40)
+    def test_matches_the_reference(self, data, dim, n, dt, seed):
+        m = data.draw(st.integers(1, 3))
+        rate = st.sampled_from([0.0, 0.5, 3.0, 40.0])
+        rates = np.array([[data.draw(rate) for _ in range(m)] for _ in range(m)])
+        x0 = [data.draw(st.floats(-1.5, 2.5)) for _ in range(dim)]
+        mode0 = data.draw(st.integers(0, m - 1))
+        spec = _wavy_spec(rates, dim)
+        args = (spec, _PointwisePolicy(), x0, mode0, 0.25, dt)
+        got = _run_batch(*args, np.random.default_rng(seed), n)
+        ref = _reference_batch(*args, np.random.default_rng(seed), n)
+        assert got.tobytes() == ref.tobytes()
+
+
 class TestWrap:
     """Positions are wrapped with y - floor(y), which must equal y % 1.0
     bit for bit on every finite input."""
@@ -759,6 +902,29 @@ class TestPdeBridge:
                     b = np.broadcast_to(spec.dynamics[i](nodes, a), nodes.shape)
                     scores[:, ai] = -np.sum(b * grad, axis=1) - spec.costs[i](nodes, a)
                 assert np.array_equal(policy._tables[k, i], np.argmax(scores, axis=1))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_greedy_lookup_at_one_and_off_the_torus(self, dim):
+        # the nearest node is rint(x n) modulo n per axis: x = 1.0 (which
+        # _wrap can return) reads node 0, as do points off [0, 1)
+        n, grid = 8, Grid(dim=dim, n=8)
+        spec = _wavy_spec(SYM_RATES, dim)
+        values = np.random.default_rng(4).random((3, 2) + grid.shape)
+        traj = SimpleNamespace(grid=grid, times=np.array([0.0, 0.25, 0.5]), values=values)
+        policy = GreedyGradientPolicy(spec, traj)
+        coords = [1.0, 0.0, 1 - 1e-17, 0.9999, -1e-17, -0.3, -1.0, 1.7, 3.06, -2.49, 0.5625]
+        x = np.array(coords)[:, None] * np.ones(dim)
+        if dim == 2:
+            x[:, 1] = np.roll(coords, 3)
+        modes = np.arange(len(x)) % 2
+        ttg = np.linspace(0.0, 0.5, len(x))
+        idx = np.rint(x * n).astype(int) % n
+        node = idx[:, 0] if dim == 1 else idx[:, 0] * n + idx[:, 1]
+        expect = policy._tables[policy._snapshot(ttg), modes, node]
+        assert np.array_equal(policy.action_indices(x, modes, ttg), expect)
+        for k in range(len(x)):
+            assert policy.action_indices(x[k : k + 1], modes[k : k + 1], 0.3) == \
+                policy._tables[policy._snapshot(0.3), modes[k], node[k]]
 
     def test_greedy_policy_runs_against_pde_solution(self):
         spec = self._unit_ball_spec()
