@@ -313,12 +313,15 @@ def unit_ball_eikonal_process(fs, rates, n_actions: int = 64) -> SwitchingProces
     m = len(rates)
     if len(fs) != m:
         raise ConfigError(f"process.fs must list {m} source functions")
+    n = _number(n_actions, "process.n_actions")
+    if not (n.is_integer() and n >= 1):
+        raise ConfigError(f"process.n_actions must be a positive integer, got {n_actions!r}")
 
     return _process(
         rates,
         _unit_ball_velocity,
         [fourier_function(f, 1) for f in fs],
-        np.linspace(-1.0, 1.0, n_actions)[:, None],
+        np.linspace(-1.0, 1.0, int(n))[:, None],
     )
 
 
@@ -329,8 +332,8 @@ def _idle_velocity(x, a):
 def idle_process(cost_rates, rates) -> SwitchingProcessSpec:
     """No motion, one action, a constant running cost per mode."""
     m = len(rates)
-    cost_rates = [float(v) for v in cost_rates]
-    if len(cost_rates) != m or not np.all(np.isfinite(cost_rates)):
+    cost_rates = [_number(v, "process.cost_rates") for v in cost_rates]
+    if len(cost_rates) != m:
         raise ConfigError(f"process.cost_rates must list {m} finite rates")
 
     costs = [partial(fourier_series, coef=np.array([v]), terms=()) for v in cost_rates]

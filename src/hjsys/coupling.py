@@ -24,7 +24,7 @@ for m = 2 the exponent is attained exactly.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,30 +54,19 @@ SOLVE_RESIDUAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """Constant or space-dependent m x m coupling.
-
-    The constant variant stores ``entries``; the field variant stores a
-    ``sampler`` mapping a torus point (or an array of points shaped
-    (..., dim)) to an m x m matrix (..., m, m).
-    """
+    """Constant m x m coupling; ``entries`` are finite and read-only."""
 
     m: int
-    entries: np.ndarray | None = None
-    sampler: Callable | None = None
+    entries: np.ndarray
 
     def __post_init__(self) -> None:
-        if (self.entries is None) == (self.sampler is None):
-            raise StructureError("exactly one of entries/sampler must be given")
-        if self.entries is not None:
-            e = np.array(self.entries, dtype=float)
-            if e.shape != (self.m, self.m):
-                raise StructureError(
-                    f"entries must be {self.m}x{self.m}, got {e.shape}"
-                )
-            if not np.all(np.isfinite(e)):
-                raise StructureError(f"coupling entries must be finite, got {e.tolist()}")
-            e.setflags(write=False)
-            object.__setattr__(self, "entries", e)
+        e = np.array(self.entries, dtype=float)
+        if e.shape != (self.m, self.m):
+            raise StructureError(f"entries must be {self.m}x{self.m}, got {e.shape}")
+        if not np.all(np.isfinite(e)):
+            raise StructureError(f"coupling entries must be finite, got {e.tolist()}")
+        e.setflags(write=False)
+        object.__setattr__(self, "entries", e)
 
     @classmethod
     def constant(cls, entries) -> "CouplingMatrix":
@@ -85,21 +74,6 @@ class CouplingMatrix:
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise StructureError(f"coupling matrix must be square, got {e.shape}")
         return cls(m=e.shape[0], entries=e)
-
-    @property
-    def variant(self) -> str:
-        return "constant" if self.entries is not None else "field"
-
-    def sample_at(self, points: np.ndarray) -> np.ndarray:
-        """Matrix values at points shaped (k, dim); returns (k, m, m)."""
-        pts = np.asarray(points, dtype=float)
-        if self.entries is not None:
-            return np.broadcast_to(self.entries, pts.shape[:-1] + (self.m, self.m))
-        out = np.asarray(self.sampler(pts), dtype=float)
-        want = pts.shape[:-1] + (self.m, self.m)
-        if out.shape != want:
-            raise StructureError(f"field sampler returned {out.shape}, want {want}")
-        return out
 
 
 @dataclass(frozen=True)
@@ -135,9 +109,7 @@ class CouplingReport:
 
 def _entries(D) -> np.ndarray:
     if isinstance(D, CouplingMatrix):
-        if D.entries is None:
-            raise StructureError("operation requires the constant variant")
-        return np.asarray(D.entries)
+        return D.entries
     e = np.asarray(D, dtype=float)
     if e.ndim != 2 or e.shape[0] != e.shape[1]:
         raise StructureError(f"coupling matrix must be square, got {e.shape}")

@@ -2,7 +2,7 @@
 
 For each discount lambda the stationary system
 
-    lambda v_i + H_i(x, Dv_i) + sum_j d_ij(x) v_j = 0
+    lambda v_i + H_i(x, Dv_i) + sum_j d_ij v_j = 0
 
 is discretized with the monotone flux used everywhere else and solved until
 the sup norm of its residual F(v) = lambda v + flux(v) + D v is below the
@@ -139,9 +139,8 @@ def _jacobian(kernel, lam: float, v: np.ndarray) -> np.ndarray:
     bumps = _FD_STEP * (color == np.arange(color.max() + 1)[:, None])[:, None]
     flux, _ = kernel(np.concatenate([v + bumps, v - bumps]))
     dflux = (flux[: len(bumps)] - flux[len(bumps):]) / (2 * _FD_STEP)
-    coupling = kernel.entries if kernel.D_nodes is None else kernel.D_nodes
     J = np.zeros((m, n, m, n))
-    J[:, k, :, k] = coupling + lam * np.eye(m)
+    J[:, k, :, k] = kernel.entries + lam * np.eye(m)
     # row r of flux_i moves with v_i at the one node of each color in its stencil
     i, rows = np.arange(m)[:, None, None], (k + np.array([[-1], [0], [1]])) % n
     J[i, rows, i, k] += dflux[color, i, rows]
@@ -241,7 +240,7 @@ def solve_discounted(
     for i, h in enumerate(system.hams):
         if "coercive" not in h.class_tags:
             raise StructureError(f"Hamiltonian {i} is not tagged coercive")
-    if system.coupling.entries is not None and not is_irreducible(system.coupling.entries):
+    if not is_irreducible(system.coupling.entries):
         raise StructureError("constant coupling is reducible")
     kernel = system.flux_kernel(schedule.flux_mode)
 

@@ -20,9 +20,9 @@ elementwise or per member, so each member equals its own ``solve`` bit for
 bit (``solve`` is a batch of one, ``step`` updates a copy).  The march
 decides CFL and finiteness once per chunk of _CHUNK steps; a failing chunk
 is replayed deciding after every step, so the first failing step's error
-names its time and member.  A field coupling is refused before the first
-flux.  Member b's ``Trajectory.values`` is row b of one (B, K, m) +
-grid.shape snapshot array; ``Trajectory.shifted`` is the drift u_i + c_i t.
+names its time and member.  Member b's ``Trajectory.values`` is row b of
+one (B, K, m) + grid.shape snapshot array; ``Trajectory.shifted`` is the
+drift u_i + c_i t.
 """
 from __future__ import annotations
 
@@ -36,8 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .coupling import ROW_SUM_TOL, CouplingMatrix, is_irreducible, validate_monotone
-from .errors import ConfigError, DivergenceError, StructureError
+from .coupling import CouplingMatrix, validate_monotone
+from .errors import ConfigError, DivergenceError, StructureError, check_step_budget
 from .grid import Grid, GridFunction, diff_arrays, diff_axis, load_binary, save_binary, save_json
 from .hamiltonians import FAMILY_EVALUATORS, global_flux, local_flux
 
@@ -60,12 +60,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HJSystem:
-    """Bundle of Hamiltonians, coupling, and grid.
-
-    Field-variant couplings are carried through for the discounted solver
-    but rejected by the evolution stepping, which requires the constant
-    variant.
-    """
+    """Bundle of Hamiltonians, a monotone coupling, and grid."""
 
     hams: tuple
     coupling: CouplingMatrix
@@ -82,10 +77,9 @@ class HJSystem:
         for i, h in enumerate(hams):
             if h.dim != self.grid.dim:
                 raise StructureError(f"Hamiltonian {i} has dim {h.dim}, grid {self.grid.dim}")
-        if self.coupling.variant == "constant":
-            ok, violations = validate_monotone(self.coupling.entries)
-            if not ok:
-                raise StructureError(f"coupling is not monotone: {violations[:3]}")
+        ok, violations = validate_monotone(self.coupling.entries)
+        if not ok:
+            raise StructureError(f"coupling is not monotone: {violations[:3]}")
 
     @property
     def m(self) -> int:
@@ -114,12 +108,7 @@ class HJSystem:
                 {"name": h.name, "lf_alpha": h.lf_alpha, "params": h.params}
                 for h in self.hams
             ],
-            "coupling": {
-                "variant": self.coupling.variant,
-                "entries": None
-                if self.coupling.entries is None
-                else self.coupling.entries.tolist(),
-            },
+            "coupling": {"entries": self.coupling.entries.tolist()},
             "identical_hamiltonians": self.identical_hamiltonians,
         }
 
@@ -172,9 +161,7 @@ class FluxKernel:
     Built by ``HJSystem.flux_kernel`` on the node mesh X: each ``bind(X)``
     (no alpha in global mode), the groups of components evaluated together
     (runs of consecutive components of one family, stacked), the coupling
-    sampled at the nodes (``D_nodes``, None if constant; a field coupling
-    must be monotone and irreducible at every node) and its largest
-    diagonal ``dmax``.
+    ``entries`` and their largest diagonal ``dmax``.
     A step plan per values shape, built on first sight, holds the buffers,
     each group's views of them and its flux form, and family x-data
     materialized at the batch shape; the march, ``step`` and Newton (which
@@ -206,33 +193,8 @@ class FluxKernel:
                 sel = slice(sel, members[-1] + 1)
                 H, alpha = (_stacked([self.terms[i][j] for i in members], X.ndim) for j in (0, 1))
             self.groups.append((sel, H, alpha, lf_alpha))
-        coupling = system.coupling
-        self.entries = coupling.entries
-        if coupling.entries is not None:
-            self.D_nodes = None
-            self.dmax = float(np.max(np.diag(coupling.entries)))
-            return
-        # a field coupling must be monotone and irreducible at every node
-        nodes = grid.nodes()
-        D = self.D_nodes = coupling.sample_at(nodes)
-        diag = np.diagonal(D, axis1=-2, axis2=-1)
-        self.dmax = float(np.max(diag))
-        off = ~np.eye(system.m, dtype=bool)
-        bad = ~np.isfinite(D).all(axis=(-2, -1)) | (diag < 0).any(axis=-1)
-        bad |= ((D > 0) & off).any(axis=(-2, -1))
-        bad |= (np.abs(D.sum(axis=-1)) > ROW_SUM_TOL).any(axis=-1)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise StructureError(
-                f"field coupling not monotone at x = {nodes[k].tolist()}: "
-                f"{validate_monotone(D[k])[1][:2]}"
-            )
-        # one irreducibility test per off-diagonal sparsity pattern
-        patterns, first = np.unique((D != 0) & off, axis=0, return_index=True)
-        reducible = [k for pattern, k in zip(patterns, first) if not is_irreducible(pattern)]
-        if reducible:
-            x = nodes[min(reducible)].tolist()
-            raise StructureError(f"field coupling reducible at x = {x}")
+        self.entries = system.coupling.entries
+        self.dmax = float(np.max(np.diag(self.entries)))
 
     def plan(self, shape: tuple) -> "_StepPlan":
         """The step plan for values of ``shape``, built on first use."""
@@ -263,15 +225,11 @@ class FluxKernel:
         return out, alpha_sums
 
     def coupling_term(self, values: np.ndarray) -> np.ndarray:
-        """sum_j d_ij(x) u_j for every component (and member, for the constant variant)."""
-        if self.D_nodes is None:
-            if self.grid.dim == 1:  # the grid axis is already matmul's column axis
-                return np.matmul(self.entries, values)
-            rows = values.shape[: values.ndim - self.grid.dim] + (-1,)
-            return np.matmul(self.entries, values.reshape(rows)).reshape(values.shape)
-        m = values.shape[0]
-        out = np.einsum("kij,jk->ik", self.D_nodes, values.reshape(m, -1))
-        return out.reshape(values.shape)
+        """sum_j d_ij u_j for every component and member."""
+        if self.grid.dim == 1:  # the grid axis is already matmul's column axis
+            return np.matmul(self.entries, values)
+        rows = values.shape[: values.ndim - self.grid.dim] + (-1,)
+        return np.matmul(self.entries, values.reshape(rows)).reshape(values.shape)
 
     def check_cfl(self, alpha_sums, dt: float, lam: float = 0.0) -> None:
         """Raise unless dt (max sum_k alpha_k / h + max d_ii + lam) <= 1.
@@ -279,8 +237,8 @@ class FluxKernel:
         One minus dt times that sum bounds the coefficient of v_i(x_k) in
         the update from below, so the flux and the damping share one budget.
         ``alpha_sums`` holds sum_k alpha_k at every node, shaped like the
-        values; the damping is the largest diagonal coupling entry (sampled
-        at the nodes for a field coupling) plus the discount ``lam``.
+        values; the damping is the largest diagonal coupling entry plus the
+        discount ``lam``.
         """
         damping = self.dmax + lam
         # x -> dt * (x / h + damping) rounds monotonically: the largest sum decides
@@ -409,16 +367,6 @@ def _march_chunk(kernel: FluxKernel, v: np.ndarray, dt: float, t: float, steps: 
     return t
 
 
-def _march_kernel(system: HJSystem, flux_mode: str) -> FluxKernel:
-    """The flux kernel of ``system`` for the time march, which needs a constant coupling."""
-    if system.coupling.variant != "constant":
-        raise StructureError(
-            "evolution stepping requires the constant coupling variant; "
-            "field couplings are only accepted by the discounted solver"
-        )
-    return system.flux_kernel(flux_mode)
-
-
 def _initial_values(system: HJSystem, u0: Sequence[GridFunction] | SystemState) -> np.ndarray:
     values = (u0 if isinstance(u0, SystemState) else SystemState.from_functions(u0)).values
     if values.shape != (system.m,) + system.grid.shape:
@@ -430,7 +378,7 @@ def step(
     state: SystemState, system: HJSystem, dt: float, flux_mode: str = "local"
 ) -> SystemState:
     """One forward-Euler update of the full system; ``state`` is left unchanged."""
-    kernel = _march_kernel(system, flux_mode)
+    kernel = system.flux_kernel(flux_mode)
     v = np.array(_initial_values(system, state), dtype=float)
     _advance(kernel, v, dt, state.t + dt)
     return SystemState(t=state.t + dt, values=v, grid=state.grid)
@@ -526,7 +474,7 @@ def solve_batch(system: HJSystem, u0s: Sequence, config: EvolutionConfig) -> lis
     trajectory per member, bit-identical to its own ``solve``; member b's
     ``values`` is row b of one (B, K, m) + grid.shape snapshot array.
     """
-    kernel = _march_kernel(system, config.flux_mode)
+    kernel = system.flux_kernel(config.flux_mode)
     v = np.asarray(np.stack([_initial_values(system, u0) for u0 in u0s]), dtype=float)
     dt = cfl_dt(system, config)
     try:
@@ -536,9 +484,8 @@ def solve_batch(system: HJSystem, u0s: Sequence, config: EvolutionConfig) -> lis
         raise ConfigError(f"snapshot_every = {config.snapshot_every!r}: {exc}") from exc
     with np.errstate(over="ignore"):  # an infinite count fails the test below
         counts = np.maximum(1.0, np.ceil(np.diff(times) / dt - 1e-12))
-    if not np.sum(counts) < 2.0**63:
-        raise ConfigError(f"dt_override = {config.dt_override!r} (dt = {dt!r}): "
-                          "more steps than int64 holds")
+    key = "t_final" if config.dt_override is None else "dt_override"
+    check_step_budget(np.sum(counts), f"{key} = {getattr(config, key)!r} (dt = {dt!r})")
     snapshots[:, 0] = v
     steps_at, t = [0], 0.0
     march = v[0] if len(v) == 1 else v  # one member: no batch axis for x-data to broadcast over

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bridge import action_tables, coupling_from_spec, hamiltonian_from_spec
-from .errors import ConfigError, StructureError
+from .errors import ConfigError, StructureError, check_step_budget
 
 __all__ = [
     "SwitchingProcessSpec",
@@ -264,8 +264,7 @@ def _run_step(spec, x0, mode, horizon, dt_sim) -> float:
     for what, value in (("horizon", horizon), ("dt_sim", dt)):
         if not 0 < value < np.inf:
             raise ConfigError(f"{what} must be positive and finite, got {value!r}")
-    if not float(horizon) / dt < 2.0**63:
-        raise ConfigError(f"dt_sim = {dt!r} (horizon {horizon!r}): more steps than int64 holds")
+    check_step_budget(float(horizon) / dt, f"dt_sim = {dt!r} (horizon {horizon!r})")
     return dt
 
 

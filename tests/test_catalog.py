@@ -18,6 +18,7 @@ from hjsys.catalog import (
     build_system,
     direction_profile,
     fourier_function,
+    idle_process,
     process_system,
     sources,
     unit_ball_eikonal_process,
@@ -27,6 +28,7 @@ from hjsys.errors import ConfigError
 from hjsys.grid import Grid, sample
 from hjsys.suites import SUITE_RUNNERS
 
+RATES = [[0.0, 1.0], [1.0, 0.0]]
 WORKER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 
 
@@ -110,7 +112,16 @@ def test_fourier_function_matches_the_reference_bit_for_bit(dim, specs):
      (lambda: direction_profile({"const": False}, 2),
       "direction profile const must be a number, got False"),
      (lambda: build_hamiltonian("linear_eikonal", {"p_box": True}), "p_box must be a number"),
-     (lambda: build_hamiltonian("linear_eikonal", {"p_box": -1.0}), "p_box must be positive")],
+     (lambda: build_hamiltonian("linear_eikonal", {"p_box": -1.0}), "p_box must be positive"),
+     (lambda: idle_process(["1.5", 0.0], RATES), "process.cost_rates must be a number, got '1.5'"),
+     (lambda: idle_process([0.0, True], RATES), "process.cost_rates must be a number, got True"),
+     (lambda: idle_process([0.0, float("nan")], RATES), "process.cost_rates must be finite"),
+     (lambda: unit_ball_eikonal_process([F1, F2], RATES, n_actions=True),
+      "process.n_actions must be a number, got True"),
+     (lambda: unit_ball_eikonal_process([F1, F2], RATES, n_actions=4.5),
+      "process.n_actions must be a positive integer, got 4.5"),
+     (lambda: unit_ball_eikonal_process([F1, F2], RATES, n_actions=-3),
+      "process.n_actions must be a positive integer, got -3")],
 )
 def test_catalog_numbers_reject_booleans_and_strings(build, message):
     with pytest.raises(ConfigError) as exc:
@@ -151,7 +162,7 @@ def test_sources_are_the_sampled_fourier_sources():
 
 
 def test_sources_refuse_a_hamiltonian_without_a_source():
-    spec = unit_ball_eikonal_process([F1, F2], [[0.0, 1.0], [1.0, 0.0]], n_actions=4)
+    spec = unit_ball_eikonal_process([F1, F2], RATES, n_actions=4)
     system = process_system(spec, Grid(1, 8))
     with pytest.raises(ConfigError, match="hamiltonian 0 has no separable source"):
         sources(system)

@@ -107,6 +107,7 @@ class TestExitCodes:
         ("snapshot_every", 1e-300),  # 1e300 snapshot times, more than an array holds
         ("snapshot_every", 1e-12),  # 1e12 snapshot times, 7.28 TiB
         ("dt_override", 1e-310),  # infinitely many steps per span
+        ("dt_override", 1e-18),  # 1e18 steps, over the step budget
     ])
     def test_unholdable_snapshot_or_step_count_is_a_config_error(self, tmp_path, capsys, field,
                                                                  value):
@@ -563,7 +564,8 @@ class TestSimulate:
         [("n_samples", "abc"), ("dt_sim", "x"), ("mode0", 5),
          # an infinite step takes no step; an infinite horizon overflows the step count
          ("dt_sim", float("inf")), ("horizon", float("inf")), ("horizon", float("nan")),
-         ("dt_sim", 1e-320)],  # finite, but horizon / dt_sim steps overflow
+         ("dt_sim", 1e-320),  # finite, but horizon / dt_sim steps overflow
+         ("dt_sim", 1e-12)],  # 5e11 steps, over the step budget
     )
     def test_bad_run_field_is_a_config_error(self, tmp_path, capsys, field, value):
         cfg = _idle_cfg()

@@ -67,23 +67,6 @@ class TestValidation:
         assert ok
         assert not is_irreducible(z)
 
-    def test_field_variant(self):
-        def sampler(points):
-            s = 1.0 + 0.5 * np.sin(2 * np.pi * points[:, 0]) ** 2
-            out = np.zeros((points.shape[0], 2, 2))
-            out[:, 0, 0] = s
-            out[:, 0, 1] = -s
-            out[:, 1, 0] = -1.0
-            out[:, 1, 1] = 1.0
-            return out
-
-        D = CouplingMatrix(2, sampler=sampler)
-        assert D.variant == "field"
-        pts = np.linspace(0, 1, 9)[:, None]
-        block = D.sample_at(pts)
-        assert block.shape == (9, 2, 2)
-        assert np.allclose(block.sum(axis=2), 0.0)
-
 
 class TestGraphStructure:
     def test_block_diagonal_reducible(self):

@@ -18,8 +18,8 @@ from hjsys.ergodic import (
     long_time_constant,
     solve_discounted,
 )
-from hjsys.evolution import EvolutionConfig, HJSystem, Trajectory, solve
-from hjsys.grid import Grid, GridFunction, sample
+from hjsys.evolution import HJSystem, Trajectory
+from hjsys.grid import Grid, sample
 from hjsys.hamiltonians import Hamiltonian, make_quadratic_eikonal
 from hjsys.switching import hamiltonian_from_spec
 
@@ -62,25 +62,6 @@ def _march(system: HJSystem, lam: float, schedule: DiscountSchedule = DiscountSc
     return ergodic._march(system.flux_kernel(schedule.flux_mode), lam, v0, schedule, [])
 
 
-def _field_sampler(points):
-    s = 1.0 + 0.5 * np.sin(2 * np.pi * points[:, 0]) ** 2
-    out = np.zeros((points.shape[0], 2, 2))
-    out[:, 0, 0] = s
-    out[:, 0, 1] = -s
-    out[:, 1, 0] = -1.0
-    out[:, 1, 1] = 1.0
-    return out
-
-
-def _field_system(n=32):
-    grid = Grid(dim=1, n=n)
-    H1 = make_quadratic_eikonal(fourier_function(F1, 1), dim=1, params={"f": F1})
-    H2 = make_quadratic_eikonal(fourier_function(F2, 1), dim=1, params={"f": F2})
-    return HJSystem(
-        hams=(H1, H2), coupling=CouplingMatrix(2, sampler=_field_sampler), grid=grid
-    )
-
-
 def _pair(hams, n=64):
     return HJSystem(
         hams=tuple(hams), coupling=CouplingMatrix(2, entries=SYM), grid=Grid(dim=1, n=n)
@@ -92,8 +73,9 @@ def _newton_case(name, n=64):
         return catalog.quadratic_eikonal_pair(n)[0]
     if name in ("linear_eikonal", "nonconvex_bs00"):
         return _pair((catalog.build_hamiltonian(name, {"f": f}) for f in (F1, F2)), n)
-    if name == "field":
-        return _field_system(n=n)
+    if name == "asymmetric":  # the largenew sources, coupling rows that differ
+        D = CouplingMatrix.constant(catalog.builtin_coupling("asymmetric_pair"))
+        return dataclasses.replace(catalog.quadratic_eikonal_pair(n)[0], coupling=D)
     if name == "custom":
         coercive = frozenset({"coercive"})
         return _pair((dataclasses.replace(h, class_tags=coercive) for h in _custom_hams(1)), n)
@@ -239,7 +221,7 @@ class TestNewtonAgainstMarch:
     tolerance from the same start."""
 
     @pytest.mark.parametrize(
-        "case", ["largenew", "linear_eikonal", "nonconvex_bs00", "switching", "field", "custom"]
+        "case", ["largenew", "linear_eikonal", "nonconvex_bs00", "switching", "asymmetric", "custom"]
     )
     @pytest.mark.parametrize("mode", ["local", "global"])
     def test_agrees_within_tolerance(self, case, mode):
@@ -308,44 +290,6 @@ class TestNewtonAgainstMarch:
             assert row["steps"] == 0 and row["jumps"] == 0
         # warm starts need no more than a couple of iterations
         assert result.per_lambda[-1]["newton_iterations"] <= 3
-
-
-class TestFieldCoupling:
-    def test_discounted_accepts_field_variant(self):
-        system = _field_system()
-        v, info = solve_discounted(system, 0.1)
-        assert np.all(np.isfinite(v))
-        assert info.final_residual <= 1e-8
-
-    def test_evolution_rejects_field_variant(self):
-        system = _field_system()
-        u0 = [GridFunction(system.grid, np.zeros(32)) for _ in range(2)]
-        with pytest.raises(StructureError):
-            solve(system, u0, EvolutionConfig(t_final=0.1))
-
-    @staticmethod
-    def _patched(entries, at):
-        """``_field_sampler`` on Grid(1, 128) with ``entries`` at the node
-        indices k where ``at(k)`` holds."""
-        def sampler(points):
-            out = _field_sampler(points)
-            out[at(np.rint(points[:, 0] * 128).astype(int))] = entries
-            return out
-
-        system = _field_system(n=128)
-        return dataclasses.replace(system, coupling=CouplingMatrix(2, sampler=sampler))
-
-    def test_coupling_not_monotone_at_every_odd_node_is_refused(self):
-        # d_00 = -1 and d_01 = +1, rows still summing to zero, at odd nodes
-        system = self._patched([[-1.0, 1.0], [-1.0, 1.0]], lambda k: k % 2 == 1)
-        with pytest.raises(StructureError, match=r"not monotone at x = \[0\.0078125\]"):
-            solve_discounted(system, 0.1)
-
-    def test_coupling_reducible_at_one_node_is_refused(self):
-        # component 0 ignores component 1 at x = 3/128 only
-        system = self._patched([[0.0, 0.0], [-1.0, 1.0]], lambda k: k == 3)
-        with pytest.raises(StructureError, match=r"reducible at x = \[0\.0234375\]"):
-            solve_discounted(system, 0.1)
 
 
 class TestLongTimeConstant:

@@ -86,31 +86,6 @@ class TestStructureGuards:
         with pytest.raises((StructureError, ValueError)):
             solve(sys2, wrong, EvolutionConfig(t_final=0.1))
 
-    def test_field_coupling_is_refused_before_any_flux(self):
-        calls = []
-
-        def bind(X):
-            def H(p):
-                calls.append(p.shape)
-                return np.sum(p * p, axis=-1)
-
-            return H, None
-
-        def sampler(points):
-            out = np.zeros(points.shape[:-1] + (2, 2))
-            out[...] = SYM
-            return out
-
-        H = Hamiltonian(dim=1, bind=bind, lf_alpha=1.0)
-        field = CouplingMatrix(2, sampler=sampler)
-        system = HJSystem(hams=(H, H), coupling=field, grid=Grid(dim=1, n=16))
-        u0 = _constants(system, [0.0, 0.0])
-        with pytest.raises(StructureError, match="constant coupling variant"):
-            solve(system, u0, EvolutionConfig(t_final=0.1))
-        with pytest.raises(StructureError, match="constant coupling variant"):
-            step(SystemState.from_functions(u0), system, 0.01)
-        assert calls == []
-
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             EvolutionConfig(t_final=-1.0)

@@ -402,40 +402,6 @@ def test_kernel_is_built_once_per_mode():
     assert system.flux_kernel("global") is system.flux_kernel("global")
 
 
-def _field_system(scale):
-    def sampler(points):
-        s = scale * (1.0 + 0.5 * np.sin(2 * np.pi * points[..., 0]) ** 2)
-        out = np.zeros(points.shape[:-1] + (2, 2))
-        out[..., 0, 0], out[..., 0, 1] = s, -s
-        out[..., 1, 0], out[..., 1, 1] = -1.0, 1.0
-        return out
-
-    grid = Grid(1, 32)
-    return HJSystem(
-        hams=_hams("quadratic", 1), coupling=CouplingMatrix(2, sampler=sampler), grid=grid
-    )
-
-
-def test_field_coupling_damping_uses_the_sampled_diagonal():
-    system = _field_system(4.0)
-    kernel = system.flux_kernel("local")
-    diag = np.diagonal(system.coupling.sample_at(system.grid.nodes()), axis1=-2, axis2=-1)
-    assert kernel.dmax == float(np.max(diag))
-    assert kernel.dmax > 5.9
-
-
-def test_field_coupling_with_too_large_dt_diverges():
-    # zero data: the flux needs no dissipation, so only the damping
-    # dt * max d_ii = 0.5 * 6 > 1 can break the budget.  The time march
-    # refuses field couplings, so the budget is checked on the kernel the
-    # discounted solver steps with.
-    kernel = _field_system(4.0).flux_kernel("local")
-    _, alpha_sums = kernel(np.zeros((2,) + kernel.grid.shape))
-    kernel.check_cfl(alpha_sums, 0.1)
-    with pytest.raises(DivergenceError, match="max d_ii"):
-        kernel.check_cfl(alpha_sums, 0.5)
-
-
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("mode", ["local", "global"])
 def test_jacobian_matches_finite_differences(family, mode):

@@ -1,6 +1,7 @@
 """Package hygiene: no module imports a private name from another module,
 every name the benchmark tracer wraps still exists, the solvers run
-without scipy, and the PDE path draws no random numbers."""
+without scipy, the PDE path draws no random numbers, and each module stays
+inside its parser-token block."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tokenize
 
 import hjsys
 
@@ -164,3 +166,23 @@ def test_pde_path_does_not_import_numpy_random(tmp_path):
     out = subprocess.run([sys.executable, "-c", _PDE_PATH, str(tmp_path)], env=env,
                          check=True, capture_output=True, text=True).stdout
     assert out.strip().splitlines()[-1] == "False"
+
+
+# CPython's parser allocates its token structs in doubling blocks, so a
+# module that crosses a power of two raises the peak RSS of every import by
+# 0.2-0.6 MB; evolution.py is the one module past 4,096
+_TOKEN_BLOCKS = {"evolution.py": 8192}
+
+
+def _tokens(path: pathlib.Path) -> int:
+    """Tokens the parser sees: ``tokenize`` without COMMENT and NL."""
+    with open(path, "rb") as fh:
+        skip = (tokenize.COMMENT, tokenize.NL)
+        return sum(tok.type not in skip for tok in tokenize.tokenize(fh.readline))
+
+
+def test_each_module_stays_inside_its_parser_token_block():
+    counts = {path.name: _tokens(path) for path in sorted(SRC.glob("*.py"))}
+    assert len(counts) > 5
+    over = {name: n for name, n in counts.items() if n >= _TOKEN_BLOCKS.get(name, 4096)}
+    assert over == {}
