@@ -96,6 +96,7 @@ from .switching import (
     ValueEstimate,
     coupling_from_spec,
     estimate_value,
+    estimate_values,
     hamiltonian_from_spec,
     simulate_trajectory,
 )

@@ -4,9 +4,11 @@ the value functions its Monte Carlo estimates,
     H_i(x, p) = max over actions a of [-<b_i(x, a), p> - l_i(x, a)],
     d_ii = sum_{j != i} gamma_ij,   d_ij = -gamma_ij,
 
-and each mode's table of every action's velocity and running cost, which the
-Hamiltonian and ``switching.GreedyGradientPolicy`` evaluate.  ``switching``
-re-exports ``hamiltonian_from_spec`` and ``coupling_from_spec``.
+each mode's table of every action's velocity and running cost, which the
+Hamiltonian and ``GreedyGradientPolicy`` evaluate, and the policies the
+Monte Carlo plays: ``ConstantPolicy`` and ``GreedyGradientPolicy``, the
+pointwise maximizer against a PDE solution.  ``switching`` re-exports
+``hamiltonian_from_spec``, ``coupling_from_spec`` and the policies.
 """
 from __future__ import annotations
 
@@ -23,7 +25,8 @@ from .hamiltonians import Hamiltonian
 if TYPE_CHECKING:
     from .switching import SwitchingProcessSpec
 
-__all__ = ["action_tables", "hamiltonian_from_spec", "coupling_from_spec"]
+__all__ = ["action_tables", "hamiltonian_from_spec", "coupling_from_spec", "ConstantPolicy",
+           "GreedyGradientPolicy"]
 
 
 def action_tables(spec: SwitchingProcessSpec, mode: int, x, shape):
@@ -81,3 +84,82 @@ def coupling_from_spec(spec: SwitchingProcessSpec) -> CouplingMatrix:
     np.fill_diagonal(D, 0.0)
     np.fill_diagonal(D, -D.sum(axis=1))
     return CouplingMatrix.constant(D)
+
+
+class ConstantPolicy:
+    """Always plays one fixed row of the control set."""
+
+    def __init__(self, action_index: int):
+        self.action_index = int(action_index)
+        self.policy_id = f"constant[{self.action_index}]"
+
+    def action_indices(self, x, modes, time_to_go) -> np.ndarray:
+        return np.full(np.shape(modes), self.action_index, dtype=int)
+
+
+class GreedyGradientPolicy:
+    """Plays the pointwise maximizer against a PDE gradient field.
+
+    For each stored snapshot (read as a value function indexed by time to
+    go) and each mode, the best action at every grid node is precomputed:
+    argmax over a of [-<b(x, a), Du(x)> - l(x, a)] with Du by central
+    differences.  At run time the nearest node and the nearest snapshot in
+    time-to-go are looked up.
+    """
+
+    def __init__(self, spec: SwitchingProcessSpec, traj):
+        self.spec = spec
+        self.grid = traj.grid
+        self.snapshot_ttg = np.asarray(traj.times, dtype=float)
+        self.policy_id = "greedy-gradient"
+        dim = self.grid.dim
+        nodes = self.grid.nodes()
+        tables = np.empty((len(traj.times), spec.m, len(nodes)), dtype=np.int64)
+        for i in range(spec.m):
+            B, L = action_tables(spec, i, nodes, nodes.shape)
+            for k in range(len(traj.times)):
+                u = traj.values[k, i]
+                grad = np.stack(
+                    [
+                        (np.roll(u, -1, axis=ax) - np.roll(u, 1, axis=ax))
+                        / (2 * self.grid.h)
+                        for ax in range(dim)
+                    ],
+                    axis=-1,
+                ).reshape(len(nodes), dim)
+                tables[k, i] = np.argmax(-np.add.reduce(B * grad, axis=-1) - L, axis=0)
+        self._tables = tables
+        # the lookup copy repeats node 0 as node n at the end of each axis
+        on_grid = tables.reshape(tables.shape[:2] + self.grid.shape)
+        self._lookup = np.pad(on_grid, [(0, 0)] * 2 + [(0, 1)] * dim, mode="wrap").reshape(-1)
+
+    def _node_index(self, x: np.ndarray) -> np.ndarray:
+        """Nearest node rint(x n) per axis in the lookup copy, where n stands
+        for node 0; a point off [0, 1] is taken modulo n first."""
+        n = self.grid.n
+        idx = np.rint(np.atleast_2d(x) * n).astype(np.int64)
+        if idx.view(np.uint64).max(initial=0) > n:  # a negative index reads huge
+            idx %= n
+        if self.grid.dim == 1:
+            return idx[:, 0]
+        return idx[:, 0] * (n + 1) + idx[:, 1]
+
+    def _snapshot(self, time_to_go):
+        """Index of the snapshot nearest in time to go (the earlier one on a
+        tie); scalar arithmetic when ``time_to_go`` is one number."""
+        ttg = self.snapshot_ttg
+        if np.ndim(time_to_go) == 0:
+            snap = min(int(np.searchsorted(ttg, time_to_go)), len(ttg) - 1)
+            if snap > 0 and abs(ttg[snap - 1] - time_to_go) <= abs(ttg[snap] - time_to_go):
+                snap -= 1
+            return snap
+        snap = np.minimum(np.searchsorted(ttg, time_to_go), len(ttg) - 1)
+        lower = np.maximum(snap - 1, 0)
+        pick_lower = np.abs(ttg[lower] - time_to_go) <= np.abs(ttg[snap] - time_to_go)
+        return np.where(pick_lower & (snap > 0), lower, snap)
+
+    def action_indices(self, x, modes, time_to_go) -> np.ndarray:
+        # one gather from the flat (snapshot, mode, node) lookup copy
+        m, n_nodes = self._tables.shape[1], (self.grid.n + 1) ** self.grid.dim
+        rows = (self._snapshot(time_to_go) * m + np.asarray(modes, dtype=int)) * n_nodes
+        return self._lookup.take(rows + self._node_index(x))

@@ -36,7 +36,7 @@ from .errors import ConfigError
 from .evolution import EvolutionConfig, HJSystem, solve, solve_batch
 from .grid import Grid, GridFunction, interp_periodic, sample, save_json
 from .hamiltonians import check_assumption
-from .switching import ConstantPolicy, GreedyGradientPolicy, estimate_value
+from .switching import ConstantPolicy, GreedyGradientPolicy, estimate_value, estimate_values
 
 __all__ = ["CheckResult", "SuiteResult", "run_suite", "SUITE_RUNNERS"]
 
@@ -412,17 +412,16 @@ def suite_appendix_mc(
     probes = [(0.1, 0), (0.3, 1), (0.5, 0), (0.7, 1), (0.9, 0)]
     rows = []
     worst_rel = 0.0
-    for k, (x, mode) in enumerate(probes):
-        est = estimate_value(
-            spec,
-            policy,
-            np.array([x]),
-            mode,
-            horizon,
-            n_samples,
-            seed + k,
-            dt_sim=1.0 / 1024.0,
-        )
+    estimates = estimate_values(
+        spec,
+        policy,
+        [(np.array([x]), mode) for x, mode in probes],
+        horizon,
+        n_samples,
+        [seed + k for k in range(len(probes))],
+        dt_sim=1.0 / 1024.0,
+    )
+    for (x, mode), est in zip(probes, estimates):
         pde = float(
             interp_periodic(traj.values[-1][mode], grid, np.array([[x]]))[0]
         )

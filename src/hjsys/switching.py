@@ -14,25 +14,30 @@ matching the value functions solved by the PDE side (``bridge``) with
     H_i(x, p) = max over actions a of [-<b_i(x, a), p> - l_i(x, a)],
     d_ii = sum_{j != i} gamma_ij,   d_ij = -gamma_ij.
 
-``estimate_value`` runs all its paths in one time loop, vectorized over the
-sample axis, and draws every clock and destination from one generator
-seeded by its ``seed``, so seeded results are reproducible.
-``simulate_trajectory`` runs that loop on one path and records it.
+``estimate_values`` runs the paths of several starts (x0, mode0), which
+share the spec, the policy, the horizon and the time step, in one time
+loop, vectorized over the sample axis; start k draws every clock and
+destination from its own generator, seeded by ``seeds[k]``, so seeded
+results are reproducible and each start's estimate is that of
+``estimate_value``, the loop's one-start case, on its own seed.
+``simulate_trajectory`` runs that loop on one path and records it.  The
+policies live in ``bridge`` and are re-exported here.
 
 Each (sub-)step of that loop looks up the moving paths' actions with one
 gather from the policy table, evaluates the dynamics and the costs with
 one call each where ``_one_call`` allows, else per mode, and wraps
 positions with ``_wrap``.  Callables must therefore be pointwise.
 
-Between switches a path follows a deterministic flow, and every path starts
-at one (x0, mode0), so until its first clock rings a path is the same as
-every other such path.  The loop moves them all as one cohort row, and a
-path's own row joins the passes in the step its first clock rings.  A pass
-covers a prefix of the rows: the cohort, the paths that have switched and
-padding rows, paths not yet switched that stay exact copies of the cohort.
-As the callables and the policy are pointwise, a row's result does not
-depend on the other rows, so seeded results are those of one row per path,
-bit for bit.
+Between switches a path follows a deterministic flow, and the paths of one
+start begin at one (x0, mode0), so until its first clock rings a path is
+the same as every other such path of its start.  The loop moves them all
+as their start's cohort row, and a path's own row joins the passes in the
+step its first clock rings.  A pass covers a prefix of the rows: the
+cohorts, the paths that have switched, of every start, in the order of
+their first clocks, and padding rows, paths not yet switched that stay
+exact copies of their start's cohort.  As the callables and the policy are
+pointwise, a row's result does not depend on the other rows, so seeded
+results are those of one row per path, bit for bit.
 """
 from __future__ import annotations
 
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import action_tables, coupling_from_spec, hamiltonian_from_spec
+from .bridge import ConstantPolicy, GreedyGradientPolicy, coupling_from_spec, hamiltonian_from_spec
 from .errors import ConfigError, StructureError, check_step_budget
 
 __all__ = [
@@ -51,6 +56,7 @@ __all__ = [
     "GreedyGradientPolicy",
     "simulate_trajectory",
     "estimate_value",
+    "estimate_values",
     "hamiltonian_from_spec",
     "coupling_from_spec",
 ]
@@ -174,92 +180,27 @@ class ValueEstimate:
     policy_id: str
 
 
-class ConstantPolicy:
-    """Always plays one fixed row of the control set."""
-
-    def __init__(self, action_index: int):
-        self.action_index = int(action_index)
-        self.policy_id = f"constant[{self.action_index}]"
-
-    def action_indices(self, x, modes, time_to_go) -> np.ndarray:
-        return np.full(np.shape(modes), self.action_index, dtype=int)
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-class GreedyGradientPolicy:
-    """Plays the pointwise maximizer against a PDE gradient field.
-
-    For each stored snapshot (read as a value function indexed by time to
-    go) and each mode, the best action at every grid node is precomputed:
-    argmax over a of [-<b(x, a), Du(x)> - l(x, a)] with Du by central
-    differences.  At run time the nearest node and the nearest snapshot in
-    time-to-go are looked up.
-    """
-
-    def __init__(self, spec: SwitchingProcessSpec, traj):
-        self.spec = spec
-        self.grid = traj.grid
-        self.snapshot_ttg = np.asarray(traj.times, dtype=float)
-        self.policy_id = "greedy-gradient"
-        dim = self.grid.dim
-        nodes = self.grid.nodes()
-        tables = np.empty((len(traj.times), spec.m, len(nodes)), dtype=np.int64)
-        for i in range(spec.m):
-            B, L = action_tables(spec, i, nodes, nodes.shape)
-            for k in range(len(traj.times)):
-                u = traj.values[k, i]
-                grad = np.stack(
-                    [
-                        (np.roll(u, -1, axis=ax) - np.roll(u, 1, axis=ax))
-                        / (2 * self.grid.h)
-                        for ax in range(dim)
-                    ],
-                    axis=-1,
-                ).reshape(len(nodes), dim)
-                tables[k, i] = np.argmax(-np.add.reduce(B * grad, axis=-1) - L, axis=0)
-        self._tables = tables
-        # the lookup copy repeats node 0 as node n at the end of each axis
-        on_grid = tables.reshape(tables.shape[:2] + self.grid.shape)
-        self._lookup = np.pad(on_grid, [(0, 0)] * 2 + [(0, 1)] * dim, mode="wrap").reshape(-1)
-
-    def _node_index(self, x: np.ndarray) -> np.ndarray:
-        """Nearest node rint(x n) per axis in the lookup copy, where n stands
-        for node 0; a point off [0, 1] is taken modulo n first."""
-        n = self.grid.n
-        idx = np.rint(np.atleast_2d(x) * n).astype(np.int64)
-        if idx.view(np.uint64).max(initial=0) > n:  # a negative index reads huge
-            idx %= n
-        if self.grid.dim == 1:
-            return idx[:, 0]
-        return idx[:, 0] * (n + 1) + idx[:, 1]
-
-    def _snapshot(self, time_to_go):
-        """Index of the snapshot nearest in time to go (the earlier one on a
-        tie); scalar arithmetic when ``time_to_go`` is one number."""
-        ttg = self.snapshot_ttg
-        if np.ndim(time_to_go) == 0:
-            snap = min(int(np.searchsorted(ttg, time_to_go)), len(ttg) - 1)
-            if snap > 0 and abs(ttg[snap - 1] - time_to_go) <= abs(ttg[snap] - time_to_go):
-                snap -= 1
-            return snap
-        snap = np.minimum(np.searchsorted(ttg, time_to_go), len(ttg) - 1)
-        lower = np.maximum(snap - 1, 0)
-        pick_lower = np.abs(ttg[lower] - time_to_go) <= np.abs(ttg[snap] - time_to_go)
-        return np.where(pick_lower & (snap > 0), lower, snap)
-
-    def action_indices(self, x, modes, time_to_go) -> np.ndarray:
-        # one gather from the flat (snapshot, mode, node) lookup copy
-        m, n_nodes = self._tables.shape[1], (self.grid.n + 1) ** self.grid.dim
-        rows = (self._snapshot(time_to_go) * m + np.asarray(modes, dtype=int)) * n_nodes
-        return self._lookup.take(rows + self._node_index(x))
-
-
-def _run_step(spec, x0, mode, horizon, dt_sim) -> float:
-    """Check the arguments of a run from (x0, mode) to the horizon; returns
-    its time step."""
-    if not (0 <= mode < spec.m):
-        raise ConfigError(f"mode must be in [0, {spec.m}), got {mode}")
-    if not np.all(np.isfinite(np.asarray(x0, dtype=float))):
-        raise ConfigError(f"start point must be finite, got {x0!r}")
+def _run_step(spec, starts, seeds, horizon, dt_sim, label="") -> float:
+    """Check the arguments of runs from each (x0, mode) of ``starts``, start
+    k seeded by ``seeds[k]``, to the horizon; returns their time step.  An
+    error about start k begins with ``label`` formatted with k."""
+    if not len(starts) or len(seeds) != len(starts):
+        raise ConfigError(f"need one seed per start and at least one start, got "
+                          f"{len(starts)} starts and {len(seeds)} seeds")
+    for k, ((x0, mode), seed) in enumerate(zip(starts, seeds)):
+        where = label.format(k)
+        if not _is_integer(mode) or not 0 <= mode < spec.m:
+            raise ConfigError(f"{where}mode must be an integer in [0, {spec.m}), got {mode!r}")
+        if np.shape(x0) != (spec.dim,):
+            raise ConfigError(f"{where}x0 must have shape ({spec.dim},), got {np.shape(x0)}")
+        if not np.all(np.isfinite(np.asarray(x0, dtype=float))):
+            raise ConfigError(f"{where}x0 must be finite, got {x0!r}")
+        if not _is_integer(seed) or seed < 0:
+            raise ConfigError(f"{where}seed must be a nonnegative integer, got {seed!r}")
     dt = float(spec.dt_sim if dt_sim is None else dt_sim)
     for what, value in (("horizon", horizon), ("dt_sim", dt)):
         if not 0 < value < np.inf:
@@ -294,11 +235,12 @@ def simulate_trajectory(
 ) -> Path:
     """One path of ``estimate_value``'s time loop, drawn from
     ``np.random.default_rng(seed)``, with a full record."""
-    dt = _run_step(spec, x0, mode0, horizon, dt_sim)
+    start = [(x0, mode0)]
+    dt = _run_step(spec, start, [seed], horizon, dt_sim)
     record = []
-    cost = _run_batch(spec, policy, x0, mode0, horizon, dt, np.random.default_rng(seed), 1, record)
+    cost = _run_batch(spec, policy, start, horizon, dt, [np.random.default_rng(seed)], 1, record)
     times, positions, modes, actions = map(np.asarray, zip(*record))
-    return Path(times, positions, modes, actions, float(cost[0]))
+    return Path(times, positions, modes, actions, float(cost[0, 0]))
 
 
 def _advance(spec, roles, policy, x, modes, cost, seg, time_to_go):
@@ -363,23 +305,42 @@ def _clock(R, draw):
 _PAD = 128  # the live prefix grows in blocks of this many rows
 
 
-def _run_batch(spec, policy, x0, mode0, horizon, dt, rng, n, record=None) -> np.ndarray:
-    """Costs of n paths from (x0, mode0), advanced in one time loop; every
-    random number comes from ``rng``.  A ``record`` list, for n = 1, gets the
-    path's (t, x, mode, action) where each of its moves starts, and at the end.
-    Row 0 is the cohort (clock inf), row r > 0 the path with the r-th earliest
-    first clock before the horizon; a pass covers the rows [:L] whose clock
-    rings before the step end, padded to a multiple of ``_PAD``."""
-    R = spec.total_rates()
+def _run_batch(spec, policy, starts, horizon, dt, rngs, n, record=None) -> np.ndarray:
+    """Costs, shaped (P, n), of n paths from each of the P (x0, mode0) of
+    ``starts``, advanced in one time loop; start p draws every random number
+    from ``rngs[p]``, in its own path order.  A ``record`` list, for one start
+    and n = 1, gets the path's (t, x, mode, action) where each of its moves
+    starts, and at the end.  Row p < P is start p's cohort (clock inf), the
+    later rows the paths whose first clock rings before the horizon, in the
+    order of that clock (a tie goes to the lower start); a pass covers the
+    rows [:L] whose clock rings before the step end, padded to a multiple of
+    ``_PAD`` with rows that stay copies of their start's cohort."""
+    P, R = len(starts), spec.total_rates()
     cdf = _destination_cdf(spec, R)
-    first = _clock(R[mode0], rng.exponential(size=n))
-    ids = sorted(np.flatnonzero(first < horizon).tolist(), key=first.item)
-    path_of, rows, L = [-1] + ids, 1 + len(ids), 0
-    arrive = first[ids]
-    x = np.broadcast_to(_wrap(np.atleast_1d(np.asarray(x0, dtype=float))), (rows, spec.dim)).copy()
-    modes = np.full(rows, int(mode0))
+    paths, arrive = [], []  # per start, its paths in the order of their first clocks
+    for (_, mode0), rng in zip(starts, rngs):
+        first = _clock(R[mode0], rng.exponential(size=n))
+        paths.append(np.array(
+            sorted(np.flatnonzero(first < horizon).tolist(), key=first.item), dtype=int
+        ))
+        arrive.append(first[paths[-1]])
+    # merge the starts' sorted clocks without a sort (a first numpy sort maps
+    # ~1 MB of its code): a clock's row is P plus its index among its start's
+    # clocks plus the other starts' clocks before it, a tie to the lower start
+    place = [
+        P + np.arange(len(a)) + sum(
+            b.searchsorted(a, "right" if q < p else "left") for q, b in enumerate(arrive) if q != p
+        )
+        for p, a in enumerate(arrive)
+    ]
+    rows, L = P + sum(map(len, paths)), 0
+    start_of, path_of, next_switch = np.arange(rows), np.full(rows, -1), np.full(rows, np.inf)
+    for p, row in enumerate(place):  # path i of start p as p n + i: the order of its draws
+        start_of[row], path_of[row], next_switch[row] = p, paths[p] + p * n, arrive[p]
+    arrive = next_switch[P:].copy()
+    x = _wrap(np.array([x0 for x0, _ in starts], dtype=float))[start_of]
+    modes = np.array([mode0 for _, mode0 in starts])[start_of]
     cost = np.zeros(rows)
-    next_switch = np.concatenate(([np.inf], arrive))
     n_steps = max(1, int(np.ceil(horizon / dt - 1e-12)))
     roles = [_one_call(spec.dynamics), _one_call(spec.costs)]
 
@@ -394,9 +355,9 @@ def _run_batch(spec, policy, x0, mode0, horizon, dt, rng, n, record=None) -> np.
     t0 = 0.0
     for k in range(n_steps):
         t1 = min((k + 1) * dt, horizon)
-        grown = min(-(-(1 + int(arrive.searchsorted(t1))) // _PAD) * _PAD, rows)
+        grown = min(-(-(P + int(arrive.searchsorted(t1))) // _PAD) * _PAD, rows)
         if grown > L:
-            x[L:grown], cost[L:grown] = x[0], cost[0]
+            x[L:grown], cost[L:grown] = x[start_of[L:grown]], cost[start_of[L:grown]]
             L = grown
         xs, ms, cs, ns = x[:L], modes[:L], cost[:L], next_switch[:L]
         # every row starts the step at t0, so the time to go is one number
@@ -405,33 +366,56 @@ def _run_batch(spec, policy, x0, mode0, horizon, dt, rng, n, record=None) -> np.
         cur = t0 + seg
         while True:
             # the few rows whose clock rang inside the step switch mode and
-            # finish the step from their own switch time, drawing in path order
+            # finish the step from their own switch time; each start draws
+            # from its own generator, in its own path order
             cand = np.flatnonzero(ns <= t1 - 1e-15)
             switching = cand[cur[cand] >= ns[cand] - 1e-15]
             if not len(switching):
                 break
-            switching = np.array(sorted(switching.tolist(), key=path_of.__getitem__))
-            u = rng.random(len(switching))
+            switching = np.array(sorted(switching.tolist(), key=path_of.item))
+            counts = np.diff(start_of[switching].searchsorted(np.arange(P + 1))).tolist()
+            u, e = map(np.concatenate, zip(*[
+                (rng.random(c), rng.exponential(size=c)) for rng, c in zip(rngs, counts) if c
+            ]))
             ms[switching] = _draw_destinations(cdf, ms[switching], u)
-            ns[switching] = cur[switching] + _clock(
-                R[ms[switching]], rng.exponential(size=len(switching))
-            )
+            ns[switching] = cur[switching] + _clock(R[ms[switching]], e)
             seg = np.maximum(np.minimum(ns, t1) - cur, 0.0)
             move(seg, cur)
             cur += seg
         t0 = t1
-    # back to path order; a path whose row never entered the prefix is row 0
-    row_of = np.zeros(n, dtype=np.intp)
-    row_of[ids] = np.arange(1, rows)
-    row_of[row_of >= L] = 0
-    x, modes, cost = x[row_of], modes[row_of], cost[row_of]
-    for i in range(spec.m):  # not np.unique: a first sort maps ~1 MB of numpy's code
-        sel = modes == i
-        if sel.any():
-            cost[sel] += spec.terminal[i](x[sel])
+    # per start, back to path order; a path whose row never entered the
+    # prefix is its start's cohort row
+    out = np.empty((P, n))
+    for p, (row, ids) in enumerate(zip(place, paths)):
+        inside = row.searchsorted(L)
+        row_of = np.full(n, p)
+        row_of[ids[:inside]] = row[:inside]
+        xp, mp, out[p] = x[row_of], modes[row_of], cost[row_of]
+        for i in range(spec.m):  # not np.unique: a first sort maps ~1 MB of numpy's code
+            sel = mp == i
+            if sel.any():
+                out[p, sel] += spec.terminal[i](xp[sel])
     if record is not None:
-        record.append((t0, x[0].copy(), modes[0], record[-1][3]))
-    return cost
+        record.append((t0, xp[0].copy(), mp[0], record[-1][3]))
+    return out
+
+
+def _estimates(spec, policy, starts, horizon, n_samples, seeds, dt_sim, label="") -> list:
+    """One ``ValueEstimate`` per start, from one ``_run_batch``; ``label`` as
+    in ``_run_step``."""
+    dt = _run_step(spec, starts, seeds, horizon, dt_sim, label)
+    if not _is_integer(n_samples) or n_samples < 100:
+        raise ConfigError(f"n_samples must be an integer of at least 100, got {n_samples!r}")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    return [
+        ValueEstimate(
+            mean=float(np.mean(costs)),
+            std_error=float(np.std(costs, ddof=1) / np.sqrt(len(costs))),
+            samples=len(costs),
+            policy_id=policy.policy_id,
+        )
+        for costs in _run_batch(spec, policy, starts, horizon, dt, rngs, n_samples)
+    ]
 
 
 def estimate_value(
@@ -446,12 +430,20 @@ def estimate_value(
 ) -> ValueEstimate:
     """Monte Carlo path-cost mean of ``n_samples`` paths, all drawn from the
     one generator ``np.random.default_rng(seed)``."""
-    dt = _run_step(spec, x, mode, horizon, dt_sim)
-    if n_samples < 100:
-        raise ConfigError("need at least 100 samples")
-    costs = _run_batch(spec, policy, x, mode, horizon, dt, np.random.default_rng(seed), n_samples)
-    mean = float(np.mean(costs))
-    std_error = float(np.std(costs, ddof=1) / np.sqrt(len(costs)))
-    return ValueEstimate(
-        mean=mean, std_error=std_error, samples=len(costs), policy_id=policy.policy_id
-    )
+    return _estimates(spec, policy, [(x, mode)], horizon, n_samples, [seed], dt_sim)[0]
+
+
+def estimate_values(
+    spec: SwitchingProcessSpec,
+    policy,
+    starts,
+    horizon: float,
+    n_samples: int,
+    seeds,
+    dt_sim: float | None = None,
+) -> list:
+    """``estimate_value`` at each (x0, mode0) of ``starts``, start k drawn
+    from ``np.random.default_rng(seeds[k])``, with all the paths advanced in
+    one time loop; each estimate is bit for bit that of its own
+    ``estimate_value`` call."""
+    return _estimates(spec, policy, starts, horizon, n_samples, seeds, dt_sim, "start {}: ")

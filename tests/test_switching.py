@@ -24,6 +24,7 @@ from hjsys.switching import (
     _wrap,
     coupling_from_spec,
     estimate_value,
+    estimate_values,
     hamiltonian_from_spec,
     simulate_trajectory,
 )
@@ -187,6 +188,59 @@ class TestSpecValidation:
             simulate_trajectory(_still_spec(), ConstantPolicy(0), **{**kw, **bad})
 
 
+IDLE = catalog.idle_process([0.75], [[0.0]])
+
+
+class TestArgumentErrors:
+    """Bad arguments of a run raise a ConfigError naming the argument, and
+    for estimate_values the start, never a numpy error."""
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [(dict(x=[0.1, 0.2]), r"x0 must have shape \(1,\), got \(2,\)"),
+         (dict(x=0.1), r"x0 must have shape \(1,\), got \(\)"),
+         (dict(n_samples=100.5), "n_samples must be an integer of at least 100, got 100.5"),
+         (dict(n_samples=99), "n_samples must be an integer of at least 100, got 99"),
+         (dict(seed=-1), "seed must be a nonnegative integer, got -1"),
+         (dict(seed=1.0), "seed must be a nonnegative integer, got 1.0"),
+         (dict(mode=0.0), r"mode must be an integer in \[0, 1\), got 0.0")],
+    )
+    def test_estimate_value(self, bad, match):
+        kw = dict(x=[0.1], mode=0, horizon=0.5, n_samples=100, seed=1, dt_sim=0.25)
+        with pytest.raises(ConfigError, match=match):
+            estimate_value(IDLE, ConstantPolicy(0), **{**kw, **bad})
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [(dict(x0=[0.1, 0.2]), r"x0 must have shape \(1,\), got \(2,\)"),
+         (dict(x0=[[0.1]]), r"x0 must have shape \(1,\), got \(1, 1\)"),
+         (dict(seed=-1), "seed must be a nonnegative integer, got -1"),
+         (dict(seed=2.5), "seed must be a nonnegative integer, got 2.5")],
+    )
+    def test_simulate_trajectory(self, bad, match):
+        kw = dict(x0=[0.1], mode0=0, horizon=0.5, seed=1, dt_sim=0.25)
+        with pytest.raises(ConfigError, match=match):
+            simulate_trajectory(IDLE, ConstantPolicy(0), **{**kw, **bad})
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [(dict(starts=[([0.1], 0), ([0.1, 0.2], 0)]), r"start 1: x0 must have shape \(1,\)"),
+         (dict(starts=[([0.1], 0), ([np.nan], 0)]), "start 1: x0 must be finite"),
+         (dict(starts=[([0.1], 1), ([0.1], 0)]), r"start 0: mode must be an integer in \[0, 1\)"),
+         (dict(seeds=[1, -1]), "start 1: seed must be a nonnegative integer, got -1"),
+         (dict(seeds=[1.5, 2]), "start 0: seed must be a nonnegative integer, got 1.5"),
+         (dict(n_samples=100.5), "n_samples must be an integer of at least 100, got 100.5"),
+         (dict(starts=[], seeds=[]), "at least one start, got 0 starts and 0 seeds"),
+         (dict(seeds=[1]), "one seed per start .* got 2 starts and 1 seeds"),
+         (dict(seeds=[1, 2, 3]), "one seed per start .* got 2 starts and 3 seeds")],
+    )
+    def test_estimate_values(self, bad, match):
+        kw = dict(starts=[([0.1], 0), ([0.4], 0)], horizon=0.5, n_samples=100, seeds=[1, 2],
+                  dt_sim=0.25)
+        with pytest.raises(ConfigError, match=match):
+            estimate_values(IDLE, ConstantPolicy(0), **{**kw, **bad})
+
+
 class TestSinglePath:
     def test_frozen_path_without_rates(self):
         # no switching and no drift: the path sits still and pays l(x0) T
@@ -337,6 +391,25 @@ class TestValueEstimation:
         # same seed, pathwise identical: the lift passes straight through
         assert hi.mean - lo.mean == pytest.approx(0.5, abs=1e-12)
 
+    def test_one_start_of_estimate_values_is_estimate_value(self):
+        spec = _fast_spec()
+        args = (spec, _greedy(spec, 0.25))
+        est = estimate_value(*args, [0.3], 1, 0.25, 300, 9, dt_sim=1 / 1024)
+        (one,) = estimate_values(*args, [([0.3], 1)], 0.25, 300, [9], dt_sim=1 / 1024)
+        assert one.mean == est.mean and one.std_error == est.std_error
+        assert one == est
+
+    def test_several_starts_match_separate_estimates(self):
+        # five probes in one loop, as appendix-mc runs them, each bit for bit
+        # its own estimate_value on its own seed
+        spec = _fast_spec()
+        args = (spec, _greedy(spec, 0.25))
+        probes = [([0.1], 0), ([0.3], 1), ([0.5], 0), ([0.7], 1), ([0.9], 0)]
+        seeds = [2026 + k for k in range(len(probes))]
+        got = estimate_values(*args, probes, 0.25, 400, seeds, dt_sim=1 / 1024)
+        for (x, mode), seed, one in zip(probes, seeds, got):
+            assert one == estimate_value(*args, x, mode, 0.25, 400, seed, dt_sim=1 / 1024)
+
     def test_policy_id_recorded(self):
         est = estimate_value(
             _still_spec(), ConstantPolicy(0), [0.0], 0, 1.0, 200, seed=1, dt_sim=0.5
@@ -370,6 +443,11 @@ def _reference_destinations(spec, modes, u):
         row[i] = 0.0
         out[sel] = np.searchsorted(np.cumsum(row / R[i]), u[sel], side="right")
     return np.minimum(out, spec.m - 1)
+
+
+def _one_start(spec, policy, x0, mode0, horizon, dt, rng, n):
+    """The batch loop's costs of n paths from one start."""
+    return _run_batch(spec, policy, [(x0, mode0)], horizon, dt, [rng], n)[0]
 
 
 def _reference_batch(spec, policy, x0, mode0, horizon, dt, rng, size):
@@ -454,7 +532,7 @@ class TestBatchLoop:
         x0, seed = list(x0), 9
         est = estimate_value(spec, policy, x0, mode0, horizon, n, seed, dt_sim=dt)
         args = (spec, policy, x0, mode0, horizon, dt)
-        got = _run_batch(*args, np.random.default_rng(seed), n)
+        got = _one_start(*args, np.random.default_rng(seed), n)
         ref = _reference_batch(*args, np.random.default_rng(seed), n)
         assert got.tobytes() == ref.tobytes()
         assert est.mean == float(np.mean(ref))
@@ -692,7 +770,7 @@ class TestCohortEdges:
     def _assert_matches(self, spec, first_clocks, horizon, dt, mode0=0, x0=(0.3,), policy=None):
         draws = np.asarray(first_clocks, dtype=float) * 4.0
         args = (spec, policy or _PointwisePolicy(), list(x0), mode0, horizon, dt)
-        got = _run_batch(*args, _ChosenDraws(draws), len(draws))
+        got = _one_start(*args, _ChosenDraws(draws), len(draws))
         ref = _reference_batch(*args, _ChosenDraws(draws), len(draws))
         assert got.tobytes() == ref.tobytes()
 
@@ -715,7 +793,7 @@ class TestCohortEdges:
         spec = _wavy_spec(self.RATES)
         clocks = np.linspace(0.5, 3.0, 150)
         self._assert_matches(spec, clocks, 0.5, 1 / 16)
-        got = _run_batch(spec, _PointwisePolicy(), [0.3], 0, 0.5, 1 / 16, _ChosenDraws(clocks * 4), 150)
+        got = _one_start(spec, _PointwisePolicy(), [0.3], 0, 0.5, 1 / 16, _ChosenDraws(clocks * 4), 150)
         assert np.all(got == got[0])
 
     def test_absorbing_start_mode(self):
@@ -762,9 +840,68 @@ class TestCohortEdges:
         mode0 = data.draw(st.integers(0, m - 1))
         spec = _wavy_spec(rates, dim)
         args = (spec, _PointwisePolicy(), x0, mode0, 0.25, dt)
-        got = _run_batch(*args, np.random.default_rng(seed), n)
+        got = _one_start(*args, np.random.default_rng(seed), n)
         ref = _reference_batch(*args, np.random.default_rng(seed), n)
         assert got.tobytes() == ref.tobytes()
+
+    def test_first_clocks_that_tie_across_starts(self):
+        # dt = 1/8: the starts share clocks on the step ends 1/8, 2/8 and 5/8
+        # (start 0 twice at 1/8) and every clock of their common linspace,
+        # so tied clocks of different starts must get rows of their own,
+        # the lower start first, and move as their own paths do
+        clocks = [np.linspace(0.01, 0.99, 300) for _ in range(3)]
+        clocks[0][[7, 8]] = 1 / 8
+        for c in clocks:
+            c[[100, 150, 200]] = np.array([1, 2, 5]) / 8
+        clocks[2][[20, 30]] = clocks[1][[20, 30]] = 0.0
+        spec = _wavy_spec(self.RATES)
+        starts = [([0.3], 0), ([0.3], 0), ([0.8], 1)]
+        draws = lambda: [_ChosenDraws(c * 4.0, seed=k) for k, c in enumerate(clocks)]
+        policy = _PointwisePolicy()
+        policy.seen = []
+        policy.action_indices = lambda x, *args: (
+            policy.seen.append(x[:, 0].copy()) or _PointwisePolicy.action_indices(policy, x, *args)
+        )
+        got = _run_batch(spec, policy, starts, 1.0, 1 / 8, draws(), 300)
+        for (x0, mode0), rng, costs in zip(starts, draws(), got):
+            ref = _reference_batch(spec, _PointwisePolicy(), x0, mode0, 1.0, 1 / 8, rng, 300)
+            assert costs.tobytes() == ref.tobytes()
+        # the first two starts share x0 and mode0 but not their later draws
+        assert got[0].tobytes() != got[1].tobytes()
+        # the first pass moves the three cohort rows, then (the clocks at 0
+        # do not move) the rows of the first 7 clocks of the linspace, each
+        # tied across the three starts, in start order
+        assert policy.seen[0][:24].tolist() == [0.3, 0.3, 0.8] * 8
+
+    @given(
+        data=st.data(),
+        dim=st.sampled_from([1, 2]),
+        n=st.integers(1, 120),
+        dt=st.sampled_from([1 / 64, 1 / 16, 0.03, 0.1, 0.3]),
+        n_starts=st.integers(1, 4),
+    )
+    @settings(max_examples=30)
+    def test_each_start_matches_its_own_reference(self, data, dim, n, dt, n_starts):
+        # the starts share the spec and the loop, each with its own x0, mode0
+        # and generator; a small seed pool makes starts with equal first
+        # clocks, and an absorbing mode or zero rates start no clock at all
+        m = data.draw(st.integers(1, 3))
+        rate = st.sampled_from([0.0, 0.5, 3.0, 40.0])
+        rates = np.array([[data.draw(rate) for _ in range(m)] for _ in range(m)])
+        if data.draw(st.booleans()):
+            rates[data.draw(st.integers(0, m - 1))] = 0.0
+        spec = _wavy_spec(rates, dim)
+        point = st.lists(st.floats(-1.5, 2.5), min_size=dim, max_size=dim)
+        starts = [(data.draw(point), data.draw(st.integers(0, m - 1))) for _ in range(n_starts)]
+        seed = st.one_of(st.integers(0, 2), st.integers(0, 2**32 - 1))
+        seeds = [data.draw(seed) for _ in range(n_starts)]
+        rngs = [np.random.default_rng(s) for s in seeds]
+        got = _run_batch(spec, _PointwisePolicy(), starts, 0.25, dt, rngs, n)
+        assert got.shape == (n_starts, n)
+        for (x0, mode0), s, costs in zip(starts, seeds, got):
+            ref = _reference_batch(spec, _PointwisePolicy(), x0, mode0, 0.25, dt,
+                                   np.random.default_rng(s), n)
+            assert costs.tobytes() == ref.tobytes()
 
 
 class TestWrap:
