@@ -32,12 +32,13 @@ Between switches a path follows a deterministic flow, and the paths of one
 start begin at one (x0, mode0), so until its first clock rings a path is
 the same as every other such path of its start.  The loop moves them all
 as their start's cohort row, and a path's own row joins the passes in the
-step its first clock rings.  A pass covers a prefix of the rows: the
+step its first clock rings.  A step covers a prefix of the rows: the
 cohorts, the paths that have switched, of every start, in the order of
 their first clocks, and padding rows, paths not yet switched that stay
-exact copies of their start's cohort.  As the callables and the policy are
-pointwise, a row's result does not depend on the other rows, so seeded
-results are those of one row per path, bit for bit.
+exact copies of their start's cohort; it does so in passes no longer than
+the prefix of the start with the most such paths.  As the callables and
+the policy are pointwise, a row's result does not depend on the other
+rows, so seeded results are those of one row per path, bit for bit.
 """
 from __future__ import annotations
 
@@ -86,6 +87,9 @@ class SwitchingProcessSpec:
     modes share once on the rows of all of them.  So are partials of one
     function that differ only in the keyword its ``mode_keyword`` names: that
     keyword then gets the value of each row's mode along a trailing axis.
+    ``terminal[i](x)`` is the payment at the horizon in mode i, pointwise
+    too: it is charged on the rows, cohorts included, before they are put
+    back in path order.
     """
 
     m: int
@@ -184,15 +188,15 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _run_step(spec, starts, seeds, horizon, dt_sim, label="") -> float:
+def _run_step(spec, starts, seeds, horizon, dt_sim) -> float:
     """Check the arguments of runs from each (x0, mode) of ``starts``, start
-    k seeded by ``seeds[k]``, to the horizon; returns their time step.  An
-    error about start k begins with ``label`` formatted with k."""
+    k seeded by ``seeds[k]``, to the horizon; returns their time step.  With
+    several starts, an error about start k begins with "start k: "."""
     if not len(starts) or len(seeds) != len(starts):
         raise ConfigError(f"need one seed per start and at least one start, got "
                           f"{len(starts)} starts and {len(seeds)} seeds")
     for k, ((x0, mode), seed) in enumerate(zip(starts, seeds)):
-        where = label.format(k)
+        where = f"start {k}: " if len(starts) > 1 else ""
         if not _is_integer(mode) or not 0 <= mode < spec.m:
             raise ConfigError(f"{where}mode must be an integer in [0, {spec.m}), got {mode!r}")
         if np.shape(x0) != (spec.dim,):
@@ -238,27 +242,28 @@ def simulate_trajectory(
     start = [(x0, mode0)]
     dt = _run_step(spec, start, [seed], horizon, dt_sim)
     record = []
-    cost = _run_batch(spec, policy, start, horizon, dt, [np.random.default_rng(seed)], 1, record)
+    (cost,) = _run_batch(spec, policy, start, horizon, dt, [np.random.default_rng(seed)], 1, record)
     times, positions, modes, actions = map(np.asarray, zip(*record))
-    return Path(times, positions, modes, actions, float(cost[0, 0]))
+    return Path(times, positions, modes, actions, float(cost[0]))
 
 
-def _advance(spec, roles, policy, x, modes, cost, seg, time_to_go):
-    """Move the paths with seg > 0 along their actions for seg and charge
+def _advance(spec, roles, policy, x, modes, cost, seg, time_to_go, idx=slice(0, None)):
+    """Move the paths ``idx`` (a slice or ascending indices of the rows of
+    x, modes and cost) with seg > 0 along their actions for seg and charge
     their running cost, in place; returns those paths' action indices.
-    Only those paths are looked up and evaluated; ``time_to_go`` is one
-    number or one entry per path, and ``roles`` the ``_one_call`` of the
-    dynamics and of the costs."""
+    Only those paths are looked up and evaluated; seg and ``time_to_go``
+    (one number or one entry per path) follow ``idx``, and ``roles`` is the
+    ``_one_call`` of the dynamics and of the costs."""
     live = seg > 0
-    if np.all(live):
-        idx = slice(None)
-    else:
-        idx = np.flatnonzero(live)
-        if not len(idx):
+    if not np.all(live):
+        live = np.flatnonzero(live)
+        if not len(live):
             return
+        idx = idx[live] if isinstance(idx, np.ndarray) else live + idx.start
+        seg = seg[live]
         if np.ndim(time_to_go):
-            time_to_go = time_to_go[idx]
-    xs, ms, s = x[idx], modes[idx], seg[idx]
+            time_to_go = time_to_go[live]
+    xs, ms, s = x[idx], modes[idx].astype(int), seg
     a_idx = policy.action_indices(xs, ms, time_to_go)
     a = spec.control_set.take(a_idx, axis=0)
     v, c = (
@@ -302,120 +307,137 @@ def _clock(R, draw):
         return np.where(R > 0, draw / R, np.inf)
 
 
+def _first_rows(R, starts, rngs, n, horizon):
+    """The rows of ``_run_batch`` past the cohorts: each start's paths whose
+    first clock rings before the horizon, in the order of that clock, a tie
+    to the lower start.  Returns every row's key and clock, and the most
+    such paths of one start.  Path i of start p has the key p n + i, the
+    order of its draws; cohort p has p n and clock inf."""
+    P, arrive, keys = len(starts), [], []
+    for p, ((_, mode0), rng) in enumerate(zip(starts, rngs)):
+        first = _clock(R[mode0], rng.exponential(size=n))
+        ids = np.array(sorted(np.flatnonzero(first < horizon).tolist(), key=first.item), dtype=int)
+        arrive.append(first[ids])
+        keys.append(ids + p * n)
+    rows = P + sum(map(len, arrive))
+    key, clock = np.empty(rows, np.int32 if P * n < 2**31 else int), np.full(rows, np.inf)
+    key[:P] = np.arange(P) * n
+    # merge the sorted clocks without a sort (a first numpy sort maps ~1 MB
+    # of its code): a clock's row is P plus its index among its start's
+    # clocks plus the other starts' clocks before it
+    for p, a in enumerate(arrive):
+        row = P + np.arange(len(a)) + sum(
+            b.searchsorted(a, "right" if q < p else "left") for q, b in enumerate(arrive) if q != p
+        )
+        key[row], clock[row] = keys[p], a
+    return key, clock, max(map(len, arrive))
+
+
 _PAD = 128  # the live prefix grows in blocks of this many rows
 
 
-def _run_batch(spec, policy, starts, horizon, dt, rngs, n, record=None) -> np.ndarray:
-    """Costs, shaped (P, n), of n paths from each of the P (x0, mode0) of
-    ``starts``, advanced in one time loop; start p draws every random number
-    from ``rngs[p]``, in its own path order.  A ``record`` list, for one start
-    and n = 1, gets the path's (t, x, mode, action) where each of its moves
-    starts, and at the end.  Row p < P is start p's cohort (clock inf), the
-    later rows the paths whose first clock rings before the horizon, in the
-    order of that clock (a tie goes to the lower start); a pass covers the
-    rows [:L] whose clock rings before the step end, padded to a multiple of
-    ``_PAD`` with rows that stay copies of their start's cohort."""
+def _run_batch(spec, policy, starts, horizon, dt, rngs, n, record=None):
+    """Yields, start by start, the costs of n paths from each of the P
+    (x0, mode0) of ``starts``, all advanced in one time loop; start p draws
+    every random number from ``rngs[p]``, in its own path order.  A
+    ``record`` list, for one start and n = 1, gets the path's (t, x, mode,
+    action) where each of its moves starts, and at the end.
+
+    The rows are those of ``_first_rows``.  A step covers the rows [:L]
+    whose first clock rings before the step end, padded to a multiple of
+    ``_PAD`` with rows that stay copies of their start's cohort, in passes
+    of at most ``block`` rows, the prefix that the start with the most such
+    paths fills alone: several starts need no larger temporaries than one.
+    Modes are held in the narrowest integer type, keys in 32 bits where they
+    fit, so the rows of several starts cost little more than those of one."""
     P, R = len(starts), spec.total_rates()
     cdf = _destination_cdf(spec, R)
-    paths, arrive = [], []  # per start, its paths in the order of their first clocks
-    for (_, mode0), rng in zip(starts, rngs):
-        first = _clock(R[mode0], rng.exponential(size=n))
-        paths.append(np.array(
-            sorted(np.flatnonzero(first < horizon).tolist(), key=first.item), dtype=int
-        ))
-        arrive.append(first[paths[-1]])
-    # merge the starts' sorted clocks without a sort (a first numpy sort maps
-    # ~1 MB of its code): a clock's row is P plus its index among its start's
-    # clocks plus the other starts' clocks before it, a tie to the lower start
-    place = [
-        P + np.arange(len(a)) + sum(
-            b.searchsorted(a, "right" if q < p else "left") for q, b in enumerate(arrive) if q != p
-        )
-        for p, a in enumerate(arrive)
-    ]
-    rows, L = P + sum(map(len, paths)), 0
-    start_of, path_of, next_switch = np.arange(rows), np.full(rows, -1), np.full(rows, np.inf)
-    for p, row in enumerate(place):  # path i of start p as p n + i: the order of its draws
-        start_of[row], path_of[row], next_switch[row] = p, paths[p] + p * n, arrive[p]
-    arrive = next_switch[P:].copy()
-    x = _wrap(np.array([x0 for x0, _ in starts], dtype=float))[start_of]
-    modes = np.array([mode0 for _, mode0 in starts])[start_of]
-    cost = np.zeros(rows)
+    key, next_switch, most = _first_rows(R, starts, rngs, n, horizon)
+    rows, L, block = len(key), 0, -(-(P + most) // _PAD) * _PAD
+    x, cost = np.empty((rows, spec.dim)), np.zeros(rows)
+    modes = np.zeros(rows, np.min_scalar_type(spec.m - 1))
+    x[:P] = _wrap(np.array([x0 for x0, _ in starts], dtype=float))
+    modes[:P] = [mode0 for _, mode0 in starts]
     n_steps = max(1, int(np.ceil(horizon / dt - 1e-12)))
     roles = [_one_call(spec.dynamics), _one_call(spec.costs)]
 
-    def move(seg, t):
-        # the rows with seg > 0 move from time t, one number or one per row;
-        # a recorded path is the last row, always in the prefix
-        row = record is not None and seg[-1] > 0 and (np.ravel(t)[-1], xs[-1].copy(), ms[-1])
-        a_idx = _advance(spec, roles, policy, xs, ms, cs, seg, horizon - t)
+    def move(seg, t, idx):
+        # the rows idx with seg > 0 move from time t, one number or one per
+        # row; a recorded path is the last row, always in the prefix
+        row = record is not None and seg[-1] > 0 and np.arange(L)[idx][-1] == L - 1 and (
+            np.ravel(t)[-1], x[L - 1].copy(), int(modes[L - 1]))
+        a_idx = _advance(spec, roles, policy, x, modes, cost, seg, horizon - t, idx)
         if row:
             record.append(row + (a_idx[-1],))
 
     t0 = 0.0
     for k in range(n_steps):
         t1 = min((k + 1) * dt, horizon)
-        grown = min(-(-(P + int(arrive.searchsorted(t1))) // _PAD) * _PAD, rows)
+        lo = max(L, P)  # the rows [lo:] still hold their first clocks, in order
+        grown = min(-(-(lo + int(next_switch[lo:].searchsorted(t1))) // _PAD) * _PAD, rows)
         if grown > L:
-            x[L:grown], cost[L:grown] = x[start_of[L:grown]], cost[start_of[L:grown]]
+            pad = key[:P].searchsorted(key[L:grown], "right") - 1  # their starts
+            x[L:grown], modes[L:grown], cost[L:grown] = x[pad], modes[pad], cost[pad]
             L = grown
-        xs, ms, cs, ns = x[:L], modes[:L], cost[:L], next_switch[:L]
-        # every row starts the step at t0, so the time to go is one number
-        seg = np.maximum(np.minimum(ns, t1) - t0, 0.0)
-        move(seg, t0)
-        cur = t0 + seg
+        # every row starts the step at t0, so the time to go is one number;
+        # act: the rows that may still move (time cur < t1) or switch (clock
+        # before t1) in the step, cur their time
+        act, cur = [], []
+        for a in range(0, L, block):
+            ns = next_switch[a:min(a + block, L)]
+            seg = np.maximum(np.minimum(ns, t1) - t0, 0.0)
+            move(seg, t0, slice(a, a + len(ns)))
+            seg += t0
+            hit = np.flatnonzero(np.minimum(seg, ns) < t1)
+            act.append(hit + a)
+            cur.append(seg[hit])
+        act, cur = np.concatenate(act), np.concatenate(cur)
+        act_key = key[act]
         while True:
             # the few rows whose clock rang inside the step switch mode and
             # finish the step from their own switch time; each start draws
             # from its own generator, in its own path order
+            ns = next_switch[act]
             cand = np.flatnonzero(ns <= t1 - 1e-15)
-            switching = cand[cur[cand] >= ns[cand] - 1e-15]
-            if not len(switching):
+            switching = cand[cur[cand] >= ns[cand] - 1e-15].tolist()
+            if not switching:
                 break
-            switching = np.array(sorted(switching.tolist(), key=path_of.item))
-            counts = np.diff(start_of[switching].searchsorted(np.arange(P + 1))).tolist()
+            switching.sort(key=act_key.item)
+            counts = [0] * P
+            for j in switching:
+                counts[act_key.item(j) // n] += 1
+            switching = np.array(switching)
             u, e = map(np.concatenate, zip(*[
                 (rng.random(c), rng.exponential(size=c)) for rng, c in zip(rngs, counts) if c
             ]))
-            ms[switching] = _draw_destinations(cdf, ms[switching], u)
-            ns[switching] = cur[switching] + _clock(R[ms[switching]], e)
+            sw = act[switching]
+            modes[sw] = _draw_destinations(cdf, modes[sw], u)
+            ns[switching] = next_switch[sw] = cur[switching] + _clock(R[modes[sw]], e)
             seg = np.maximum(np.minimum(ns, t1) - cur, 0.0)
-            move(seg, cur)
+            move(seg, cur, act)
             cur += seg
         t0 = t1
-    # per start, back to path order; a path whose row never entered the
-    # prefix is its start's cohort row
-    out = np.empty((P, n))
-    for p, (row, ids) in enumerate(zip(place, paths)):
-        inside = row.searchsorted(L)
-        row_of = np.full(n, p)
-        row_of[ids[:inside]] = row[:inside]
-        xp, mp, out[p] = x[row_of], modes[row_of], cost[row_of]
+    del next_switch  # each array is freed once done with, to lower the peak
+    # the terminal payment, a pass of rows at a time; modes and keys are
+    # widened to int64 first, as `==` on a large uint8 array and `-` on int32
+    # map 64 kB of numpy's code that nothing else in a run touches
+    for a in range(0, L, block):
+        ms = modes[a:a + block].astype(int)
         for i in range(spec.m):  # not np.unique: a first sort maps ~1 MB of numpy's code
-            sel = mp == i
-            if sel.any():
-                out[p, sel] += spec.terminal[i](xp[sel])
+            sel = np.flatnonzero(ms == i) + a
+            if len(sel):
+                cost[sel] += spec.terminal[i](x[sel])
     if record is not None:
-        record.append((t0, xp[0].copy(), mp[0], record[-1][3]))
-    return out
-
-
-def _estimates(spec, policy, starts, horizon, n_samples, seeds, dt_sim, label="") -> list:
-    """One ``ValueEstimate`` per start, from one ``_run_batch``; ``label`` as
-    in ``_run_step``."""
-    dt = _run_step(spec, starts, seeds, horizon, dt_sim, label)
-    if not _is_integer(n_samples) or n_samples < 100:
-        raise ConfigError(f"n_samples must be an integer of at least 100, got {n_samples!r}")
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    return [
-        ValueEstimate(
-            mean=float(np.mean(costs)),
-            std_error=float(np.std(costs, ddof=1) / np.sqrt(len(costs))),
-            samples=len(costs),
-            policy_id=policy.policy_id,
-        )
-        for costs in _run_batch(spec, policy, starts, horizon, dt, rngs, n_samples)
-    ]
+        record.append((t0, x[L - 1].copy(), int(modes[L - 1]), record[-1][3]))
+    del x, modes
+    # each start's costs in path order, one start at a time: a path whose row
+    # never entered the prefix is its start's cohort row
+    start = key[:P].searchsorted(key[P:L], "right") - 1
+    for p in range(P):
+        mine = np.flatnonzero(start == p) + P
+        out = np.full(n, cost[p])
+        out[key[mine].astype(int) - p * n] = cost[mine]
+        yield out
 
 
 def estimate_value(
@@ -430,7 +452,7 @@ def estimate_value(
 ) -> ValueEstimate:
     """Monte Carlo path-cost mean of ``n_samples`` paths, all drawn from the
     one generator ``np.random.default_rng(seed)``."""
-    return _estimates(spec, policy, [(x, mode)], horizon, n_samples, [seed], dt_sim)[0]
+    return estimate_values(spec, policy, [(x, mode)], horizon, n_samples, [seed], dt_sim)[0]
 
 
 def estimate_values(
@@ -446,4 +468,16 @@ def estimate_values(
     from ``np.random.default_rng(seeds[k])``, with all the paths advanced in
     one time loop; each estimate is bit for bit that of its own
     ``estimate_value`` call."""
-    return _estimates(spec, policy, starts, horizon, n_samples, seeds, dt_sim, "start {}: ")
+    dt = _run_step(spec, starts, seeds, horizon, dt_sim)
+    if not _is_integer(n_samples) or n_samples < 100:
+        raise ConfigError(f"n_samples must be an integer of at least 100, got {n_samples!r}")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    return [
+        ValueEstimate(
+            mean=float(np.mean(costs)),
+            std_error=float(np.std(costs, ddof=1) / np.sqrt(len(costs))),
+            samples=len(costs),
+            policy_id=policy.policy_id,
+        )
+        for costs in _run_batch(spec, policy, starts, horizon, dt, rngs, n_samples)
+    ]

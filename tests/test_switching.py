@@ -447,7 +447,8 @@ def _reference_destinations(spec, modes, u):
 
 def _one_start(spec, policy, x0, mode0, horizon, dt, rng, n):
     """The batch loop's costs of n paths from one start."""
-    return _run_batch(spec, policy, [(x0, mode0)], horizon, dt, [rng], n)[0]
+    (costs,) = _run_batch(spec, policy, [(x0, mode0)], horizon, dt, [rng], n)
+    return costs
 
 
 def _reference_batch(spec, policy, x0, mode0, horizon, dt, rng, size):
@@ -862,7 +863,7 @@ class TestCohortEdges:
         policy.action_indices = lambda x, *args: (
             policy.seen.append(x[:, 0].copy()) or _PointwisePolicy.action_indices(policy, x, *args)
         )
-        got = _run_batch(spec, policy, starts, 1.0, 1 / 8, draws(), 300)
+        got = list(_run_batch(spec, policy, starts, 1.0, 1 / 8, draws(), 300))
         for (x0, mode0), rng, costs in zip(starts, draws(), got):
             ref = _reference_batch(spec, _PointwisePolicy(), x0, mode0, 1.0, 1 / 8, rng, 300)
             assert costs.tobytes() == ref.tobytes()
@@ -872,6 +873,23 @@ class TestCohortEdges:
         # do not move) the rows of the first 7 clocks of the linspace, each
         # tied across the three starts, in start order
         assert policy.seen[0][:24].tolist() == [0.3, 0.3, 0.8] * 8
+
+    def test_no_pass_is_longer_than_one_start_alone(self):
+        # five starts hold all their rows at once, but a pass looks up at
+        # most the prefix that the start with the most switching paths fills
+        # alone, so their temporaries are those of one start
+        spec = _wavy_spec(self.RATES)
+        starts = [([0.1 * k], k % 2) for k in range(5)]
+        rngs = lambda: [np.random.default_rng(k) for k in range(5)]
+        policy = _PointwisePolicy()
+        policy.rows = []
+        policy.action_indices = lambda x, *args: (
+            policy.rows.append(len(x)) or _PointwisePolicy.action_indices(policy, x, *args)
+        )
+        list(_run_batch(spec, policy, starts, 0.25, 1 / 64, rngs(), 200))
+        switched = [int(np.sum(rng.exponential(size=200) / 4.0 < 0.25)) for rng in rngs()]
+        pad = switching._PAD
+        assert max(policy.rows) <= -(-(5 + max(switched)) // pad) * pad < 5 + sum(switched)
 
     @given(
         data=st.data(),
@@ -896,8 +914,8 @@ class TestCohortEdges:
         seed = st.one_of(st.integers(0, 2), st.integers(0, 2**32 - 1))
         seeds = [data.draw(seed) for _ in range(n_starts)]
         rngs = [np.random.default_rng(s) for s in seeds]
-        got = _run_batch(spec, _PointwisePolicy(), starts, 0.25, dt, rngs, n)
-        assert got.shape == (n_starts, n)
+        got = list(_run_batch(spec, _PointwisePolicy(), starts, 0.25, dt, rngs, n))
+        assert len(got) == n_starts
         for (x0, mode0), s, costs in zip(starts, seeds, got):
             ref = _reference_batch(spec, _PointwisePolicy(), x0, mode0, 0.25, dt,
                                    np.random.default_rng(s), n)
