@@ -7,7 +7,8 @@ Usage:
 
 Each suite prints one line per check; with --out the machine-readable
 summary lands in <out>/<suite>/suite.json.  Exit code 1 if any check fails,
-2 for an unknown suite or a bad override, 3 for a numerical failure.
+2 for an unknown suite, a bad override or one whose sizes ask for more
+memory than the host can give, 3 for a numerical failure.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ def main(argv=None) -> int:
             result = run_suite(name, **overrides)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except MemoryError as exc:
+            print(f"config error: {name} needs more memory than the host can give: {exc}",
+                  file=sys.stderr)
             return 2
         except (DivergenceError, ConvergenceError) as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)

@@ -9,18 +9,25 @@ evaluates to ``c + sum a cos(2 pi k.x) + b sin(2 pi k.x)``.  Direction
 profiles for the nonconvex family use a Fourier series in the direction
 angle: ``{"const": c, "angle": [{"j": 1, "cos": a, "sin": b}, ...]}`` with
 theta = atan2(d_2, d_1) (theta in {0, pi} in one dimension).
+
+The catalog is the one reader of the config blocks that say what is
+simulated: ``build_system`` reads a ``system`` block and its ``grid``,
+``build_coupling`` a ``coupling`` block, ``build_hamiltonian`` the
+``params`` of each id, the Fourier and direction-profile readers their
+descriptions and terms, and ``build_process`` a ``process`` block.  They
+read through ``errors``' readers, so every block, nested ones included,
+refuses a key it does not accept with a ConfigError that names the block
+and the key, for Python callers as for the CLI.
 """
 from __future__ import annotations
 
-import math
-import numbers
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .coupling import CouplingMatrix
-from .errors import ConfigError
+from .errors import ConfigError, field, integer, mapping, number
 from .evolution import HJSystem
 from .grid import Grid, sample
 from .hamiltonians import (
@@ -40,6 +47,7 @@ __all__ = [
     "builtin_coupling",
     "build_coupling",
     "build_system",
+    "build_process",
     "sources",
     "process_system",
     "quadratic_eikonal_pair",
@@ -61,21 +69,6 @@ BUILTIN_COUPLINGS = {
     "asymmetric_pair": [[1.0, -1.0], [-2.0, 2.0]],
     "cyclic3": [[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]],
 }
-
-
-def _mapping(spec, what: str) -> None:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{what} must be a mapping, got {type(spec).__name__}")
-
-
-def _number(value, what: str) -> float:
-    """A finite real number; booleans, strings and non-finite values are
-    config errors naming ``what``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{what} must be finite, got {value!r}")
-    return float(value)
 
 
 def fourier_series(x, a=None, *, coef, terms):
@@ -103,20 +96,20 @@ def fourier_function(params: dict, dim: int) -> Callable:
     """Compile a truncated Fourier description into ``fourier_series`` with
     ``coef`` the constant and the nonzero cos and sin coefficients; zero
     ones are left out, so ``terms`` holds the frequencies and that pattern."""
-    _mapping(params, "fourier spec")
-    coef = [_number(params.get("const", 0.0), "fourier const")]
+    mapping(params, "fourier spec", ("const", "terms"))
+    coef = [number(params.get("const", 0.0), "fourier const")]
     terms = []
     for t, term in enumerate(params.get("terms", [])):
         where = f"fourier terms[{t}]"
-        _mapping(term, where)
+        mapping(term, where, ("k", "cos", "sin"))
         k = term.get("k", [1] * dim)
         k = k if isinstance(k, (list, tuple, np.ndarray)) else [k]
         if len(k) != dim:
             raise ConfigError(f"{where}.k must have {dim} entries, got {k!r}")
-        k = tuple(_number(e, f"{where}.k") for e in k)
+        k = tuple(number(e, f"{where}.k") for e in k)
         slots = []
         for key in ("cos", "sin"):
-            value = _number(term.get(key, 0.0), f"{where}.{key}")
+            value = number(term.get(key, 0.0), f"{where}.{key}")
             slots.append(len(coef) if value else 0)
             if value:
                 coef.append(value)
@@ -126,17 +119,15 @@ def fourier_function(params: dict, dim: int) -> Callable:
 
 def direction_profile(params: dict, dim: int) -> tuple[Callable, float]:
     """Compile a direction profile F(x, d); returns (fn, angle_slope_bound)."""
-    _mapping(params, "direction profile F")
-    const = _number(params.get("const", 1.0), "direction profile const")
+    mapping(params, "direction profile F", ("const", "angle"))
+    const = number(params.get("const", 1.0), "direction profile const")
     angle = []
     for i, t in enumerate(params.get("angle", [])):
         where = f"direction profile angle[{i}]"
-        _mapping(t, where)
-        j = _number(t.get("j", 1), f"{where}.j")
-        if not j.is_integer():
-            raise ConfigError(f"{where}.j must be an integer, got {t['j']!r}")
-        a, b = (_number(t.get(key, 0.0), f"{where}.{key}") for key in ("cos", "sin"))
-        angle.append((int(j), a, b))
+        mapping(t, where, ("j", "cos", "sin"))
+        j = integer(t.get("j", 1), f"{where}.j")
+        a, b = (number(t.get(key, 0.0), f"{where}.{key}") for key in ("cos", "sin"))
+        angle.append((j, a, b))
     slope = sum(abs(j) * (abs(a) + abs(b)) for j, a, b in angle)
 
     def fn(x, d):
@@ -172,13 +163,16 @@ _DEFAULT_F = {"const": 1.0, "terms": [{"cos": -1.0}]}  # 1 - cos(2 pi k.x), k = 
 
 
 def build_hamiltonian(ham_id: str, params: dict | None, dim: int = 1) -> Hamiltonian:
-    """Instantiate a built-in Hamiltonian from its id and JSON parameters."""
-    params = dict(params or {})
+    """Instantiate a built-in Hamiltonian from its id and JSON parameters:
+    ``p_box`` and the source ``f``, and for ``nonconvex_bs00`` the drift
+    ``q`` and the direction profile ``F``."""
     if ham_id not in BUILTIN_HAMILTONIAN_IDS:
         raise ConfigError(
             f"unknown hamiltonian id {ham_id!r}; valid: {BUILTIN_HAMILTONIAN_IDS}"
         )
-    p_box = _number(params.get("p_box", 2.5), "p_box")
+    accepted = ("p_box", "f") + (("q", "F") if ham_id == "nonconvex_bs00" else ())
+    params = mapping({} if params is None else params, f"{ham_id} params", accepted)
+    p_box = number(params.get("p_box", 2.5), "p_box")
     if p_box <= 0:
         raise ConfigError(f"p_box must be positive and finite, got {p_box!r}")
     f = fourier_function(params.get("f", _DEFAULT_F), dim)
@@ -204,19 +198,36 @@ def builtin_coupling(name: str) -> np.ndarray:
     return np.asarray(BUILTIN_COUPLINGS[name], dtype=float)
 
 
-def build_coupling(block: dict) -> CouplingMatrix:
-    """A ``coupling`` block: a built-in ``name``, else explicit ``entries``."""
-    entries = builtin_coupling(block["name"]) if "name" in block else block["entries"]
-    return CouplingMatrix.constant(entries)
+def build_coupling(block: dict, where: str = "coupling") -> CouplingMatrix:
+    """A coupling block, named ``where`` in errors: a built-in ``name``, else
+    explicit ``entries``."""
+    mapping(block, where, ("name", "entries"))
+    if "name" in block:
+        return CouplingMatrix.constant(builtin_coupling(block["name"]))
+    if "entries" not in block:
+        raise ConfigError("coupling block needs either 'name' or 'entries'")
+    return CouplingMatrix.constant(field(block, "entries", where=where, read=number, many=True))
 
 
-def build_system(block: dict, grid: Grid) -> HJSystem:
-    """The system of a ``coupling`` + ``hamiltonians`` block on ``grid``."""
-    coupling = build_coupling(block["coupling"])
-    hams = tuple(
-        build_hamiltonian(hb["id"], hb.get("params"), grid.dim) for hb in block["hamiltonians"]
-    )
-    return HJSystem(hams=hams, coupling=coupling, grid=grid)
+def build_system(block: dict, grid: Grid | None = None) -> HJSystem:
+    """The system of a ``system`` block (``grid``, ``coupling`` and
+    ``hamiltonians``, each an ``id`` and its ``params``) on ``grid``, or on
+    the block's own grid (``dim``, ``n``) when ``grid`` is None."""
+    mapping(block, "system", ("grid", "coupling", "hamiltonians"))
+    if grid is None:
+        grid_block = mapping(field(block, "grid", where="system"), "system.grid", ("dim", "n"))
+        grid = Grid(field(grid_block, "dim", 1, "system.grid", read=integer),
+                    field(grid_block, "n", where="system.grid", read=integer))
+    coupling = build_coupling(field(block, "coupling", where="system"), "system.coupling")
+    blocks = field(block, "hamiltonians", where="system")
+    if not isinstance(blocks, list) or not blocks:
+        raise ConfigError("system.hamiltonians must be a nonempty list")
+    hams = []
+    for i, hb in enumerate(blocks):
+        where = f"system.hamiltonians[{i}]"
+        mapping(hb, where, ("id", "params"))
+        hams.append(build_hamiltonian(field(hb, "id", where=where), hb.get("params"), grid.dim))
+    return HJSystem(hams=tuple(hams), coupling=coupling, grid=grid)
 
 
 def sources(system: HJSystem) -> list:
@@ -313,15 +324,12 @@ def unit_ball_eikonal_process(fs, rates, n_actions: int = 64) -> SwitchingProces
     m = len(rates)
     if len(fs) != m:
         raise ConfigError(f"process.fs must list {m} source functions")
-    n = _number(n_actions, "process.n_actions")
-    if not (n.is_integer() and n >= 1):
-        raise ConfigError(f"process.n_actions must be a positive integer, got {n_actions!r}")
-
+    n = integer(n_actions, "process.n_actions", least=1)
     return _process(
         rates,
         _unit_ball_velocity,
         [fourier_function(f, 1) for f in fs],
-        np.linspace(-1.0, 1.0, int(n))[:, None],
+        np.linspace(-1.0, 1.0, n)[:, None],
     )
 
 
@@ -332,12 +340,30 @@ def _idle_velocity(x, a):
 def idle_process(cost_rates, rates) -> SwitchingProcessSpec:
     """No motion, one action, a constant running cost per mode."""
     m = len(rates)
-    cost_rates = [_number(v, "process.cost_rates") for v in cost_rates]
-    if len(cost_rates) != m:
+    cost_rates = number(cost_rates, "process.cost_rates", many=True)
+    if cost_rates.shape != (m,):
         raise ConfigError(f"process.cost_rates must list {m} finite rates")
-
-    costs = [partial(fourier_series, coef=np.array([v]), terms=()) for v in cost_rates]
+    costs = [partial(fourier_series, coef=np.array([v]), terms=()) for v in cost_rates.tolist()]
     return _process(rates, _idle_velocity, costs, np.zeros((1, 1)))
+
+
+# the keys of a process block, per kind
+_PROCESS_BLOCKS = {"unit_ball_eikonal": ("kind", "rates", "fs", "n_actions"),
+                   "idle": ("kind", "rates", "cost_rates")}
+
+
+def build_process(block: dict) -> SwitchingProcessSpec:
+    """A ``process`` block: the builder of its ``kind`` on its ``rates`` and
+    the kind's other keys (``n_actions`` is 64 when left out)."""
+    kind = field(block, "kind", where="process")
+    if not isinstance(kind, str) or kind not in _PROCESS_BLOCKS:
+        raise ConfigError(f"unknown process kind {kind!r}")
+    mapping(block, f"process of kind {kind!r}", _PROCESS_BLOCKS[kind])
+    rates = field(block, "rates", where="process", read=number, many=True)
+    if kind == "idle":
+        return idle_process(field(block, "cost_rates", where="process"), rates)
+    return unit_ball_eikonal_process(field(block, "fs", where="process"), rates,
+                                     block.get("n_actions", 64))
 
 
 def list_builtin(kind: str) -> list[str]:

@@ -338,7 +338,7 @@ def _advance(kernel: FluxKernel, v: np.ndarray, dt: float, t: float, fold: bool 
         grid, m = kernel.grid, len(kernel.terms)
         row, flat = divmod(int(np.flatnonzero(~np.isfinite(v))[0]), grid.num_nodes)
         raise DivergenceError(
-            f"non-finite value after step to t = {t!r}: "
+            f"non-finite value after step to t = {float(t)!r}: "
             + (f"member {row // m}: " if v.size > m * grid.num_nodes else "")
             + f"component {row % m}, node {flat} at x = {grid.nodes()[flat].tolist()}"
         )

@@ -15,7 +15,6 @@ constant matches the continuum one beyond the stated tolerance.
 from __future__ import annotations
 
 import inspect
-import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -32,7 +31,7 @@ from .diagnostics import (
     profile_distances,
 )
 from .ergodic import DiscountSchedule, estimate_ergodic_constant, long_time_constant
-from .errors import ConfigError
+from .errors import ConfigError, integer, mapping, number
 from .evolution import EvolutionConfig, HJSystem, solve, solve_batch
 from .grid import Grid, GridFunction, interp_periodic, sample, save_json
 from .hamiltonians import check_assumption
@@ -482,30 +481,20 @@ SUITE_RUNNERS = {
 
 
 def _overrides(name: str, runner, kwargs: dict) -> dict:
-    """Check override keys against the runner and convert each value to the
-    type of that parameter's default.  Only finite JSON numbers pass, and
-    only integral ones for an int parameter; a boolean or a string is not a
-    number.  The grid size and the seed are held to the ranges ``Grid`` and
-    ``SeedSequence`` accept."""
+    """Check override keys against the runner and read each value as the
+    type of that parameter's default: a JSON integer for an int parameter,
+    else a finite JSON number.  The grid size and the seed are held to the
+    ranges ``Grid`` and ``SeedSequence`` accept."""
     params = inspect.signature(runner).parameters
+    mapping(kwargs, f"suite {name!r}", tuple(params))
+    least = {"n": 8, "seed": 0}
     out = {}
     for key, value in kwargs.items():
-        if key not in params:
-            raise ConfigError(
-                f"suite {name!r} has no parameter {key!r}; accepted: {', '.join(params)}"
-            )
-        kind = type(params[key].default)
-        real = isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
-        if isinstance(value, bool) or not real or kind is int and value % 1:
-            raise ConfigError(
-                f"suite {name!r} parameter {key!r} must be {kind.__name__}, got {value!r}"
-            )
-        out[key] = kind(value)
-    for key, least in (("n", 8), ("seed", 0)):
-        if out.get(key, least) < least:
-            raise ConfigError(
-                f"suite {name!r} parameter {key!r} must be at least {least}, got {out[key]}"
-            )
+        what = f"suite {name!r} parameter {key!r}"
+        if type(params[key].default) is int:
+            out[key] = integer(value, what, least.get(key))
+        else:
+            out[key] = number(value, what)
     return out
 
 

@@ -33,12 +33,12 @@ start begin at one (x0, mode0), so until its first clock rings a path is
 the same as every other such path of its start.  The loop moves them all
 as their start's cohort row, and a path's own row joins the passes in the
 step its first clock rings.  A step covers a prefix of the rows: the
-cohorts, the paths that have switched, of every start, in the order of
-their first clocks, and padding rows, paths not yet switched that stay
-exact copies of their start's cohort; it does so in passes no longer than
-the prefix of the start with the most such paths.  As the callables and
-the policy are pointwise, a row's result does not depend on the other
-rows, so seeded results are those of one row per path, bit for bit.
+cohorts and the paths that have switched, of every start, in the order of
+their first clocks; it does so in passes no longer than the prefix of the
+start with the most such paths.  As the callables and the policy are
+pointwise, a row's result does not depend on the other rows, so seeded
+results are those of one row per path, bit for bit.  A run whose paths
+would switch more often than the step budget allows is refused.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bridge import ConstantPolicy, GreedyGradientPolicy, coupling_from_spec, hamiltonian_from_spec
-from .errors import ConfigError, StructureError, check_step_budget
+from .errors import STEP_BUDGET, ConfigError, StructureError, check_step_budget
 
 __all__ = [
     "SwitchingProcessSpec",
@@ -210,6 +210,14 @@ def _run_step(spec, starts, seeds, horizon, dt_sim) -> float:
         if not 0 < value < np.inf:
             raise ConfigError(f"{what} must be positive and finite, got {value!r}")
     check_step_budget(float(horizon) / dt, f"dt_sim = {dt!r} (horizon {horizon!r})")
+    # each switch splits a step, so a path's switches count against the budget too
+    rate = float(np.max(spec.total_rates()))
+    switches = float(horizon) * rate
+    if not switches <= STEP_BUDGET:
+        raise ConfigError(
+            f"rates and horizon {horizon!r}: {switches:.3g} expected switches per path (the "
+            f"horizon times the largest total rate, {rate!r}) exceed the budget of {STEP_BUDGET:,}"
+        )
     return dt
 
 
@@ -333,9 +341,6 @@ def _first_rows(R, starts, rngs, n, horizon):
     return key, clock, max(map(len, arrive))
 
 
-_PAD = 128  # the live prefix grows in blocks of this many rows
-
-
 def _run_batch(spec, policy, starts, horizon, dt, rngs, n, record=None):
     """Yields, start by start, the costs of n paths from each of the P
     (x0, mode0) of ``starts``, all advanced in one time loop; start p draws
@@ -343,17 +348,17 @@ def _run_batch(spec, policy, starts, horizon, dt, rngs, n, record=None):
     ``record`` list, for one start and n = 1, gets the path's (t, x, mode,
     action) where each of its moves starts, and at the end.
 
-    The rows are those of ``_first_rows``.  A step covers the rows [:L]
-    whose first clock rings before the step end, padded to a multiple of
-    ``_PAD`` with rows that stay copies of their start's cohort, in passes
-    of at most ``block`` rows, the prefix that the start with the most such
-    paths fills alone: several starts need no larger temporaries than one.
+    The rows are those of ``_first_rows``.  A step covers the rows [:L],
+    the cohorts and the rows whose first clock rings before the step end,
+    in passes of at most ``block`` rows, the prefix that the start with the
+    most such paths fills alone: several starts need no larger temporaries
+    than one.
     Modes are held in the narrowest integer type, keys in 32 bits where they
     fit, so the rows of several starts cost little more than those of one."""
     P, R = len(starts), spec.total_rates()
     cdf = _destination_cdf(spec, R)
     key, next_switch, most = _first_rows(R, starts, rngs, n, horizon)
-    rows, L, block = len(key), 0, -(-(P + most) // _PAD) * _PAD
+    rows, L, block = len(key), 0, P + most
     x, cost = np.empty((rows, spec.dim)), np.zeros(rows)
     modes = np.zeros(rows, np.min_scalar_type(spec.m - 1))
     x[:P] = _wrap(np.array([x0 for x0, _ in starts], dtype=float))
@@ -374,10 +379,10 @@ def _run_batch(spec, policy, starts, horizon, dt, rngs, n, record=None):
     for k in range(n_steps):
         t1 = min((k + 1) * dt, horizon)
         lo = max(L, P)  # the rows [lo:] still hold their first clocks, in order
-        grown = min(-(-(lo + int(next_switch[lo:].searchsorted(t1))) // _PAD) * _PAD, rows)
-        if grown > L:
-            pad = key[:P].searchsorted(key[L:grown], "right") - 1  # their starts
-            x[L:grown], modes[L:grown], cost[L:grown] = x[pad], modes[pad], cost[pad]
+        grown = lo + int(next_switch[lo:].searchsorted(t1))
+        if grown > L:  # the joining rows start as copies of their start's cohort
+            own = key[:P].searchsorted(key[L:grown], "right") - 1
+            x[L:grown], modes[L:grown], cost[L:grown] = x[own], modes[own], cost[own]
             L = grown
         # every row starts the step at t0, so the time to go is one number;
         # act: the rows that may still move (time cur < t1) or switch (clock

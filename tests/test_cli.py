@@ -7,12 +7,13 @@ import copy
 import io
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hjsys.catalog import F1, F2
+from hjsys.catalog import F1, F2, SYSTEMS
 from hjsys.cli import main
 from hjsys.errors import ConfigError
 from hjsys.suites import run_suite
@@ -61,7 +62,7 @@ class TestListing:
         listed = capsys.readouterr().out.split()
         for name in listed:
             # a known name gets past the name check to the override check
-            with pytest.raises(ConfigError, match="has no parameter 'bogus'"):
+            with pytest.raises(ConfigError, match="has no key 'bogus'"):
                 run_suite(name, bogus=1)
         with pytest.raises(ConfigError, match="known: " + ", ".join(sorted(listed))):
             run_suite("no-such-suite")
@@ -102,6 +103,16 @@ class TestExitCodes:
         cfg["solver"]["snapshot_every"] = 40.0
         rc = main(["evolve", "--config", _write(tmp_path, "c.json", cfg)])
         assert rc == 3
+
+    def test_divergence_message_prints_plain_numbers(self, tmp_path, capsys):
+        # the step time was a numpy scalar, printed as np.float64(...)
+        cfg = _evolve_cfg()
+        cfg["u0"] = {"kind": "constants", "values": [1e308, -1e308]}
+        rc = main(["evolve", "--config", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: non-finite value after step to t = 0.005555555555555556:" in err
+        assert "np.float64(" not in err
 
     @pytest.mark.parametrize("field, value", [
         ("snapshot_every", 1e-300),  # 1e300 snapshot times, more than an array holds
@@ -175,13 +186,13 @@ class TestExitCodes:
             hb["params"]["F"] = {"const": float("nan")}
         rc = main(["evolve", "--config", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path)])
         assert rc == 2
-        assert "direction profile const must be finite, got nan" in capsys.readouterr().err
+        assert "direction profile const must be a finite number, got nan" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "params, message",
-        [({"F": [1]}, "direction profile F must be a mapping, got list"),
-         ({"F": {"angle": [5]}}, "direction profile angle[0] must be a mapping, got int"),
-         ({"f": {"terms": [5]}}, "fourier terms[0] must be a mapping, got int")],
+        [({"F": [1]}, "direction profile F must be a mapping, got [1]"),
+         ({"F": {"angle": [5]}}, "direction profile angle[0] must be a mapping, got 5"),
+         ({"f": {"terms": [5]}}, "fourier terms[0] must be a mapping, got 5")],
     )
     def test_non_mapping_profile_or_term_is_a_config_error(self, tmp_path, capsys, params,
                                                            message):
@@ -584,6 +595,20 @@ class TestSimulate:
         times = [float(r.split(",")[0]) for r in rows[1:]]
         assert times[-1] == 0.25 and 3 <= len(times) < 20
 
+    @pytest.mark.parametrize("path, value", [
+        # each clock e / R is below one ulp of the time, so no switch round progresses
+        (("process", "rates"), [[-1.0, 1e308], [1e308, -1.0]]),
+        # 10 steps, inside the step budget, but about 1e300 switches per path
+        (("horizon",), 1e300)])
+    def test_switching_that_cannot_finish_is_a_config_error(self, tmp_path, capsys, path, value):
+        cfg = _mutated(dict(_idle_cfg(), dt_sim=1e299), path, value)
+        t0 = time.perf_counter()
+        rc = main(["simulate", "--config", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path)])
+        assert rc == 2 and time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert "config error: rates and horizon" in err
+        assert "expected switches per path" in err and "exceed the budget of 100,000,000" in err
+
     def test_dump_path_must_be_a_boolean(self, tmp_path, capsys):
         _rejects_non_booleans("simulate", _idle_cfg(), "dump_path", tmp_path, capsys)
 
@@ -706,7 +731,7 @@ class TestTheoremSuite:
         cfg = {"name": "identical-gap", "overrides": {"n": "abc"}}
         rc = main(["theorem-suite", "--config", _write(tmp_path, "c.json", cfg)])
         assert rc == 2
-        assert "parameter 'n' must be int" in capsys.readouterr().err
+        assert "parameter 'n' must be an integer, got 'abc'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "name, key, value",
@@ -779,6 +804,61 @@ class TestTheoremSuite:
         assert rc == 2
 
 
+@pytest.mark.parametrize("typo", ["trems", "cso", "source"])
+def test_misspelled_source_key_is_a_config_error(tmp_path, capsys, typo):
+    # each typo used to run a different system: c = -1.5 or -0.024, not -0.524
+    system = {**copy.deepcopy(SYSTEMS["largenew-eikonal"]), "grid": {"dim": 1, "n": 32}}
+    params = system["hamiltonians"][0]["params"]
+    block = {"trems": params["f"], "cso": params["f"]["terms"][0], "source": params}[typo]
+    block[typo] = block.pop({"trems": "terms", "cso": "cos", "source": "f"}[typo])
+    cfg = {"system": system, "schedule": {"lambdas": [0.1, 0.05]}}
+    out = tmp_path / "out"
+    rc = main(["ergodic", "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)])
+    assert rc == 2
+    assert f"has no key {typo!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _refuses_what_it_cannot_hold() -> bool:
+    """Whether the kernel refuses an allocation past its memory at once:
+    Linux's heuristic or strict overcommit, not "always"."""
+    try:
+        with open("/proc/sys/vm/overcommit_memory") as fh:
+            return fh.read().strip() in ("0", "2")
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _refuses_what_it_cannot_hold(), reason="allocations are not refused")
+@pytest.mark.parametrize("kind, base, path", [
+    ("evolve", _evolve_cfg, ("system", "grid", "n")),
+    ("ergodic", _ergodic_cfg, ("system", "grid", "n")),
+    ("diagnose", _diagnose_cfg, ("system", "grid", "n")),
+    ("simulate", _simulate_cfg, ("policy", "grid_n")),
+    ("simulate", _idle_cfg, ("n_samples",)),
+    ("simulate", _simulate_cfg, ("process", "n_actions")),
+    ("theorem-suite", lambda: {"name": "identical-gap", "overrides": {"n": 16}}, ("overrides", "n")),
+    ("theorem-suite", lambda: {"name": "appendix-mc", "overrides": {"n_samples": 100}},
+     ("overrides", "n_samples")),
+])
+def test_size_past_memory_is_a_config_error(tmp_path, capsys, kind, base, path):
+    # 10^12 entries ask for 7.28 TiB, refused at once; this was a MemoryError
+    # traceback and exit 1
+    cfg = _mutated(base(), path, 10**12)
+    out = tmp_path / "out"
+    rc = main([kind, "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {kind} needs more memory than the host can give: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not _refuses_what_it_cannot_hold(), reason="allocations are not refused")
+def test_python_callers_still_get_the_memory_error():
+    with pytest.raises(MemoryError):
+        run_suite("identical-gap", n=10**12)
+
+
 _INTEGER_FIELDS = [
     ("evolve", _evolve_cfg, ("system", "grid", "n"), "system.grid.n"),
     ("evolve", _evolve_cfg, ("system", "grid", "dim"), "system.grid.dim"),
@@ -790,6 +870,8 @@ _INTEGER_FIELDS = [
     ("simulate", _idle_cfg, ("mode0",), "mode0"),
     ("simulate", _idle_cfg, ("n_samples",), "n_samples"),
     ("simulate", _idle_cfg, ("seed",), "seed"),
+    ("evolve", _evolve_mixed_cfg, ("system", "hamiltonians", 0, "params", "F", "angle", 0, "j"),
+     "direction profile angle[0].j"),
 ]
 
 
@@ -870,8 +952,6 @@ _CATALOG_NUMBER_FIELDS = [
     ("evolve", _evolve_mixed_cfg, ("system", "hamiltonians", 0, "params", "p_box"), "p_box"),
     ("evolve", _evolve_mixed_cfg, ("system", "hamiltonians", 0, "params", "F", "const"),
      "direction profile const"),
-    ("evolve", _evolve_mixed_cfg, ("system", "hamiltonians", 0, "params", "F", "angle", 0, "j"),
-     "direction profile angle[0].j"),
     ("evolve", _evolve_mixed_cfg, ("system", "hamiltonians", 0, "params", "F", "angle", 0, "cos"),
      "direction profile angle[0].cos"),
     ("evolve", _evolve_mixed_cfg, ("system", "hamiltonians", 0, "params", "F", "angle", 0, "sin"),
@@ -889,7 +969,7 @@ def test_catalog_number_rejects_booleans_and_strings(tmp_path, capsys, kind, bas
         out = tmp_path / "out"
         rc = main([kind, "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)])
         assert rc == 2, value
-        assert f"{name} must be a number, got {value!r}" in capsys.readouterr().err
+        assert f"{name} must be a finite number, got {value!r}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -1011,7 +1091,7 @@ def test_unknown_system_or_top_level_key_is_a_config_error(tmp_path, capsys, kin
      ("evolve", _evolve_cfg, ("system", "coupling"), "symmetric_pair", "system.coupling"),
      ("evolve", _evolve_cfg, ("system", "hamiltonians", 0), "quadratic_eikonal",
       "system.hamiltonians[0]"),
-     ("evolve", _evolve_cfg, ("u0",), "zeros", "u0 of kind 'zeros'"),
+     ("evolve", _evolve_cfg, ("u0",), "zeros", "u0"),
      ("ergodic", _ergodic_cfg, ("system",), [1, 2], "system"),
      ("diagnose", _diagnose_cfg, ("sets", 0), "common_min", "sets[0]")],
 )

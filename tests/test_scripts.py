@@ -36,7 +36,8 @@ def test_run_suites_writes_summary(tmp_path, capsys):
     assert json.loads((tmp_path / "identical-gap" / "suite.json").read_text())["passed"]
 
 
-@pytest.mark.parametrize("argv", [["identical-gap", "--n", "4"], ["appendix-mc", "--seed", "-1"]])
+@pytest.mark.parametrize("argv", [["identical-gap", "--n", "4"], ["appendix-mc", "--seed", "-1"],
+                                  ["identical-gap", "--n", "1000000000000"]])  # 7.28 TiB
 def test_run_suites_bad_override_exits_2(argv, capsys):
     assert _load("run_suites").main(argv) == 2
     assert "config error" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from functools import partial
 from types import SimpleNamespace
 
@@ -239,6 +240,22 @@ class TestArgumentErrors:
                   dt_sim=0.25)
         with pytest.raises(ConfigError, match=match):
             estimate_values(IDLE, ConstantPolicy(0), **{**kw, **bad})
+
+
+    @pytest.mark.parametrize("rates, horizon", [
+        ([[0.0, 1e308], [1e308, 0.0]], 0.5),  # every clock below one ulp of the time
+        ([[0.0, 1.0], [1.0, 0.0]], 1e300)])  # 10 steps, about 1e300 switches
+    @pytest.mark.parametrize("run", [
+        lambda spec, h: estimate_value(spec, ConstantPolicy(0), [0.1], 0, h, 100, 1, h / 10),
+        lambda spec, h: simulate_trajectory(spec, ConstantPolicy(0), [0.1], 0, h, 1, h / 10),
+        lambda spec, h: estimate_values(spec, ConstantPolicy(0), [([0.1], 0)], h, 100, [1],
+                                        h / 10)], ids=["value", "trajectory", "values"])
+    def test_switches_past_the_step_budget(self, rates, horizon, run):
+        # such runs never finished; each switch splits a step
+        spec = catalog.idle_process([0.0, 1.0], rates)
+        message = rf"rates and horizon {re.escape(repr(horizon))}: .* expected switches per path"
+        with pytest.raises(ConfigError, match=message + r" .* exceed the budget of 100,000,000"):
+            run(spec, horizon)
 
 
 class TestSinglePath:
@@ -763,11 +780,6 @@ class TestCohortEdges:
     # total rate 4 in every mode, so a draw d gives the clock d / 4 exactly
     RATES = np.array([[0.0, 4.0], [4.0, 0.0]])
 
-    @pytest.fixture(autouse=True, params=[1, 3, 128], ids=lambda pad: f"pad{pad}")
-    def pad(self, request, monkeypatch):
-        # with blocks of one row a late row falls outside the prefix at once
-        monkeypatch.setattr(switching, "_PAD", request.param)
-
     def _assert_matches(self, spec, first_clocks, horizon, dt, mode0=0, x0=(0.3,), policy=None):
         draws = np.asarray(first_clocks, dtype=float) * 4.0
         args = (spec, policy or _PointwisePolicy(), list(x0), mode0, horizon, dt)
@@ -813,8 +825,8 @@ class TestCohortEdges:
 
     def test_clocks_between_the_last_step_end_and_the_horizon(self):
         # horizon / dt is 3 + 8e-14, so the loop takes 3 steps and stops 1e-14
-        # short of the horizon: the 200 clocks rung in between never switch,
-        # and more of them than the padding holds stay out of the prefix
+        # short of the horizon: the 200 clocks rung in between never switch
+        # and never join the prefix
         clocks = np.concatenate([np.linspace(0.0, 0.37, 130), np.full(200, 0.375 + 5e-15)])
         self._assert_matches(_wavy_spec(self.RATES), clocks, 0.375 + 1e-14, 1 / 8)
 
@@ -888,8 +900,7 @@ class TestCohortEdges:
         )
         list(_run_batch(spec, policy, starts, 0.25, 1 / 64, rngs(), 200))
         switched = [int(np.sum(rng.exponential(size=200) / 4.0 < 0.25)) for rng in rngs()]
-        pad = switching._PAD
-        assert max(policy.rows) <= -(-(5 + max(switched)) // pad) * pad < 5 + sum(switched)
+        assert max(policy.rows) <= 5 + max(switched) < 5 + sum(switched)
 
     @given(
         data=st.data(),
