@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .coupling import CouplingMatrix
-from .errors import ConfigError, field, integer, mapping, number
+from .errors import ConfigError, field, integer, listing, mapping, number
 from .evolution import HJSystem
 from .grid import Grid, sample
 from .hamiltonians import (
@@ -99,7 +99,7 @@ def fourier_function(params: dict, dim: int) -> Callable:
     mapping(params, "fourier spec", ("const", "terms"))
     coef = [number(params.get("const", 0.0), "fourier const")]
     terms = []
-    for t, term in enumerate(params.get("terms", [])):
+    for t, term in enumerate(listing(params.get("terms", []), "fourier terms")):
         where = f"fourier terms[{t}]"
         mapping(term, where, ("k", "cos", "sin"))
         k = term.get("k", [1] * dim)
@@ -122,7 +122,7 @@ def direction_profile(params: dict, dim: int) -> tuple[Callable, float]:
     mapping(params, "direction profile F", ("const", "angle"))
     const = number(params.get("const", 1.0), "direction profile const")
     angle = []
-    for i, t in enumerate(params.get("angle", [])):
+    for i, t in enumerate(listing(params.get("angle", []), "direction profile angle")):
         where = f"direction profile angle[{i}]"
         mapping(t, where, ("j", "cos", "sin"))
         j = integer(t.get("j", 1), f"{where}.j")
@@ -148,8 +148,9 @@ def direction_profile(params: dict, dim: int) -> tuple[Callable, float]:
 
 
 def vector_field(params: list, dim: int) -> Callable:
-    """Stack per-component Fourier descriptions into a vector field."""
-    if len(params) != dim:
+    """Stack per-component Fourier descriptions, the drift ``q`` of
+    ``nonconvex_bs00``, into a vector field."""
+    if len(listing(params, "nonconvex_bs00 params.q", "fourier specs")) != dim:
         raise ConfigError(f"vector field needs {dim} component specs, got {len(params)}")
     comps = [fourier_function(p, dim) for p in params]
 
@@ -219,9 +220,7 @@ def build_system(block: dict, grid: Grid | None = None) -> HJSystem:
         grid = Grid(field(grid_block, "dim", 1, "system.grid", read=integer),
                     field(grid_block, "n", where="system.grid", read=integer))
     coupling = build_coupling(field(block, "coupling", where="system"), "system.coupling")
-    blocks = field(block, "hamiltonians", where="system")
-    if not isinstance(blocks, list) or not blocks:
-        raise ConfigError("system.hamiltonians must be a nonempty list")
+    blocks = field(block, "hamiltonians", where="system", read=listing, nonempty=True)
     hams = []
     for i, hb in enumerate(blocks):
         where = f"system.hamiltonians[{i}]"
@@ -322,7 +321,7 @@ def unit_ball_eikonal_process(fs, rates, n_actions: int = 64) -> SwitchingProces
     action grid.
     """
     m = len(rates)
-    if len(fs) != m:
+    if len(listing(fs, "process.fs", "fourier specs")) != m:
         raise ConfigError(f"process.fs must list {m} source functions")
     n = integer(n_actions, "process.n_actions", least=1)
     return _process(

@@ -41,6 +41,7 @@ from .errors import (
     field,
     flag,
     integer,
+    listing,
     mapping,
     number,
 )
@@ -72,7 +73,7 @@ def _build_u0(block, grid: Grid, m: int) -> list:
         return [GridFunction(grid, np.full(grid.shape, v)) for v in vals]
     if kind == "fourier":
         mapping(block, "u0 of kind 'fourier'", ("kind", "components"))
-        comps = field(block, "components", where="u0")
+        comps = field(block, "components", where="u0", read=listing, of="fourier specs")
         if len(comps) != m:
             raise ConfigError(f"u0.components must list {m} function specs")
         return [sample(catalog.fourier_function(c, grid.dim), grid) for c in comps]
@@ -96,14 +97,11 @@ def _discount_schedule(block) -> DiscountSchedule:
     for key in ("lambdas", "anchor"):
         if key in block:
             kwargs[key] = tuple(number(block[key], f"schedule.{key}", many=True).tolist())
-    for key in ("steady_state_tol", "cfl"):
+    for key, read in (("steady_state_tol", number), ("max_steps_per_lambda", integer)):
         if key in block:
-            kwargs[key] = number(block[key], f"schedule.{key}")
+            kwargs[key] = read(block[key], f"schedule.{key}")
     if "flux_mode" in block:
         kwargs["flux_mode"] = str(block["flux_mode"])
-    if "max_steps_per_lambda" in block:
-        kwargs["max_steps_per_lambda"] = integer(block["max_steps_per_lambda"],
-                                                 "schedule.max_steps_per_lambda")
     return DiscountSchedule(**kwargs)
 
 
@@ -146,9 +144,7 @@ def cmd_diagnose(cfg, out_dir: str) -> int:
         use_log_transform = field(cfg, "use_log_transform", True, read=flag)
         gap = field(cfg, "gap", False, read=flag)
         sets = []
-        if not isinstance(blocks := cfg.get("sets", []), list):
-            raise ConfigError(f"sets must be a list of mappings, got {blocks!r}")
-        for i, block in enumerate(blocks):
+        for i, block in enumerate(field(cfg, "sets", [], read=listing)):
             kind = field(block, "kind", where=f"sets[{i}]")
             mapping(block, f"sets[{i}]", ("kind", "points") if kind == "custom" else ("kind",))
             if kind not in ("common_min", "flat_min", "S", "F", "custom"):

@@ -19,12 +19,12 @@ gradients of zero data; ``newton_iterations`` counts both stages.  When no
 damped step reduces the residual, the system is singular, or the
 iterations run out, the march takes over from the best iterate.
 
-The march also serves 2D grids.  It steps the evolution counterpart to
-steady state; since plain marching relaxes the quasi-constant mode only at
-rate lambda, it jumps that mode: adding a constant beta to every component
-changes r = -F by exactly -lambda beta (constants are in the coupling
-kernel), so once r is nearly flat, beta = mean(r)/lambda lands the
-constant mode on the fixed point.
+The march also serves 2D grids: evolution's ``march_chunk`` with the
+discount, in gates of _GATE steps that each decide the CFL budget and
+finiteness.  Plain marching relaxes the quasi-constant mode only at rate
+lambda, so between gates it jumps that mode: adding beta to every
+component changes F by exactly lambda beta (constants are in the coupling
+kernel), so once F is nearly flat, beta = -mean(F)/lambda lands it.
 
 The schedule halves lambda from 0.1 down to ~1.6e-3.  Each solve warm
 starts from the previous one with only its quasi-constant mode rescaled
@@ -45,8 +45,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupling import is_irreducible
-from .errors import ConfigError, ConvergenceError, DivergenceError, StructureError
-from .evolution import HJSystem
+from .errors import ConfigError, ConvergenceError, StructureError
+from .evolution import HJSystem, march_chunk
 from .grid import GridFunction, diff_arrays, save_binary, save_json, save_table
 
 __all__ = [
@@ -61,18 +61,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiscountSchedule:
-    """Geometric discount schedule plus solver knobs.
-
-    ``cfl`` here is the fraction of the combined explicit budget: the march
-    step is dt = cfl / (N max_alpha / h + max d_ii + lambda), which keeps
-    the full update (flux dissipation plus diagonal damping) monotone for
-    cfl <= 1.  Newton uses neither ``cfl`` nor ``max_steps_per_lambda``.
-    """
+    """Geometric discount schedule plus solver knobs; ``max_steps_per_lambda``
+    caps the march, Newton does not use it."""
 
     lambdas: tuple = tuple(0.1 * 2.0**-k for k in range(7))
     steady_state_tol: float = 1e-8
     anchor: tuple = (0.0,)
-    cfl: float = 0.9
     flux_mode: str = "local"
     max_steps_per_lambda: int = 2_000_000  # march steps, when the march runs
 
@@ -88,8 +82,6 @@ class DiscountSchedule:
             raise ConfigError(
                 f"steady_state_tol must be positive and finite, got {self.steady_state_tol}"
             )
-        if not (0 < self.cfl <= 1):
-            raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
         anchor = tuple(float(a) for a in self.anchor)
         if not np.all(np.isfinite(anchor)):
             raise ConfigError(f"anchor must be finite, got {anchor}")
@@ -110,7 +102,6 @@ class DiscountInfo:
     final_residual: float
     residual_history: list
     min_value: float
-    scaled_sup: float  # lambda * sup v
 
 
 _NEWTON_MAX_ITER = 50
@@ -181,44 +172,41 @@ def _newton(kernel, lam: float, v: np.ndarray, tol: float, history: list):
     return v, _NEWTON_MAX_ITER, rmax
 
 
+_MARCH_CFL = 0.9  # the share of the explicit budget a march step takes
+_GATE = 10  # steps between residual tests: between two jumps, or a jump and a stop
+
+
 def _march(kernel, lam: float, v: np.ndarray, schedule: DiscountSchedule, history: list):
-    """Explicit march with constant-mode jumps; returns (v, steps, jumps, residual)."""
+    """Explicit march of a copy of ``v`` with constant-mode jumps; returns
+    (v, steps, jumps, residual).  Its last gate stops at the step cap."""
     grid = kernel.grid
     amax = max(lf_alpha for _, _, lf_alpha in kernel.terms)
-    dt = schedule.cfl / (grid.dim * amax / grid.h + kernel.dmax + lam)
-    tol = schedule.steady_state_tol
-    jumps = 0
-    since_jump = 10**9
-    for n in range(schedule.max_steps_per_lambda):
-        F, alpha_sums = _residual(kernel, lam, v)
-        if n == 0:
-            kernel.check_cfl(alpha_sums, dt, lam=lam)
-        r = -F
-        rmax = float(np.max(np.abs(r)))
-        if not np.isfinite(rmax):
-            raise DivergenceError(
-                f"discounted march diverged at step {n} (lambda = {lam})"
-            )
-        if n % 200 == 0:
+    dt = _MARCH_CFL / (grid.dim * amax / grid.h + kernel.dmax + lam)
+    tol, budget = schedule.steady_state_tol, schedule.max_steps_per_lambda
+    v = np.array(v, dtype=float)
+    steps = jumps = 0
+    while True:
+        F, _ = _residual(kernel, lam, v)
+        rmax = float(np.max(np.abs(F)))
+        if steps % 200 == 0:
             history.append(rmax)
-        if rmax < tol and since_jump >= 5:
-            return v, n, jumps, rmax
-        rbar = float(np.mean(r))
-        rosc = float(np.max(r) - np.min(r))
-        if since_jump >= 10 and abs(rbar) > 0.25 * tol and rosc < 0.3 * abs(rbar):
+        if rmax < tol:
+            return v, steps, jumps, rmax
+        if steps >= budget:
+            raise ConvergenceError(
+                f"no steady state for lambda = {lam} within {budget} "
+                f"steps; residual history tail: {history[-10:]}"
+            )
+        Fbar = float(np.mean(F))
+        if abs(Fbar) > 0.25 * tol and np.ptp(F) < 0.3 * abs(Fbar):
             # constant-mode extrapolation: adding beta to every component
-            # changes the residual by exactly -lambda beta, so this lands
+            # changes the residual by exactly lambda beta, so this lands
             # the flat part of the residual on zero in one move
-            v = v + rbar / lam
+            v -= Fbar / lam
             jumps += 1
-            since_jump = 0
-            continue
-        v = v + dt * r
-        since_jump += 1
-    raise ConvergenceError(
-        f"no steady state for lambda = {lam} within {schedule.max_steps_per_lambda} "
-        f"steps; residual history tail: {history[-10:]}"
-    )
+        gate = min(_GATE, budget - steps)
+        march_chunk(kernel, v, dt, steps * dt, gate, lam)
+        steps += gate
 
 
 def solve_discounted(
@@ -266,7 +254,6 @@ def solve_discounted(
         final_residual=rmax,
         residual_history=history[-50:],
         min_value=float(np.min(v)),
-        scaled_sup=lam * float(np.max(v)),
     )
     return v, info
 

@@ -7,8 +7,9 @@ rule that refuses a run too long to finish, before its first step.
 
 The JSON readers hold one rule each, for every config block the CLI and
 the catalog read: ``field`` looks a key up, ``number``, ``integer`` and
-``flag`` check a value, and ``mapping`` checks a block and its keys.  Each
-refusal is a ConfigError that names the field or the block.
+``flag`` check a value, ``mapping`` checks a block and its keys, and
+``listing`` a list field.  Each refusal is a ConfigError that names the
+field or the block.
 """
 from __future__ import annotations
 
@@ -105,4 +106,11 @@ def flag(value, name: str) -> bool:
     """JSON true or false."""
     if not isinstance(value, bool):
         raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def listing(value, name: str, of: str = "mappings", nonempty: bool = False):
+    """A JSON list (or a Python tuple) of ``of``, with an entry if ``nonempty``."""
+    if not isinstance(value, (list, tuple)) or nonempty and not value:
+        raise ConfigError(f"{name} must be a {'nonempty ' * nonempty}list of {of}, got {value!r}")
     return value

@@ -20,9 +20,10 @@ elementwise or per member, so each member equals its own ``solve`` bit for
 bit (``solve`` is a batch of one, ``step`` updates a copy).  The march
 decides CFL and finiteness once per chunk of _CHUNK steps; a failing chunk
 is replayed deciding after every step, so the first failing step's error
-names its time and member.  Member b's ``Trajectory.values`` is row b of
-one (B, K, m) + grid.shape snapshot array; ``Trajectory.shifted`` is the
-drift u_i + c_i t.
+names its time and member.  That chunk, ``march_chunk``, is the one
+explicit step: the discounted march runs it with lambda v added.  Member
+b's ``Trajectory.values`` is row b of one (B, K, m) + grid.shape snapshot
+array; ``Trajectory.shifted`` is the drift u_i + c_i t.
 """
 from __future__ import annotations
 
@@ -51,6 +52,7 @@ __all__ = [
     "step",
     "solve",
     "solve_batch",
+    "march_chunk",
     "comparison_check",
     "lipschitz_check",
     "ComparisonReport",
@@ -323,16 +325,18 @@ def cfl_dt(system: HJSystem, config: EvolutionConfig) -> float:
 
 
 def _advance(kernel: FluxKernel, v: np.ndarray, dt: float, t: float, fold: bool = False,
-             decide: bool = True) -> None:
-    """v -= dt * (flux + D v) in place, for every member, reaching time t; then,
-    if ``decide``, refuse a broken CFL budget or a non-finite v.  With ``fold``
+             decide: bool = True, lam: float = 0.0) -> None:
+    """v -= dt * (lam v + flux + D v) in place, for every member, reaching time t;
+    then, if ``decide``, refuse a broken CFL budget or a non-finite v.  With ``fold``
     the budget is the alpha sums' running max since the last step without it."""
     flux, alpha_sums = kernel(v, fold)
+    if lam:
+        np.add(flux, np.multiply(lam, v), out=flux)
     np.add(flux, kernel.coupling_term(v), out=flux)
     np.subtract(v, np.multiply(dt, flux, out=flux), out=v)
     if not decide:
         return
-    kernel.check_cfl(alpha_sums, dt)
+    kernel.check_cfl(alpha_sums, dt, lam)
     # a finite sum proves every entry finite; an overflowing one proves nothing
     if not math.isfinite(np.add.reduce(v, axis=None)) and not np.all(np.isfinite(v)):
         grid, m = kernel.grid, len(kernel.terms)
@@ -348,22 +352,23 @@ def _advance(kernel: FluxKernel, v: np.ndarray, dt: float, t: float, fold: bool 
 _CHUNK = 64
 
 
-def _march_chunk(kernel: FluxKernel, v: np.ndarray, dt: float, t: float, steps: int) -> float:
-    """``steps`` steps of dt from time t, decided at the last (a non-finite v_i
-    stays so: it enters its own update); any failure, a floating-point error
-    too, replays them from the start, deciding after each as ``step`` does."""
+def march_chunk(kernel: FluxKernel, v: np.ndarray, dt: float, t: float, steps: int,
+                lam: float = 0.0) -> float:
+    """``steps`` steps of dt from time t, discounted by ``lam``, decided at the
+    last (a non-finite v_i stays so: it enters its own update); any failure, a
+    floating-point error too, replays them from the start, deciding after each."""
     start, t0 = v.copy(), t
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for j in range(steps):
                 t += dt
-                _advance(kernel, v, dt, t, fold=j > 0, decide=j == steps - 1)
+                _advance(kernel, v, dt, t, fold=j > 0, decide=j == steps - 1, lam=lam)
         return t
     except Exception:  # the replay raises what the per-step path raises
         v[...], t = start, t0
     for _ in range(steps):
         t += dt
-        _advance(kernel, v, dt, t)
+        _advance(kernel, v, dt, t, lam=lam)
     return t
 
 
@@ -493,7 +498,7 @@ def solve_batch(system: HJSystem, u0s: Sequence, config: EvolutionConfig) -> lis
         nsteps = int(counts[k - 1])
         sub = (times[k] - times[k - 1]) / nsteps
         for done in range(0, nsteps, _CHUNK):
-            t = _march_chunk(kernel, march, sub, t, min(_CHUNK, nsteps - done))
+            t = march_chunk(kernel, march, sub, t, min(_CHUNK, nsteps - done))
         t = float(times[k])
         snapshots[:, k] = v
         steps_at.append(steps_at[-1] + nsteps)

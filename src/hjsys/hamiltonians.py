@@ -295,14 +295,11 @@ def make_nonconvex_example(
             np.sqrt(np.sum(qv * qv, axis=-1)) <= 1e-9
         )
 
-    tags = {"nonconvex_example", "coercive"}
-    if not np.any(compact_set(xs)):
-        tags.add("K_empty_warning")
     return Hamiltonian(
         dim=dim,
         bind=bind,
         lf_alpha=1.1 * max(sampled_grad_sup(bind, dim, p_box), 2.0 * (p_box + qmax) * fmax),
-        class_tags=frozenset(tags),
+        class_tags=frozenset({"nonconvex_example", "coercive"}),
         source=f,
         compact_set_K=compact_set,
         name=name,

@@ -210,13 +210,19 @@ def _run_step(spec, starts, seeds, horizon, dt_sim) -> float:
         if not 0 < value < np.inf:
             raise ConfigError(f"{what} must be positive and finite, got {value!r}")
     check_step_budget(float(horizon) / dt, f"dt_sim = {dt!r} (horizon {horizon!r})")
-    # each switch splits a step, so a path's switches count against the budget too
-    rate = float(np.max(spec.total_rates()))
-    switches = float(horizon) * rate
+    # each switch splits a step, so a path's switches count against the budget
+    # too: one into each mode it can reach, and in the reached modes on a cycle
+    # of the rate graph about the horizon times their largest total rate
+    edges = (spec.rates > 0) & ~np.eye(spec.m, dtype=bool)
+    reach = np.linalg.matrix_power(edges | np.eye(spec.m, dtype=bool), spec.m)  # i leads to j
+    reached = np.any(reach[[mode for _, mode in starts]], axis=0)
+    rate = float(np.max(spec.total_rates()[reached & np.diag(edges @ reach)], initial=0.0))
+    switches = float(horizon) * rate + np.count_nonzero(reached)
     if not switches <= STEP_BUDGET:
         raise ConfigError(
-            f"rates and horizon {horizon!r}: {switches:.3g} expected switches per path (the "
-            f"horizon times the largest total rate, {rate!r}) exceed the budget of {STEP_BUDGET:,}"
+            f"rates and horizon {horizon!r}: {switches:.3g} expected switches per path (one "
+            f"per reachable mode and the horizon times the largest total rate on a cycle, "
+            f"{rate!r}) exceed the budget of {STEP_BUDGET:,}"
         )
     return dt
 

@@ -7,14 +7,17 @@ import copy
 import io
 import json
 import os
+import re
 import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hjsys import catalog
 from hjsys.catalog import F1, F2, SYSTEMS
-from hjsys.cli import main
+from hjsys.cli import cmd_diagnose, cmd_evolve, main
 from hjsys.errors import ConfigError
 from hjsys.suites import run_suite
 
@@ -410,6 +413,19 @@ class TestErgodic:
         assert "constant coupling is reducible" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_march_outside_its_cfl_budget_exits_3(self, tmp_path, capsys):
+        # the march tested the budget at its first step only, then overflowed
+        ham = {"id": "quadratic_eikonal", "params": {"p_box": 0.3}}
+        system = {"grid": {"dim": 2, "n": 16}, "coupling": {"name": "symmetric_pair"},
+                  "hamiltonians": [ham, ham]}
+        cfg = {"system": system, "schedule": {"lambdas": [0.1], "anchor": [0.0, 0.0]}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["ergodic", "--config", _write(tmp_path, "c.json", cfg),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert "CFL budget exceeded" in capsys.readouterr().err
+
     @settings(max_examples=60)
     @given(data=st.data())
     def test_mutated_config_keeps_exit_contract(self, tmp_path_factory, data):
@@ -423,7 +439,6 @@ def _ergodic_cfg():
             "lambdas": [0.1, 0.05],
             "steady_state_tol": 1e-8,
             "anchor": [0.25],
-            "cfl": 0.9,
             "flux_mode": "local",
             "max_steps_per_lambda": 20000,
         },
@@ -908,7 +923,6 @@ _FLOAT_FIELDS = [
     ("ergodic", _ergodic_cfg, ("schedule", "lambdas"), "schedule.lambdas", True),
     ("ergodic", _ergodic_cfg, ("schedule", "steady_state_tol"), "schedule.steady_state_tol", False),
     ("ergodic", _ergodic_cfg, ("schedule", "anchor"), "schedule.anchor", True),
-    ("ergodic", _ergodic_cfg, ("schedule", "cfl"), "schedule.cfl", False),
     ("simulate", _simulate_cfg, ("policy", "snapshot_every"), "policy.snapshot_every", False),
     ("simulate", _idle_cfg, ("horizon",), "horizon", False),
     ("simulate", _idle_cfg, ("dt_sim",), "dt_sim", False),
@@ -1007,7 +1021,8 @@ def test_unknown_simulate_key_is_a_config_error(tmp_path, capsys, base, block, t
 
 @pytest.mark.parametrize(
     "kind, base, block, typo",
-    [("evolve", _evolve_cfg, "solver", "snapshot_evry"), ("ergodic", _ergodic_cfg, "schedule", "lambda")],
+    [("evolve", _evolve_cfg, "solver", "snapshot_evry"), ("ergodic", _ergodic_cfg, "schedule", "lambda"),
+     ("ergodic", _ergodic_cfg, "schedule", "cfl")],  # the march's budget share is no knob
 )
 def test_unknown_solver_or_schedule_key_is_a_config_error(tmp_path, capsys, kind, base, block, typo):
     # the typo used to be ignored, so the run went ahead with the default
@@ -1121,6 +1136,43 @@ def test_diagnose_sets_must_list_known_kinds(tmp_path, capsys, sets, message):
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+# (kind, base config, path, the same field through a Python call, its name);
+# each iterated what it got, so 5 raised a bare TypeError and a string ran
+# letter by letter
+_LIST_FIELDS = [
+    ("evolve", _evolve_cfg, ("system", "hamiltonians", 0, "params", "f", "terms"),
+     lambda v, out: catalog.fourier_function({"terms": v}, 1), "fourier terms"),
+    ("evolve", _evolve_mixed_cfg, ("system", "hamiltonians", 0, "params", "F", "angle"),
+     lambda v, out: catalog.direction_profile({"angle": v}, 1), "direction profile angle"),
+    ("evolve", _evolve_mixed_cfg, ("system", "hamiltonians", 0, "params", "q"),
+     lambda v, out: catalog.vector_field(v, 1), "nonconvex_bs00 params.q"),
+    ("evolve", _evolve_mixed_cfg, ("u0", "components"),
+     lambda v, out: cmd_evolve(_mutated(_evolve_mixed_cfg(), ("u0", "components"), v), out),
+     "u0.components"),
+    ("simulate", _simulate_cfg, ("process", "fs"),
+     lambda v, out: catalog.build_process(dict(_simulate_cfg()["process"], fs=v)), "process.fs"),
+    ("ergodic", _ergodic_cfg, ("system", "hamiltonians"),
+     lambda v, out: catalog.build_system(dict(_ergodic_cfg()["system"], hamiltonians=v)),
+     "system.hamiltonians"),
+    ("diagnose", _diagnose_cfg, ("sets",),
+     lambda v, out: cmd_diagnose(dict(_diagnose_cfg(), sets=v), out), "sets"),
+]
+
+
+@pytest.mark.parametrize("kind, base, path, call, name", _LIST_FIELDS)
+def test_list_field_must_be_a_list(tmp_path, capsys, kind, base, path, call, name):
+    for value in (5, "ab"):
+        out = tmp_path / "out"
+        cfg = _mutated(base(), path, value)
+        rc = main([kind, "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)])
+        assert rc == 2, value
+        want = f"{name} must be a "
+        assert want in capsys.readouterr().err and not out.exists()
+        with pytest.raises(ConfigError, match=re.escape(want) + rf".*list of .*, got {value!r}"):
+            call(value, str(out))
+        assert not out.exists()
 
 
 _ARTIFACT_KEYS = [

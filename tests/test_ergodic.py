@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from hjsys import catalog, ergodic
 from hjsys.catalog import fourier_function
 from hjsys.coupling import CouplingMatrix, ergodic_constant_formula
-from hjsys.errors import ConfigError, StructureError
+from hjsys.errors import ConfigError, ConvergenceError, DivergenceError, StructureError
 from hjsys.ergodic import (
     DiscountSchedule,
     ErgodicResult,
@@ -267,6 +268,31 @@ class TestNewtonAgainstMarch:
         v, info = solve_discounted(system, 0.1)
         assert info.newton_iterations == 0 and not info.fallback and info.steps > 0
         assert info.final_residual < 1e-8
+
+    def test_march_outside_its_cfl_budget_fails_on_the_budget(self):
+        # zero data pass a budget test taken at the first step only (local
+        # alpha 0); the march then overflowed, with numpy warnings
+        D = CouplingMatrix.constant(catalog.builtin_coupling("symmetric_pair"))
+        hams = (catalog.build_hamiltonian("quadratic_eikonal", {"p_box": 0.3}, 2),) * 2
+        system = HJSystem(hams=hams, coupling=D, grid=Grid(2, 16))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="CFL budget exceeded"):
+                solve_discounted(system, 0.1)
+
+    def test_march_stops_at_its_step_cap(self, monkeypatch):
+        # 25 is no multiple of the gate: the last gate is cut short
+        stepped = []
+        march_chunk = ergodic.march_chunk
+
+        def counted(kernel, v, dt, t, steps, lam):
+            stepped.append(steps)
+            return march_chunk(kernel, v, dt, t, steps, lam)
+
+        monkeypatch.setattr(ergodic, "march_chunk", counted)
+        with pytest.raises(ConvergenceError, match="within 25 steps"):
+            _march(_newton_case("largenew"), 0.05, DiscountSchedule(max_steps_per_lambda=25))
+        assert sum(stepped) == 25
 
     def test_falls_back_to_march_from_best_iterate(self, monkeypatch):
         system = _newton_case("largenew")

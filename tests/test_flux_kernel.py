@@ -23,6 +23,7 @@ from hjsys.evolution import (
     HJSystem,
     SystemState,
     cfl_dt,
+    march_chunk,
     solve,
     solve_batch,
     step,
@@ -590,9 +591,10 @@ def _reference_march(system, u0s, config):
     spans=st.integers(1, 3),
     cadence=st.booleans(),
     seed=st.integers(0, 1000),
+    lam=st.sampled_from((0.0, 0.1)),
 )
 def test_chunked_march_equals_the_per_step_march(family, dim, mode, members, span, spans,
-                                                 cadence, seed):
+                                                 cadence, seed, lam):
     # spans shorter and longer than a chunk; without a cadence the whole
     # horizon is one span
     system = _system(family, dim)
@@ -601,6 +603,15 @@ def test_chunked_march_equals_the_per_step_march(family, dim, mode, members, spa
     config = EvolutionConfig(t_final=span * spans * dt, dt_override=dt, flux_mode=mode,
                              snapshot_every=span * dt if cadence else None)
     u0s = [_values(grid, seed + b) for b in range(members)]
+    if lam:  # the discounted march: one chunk against the update with lam v written out
+        kernel = system.flux_kernel(mode)
+        got, want = np.stack(u0s), np.stack(u0s)
+        for _ in range(span * spans):
+            flux, _ = kernel(want)
+            want -= dt * (lam * want + flux + kernel.coupling_term(want))
+        march_chunk(kernel, got, dt, 0.0, span * spans, lam)
+        assert _same_bits(got, want)
+        return
     want, steps = _reference_march(system, u0s, config)
     got = solve_batch(system, [SystemState(0.0, u0, grid) for u0 in u0s], config)
     for b, traj in enumerate(got):

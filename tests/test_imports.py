@@ -122,7 +122,7 @@ import json, os, sys
 import numpy as np
 from hjsys import catalog, cli
 from hjsys.coupling import CouplingMatrix
-from hjsys.ergodic import DiscountSchedule, estimate_ergodic_constant
+from hjsys.ergodic import DiscountSchedule, estimate_ergodic_constant, solve_discounted
 from hjsys.evolution import EvolutionConfig, HJSystem, solve_batch
 from hjsys.grid import Grid, GridFunction
 from hjsys.switching import hamiltonian_from_spec
@@ -138,6 +138,8 @@ for (_, dim), hams in pairs.items():
     system = HJSystem(hams=hams, coupling=D, grid=Grid(dim, 8))
     if dim == 1:
         estimate_ergodic_constant(system, DiscountSchedule(lambdas=(0.1, 0.05)))
+    else:  # the march
+        solve_discounted(system, 0.1)
     zeros = [GridFunction(system.grid, np.zeros(system.grid.shape))] * 2
     solve_batch(system, [zeros, zeros], EvolutionConfig(t_final=0.1))
 

@@ -258,6 +258,23 @@ class TestArgumentErrors:
             run(spec, horizon)
 
 
+    @pytest.mark.parametrize("rates, mode0, value", [
+        ([[0.0, 2e8], [0.0, 0.0]], 0, 1.0),  # mode 1 never leaves: one switch at most
+        ([[0.0, 2e8], [0.0, 0.0]], 1, 1.0),
+        ([[0.0, 0.0, 0.0], [0.0, 0.0, 2e8], [0.0, 2e8, 0.0]], 0, 0.0)])  # the cycle is out of reach
+    def test_switches_that_end_at_once_are_not_refused(self, rates, mode0, value):
+        # the budget took the horizon times the largest total rate, 2e8
+        spec = catalog.idle_process([0.0, 1.0, 2.0][: len(rates)], rates)
+        est = estimate_value(spec, ConstantPolicy(0), [0.1], mode0, 1.0, 100, 1)
+        assert est.mean == pytest.approx(value, abs=1e-6)
+
+    def test_switches_on_a_reachable_fast_cycle_are_refused(self):
+        spec = catalog.idle_process([0.0, 1.0, 2.0], [[0.0, 1.0, 0.0], [0.0, 0.0, 2e8],
+                                                      [0.0, 2e8, 0.0]])
+        with pytest.raises(ConfigError, match=r"2e\+08 expected switches per path"):
+            estimate_value(spec, ConstantPolicy(0), [0.1], 0, 1.0, 100, 1)
+
+
 class TestSinglePath:
     def test_frozen_path_without_rates(self):
         # no switching and no drift: the path sits still and pays l(x0) T
